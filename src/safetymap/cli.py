@@ -19,6 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from . import CLASS_NAMES
 from . import cnn as cnn_mod
 from . import data, geo, lstm, metrics
 from .config import PipelineConfig, load_config, stage_seed
@@ -69,7 +70,7 @@ def cmd_sample(args, config: PipelineConfig) -> int:
                     f"{p.chainage_m:.3f}",
                     f"{p.location.lat:.6f}",
                     f"{p.location.lon:.6f}",
-                    f"{heading:.2f}",
+                    f"{round(heading, 2) % 360.0:.2f}",  # 359.996 -> 0.00, not 360.00
                 ]
             )
     log.info("wrote %d sample points to %s", len(points), args.out)
@@ -95,7 +96,7 @@ def cmd_url_gen(args, config: PipelineConfig) -> int:
         for row in rows:
             url = geo.streetview_request_url(
                 geo.LatLon(float(row["lat"]), float(row["lon"])),
-                float(row["heading_deg"]) % 360.0,
+                float(row["heading_deg"]),
                 args.size,
                 args.key,
             )
@@ -272,7 +273,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
             _prediction_labels(base_rows), predictions, truth, run_lengths
         )
         report["isolated_error_correction"] = {
-            name: rate for name, rate in zip(metrics.CLASS_NAMES, rates)
+            name: rate for name, rate in zip(CLASS_NAMES, rates)
         }
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(geo.dumps_stable(report))

@@ -13,9 +13,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import CLASS_NAMES
 from .geo import EARTH_RADIUS_M, LatLon
 
-LABEL_COLUMNS = ("image_id", "edge_id", "seq_index", "lat", "lon", "rs", "mcb", "cb")
+LABEL_COLUMNS = ("image_id", "edge_id", "seq_index", "lat", "lon") + CLASS_NAMES
 
 
 class SchemaError(ValueError):
@@ -102,7 +103,7 @@ def load_labels(path: str) -> list[ImageRecord]:
             if seq_index < 0:
                 raise SchemaError(f"line {line}: seq_index {seq_index} is negative")
             labels = tuple(
-                _parse_label(v, n, line) for v, n in zip(row[5:8], ("rs", "mcb", "cb"))
+                _parse_label(v, n, line) for v, n in zip(row[5:8], CLASS_NAMES)
             )
             key = (edge_id, seq_index)
             if key in seen:

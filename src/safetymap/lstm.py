@@ -3,25 +3,32 @@ with forget/input/output gates and tanh candidate, the hidden -> dropout ->
 dense-50 -> ReLU -> sigmoid head, backpropagation-through-time training,
 shared and separate multi-label modes, and overlapping-window prediction.
 
-Gate parameters follow the W/U/b naming with W multiplying the previous
-hidden state and U the step input. Training packs the four gates into
-single matrices for speed; the named per-gate tensors remain the source
-of truth (and the serialization layout).
+Gate parameters follow the W/U/b naming, with W multiplying the previous
+hidden state and U the step input. The source of truth is
+`SequenceModel.params`, packed along a leading group axis G (1 in shared
+mode, one stack per class in separate mode): `wp` (G, 4H, H), `up`
+(G, 4H, d) and `bp` (G, 4H) stack the gates f, i, o, u, then come the head's
+`mid.w`, `mid.b`, `out.w`, `out.b`. The per-gate `W_f`...`b_u` entries of
+`SequenceModel.groups` are views into them; the cell reference
+`lstm_cell_step` reads those, and they are the serialization layout.
+
+One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
+groups over (G, B windows, T steps) together, in training and prediction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import nn
+from . import CLASS_NAMES, nn
 from .data import FeatureSequence, ImageRecord, _runs
 from .modelio import load_tensors, save_tensors
 
 GATES = ("f", "i", "o", "u")
-CLASS_GROUPS = ("rs", "mcb", "cb")
+HEAD_KEYS = ("mid.w", "mid.b", "out.w", "out.b")
 
 
 class LstmState(NamedTuple):
@@ -85,120 +92,196 @@ def lstm_forward(
     return outs, state
 
 
-# --- packed fast path (gates stacked f,i,o,u along the first axis) ---
+# --- the packed kernel: G groups x B windows x T steps ---
 
 
-def _packed(group: nn.Params) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    wp = np.concatenate([group[f"W_{g}"] for g in GATES], axis=0)
-    up = np.concatenate([group[f"U_{g}"] for g in GATES], axis=0)
-    bp = np.concatenate([group[f"b_{g}"] for g in GATES])
-    return wp, up, bp
+class Forward(NamedTuple):
+    """Time-major activations: squashed gates Z (T, 4, G, B, H), gate-major
+    so that each step's gates are contiguous; cells C, TC = tanh(C) and
+    hidden states H (T, G, B, H). Without the BPTT cache, Z, C and TC hold
+    only the last step."""
+
+    Z: np.ndarray
+    C: np.ndarray
+    TC: np.ndarray
+    H: np.ndarray
 
 
-def _unpack_grads(wp: np.ndarray, up: np.ndarray, bp: np.ndarray, hidden: int) -> nn.Params:
-    grads: nn.Params = {}
-    for k, g in enumerate(GATES):
-        sl = slice(k * hidden, (k + 1) * hidden)
-        grads[f"W_{g}"] = wp[sl]
-        grads[f"U_{g}"] = up[sl]
-        grads[f"b_{g}"] = bp[sl]
-    return grads
+def packed_forward(params: nn.Params, xs: np.ndarray, cache: bool = True) -> Forward:
+    """Run every group's cell over windows xs (G, B, T, d) from a zero state.
 
-
-def _forward_packed(
-    wp: np.ndarray, up: np.ndarray, bp: np.ndarray, xs: np.ndarray, hidden: int
-) -> dict:
-    """Forward over one window, retaining gate activations for BPTT.
-
-    The recurrence loop is allocation-free: every step writes into
-    preallocated buffers. The plain logistic formula is safe here under
-    errstate since an overflowing exp saturates to the correct limit.
+    The input projection of all steps is one batched GEMM ahead of the
+    recurrence; each step then makes one batched matmul and writes into
+    preallocated buffers only. The plain logistic 1/(1+exp(-z)) is safe
+    under errstate, since an overflowing exp saturates to the right limit.
     """
-    steps = xs.shape[0]
-    ux = xs @ up.T + bp  # input projection for all steps at once
-    F = np.empty((steps, hidden))
-    I = np.empty((steps, hidden))
-    O = np.empty((steps, hidden))
-    U = np.empty((steps, hidden))
-    C = np.empty((steps, hidden))
-    TC = np.empty((steps, hidden))
-    H = np.empty((steps, hidden))
-    z = np.empty(4 * hidden)
-    gates = np.empty(3 * hidden)
-    tmp = np.empty(hidden)
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
+    groups, batch, steps, _ = xs.shape
+    hidden = params["wp"].shape[2]
+    ux = xs @ params["up"].transpose(0, 2, 1)[:, None]
+    ux += params["bp"][:, None, None]
+    ux = ux.reshape(groups, batch, steps, 4, hidden).transpose(2, 3, 0, 1, 4)
+    wp_t = params["wp"].transpose(0, 2, 1)
+    kept = steps if cache else 1
+    Z = np.empty((kept, 4, groups, batch, hidden))
+    C = np.empty((kept, groups, batch, hidden))
+    TC = np.empty_like(C)
+    H = np.empty((steps, groups, batch, hidden))
+    z_rows = np.empty((groups, batch, 4 * hidden))
+    z_gates = z_rows.reshape(groups, batch, 4, hidden).transpose(2, 0, 1, 3)
+    tmp = np.empty((groups, batch, hidden))
+    h = c = np.zeros((groups, batch, hidden))
     with np.errstate(over="ignore"):
         for t in range(steps):
-            np.dot(wp, h, out=z)
-            z += ux[t]
-            np.negative(z[: 3 * hidden], out=gates)
-            np.exp(gates, out=gates)
-            gates += 1.0
-            np.reciprocal(gates, out=gates)
-            F[t] = gates[:hidden]
-            I[t] = gates[hidden : 2 * hidden]
-            O[t] = gates[2 * hidden :]
-            np.tanh(z[3 * hidden :], out=U[t])
-            np.multiply(F[t], c, out=c)
-            np.multiply(I[t], U[t], out=tmp)
+            s = t if cache else 0
+            np.matmul(h, wp_t, out=z_rows)
+            f, i, o, u = z = Z[s]
+            np.add(z_gates, ux[t], out=z)
+            sig = z[:3]
+            np.negative(sig, out=sig)
+            np.exp(sig, out=sig)
+            sig += 1.0
+            np.reciprocal(sig, out=sig)
+            np.tanh(u, out=u)
+            np.multiply(f, c, out=C[s])
+            np.multiply(i, u, out=tmp)
+            c = C[s]
             c += tmp
-            C[t] = c
-            np.tanh(c, out=TC[t])
-            np.multiply(O[t], TC[t], out=H[t])
+            np.tanh(c, out=TC[s])
             h = H[t]
-    return {"xs": xs, "wp": wp, "F": F, "I": I, "O": O, "U": U, "C": C, "TC": TC, "H": H}
+            np.multiply(o, TC[s], out=h)
+    return Forward(Z, C, TC, H)
 
 
-def _lstm_forward_cached(group: nn.Params, xs: np.ndarray, hidden: int) -> dict:
-    wp, up, bp = _packed(group)
-    return _forward_packed(wp, up, bp, xs, hidden)
+def packed_backward(
+    params: nn.Params, xs: np.ndarray, fw: Forward, grad_h: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BPTT through a cached packed_forward, given dL/dH (T, G, B, H).
 
-
-def _lstm_backward(cache: dict, grad_h: np.ndarray, hidden: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through the cached window; returns packed (wp, up, bp) gradients.
-
-    Gate derivatives are precomputed across all steps; the sequential loop
-    writes into preallocated buffers only.
+    Returns the packed (wp, up, bp) gradients, summed over the windows. The
+    factors that do not depend on the running gradients are computed for
+    all steps at once, in the row layout of wp; the loop writes into
+    preallocated buffers only.
     """
-    xs, wp = cache["xs"], cache["wp"]
-    F, I, O, U, C, TC, H = (cache[k] for k in ("F", "I", "O", "U", "C", "TC", "H"))
-    steps = xs.shape[0]
-    fg = F * (1.0 - F)
-    ig = I * (1.0 - I)
-    og = O * (1.0 - O)
-    ug = 1.0 - U * U
-    tcg = 1.0 - TC * TC
-    c_prev = np.vstack([np.zeros(hidden), C[:-1]])
-    dz_all = np.empty((steps, 4 * hidden))
-    dh = np.zeros(hidden)
-    dc = np.zeros(hidden)
-    dc_next = np.zeros(hidden)
-    tmp = np.empty(hidden)
+    Z, C, TC, H = fw
+    F, I, O, U = Z.transpose(1, 0, 2, 3, 4)
+    steps, groups, batch, hidden = H.shape
+    zero = np.zeros((1, groups, batch, hidden))
+    # per gate f, i, o, u: dz = (dc, dc, dh, dc) * partner * slope, written
+    # over partner, which each step reads before it writes
+    dZ = np.stack([np.concatenate([zero, C[:-1]]), U, TC, I], axis=3)
+    slope = np.empty_like(dZ)
+    slope_gates = slope.transpose(0, 3, 1, 2, 4)
+    np.subtract(1.0, Z, out=slope_gates)
+    slope_gates *= Z
+    np.multiply(U, U, out=slope_gates[:, 3])
+    np.subtract(1.0, slope_gates[:, 3], out=slope_gates[:, 3])
+    tanh_slope = 1.0 - TC * TC
+    grad_h = np.ascontiguousarray(grad_h)
+    dh = np.zeros((groups, batch, hidden))
+    dc = np.empty_like(dh)
+    dc_next = np.zeros_like(dh)
+    tmp = np.empty_like(dh)
+    dz_rows = dZ.reshape(steps, groups, batch, 4 * hidden)
     for t in range(steps - 1, -1, -1):
         dh += grad_h[t]
         np.multiply(dh, O[t], out=tmp)
-        tmp *= tcg[t]
+        tmp *= tanh_slope[t]
         np.add(tmp, dc_next, out=dc)
-        dz = dz_all[t]
-        np.multiply(dc, c_prev[t], out=dz[:hidden])
-        dz[:hidden] *= fg[t]
-        np.multiply(dc, U[t], out=dz[hidden : 2 * hidden])
-        dz[hidden : 2 * hidden] *= ig[t]
-        np.multiply(dh, TC[t], out=dz[2 * hidden : 3 * hidden])
-        dz[2 * hidden : 3 * hidden] *= og[t]
-        np.multiply(dc, I[t], out=dz[3 * hidden :])
-        dz[3 * hidden :] *= ug[t]
-        np.dot(wp.T, dz, out=dh)
+        dz = dZ[t]
+        np.multiply(dc[..., None, :], dz, out=dz)
+        np.multiply(dh, TC[t], out=dz[..., 2, :])
+        dz *= slope[t]
+        np.matmul(dz_rows[t], params["wp"], out=dh)
         np.multiply(dc, F[t], out=dc_next)
-    h_prev = np.vstack([np.zeros(hidden), H[:-1]])
-    wp_grad = dz_all.T @ h_prev
-    up_grad = dz_all.T @ xs
-    bp_grad = dz_all.sum(axis=0)
-    return wp_grad, up_grad, bp_grad
+    h_prev = np.concatenate([zero, H[:-1]])
+    dz = _steps(dz_rows.transpose(1, 2, 0, 3))
+    dz_t = dz.transpose(0, 2, 1)
+    return dz_t @ _steps(h_prev.transpose(1, 2, 0, 3)), dz_t @ _steps(xs), dz.sum(axis=1)
 
 
-# --- the full per-group stack: LSTM -> dropout -> dense -> ReLU -> dense -> sigmoid ---
+def _steps(a: np.ndarray) -> np.ndarray:
+    """(G, B, T, n) -> (G, B*T, n): the window steps of each group as rows."""
+    return a.reshape(a.shape[0], -1, a.shape[-1])
+
+
+def _head_forward(
+    params: nn.Params, hs: np.ndarray, masks: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dropout -> dense -> ReLU -> dense -> sigmoid over hidden states (G, B, T, H)."""
+    d = hs * masks if masks is not None else hs
+    z_mid = d @ params["mid.w"].transpose(0, 2, 1)[:, None] + params["mid.b"][:, None, None]
+    a_mid = nn.relu(z_mid)
+    z_out = a_mid @ params["out.w"].transpose(0, 2, 1)[:, None] + params["out.b"][:, None, None]
+    return d, z_mid, a_mid, nn.sigmoid(z_out)
+
+
+def packed_probs(params: nn.Params, xs: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
+    """Per-step probabilities (G, B, T, o) of windows xs (G, B, T, d), keeping no BPTT cache."""
+    hs = packed_forward(params, xs, cache=False).H.transpose(1, 2, 0, 3)
+    return _head_forward(params, hs, masks)[3]
+
+
+def packed_loss_and_grads(
+    params: nn.Params, xs: np.ndarray, labels: np.ndarray, masks: np.ndarray | None = None
+) -> tuple[np.ndarray, nn.Params]:
+    """Each group's mean BCE over its windows, with all parameter gradients.
+
+    xs is (G, B, T, d), labels (G, B, T, o) and masks, the head's dropout
+    keep masks, (G, B, T, H). Returns the (G,) losses and gradients keyed
+    like params; group k's loss depends on group k's slices only.
+    """
+    fw = packed_forward(params, xs)
+    d, z_mid, a_mid, probs = _head_forward(params, fw.H.transpose(1, 2, 0, 3), masks)
+    losses = np.empty(len(probs))
+    dz_out = np.empty_like(probs)
+    for k, (p, y) in enumerate(zip(probs, labels)):
+        losses[k], _ = nn.bce_loss(p, y)
+        dz_out[k] = nn.bce_grad_from_logits(p, y)
+    grads: nn.Params = {
+        "out.w": _steps(dz_out).transpose(0, 2, 1) @ _steps(a_mid),
+        "out.b": _steps(dz_out).sum(axis=1),
+    }
+    dz_mid = (dz_out @ params["out.w"][:, None]) * nn.relu_grad(z_mid)
+    grads["mid.w"] = _steps(dz_mid).transpose(0, 2, 1) @ _steps(d)
+    grads["mid.b"] = _steps(dz_mid).sum(axis=1)
+    grad_h = dz_mid @ params["mid.w"][:, None]
+    if masks is not None:
+        grad_h *= masks
+    grads["wp"], grads["up"], grads["bp"] = packed_backward(
+        params, xs, fw, grad_h.transpose(2, 0, 1, 3)
+    )
+    return losses, grads
+
+
+# --- the model: one stack per group, packed along the group axis ---
+
+
+def _group_view(params: nn.Params, k: int, hidden: int) -> nn.Params:
+    """Group k's per-gate and head tensors, as views into the packed ones."""
+    view: nn.Params = {}
+    for j, g in enumerate(GATES):
+        rows = slice(j * hidden, (j + 1) * hidden)
+        view[f"W_{g}"] = params["wp"][k, rows]
+        view[f"U_{g}"] = params["up"][k, rows]
+        view[f"b_{g}"] = params["bp"][k, rows]
+    for key in HEAD_KEYS:
+        view[key] = params[key][k]
+    return view
+
+
+def _pack(groups: Sequence[nn.Params]) -> nn.Params:
+    """Stack per-group tensors, named as in _group_view, into packed ones."""
+    packed = {
+        name: np.stack([np.concatenate([grp[f"{prefix}_{g}"] for g in GATES]) for grp in groups])
+        for name, prefix in (("wp", "W"), ("up", "U"), ("bp", "b"))
+    }
+    for key in HEAD_KEYS:
+        packed[key] = np.stack([grp[key] for grp in groups])
+    return packed
+
+
+def _group_names(mode: str) -> tuple[str, ...]:
+    return ("shared",) if mode == "shared" else CLASS_NAMES
 
 
 @dataclass
@@ -211,10 +294,17 @@ class SequenceModel:
     input_dim: int
     mid_dim: int
     dropout_rate: float
-    groups: dict[str, nn.Params]
+    params: nn.Params  # packed tensors, leading group axis
+    groups: dict[str, nn.Params] = field(init=False, repr=False)  # views into params
+
+    def __post_init__(self) -> None:
+        self.groups = {
+            name: _group_view(self.params, k, self.hidden)
+            for k, name in enumerate(self.group_names())
+        }
 
     def group_names(self) -> tuple[str, ...]:
-        return ("shared",) if self.mode == "shared" else CLASS_GROUPS
+        return _group_names(self.mode)
 
 
 def init_sequence_model(
@@ -231,102 +321,33 @@ def init_sequence_model(
     if not (0.0 <= dropout_rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     out_dim = 3 if mode == "shared" else 1
-    names = ("shared",) if mode == "shared" else CLASS_GROUPS
-    groups = {}
-    for k, name in enumerate(names):
+    groups = []
+    for k in range(len(_group_names(mode))):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         group = init_lstm_params(hidden, input_dim, rng)
         group["mid.w"] = nn.glorot_uniform(rng, (mid_dim, hidden), hidden, mid_dim)
         group["mid.b"] = np.zeros(mid_dim)
         group["out.w"] = nn.glorot_uniform(rng, (out_dim, mid_dim), mid_dim, out_dim)
         group["out.b"] = np.zeros(out_dim)
-        groups[name] = group
+        groups.append(group)
     return SequenceModel(
         mode=mode,
         hidden=hidden,
         input_dim=input_dim,
         mid_dim=mid_dim,
         dropout_rate=dropout_rate,
-        groups=groups,
+        params=_pack(groups),
     )
 
 
-def _head_forward(group: nn.Params, H: np.ndarray, masks: np.ndarray | None) -> dict:
-    d = H * masks if masks is not None else H
-    z_mid = d @ group["mid.w"].T + group["mid.b"]
-    a_mid = nn.relu(z_mid)
-    z_out = a_mid @ group["out.w"].T + group["out.b"]
-    probs = nn.sigmoid(z_out)
-    return {"d": d, "z_mid": z_mid, "a_mid": a_mid, "probs": probs}
-
-
-PACKED_KEYS = ("wp", "up", "bp", "mid.w", "mid.b", "out.w", "out.b")
-
-
-def _pack_group(group: nn.Params) -> nn.Params:
-    wp, up, bp = _packed(group)
-    return {
-        "wp": wp,
-        "up": up,
-        "bp": bp,
-        "mid.w": group["mid.w"].copy(),
-        "mid.b": group["mid.b"].copy(),
-        "out.w": group["out.w"].copy(),
-        "out.b": group["out.b"].copy(),
-    }
-
-
-def _write_back_group(group: nn.Params, packed: nn.Params, hidden: int) -> None:
-    for k, g in enumerate(GATES):
-        sl = slice(k * hidden, (k + 1) * hidden)
-        group[f"W_{g}"][:] = packed["wp"][sl]
-        group[f"U_{g}"][:] = packed["up"][sl]
-        group[f"b_{g}"][:] = packed["bp"][sl]
-    for key in ("mid.w", "mid.b", "out.w", "out.b"):
-        group[key][:] = packed[key]
-
-
-def _packed_loss_and_grads(
-    packed: nn.Params,
-    xs: np.ndarray,
-    labels: np.ndarray,
-    hidden: int,
-    masks: np.ndarray | None = None,
-) -> tuple[float, nn.Params]:
-    """Window loss plus gradients for the packed parameter layout."""
-    cache = _forward_packed(packed["wp"], packed["up"], packed["bp"], xs, hidden)
-    head = _head_forward(packed, cache["H"], masks)
-    probs = head["probs"]
-    loss, _ = nn.bce_loss(probs, labels)
-    dz_out = nn.bce_grad_from_logits(probs, labels)
-    grads: nn.Params = {
-        "out.w": dz_out.T @ head["a_mid"],
-        "out.b": dz_out.sum(axis=0),
-    }
-    da_mid = dz_out @ packed["out.w"]
-    dz_mid = da_mid * nn.relu_grad(head["z_mid"])
-    grads["mid.w"] = dz_mid.T @ head["d"]
-    grads["mid.b"] = dz_mid.sum(axis=0)
-    dd = dz_mid @ packed["mid.w"]
-    grad_h = dd * masks if masks is not None else dd
-    grads["wp"], grads["up"], grads["bp"] = _lstm_backward(cache, grad_h, hidden)
-    return loss, grads
-
-
-def group_loss_and_grads(
-    group: nn.Params,
-    xs: np.ndarray,
-    labels: np.ndarray,
-    hidden: int,
-    masks: np.ndarray | None = None,
-) -> tuple[float, nn.Params]:
-    """Mean per-step BCE of one stack over a window, with all parameter grads."""
-    packed = _pack_group(group)
-    loss, packed_grads = _packed_loss_and_grads(packed, xs, labels, hidden, masks)
-    grads = _unpack_grads(packed_grads["wp"], packed_grads["up"], packed_grads["bp"], hidden)
-    for key in ("mid.w", "mid.b", "out.w", "out.b"):
-        grads[key] = packed_grads[key]
-    return loss, grads
+def _class_probs(
+    model: SequenceModel, windows: np.ndarray, masks: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-step class probabilities (B, T, 3) of windows (B, T, d); in
+    separate mode column k comes from class k's stack."""
+    xs = np.broadcast_to(windows, (len(model.group_names()),) + windows.shape)
+    probs = packed_probs(model.params, xs, masks)
+    return probs[0] if model.mode == "shared" else np.moveaxis(probs[..., 0], 0, -1)
 
 
 def sequence_forward(
@@ -335,28 +356,19 @@ def sequence_forward(
     training: bool = False,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Per-step class probabilities, shape (steps, 3).
+    """Per-step class probabilities of one window, shape (steps, 3).
 
-    In separate mode column k comes from class k's stack. Dropout is active
-    only in training mode (rng required then).
+    Dropout is active only in training mode (rng required then).
     """
     if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
         raise ValueError(f"inputs shape {inputs.shape} mismatches input_dim {model.input_dim}")
-    steps = inputs.shape[0]
-    out = np.empty((steps, 3))
-    for k, name in enumerate(model.group_names()):
-        group = model.groups[name]
-        cache = _lstm_forward_cached(group, inputs, model.hidden)
-        masks = None
-        if training and model.dropout_rate > 0.0:
-            if rng is None:
-                raise ValueError("training-mode forward needs an rng")
-            masks = nn.dropout_mask(rng, (steps, model.hidden), model.dropout_rate)
-        probs = _head_forward(group, cache["H"], masks)["probs"]
-        if model.mode == "shared":
-            return probs
-        out[:, k] = probs[:, 0]
-    return out
+    masks = None
+    if training and model.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("training-mode forward needs an rng")
+        shape = (len(model.group_names()), 1, inputs.shape[0], model.hidden)
+        masks = nn.dropout_mask(rng, shape, model.dropout_rate)  # group by group, in order
+    return _class_probs(model, inputs[None], masks)[0]
 
 
 @dataclass(frozen=True)
@@ -384,6 +396,61 @@ def _validate_sequences(sequences: Sequence[FeatureSequence], input_dim: int) ->
     return window
 
 
+def _windows(mode: str, sequences: Sequence[FeatureSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Window features (N, T, d) and each group's targets (G, N, T, o):
+    all three columns in shared mode, column k for class k otherwise."""
+    shape = sequences[0].feature_matrix().shape
+    feats = np.fromiter(
+        (s.feature_matrix() for s in sequences), (np.float64, shape), len(sequences)
+    )
+    labels = np.stack([s.label_matrix() for s in sequences])
+    return feats, labels[None] if mode == "shared" else np.moveaxis(labels, -1, 0)[..., None]
+
+
+def _fit(
+    params: nn.Params,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    config: SeqTrainConfig,
+    dropout_rate: float,
+    val: tuple[np.ndarray, np.ndarray] | None = None,
+) -> list[dict[str, np.ndarray]]:
+    """Adam on packed params, each step taking one window per group.
+
+    Group k trains on targets labels[k] and draws its shuffle order and
+    dropout masks from rngs[k], in the order that training it alone would.
+    Returns each epoch's per-group mean losses.
+    """
+    groups = np.arange(len(rngs))
+    n, steps, _ = feats.shape
+    batch = np.empty((len(rngs), 1) + feats.shape[1:])  # one window per group
+    mask_shape = (1, steps, params["wp"].shape[2])
+    state = nn.adam_init(params, lr=config.lr)
+    history = []
+    for _ in range(config.epochs):
+        orders = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+        total = np.zeros(len(rngs))
+        for idx in orders:
+            masks = None
+            if dropout_rate > 0.0:
+                masks = np.stack([nn.dropout_mask(rng, mask_shape, dropout_rate) for rng in rngs])
+            np.take(feats, idx, axis=0, out=batch[:, 0])
+            losses, grads = packed_loss_and_grads(params, batch, labels[groups, idx, None], masks)
+            total += losses
+            nn.adam_step(params, grads, state)
+        entry = {"train_loss": total / n}
+        if val is not None:
+            val_feats, val_labels = val
+            val_total = np.zeros(len(rngs))
+            for j, xs in enumerate(val_feats):
+                probs = packed_probs(params, np.broadcast_to(xs, (len(rngs), 1) + xs.shape))
+                val_total += [nn.bce_loss(p, y)[0] for p, y in zip(probs, val_labels[:, j, None])]
+            entry["val_loss"] = val_total / len(val_feats)
+        history.append(entry)
+    return history
+
+
 def bptt_train(
     model: SequenceModel,
     sequences: Sequence[FeatureSequence],
@@ -393,82 +460,23 @@ def bptt_train(
     """Train with full backpropagation-through-time, one Adam update per
     sequence, shuffling per epoch with the seeded RNG; in place.
 
-    Separate mode trains the three class stacks independently, each on its
-    own label column with its own RNG stream split from the master seed.
+    Separate mode steps the three class stacks together but keeps them
+    independent: each trains on its own label column with its own RNG
+    stream split from the master seed, and ends where training it alone
+    would. The history averages the groups' losses.
     """
     _validate_sequences(sequences, model.input_dim)
-    feats = [s.feature_matrix() for s in sequences]
-    labs = [s.label_matrix() for s in sequences]
-    val_feats = [s.feature_matrix() for s in val_sequences] if val_sequences else None
-    val_labs = [s.label_matrix() for s in val_sequences] if val_sequences else None
-
-    histories = []
-    for k, name in enumerate(model.group_names()):
-        group = model.groups[name]
-        cols = slice(None) if model.mode == "shared" else slice(k, k + 1)
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, k]))
-        packed = _pack_group(group)
-        state = nn.adam_init(packed, lr=config.lr)
-        history = []
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(sequences))
-            total = 0.0
-            for idx in order:
-                xs = feats[idx]
-                masks = (
-                    nn.dropout_mask(rng, (xs.shape[0], model.hidden), model.dropout_rate)
-                    if model.dropout_rate > 0.0
-                    else None
-                )
-                loss, grads = _packed_loss_and_grads(
-                    packed, xs, labs[idx][:, cols], model.hidden, masks
-                )
-                total += loss
-                nn.adam_step(packed, grads, state)
-            entry = {"epoch": float(epoch), "train_loss": total / len(sequences)}
-            if val_feats is not None:
-                vtotal = 0.0
-                for xs, y in zip(val_feats, val_labs):
-                    cache = _forward_packed(packed["wp"], packed["up"], packed["bp"], xs, model.hidden)
-                    probs = _head_forward(packed, cache["H"], None)["probs"]
-                    vloss, _ = nn.bce_loss(probs, y[:, cols])
-                    vtotal += vloss
-                entry["val_loss"] = vtotal / len(val_feats)
-            history.append(entry)
-        _write_back_group(group, packed, model.hidden)
-        histories.append(history)
-
-    # merge per-group histories into one per-epoch view
-    merged = []
-    for epoch in range(config.epochs):
-        entry = {"epoch": float(epoch)}
-        entry["train_loss"] = float(np.mean([h[epoch]["train_loss"] for h in histories]))
-        if val_sequences:
-            entry["val_loss"] = float(np.mean([h[epoch]["val_loss"] for h in histories]))
-        merged.append(entry)
-    return merged
-
-
-def _batched_group_probs(group: nn.Params, windows: np.ndarray, hidden: int) -> np.ndarray:
-    """Inference over a (batch, steps, input_dim) stack of windows at once."""
-    wp, up, bp = _packed(group)
-    b, steps, _ = windows.shape
-    ux = windows @ up.T + bp
-    h = np.zeros((b, hidden))
-    c = np.zeros((b, hidden))
-    hs = np.empty((b, steps, hidden))
-    for t in range(steps):
-        z = ux[:, t, :] + h @ wp.T
-        zs = nn.sigmoid(z[:, : 3 * hidden])
-        f = zs[:, :hidden]
-        i = zs[:, hidden : 2 * hidden]
-        o = zs[:, 2 * hidden :]
-        u = np.tanh(z[:, 3 * hidden :])
-        c = f * c + i * u
-        h = o * np.tanh(c)
-        hs[:, t, :] = h
-    a_mid = nn.relu(hs @ group["mid.w"].T + group["mid.b"])
-    return nn.sigmoid(a_mid @ group["out.w"].T + group["out.b"])
+    rngs = [
+        np.random.default_rng(np.random.SeedSequence([config.seed, k]))
+        for k in range(len(model.group_names()))
+    ]
+    val = _windows(model.mode, val_sequences) if val_sequences else None
+    feats, labels = _windows(model.mode, sequences)
+    history = _fit(model.params, feats, labels, rngs, config, model.dropout_rate, val)
+    return [
+        {"epoch": float(epoch), **{key: float(np.mean(v)) for key, v in entry.items()}}
+        for epoch, entry in enumerate(history)
+    ]
 
 
 def predict_corridor(
@@ -487,12 +495,12 @@ def predict_corridor(
         if r.features is None:
             raise ValueError(f"record {r.image_id} has no features")
     probs = np.zeros((len(records), 3))
-    chunk = 128  # bounds the batched-window working set
+    chunk = 128 // len(model.group_names())  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
         feats = np.stack([r.features for r in records[start:end]])
         n = end - start
         if n < window:
-            probs[start:end] = _window_probs(model, feats[None, :, :])[0]
+            probs[start:end] = _class_probs(model, feats[None])[0]
             continue
         n_windows = n - window + 1
         sums = np.zeros((n, 3))
@@ -500,22 +508,12 @@ def predict_corridor(
         for chunk_start in range(0, n_windows, chunk):
             starts = range(chunk_start, min(chunk_start + chunk, n_windows))
             windows = np.stack([feats[s : s + window] for s in starts])
-            window_probs = _window_probs(model, windows)
+            window_probs = _class_probs(model, windows)
             for j, s in enumerate(starts):
                 sums[s : s + window] += window_probs[j]
                 counts[s : s + window] += 1.0
         probs[start:end] = sums / counts
     return probs, probs > threshold
-
-
-def _window_probs(model: SequenceModel, windows: np.ndarray) -> np.ndarray:
-    out = np.empty((windows.shape[0], windows.shape[1], 3))
-    for k, name in enumerate(model.group_names()):
-        group_probs = _batched_group_probs(model.groups[name], windows, model.hidden)
-        if model.mode == "shared":
-            return group_probs
-        out[:, :, k] = group_probs[:, :, 0]
-    return out
 
 
 def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:
@@ -540,8 +538,7 @@ def seq_load(path: str) -> SequenceModel:
     if meta.get("kind") != "sequence":
         raise ValueError(f"{path}: not a sequence model (kind={meta.get('kind')!r})")
     mode = meta["mode"]
-    names = ("shared",) if mode == "shared" else CLASS_GROUPS
-    groups: dict[str, nn.Params] = {name: {} for name in names}
+    groups: dict[str, nn.Params] = {name: {} for name in _group_names(mode)}
     for full_key, value in tensors.items():
         name, key = full_key.split("/", 1)
         groups[name][key] = value
@@ -551,5 +548,5 @@ def seq_load(path: str) -> SequenceModel:
         input_dim=int(meta["input_dim"]),
         mid_dim=int(meta["mid_dim"]),
         dropout_rate=float(meta["dropout_rate"]),
-        groups=groups,
+        params=_pack(list(groups.values())),
     )

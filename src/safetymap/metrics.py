@@ -9,9 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import CLASS_NAMES
 from .data import ClassDistribution
-
-CLASS_NAMES = ("rs", "mcb", "cb")
 
 
 @dataclass(frozen=True)

@@ -38,16 +38,8 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_grad_from_output(s: np.ndarray) -> np.ndarray:
-    return s * (1.0 - s)
-
-
 def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
-
-
-def tanh_grad_from_output(t: np.ndarray) -> np.ndarray:
-    return 1.0 - t * t
 
 
 # --- dense layer ---

@@ -140,7 +140,7 @@ def corridor_experiments():
 ACCEPTANCE_CRITERIA = {
     1: "Eq-2 weighted-F fidelity on published table rows",
     2: "LSTM cell matches straight-line oracle (1000 triples, <=1e-12)",
-    3: "finite-difference gradient checks (layers, CNN, LSTM stack, <1e-4)",
+    3: "finite-difference gradient checks (layers, CNN, LSTM shared and separate, <1e-4)",
     4: "sequence model beats frame-only by >=0.03 Avg.F; correction rate >=0.5",
     5: "separate mode >= shared mode - 0.01, strictly greater in majority",
     6: "floor(L/20)+1 sampling law and 1% spacing on random polylines",

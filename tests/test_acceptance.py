@@ -21,12 +21,7 @@ from conftest import (
 from safetymap.cli import main as cli_main
 from safetymap.data import ImageRecord, build_sequences
 from safetymap.geo import EARTH_RADIUS_M, LatLon, RoadEdge, RoadNetwork, haversine_m, sample_points
-from safetymap.lstm import (
-    LstmState,
-    group_loss_and_grads,
-    init_sequence_model,
-    lstm_cell_step,
-)
+from safetymap.lstm import LstmState, init_sequence_model, lstm_cell_step
 from safetymap.metrics import weighted_avg_f
 from safetymap.nn import (
     bce_loss,
@@ -38,7 +33,7 @@ from safetymap.nn import (
     maxpool2d_backward,
     maxpool2d_forward,
 )
-from test_lstm import cell_oracle, random_params
+from test_lstm import cell_oracle, random_params, summed_loss
 
 pytestmark = pytest.mark.usefixtures("_acceptance_marker")
 
@@ -146,13 +141,16 @@ class TestCriterion3Gradients:
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)
 
         seq_model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=33)
-        xs = rng.normal(size=(5, 3))
-        seq_labels = (rng.random((5, 3)) < 0.5).astype(np.float64)
+        xs = rng.normal(size=(1, 1, 5, 3))
+        seq_labels = (rng.random((1, 1, 5, 3)) < 0.5).astype(np.float64)
+        worst["lstm"] = grad_check(summed_loss(xs, seq_labels), seq_model.params)
 
-        def lstm_fn(params):
-            return group_loss_and_grads(params, xs, seq_labels, hidden=4, masks=None)
-
-        worst["lstm"] = grad_check(lstm_fn, seq_model.groups["shared"])
+        # separate mode on the same window: the three class stacks in one
+        # kernel call (G=3), stack k against label column k
+        sep_model = init_sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=33)
+        sep_xs = np.broadcast_to(xs, (3, 1, 5, 3))
+        sep_labels = np.moveaxis(seq_labels[0], -1, 0)[..., None]
+        worst["lstm-separate"] = grad_check(summed_loss(sep_xs, sep_labels), sep_model.params)
 
         for name, err in worst.items():
             assert err < self.TOL, f"{name} gradient error {err:.2e} >= {self.TOL}"

@@ -11,6 +11,7 @@ from conftest import make_pixel_records
 from safetymap.cli import build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
 from safetymap.data import write_labels, write_ppm
+from safetymap.geo import LatLon, RoadEdge, heading_at
 
 TINY_CONFIG = """
 # desk-scale settings for fast CLI tests
@@ -93,16 +94,13 @@ class TestHelp:
 
 
 class TestGeoCommands:
-    def _write_network(self, tmp_path):
+    def _write_network(self, tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018))):
         doc = {
             "type": "FeatureCollection",
             "features": [
                 {
                     "type": "Feature",
-                    "geometry": {
-                        "type": "LineString",
-                        "coordinates": [[-87.0, 33.0], [-87.0, 33.0018]],
-                    },
+                    "geometry": {"type": "LineString", "coordinates": [list(c) for c in coordinates]},
                     "properties": {"id": "seg-1"},
                 }
             ],
@@ -125,6 +123,28 @@ class TestGeoCommands:
         for line in urls.read_text().strip().splitlines():
             assert line.startswith("https://")
             assert "key=K" in line
+
+    def test_heading_rounding_up_to_360_written_as_zero(self, tmp_path):
+        # a hair west of due north: the bearing is 359.997 degrees
+        coordinates = ((-87.0, 33.0), (-87.0000001, 33.0018))
+        edge = RoadEdge(id="seg-1", polyline=tuple(LatLon(lat, lon) for lon, lat in coordinates))
+        assert 359.995 <= heading_at(edge, 0.0) < 360.0
+        network = self._write_network(tmp_path, coordinates)
+        samples = tmp_path / "samples.csv"
+        assert run_cli("sample", "--network", network, "--out", str(samples)) == 0
+        headings = [line.split(",")[-1] for line in samples.read_text().strip().splitlines()[1:]]
+        assert headings and set(headings) == {"0.00"}
+        urls = tmp_path / "urls.txt"
+        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", str(urls)) == 0
+        assert all("heading=0&" in line for line in urls.read_text().splitlines())
+
+    def test_url_gen_rejects_heading_360(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(
+            "edge_id,seq_index,chainage_m,lat,lon,heading_deg\nseg-1,0,0.000,33.0,-87.0,360.00\n"
+        )
+        out = str(tmp_path / "urls.txt")
+        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", out) == 5
 
     def test_missing_network_exits_3(self, tmp_path):
         assert run_cli("sample", "--network", str(tmp_path / "nope.geojson"), "--out", "x") == 3

@@ -12,22 +12,23 @@ import pytest
 from safetymap.data import SynthConfig, build_sequences, synth_corridor
 from safetymap.geo import LatLon
 from safetymap.data import ImageRecord
+from safetymap import lstm
 from safetymap.lstm import (
     LstmState,
     SeqTrainConfig,
-    _lstm_forward_cached,
     bptt_train,
-    group_loss_and_grads,
     init_sequence_model,
     lstm_cell_step,
     lstm_forward,
+    packed_forward,
+    packed_loss_and_grads,
     predict_corridor,
     seq_load,
     seq_save,
     sequence_forward,
     zero_state,
 )
-from safetymap.nn import grad_check
+from safetymap.nn import dropout_mask, grad_check, relu, sigmoid
 
 
 def cell_oracle(params, x, h_prev, c_prev):
@@ -149,11 +150,17 @@ class TestLstmForward:
 
     def test_packed_path_matches_cell_path(self):
         rng = np.random.default_rng(9)
-        params = random_params(rng, 5, 4)
-        xs = rng.normal(size=(8, 4))
-        plain, _ = lstm_forward(params, xs)
-        cached = _lstm_forward_cached(params, xs, 5)
-        assert np.allclose(cached["H"], plain, atol=1e-14)
+        model = init_sequence_model("separate", input_dim=4, hidden=5, seed=9)
+        params = [random_params(rng, 5, 4) for _ in model.group_names()]
+        for name, group in zip(model.group_names(), params):
+            for key, value in group.items():
+                model.groups[name][key][:] = value
+        xs = rng.normal(size=(3, 2, 8, 4))  # a different pair of windows per group
+        H = packed_forward(model.params, xs).H
+        for k, group in enumerate(params):
+            for b in range(2):
+                plain, _ = lstm_forward(group, xs[k, b])
+                assert np.allclose(H[:, k, b], plain, atol=1e-14)
 
 
 class TestSequenceForward:
@@ -191,28 +198,33 @@ class TestSequenceForward:
             sequence_forward(model, np.zeros((6, 3)))
 
 
+def summed_loss(xs, labels, masks=None):
+    """The packed kernel as grad_check wants it: one scalar, the sum of the
+    groups' losses, whose gradient on group k's slices is group k's own."""
+
+    def loss_and_grads(params):
+        losses, grads = packed_loss_and_grads(params, xs, labels, masks)
+        return float(losses.sum()), grads
+
+    return loss_and_grads
+
+
 class TestGradients:
     def test_full_stack_gradient_check(self):
         rng = np.random.default_rng(10)
         model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=11)
-        xs = rng.normal(size=(5, 3))
-        labels = (rng.random((5, 3)) < 0.5).astype(np.float64)
-
-        def loss_and_grads(params):
-            return group_loss_and_grads(params, xs, labels, hidden=4, masks=None)
-
-        assert grad_check(loss_and_grads, model.groups["shared"]) < 1e-4
+        xs = rng.normal(size=(1, 1, 5, 3))
+        labels = (rng.random((1, 1, 5, 3)) < 0.5).astype(np.float64)
+        assert grad_check(summed_loss(xs, labels), model.params) < 1e-4
 
     def test_single_output_stack_gradient_check(self):
+        # separate mode: three 1-output stacks, two windows each, fixed dropout masks
         rng = np.random.default_rng(12)
         model = init_sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=13)
-        xs = rng.normal(size=(5, 3))
-        labels = (rng.random((5, 1)) < 0.5).astype(np.float64)
-
-        def loss_and_grads(params):
-            return group_loss_and_grads(params, xs, labels, hidden=4, masks=None)
-
-        assert grad_check(loss_and_grads, model.groups["mcb"]) < 1e-4
+        xs = rng.normal(size=(3, 2, 5, 3))
+        labels = (rng.random((3, 2, 5, 1)) < 0.5).astype(np.float64)
+        masks = dropout_mask(rng, (3, 2, 5, 4), 0.2)
+        assert grad_check(summed_loss(xs, labels, masks), model.params) < 1e-4
 
 
 def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
@@ -281,6 +293,47 @@ class TestBpttTrain:
         for k in model_a.groups["mcb"]:
             assert np.array_equal(model_a.groups["mcb"][k], model_b.groups["mcb"][k])
 
+    def test_separate_lockstep_matches_each_stack_alone(self):
+        _, seqs = corridor_sequences(150, seed=15, window=20, stride=5)
+        cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=16)
+        model = init_sequence_model("separate", input_dim=16, hidden=8, seed=17)
+        initial = {key: value.copy() for key, value in model.params.items()}
+        bptt_train(model, seqs, cfg)
+        feats, labels = lstm._windows("separate", seqs)
+        for k in range(3):
+            alone = {key: value[k : k + 1].copy() for key, value in initial.items()}
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
+            lstm._fit(alone, feats, labels[k : k + 1], [rng], cfg, model.dropout_rate)
+            for key, value in alone.items():
+                assert np.array_equal(value[0], model.params[key][k]), (k, key)
+
+
+def reference_window_probs(model, xs):
+    """Per-step class probabilities of one window from the cell reference
+    (lstm_forward) and a straight transcription of the head, group by group."""
+    out = np.empty((xs.shape[0], 3))
+    for k, group in enumerate(model.groups.values()):
+        hs, _ = lstm_forward(group, xs)
+        a_mid = relu(hs @ group["mid.w"].T + group["mid.b"])
+        p = sigmoid(a_mid @ group["out.w"].T + group["out.b"])
+        if model.mode == "shared":
+            return p
+        out[:, k] = p[:, 0]
+    return out
+
+
+def reference_corridor_probs(model, run, window):
+    """Overlapping-window mean over one gapless run, one window at a time."""
+    feats = np.stack([r.features for r in run])
+    if len(run) < window:
+        return reference_window_probs(model, feats)
+    sums = np.zeros((len(run), 3))
+    counts = np.zeros((len(run), 1))
+    for s in range(len(run) - window + 1):
+        sums[s : s + window] += reference_window_probs(model, feats[s : s + window])
+        counts[s : s + window] += 1.0
+    return sums / counts
+
 
 def feature_records(n, rng, edge="e1", start=0, dim=4):
     return [
@@ -340,12 +393,26 @@ class TestPredictCorridor:
         assert not labels.any()  # exactly at threshold means absent
 
     def test_multiple_runs_and_modes(self):
+        # runs of 48, 8 and 5 images at window 6: 43 windows (two separate-mode
+        # chunks), 3 windows, and one truncated pass
         rng = np.random.default_rng(23)
-        records = feature_records(8, rng) + feature_records(5, rng, edge="e2")
-        model = init_sequence_model("separate", input_dim=4, hidden=5, seed=24)
-        probs, labels = predict_corridor(model, records, window=6)
-        assert probs.shape == (13, 3)
-        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        records = (
+            feature_records(48, rng, edge="e0")
+            + feature_records(8, rng)
+            + feature_records(5, rng, edge="e2")
+        )
+        for mode in ("shared", "separate"):
+            model = init_sequence_model(mode, input_dim=4, hidden=5, seed=24)
+            probs, labels = predict_corridor(model, records, window=6)
+            assert probs.shape == (61, 3)
+            assert np.all((probs >= 0.0) & (probs <= 1.0))
+            expected = np.concatenate(
+                [
+                    reference_corridor_probs(model, records[a:b], window=6)
+                    for a, b in ((0, 48), (48, 56), (56, 61))
+                ]
+            )
+            assert np.max(np.abs(probs - expected)) <= 1e-12
 
     def test_missing_features_rejected(self):
         from dataclasses import replace
