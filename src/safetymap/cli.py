@@ -161,7 +161,7 @@ def cmd_extract_features(args, config: PipelineConfig) -> int:
 def cmd_train_lstm(args, config: PipelineConfig) -> int:
     records = data.load_labels(args.labels)
     records = data.attach_features(records, args.features, expected_dim=config.feature_dim)
-    sequences = data.build_sequences(records, config.window, config.stride)
+    starts = data.build_sequences(records, config.window, config.stride)
     model = lstm.init_sequence_model(
         args.mode,
         input_dim=config.feature_dim,
@@ -172,7 +172,9 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     )
     history = lstm.bptt_train(
         model,
-        sequences,
+        records,
+        starts,
+        config.window,
         lstm.SeqTrainConfig(
             lr=config.lstm_lr,
             epochs=config.lstm_epochs,
@@ -186,7 +188,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     log.info(
         "trained %s sequence model on %d windows, final loss %.4f",
         args.mode,
-        len(sequences),
+        len(starts),
         final,
     )
     return 0
@@ -236,20 +238,25 @@ def _prediction_labels(rows: list[dict]) -> np.ndarray:
     return np.array([[row["rs"] == "1", row["mcb"] == "1", row["cb"] == "1"] for row in rows])
 
 
-def cmd_evaluate(args, config: PipelineConfig) -> int:
-    rows = _read_predictions(args.predictions)
-    truth_records = data.load_labels(args.truth)
+def _align_to_truth(rows: list[dict], truth_records: list[data.ImageRecord], name: str) -> None:
+    """Sort prediction rows by (edge_id, seq_index) and check that they key-match
+    the truth records, which load_labels returns in that order, one to one."""
     if len(rows) != len(truth_records):
         raise ValueError(
-            f"length mismatch: {len(rows)} predictions vs {len(truth_records)} truth records"
+            f"length mismatch: {len(rows)} {name} rows vs {len(truth_records)} truth records"
         )
-    key = lambda r: (r["edge_id"], int(r["seq_index"]))
-    rows.sort(key=key)
+    rows.sort(key=lambda r: (r["edge_id"], int(r["seq_index"])))
     for row, rec in zip(rows, truth_records):
         if (row["edge_id"], int(row["seq_index"])) != (rec.edge_id, rec.seq_index):
             raise ValueError(
-                f"prediction/truth key mismatch at ({row['edge_id']}, {row['seq_index']})"
+                f"{name}/truth key mismatch at ({row['edge_id']}, {row['seq_index']})"
             )
+
+
+def cmd_evaluate(args, config: PipelineConfig) -> int:
+    rows = _read_predictions(args.predictions)
+    truth_records = data.load_labels(args.truth)
+    _align_to_truth(rows, truth_records, "prediction")
     predictions = _prediction_labels(rows)
     truth = np.array([r.labels for r in truth_records])
     per_class = metrics.class_metrics(predictions, truth)
@@ -258,16 +265,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     report = metrics.metrics_report(per_class, counts)
     if args.baseline:
         base_rows = _read_predictions(args.baseline)
-        if len(base_rows) != len(rows):
-            raise ValueError(
-                f"length mismatch: {len(base_rows)} baseline vs {len(rows)} predictions"
-            )
-        base_rows.sort(key=key)
-        for row, rec in zip(base_rows, truth_records):
-            if (row["edge_id"], int(row["seq_index"])) != (rec.edge_id, rec.seq_index):
-                raise ValueError(
-                    f"baseline/truth key mismatch at ({row['edge_id']}, {row['seq_index']})"
-                )
+        _align_to_truth(base_rows, truth_records, "baseline")
         run_lengths = [end - start for start, end in data._runs(truth_records)]
         rates = metrics.isolated_error_correction_rate(
             _prediction_labels(base_rows), predictions, truth, run_lengths

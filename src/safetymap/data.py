@@ -1,6 +1,9 @@
 """Dataset handling: label/feature file ingestion, sliding-window sequence
 construction, class bookkeeping, synthetic corridor generation, and PPM
-pixel image I/O."""
+pixel image I/O. The loaders are the validation boundary: malformed,
+out-of-range or non-finite input raises SchemaError naming its line. A
+window is one integer, its start index into the records, and
+`corridor_arrays` gives the contiguous arrays those starts index."""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import CLASS_NAMES
-from .geo import EARTH_RADIUS_M, LatLon
+from .geo import EARTH_RADIUS_M, LatLon, _check_point
 
 LABEL_COLUMNS = ("image_id", "edge_id", "seq_index", "lat", "lon") + CLASS_NAMES
 
@@ -34,23 +37,6 @@ class ImageRecord:
     labels: tuple[bool, bool, bool]  # (rs, mcb, cb)
     pixels: np.ndarray | None = None  # H x W x 3, values in [0, 1]
     features: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class FeatureSequence:
-    """A window of consecutive records on one edge; the sequence model's training unit."""
-
-    records: tuple[ImageRecord, ...]
-    edge_id: str
-    start_seq_index: int
-
-    def feature_matrix(self) -> np.ndarray:
-        """Stack the per-record feature vectors, shape (window, feature_dim)."""
-        return np.stack([r.features for r in self.records]).astype(np.float64)
-
-    def label_matrix(self) -> np.ndarray:
-        """Per-step labels as floats, shape (window, 3)."""
-        return np.array([r.labels for r in self.records], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -75,7 +61,8 @@ def load_labels(path: str) -> list[ImageRecord]:
 
     Schema: image_id,edge_id,seq_index,lat,lon,rs,mcb,cb with 0/1 labels.
     Raises SchemaError naming the offending line on any malformed row,
-    duplicate (edge_id, seq_index) key, or out-of-range label.
+    duplicate (edge_id, seq_index) key, out-of-range label, or latitude or
+    longitude that is non-finite or outside [-90, 90] / [-180, 180].
     """
     records: list[ImageRecord] = []
     seen: dict[tuple[str, int], int] = {}
@@ -97,7 +84,7 @@ def load_labels(path: str) -> list[ImageRecord]:
             image_id, edge_id = row[0], row[1]
             try:
                 seq_index = int(row[2])
-                lat, lon = float(row[3]), float(row[4])
+                location = _check_point(LatLon(float(row[3]), float(row[4])))
             except ValueError as exc:
                 raise SchemaError(f"line {line}: {exc}") from exc
             if seq_index < 0:
@@ -116,7 +103,7 @@ def load_labels(path: str) -> list[ImageRecord]:
                     image_id=image_id,
                     edge_id=edge_id,
                     seq_index=seq_index,
-                    location=LatLon(lat, lon),
+                    location=location,
                     labels=labels,  # type: ignore[arg-type]
                 )
             )
@@ -131,7 +118,7 @@ def attach_features(
 
     Every record must receive a vector and every file entry must match a
     record; dimension consistency is enforced across the file (and against
-    expected_dim when given).
+    expected_dim when given), and every value must be finite.
     """
     by_id = {r.image_id: r for r in records}
     if len(by_id) != len(records):
@@ -147,7 +134,7 @@ def attach_features(
                 obj = json.loads(line)
                 image_id = obj["image_id"]
                 vec = np.asarray(obj["features"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # bad JSON or a non-numeric value
                 raise SchemaError(f"line {line_no}: {exc}") from exc
             if image_id not in by_id:
                 raise SchemaError(f"line {line_no}: unknown image_id {image_id!r}")
@@ -159,6 +146,8 @@ def attach_features(
                 raise SchemaError(
                     f"line {line_no}: feature dimension {vec.shape[0]} != expected {dim}"
                 )
+            if not np.isfinite(vec).all():
+                raise SchemaError(f"line {line_no}: non-finite feature value")
             vectors[image_id] = vec
     missing = sorted(set(by_id) - set(vectors))
     if missing:
@@ -183,8 +172,10 @@ def _runs(records: Sequence[ImageRecord]) -> list[tuple[int, int]]:
 
 def build_sequences(
     records: Sequence[ImageRecord], window: int, stride: int = 1
-) -> list[FeatureSequence]:
-    """Slide a window over every gapless run; runs shorter than the window yield nothing."""
+) -> np.ndarray:
+    """Start indices into records of the windows slid over every gapless run,
+    at offsets 0, stride, 2*stride, ... within the run; runs shorter than the
+    window yield nothing. Only the records' keys are read."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if stride < 1:
@@ -192,19 +183,18 @@ def build_sequences(
     ordered = sorted(records, key=lambda r: (r.edge_id, r.seq_index))
     if list(ordered) != list(records):
         raise ValueError("records must be sorted by (edge_id, seq_index)")
-    sequences: list[FeatureSequence] = []
-    for start, end in _runs(records):
-        n = end - start
-        for offset in range(0, n - window + 1, stride):
-            chunk = tuple(records[start + offset : start + offset + window])
-            sequences.append(
-                FeatureSequence(
-                    records=chunk,
-                    edge_id=chunk[0].edge_id,
-                    start_seq_index=chunk[0].seq_index,
-                )
-            )
-    return sequences
+    starts = [s for start, end in _runs(records) for s in range(start, end - window + 1, stride)]
+    return np.array(starts, dtype=np.intp)
+
+
+def corridor_arrays(records: Sequence[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Features (n, d) and float labels (n, 3) of records, one row per record."""
+    for r in records:
+        if r.features is None:
+            raise ValueError(f"record {r.image_id} has no features")
+    features = np.array([r.features for r in records], dtype=np.float64)
+    labels = np.array([r.labels for r in records], dtype=np.float64).reshape(len(records), 3)
+    return features, labels
 
 
 def class_distribution(records: Iterable[ImageRecord]) -> ClassDistribution:

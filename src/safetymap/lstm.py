@@ -14,6 +14,10 @@ mode, one stack per class in separate mode): `wp` (G, 4H, H), `up`
 
 One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
 groups over (G, B windows, T steps) together, in training and prediction.
+
+A window is its start index into a corridor's records; training and
+prediction both read windows through `_window_view`, a strided
+(n - T + 1, T, k) view of the corridor's (n, k) feature or label array.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import CLASS_NAMES, nn
-from .data import FeatureSequence, ImageRecord, _runs
+from .data import ImageRecord, _runs, corridor_arrays
 from .modelio import load_tensors, save_tensors
 
 GATES = ("f", "i", "o", "u")
@@ -269,17 +273,6 @@ def _group_view(params: nn.Params, k: int, hidden: int) -> nn.Params:
     return view
 
 
-def _pack(groups: Sequence[nn.Params]) -> nn.Params:
-    """Stack per-group tensors, named as in _group_view, into packed ones."""
-    packed = {
-        name: np.stack([np.concatenate([grp[f"{prefix}_{g}"] for g in GATES]) for grp in groups])
-        for name, prefix in (("wp", "W"), ("up", "U"), ("bp", "b"))
-    }
-    for key in HEAD_KEYS:
-        packed[key] = np.stack([grp[key] for grp in groups])
-    return packed
-
-
 def _group_names(mode: str) -> tuple[str, ...]:
     return ("shared",) if mode == "shared" else CLASS_NAMES
 
@@ -307,6 +300,29 @@ class SequenceModel:
         return _group_names(self.mode)
 
 
+def _blank_model(
+    mode: str, input_dim: int, hidden: int, mid_dim: int, dropout_rate: float
+) -> SequenceModel:
+    """A model with uninitialised packed tensors in the layout the sizes imply."""
+    if mode not in ("shared", "separate"):
+        raise ValueError(f"mode must be 'shared' or 'separate', got {mode!r}")
+    if not (0.0 <= dropout_rate < 1.0):
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    out_dim = 3 if mode == "shared" else 1
+    shapes = {
+        "wp": (4 * hidden, hidden),
+        "up": (4 * hidden, input_dim),
+        "bp": (4 * hidden,),
+        "mid.w": (mid_dim, hidden),
+        "mid.b": (mid_dim,),
+        "out.w": (out_dim, mid_dim),
+        "out.b": (out_dim,),
+    }
+    groups = len(_group_names(mode))
+    params = {key: np.empty((groups,) + shape) for key, shape in shapes.items()}
+    return SequenceModel(mode, hidden, input_dim, mid_dim, dropout_rate, params)
+
+
 def init_sequence_model(
     mode: str,
     input_dim: int,
@@ -316,28 +332,18 @@ def init_sequence_model(
     seed: int = 0,
 ) -> SequenceModel:
     """Build a fresh model; each separate-mode group gets its own seed stream."""
-    if mode not in ("shared", "separate"):
-        raise ValueError(f"mode must be 'shared' or 'separate', got {mode!r}")
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    out_dim = 3 if mode == "shared" else 1
-    groups = []
-    for k in range(len(_group_names(mode))):
+    model = _blank_model(mode, input_dim, hidden, mid_dim, dropout_rate)
+    for k, view in enumerate(model.groups.values()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
         group = init_lstm_params(hidden, input_dim, rng)
         group["mid.w"] = nn.glorot_uniform(rng, (mid_dim, hidden), hidden, mid_dim)
         group["mid.b"] = np.zeros(mid_dim)
+        out_dim = view["out.b"].shape[0]
         group["out.w"] = nn.glorot_uniform(rng, (out_dim, mid_dim), mid_dim, out_dim)
         group["out.b"] = np.zeros(out_dim)
-        groups.append(group)
-    return SequenceModel(
-        mode=mode,
-        hidden=hidden,
-        input_dim=input_dim,
-        mid_dim=mid_dim,
-        dropout_rate=dropout_rate,
-        params=_pack(groups),
-    )
+        for key, value in group.items():
+            view[key][...] = value
+    return model
 
 
 def _class_probs(
@@ -379,100 +385,94 @@ class SeqTrainConfig:
     # one Adam update per sequence (batch size 1)
 
 
-def _validate_sequences(sequences: Sequence[FeatureSequence], input_dim: int) -> int:
-    if not sequences:
-        raise ValueError("empty training set")
-    window = len(sequences[0].records)
-    for s in sequences:
-        if len(s.records) != window:
-            raise ValueError("sequences have inconsistent window lengths")
-        for r in s.records:
-            if r.features is None:
-                raise ValueError(f"record {r.image_id} has no features")
-            if r.features.shape[0] != input_dim:
-                raise ValueError(
-                    f"record {r.image_id}: feature dim {r.features.shape[0]} != {input_dim}"
-                )
-    return window
+def _window_view(a: np.ndarray, window: int) -> np.ndarray:
+    """Every window of `window` consecutive rows of a (n, k): a strided
+    (n - window + 1, window, k) view, row s being the window starting at s."""
+    return np.lib.stride_tricks.sliding_window_view(a, window, axis=0).swapaxes(1, 2)
 
 
-def _windows(mode: str, sequences: Sequence[FeatureSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Window features (N, T, d) and each group's targets (G, N, T, o):
-    all three columns in shared mode, column k for class k otherwise."""
-    shape = sequences[0].feature_matrix().shape
-    feats = np.fromiter(
-        (s.feature_matrix() for s in sequences), (np.float64, shape), len(sequences)
-    )
-    labels = np.stack([s.label_matrix() for s in sequences])
+def _windows(mode: str, records: Sequence[ImageRecord], window: int) -> tuple[np.ndarray, ...]:
+    """Window views of the corridor: features (M, T, d) and each group's targets
+    (G, M, T, o), all three columns in shared mode, column k for class k otherwise."""
+    feats, labels = (_window_view(a, window) for a in corridor_arrays(records))
     return feats, labels[None] if mode == "shared" else np.moveaxis(labels, -1, 0)[..., None]
 
 
 def _fit(
     params: nn.Params,
-    feats: np.ndarray,
-    labels: np.ndarray,
+    windows: np.ndarray,
+    targets: np.ndarray,
+    starts: np.ndarray,
     rngs: Sequence[np.random.Generator],
     config: SeqTrainConfig,
     dropout_rate: float,
-    val: tuple[np.ndarray, np.ndarray] | None = None,
+    val_starts: np.ndarray | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """Adam on packed params, each step taking one window per group.
 
-    Group k trains on targets labels[k] and draws its shuffle order and
-    dropout masks from rngs[k], in the order that training it alone would.
-    Returns each epoch's per-group mean losses.
+    The training windows are windows[starts]; group k trains on targets[k]
+    and draws its shuffle order and dropout masks from rngs[k], in the order
+    that training it alone would. Returns each epoch's per-group mean losses.
     """
     groups = np.arange(len(rngs))
-    n, steps, _ = feats.shape
-    batch = np.empty((len(rngs), 1) + feats.shape[1:])  # one window per group
-    mask_shape = (1, steps, params["wp"].shape[2])
+    n = len(starts)
+    batch = np.empty((len(rngs), 1) + windows.shape[1:])  # one window per group
+    mask_shape = (1, windows.shape[1], params["wp"].shape[2])
     state = nn.adam_init(params, lr=config.lr)
     history = []
     for _ in range(config.epochs):
-        orders = np.stack([rng.permutation(n) for rng in rngs], axis=1)
+        orders = starts[np.stack([rng.permutation(n) for rng in rngs], axis=1)]
         total = np.zeros(len(rngs))
         for idx in orders:
             masks = None
             if dropout_rate > 0.0:
                 masks = np.stack([nn.dropout_mask(rng, mask_shape, dropout_rate) for rng in rngs])
-            np.take(feats, idx, axis=0, out=batch[:, 0])
-            losses, grads = packed_loss_and_grads(params, batch, labels[groups, idx, None], masks)
+            # fancy indexing gathers just these windows; np.take would copy the whole view
+            batch[:, 0] = windows[idx]
+            losses, grads = packed_loss_and_grads(params, batch, targets[groups, idx, None], masks)
             total += losses
             nn.adam_step(params, grads, state)
         entry = {"train_loss": total / n}
-        if val is not None:
-            val_feats, val_labels = val
+        if val_starts is not None and len(val_starts) > 0:
             val_total = np.zeros(len(rngs))
-            for j, xs in enumerate(val_feats):
-                probs = packed_probs(params, np.broadcast_to(xs, (len(rngs), 1) + xs.shape))
-                val_total += [nn.bce_loss(p, y)[0] for p, y in zip(probs, val_labels[:, j, None])]
-            entry["val_loss"] = val_total / len(val_feats)
+            for s in val_starts:
+                xs = np.broadcast_to(windows[s], (len(rngs), 1) + windows.shape[1:])
+                probs = packed_probs(params, xs)
+                val_total += [nn.bce_loss(p, y)[0] for p, y in zip(probs, targets[:, s, None])]
+            entry["val_loss"] = val_total / len(val_starts)
         history.append(entry)
     return history
 
 
 def bptt_train(
     model: SequenceModel,
-    sequences: Sequence[FeatureSequence],
+    records: Sequence[ImageRecord],
+    starts: np.ndarray,
+    window: int,
     config: SeqTrainConfig,
-    val_sequences: Sequence[FeatureSequence] | None = None,
+    val_starts: np.ndarray | None = None,
 ) -> list[dict[str, float]]:
-    """Train with full backpropagation-through-time, one Adam update per
-    sequence, shuffling per epoch with the seeded RNG; in place.
+    """Train with full backpropagation-through-time on the windows of the
+    given length starting at `starts` (indices into records, as from
+    `data.build_sequences`), one Adam update per window, shuffling per
+    epoch with the seeded RNG; in place. Windows at `val_starts`, if any,
+    give a validation loss per epoch.
 
     Separate mode steps the three class stacks together but keeps them
     independent: each trains on its own label column with its own RNG
     stream split from the master seed, and ends where training it alone
     would. The history averages the groups' losses.
     """
-    _validate_sequences(sequences, model.input_dim)
+    if len(starts) == 0:
+        raise ValueError("empty training set")
     rngs = [
         np.random.default_rng(np.random.SeedSequence([config.seed, k]))
         for k in range(len(model.group_names()))
     ]
-    val = _windows(model.mode, val_sequences) if val_sequences else None
-    feats, labels = _windows(model.mode, sequences)
-    history = _fit(model.params, feats, labels, rngs, config, model.dropout_rate, val)
+    windows, targets = _windows(model.mode, records, window)
+    history = _fit(
+        model.params, windows, targets, starts, rngs, config, model.dropout_rate, val_starts
+    )
     return [
         {"epoch": float(epoch), **{key: float(np.mean(v)) for key, v in entry.items()}}
         for epoch, entry in enumerate(history)
@@ -488,31 +488,29 @@ def predict_corridor(
     """Per-image class probabilities and labels over contiguous runs.
 
     Each image's probability is the mean of its per-step probability over
-    every stride-1 window containing it; a run shorter than the window gets
-    one truncated pass. The label rule is strictly-above-threshold.
+    every stride-1 window containing it, summed in window start order; a
+    run shorter than the window gets one truncated pass. The label rule is
+    strictly-above-threshold.
     """
-    for r in records:
-        if r.features is None:
-            raise ValueError(f"record {r.image_id} has no features")
+    feats, _ = corridor_arrays(records)
     probs = np.zeros((len(records), 3))
     chunk = 128 // len(model.group_names())  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
-        feats = np.stack([r.features for r in records[start:end]])
+        run = feats[start:end]
         n = end - start
         if n < window:
-            probs[start:end] = _class_probs(model, feats[None])[0]
+            probs[start:end] = _class_probs(model, run[None])[0]
             continue
-        n_windows = n - window + 1
-        sums = np.zeros((n, 3))
-        counts = np.zeros((n, 1))
-        for chunk_start in range(0, n_windows, chunk):
-            starts = range(chunk_start, min(chunk_start + chunk, n_windows))
-            windows = np.stack([feats[s : s + window] for s in starts])
-            window_probs = _class_probs(model, windows)
-            for j, s in enumerate(starts):
-                sums[s : s + window] += window_probs[j]
-                counts[s : s + window] += 1.0
-        probs[start:end] = sums / counts
+        windows = _window_view(run, window)
+        sums = probs[start:end]
+        for first in range(0, len(windows), chunk):
+            window_probs = _class_probs(model, windows[first : first + chunk])
+            # image first + j + t gets step t of window first + j; taking t
+            # downwards adds each image's windows in start order
+            for t in range(window - 1, -1, -1):
+                sums[first + t : first + t + len(window_probs)] += window_probs[:, t]
+        pos = np.arange(n)
+        sums /= np.minimum(np.minimum(pos + 1, n - pos), min(window, n - window + 1))[:, None]
     return probs, probs > threshold
 
 
@@ -534,19 +532,31 @@ def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:
 
 
 def seq_load(path: str) -> SequenceModel:
+    """Read a model written by seq_save, checking its tensor set and every
+    tensor shape against the mode and sizes its meta declares."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "sequence":
         raise ValueError(f"{path}: not a sequence model (kind={meta.get('kind')!r})")
-    mode = meta["mode"]
-    groups: dict[str, nn.Params] = {name: {} for name in _group_names(mode)}
-    for full_key, value in tensors.items():
-        name, key = full_key.split("/", 1)
-        groups[name][key] = value
-    return SequenceModel(
-        mode=mode,
-        hidden=int(meta["hidden"]),
-        input_dim=int(meta["input_dim"]),
-        mid_dim=int(meta["mid_dim"]),
-        dropout_rate=float(meta["dropout_rate"]),
-        params=_pack(list(groups.values())),
-    )
+    try:
+        model = _blank_model(
+            meta["mode"],
+            input_dim=int(meta["input_dim"]),
+            hidden=int(meta["hidden"]),
+            mid_dim=int(meta["mid_dim"]),
+            dropout_rate=float(meta["dropout_rate"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: incomplete sequence-model meta: {exc!r}") from exc
+    views = {f"{name}/{key}": v for name, group in model.groups.items() for key, v in group.items()}
+    got = {key: v.shape for key, v in tensors.items()}
+    want = {key: v.shape for key, v in views.items()}
+    if got != want:
+        wrong = [
+            f"{key} {got.get(key, 'missing')}, meta implies {want.get(key, 'none')}"
+            for key in sorted(got.keys() | want.keys())
+            if got.get(key) != want.get(key)
+        ]
+        raise ValueError(f"{path}: tensors do not match the meta: {'; '.join(wrong)}")
+    for key, view in views.items():
+        view[...] = tensors[key]
+    return model

@@ -273,6 +273,79 @@ class TestSynthPipeline:
         err = capsys.readouterr().err
         assert "140" in err and "150" in err
 
+    def test_evaluate_baseline_mismatches_exit_5(self, tmp_path, tiny_config, capsys):
+        labels, _, predictions, *_ = self._run_pipeline(tmp_path, tiny_config)
+        lines = predictions.read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(lines[:-1]) + "\n")
+        rekeyed = tmp_path / "rekeyed.csv"
+        rekeyed.write_text("\n".join(lines[:-1] + [lines[-1].replace(",149,", ",150,")]) + "\n")
+        capsys.readouterr()
+        for baseline, message in (
+            (short, "149 baseline rows vs 150"),
+            (rekeyed, "baseline/truth key mismatch at (corridor, 150)"),
+        ):
+            code = run_cli(
+                "evaluate",
+                "--predictions",
+                str(predictions),
+                "--truth",
+                str(labels),
+                "--baseline",
+                str(baseline),
+                "--out",
+                str(tmp_path / "m.json"),
+            )
+            assert code == 5
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-lstm", "predict"])
+    def test_non_finite_feature_exit_4(self, tmp_path, tiny_config, capsys, command):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        lines = features.read_text().splitlines()
+        entry = json.loads(lines[2])
+        entry["features"][0] = float("nan")
+        lines[2] = json.dumps(entry)  # writes the bare NaN token JSON-lines readers accept
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        if command == "train-lstm":
+            target = ["--model-out", str(out)]
+        else:
+            target = ["--model", str(tmp_path / "model.bin"), "--out", str(out)]
+        capsys.readouterr()
+        code = run_cli(
+            "--config", tiny_config, command, "--labels", str(labels), "--features", str(features), *target
+        )
+        assert code == 4
+        assert "line 3: non-finite feature value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_latitude_out_of_range_exit_4(self, tmp_path, tiny_config, capsys):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        lines = labels.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[3] = "133.5"
+        lines[5] = ",".join(fields)
+        labels.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "--config",
+            tiny_config,
+            "predict",
+            "--labels",
+            str(labels),
+            "--features",
+            str(features),
+            "--model",
+            str(tmp_path / "model.bin"),
+            "--out",
+            str(out),
+        )
+        assert code == 4
+        assert "line 6: latitude 133.5 outside [-90, 90]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_separate_mode(self, tmp_path, tiny_config):
         *_, report, _ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
         doc = json.loads(report.read_text())

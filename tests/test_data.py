@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import enumerate_windows
+from hypothesis import given
+from hypothesis import strategies as st
 
 from safetymap.data import (
     ImageRecord,
@@ -14,6 +17,7 @@ from safetymap.data import (
     attach_features,
     build_sequences,
     class_distribution,
+    corridor_arrays,
     load_labels,
     load_pixels,
     read_ppm,
@@ -73,6 +77,17 @@ class TestLoadLabels:
         path = tmp_path / "labels.csv"
         path.write_text(LABEL_HEADER + "img-0,e1,zero,33.0,-87.0,0,0,0\n")
         with pytest.raises(SchemaError, match="line 2"):
+            load_labels(str(path))
+
+    @pytest.mark.parametrize(
+        "lat, lon", [("133.5", "-87.0"), ("33.0", "-181.0"), ("nan", "-87.0"), ("33.0", "inf")]
+    )
+    def test_coordinate_out_of_range_names_line(self, tmp_path, lat, lon):
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            LABEL_HEADER + "img-0,e1,0,33.0,-87.0,0,0,0\n" + f"img-1,e1,1,{lat},{lon},0,0,0\n"
+        )
+        with pytest.raises(SchemaError, match="line 3.*(latitude|longitude)"):
             load_labels(str(path))
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -135,6 +150,17 @@ class TestAttachFeatures:
         with pytest.raises(SchemaError, match="ghost"):
             attach_features(records, str(path))
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        records = [make_record("e1", 0), make_record("e1", 1)]
+        path = tmp_path / "features.jsonl"
+        path.write_text(
+            '{"image_id": "e1-0", "features": [0.0, 1.0]}\n'
+            f'{{"image_id": "e1-1", "features": [0.0, {value}]}}\n'
+        )
+        with pytest.raises(SchemaError, match="line 2: non-finite"):
+            attach_features(records, str(path))
+
     def test_missing_features_reported_completely(self, tmp_path):
         records = [make_record("e1", i) for i in range(3)]
         path = tmp_path / "features.jsonl"
@@ -188,20 +214,35 @@ def brute_force_windows(records, window, stride):
     return kept
 
 
+def run_layouts():
+    """Sorted label-only records over 1-3 edges, each a few gapless runs
+    separated by gaps of 1-4 missing seq_index values."""
+
+    def build(edges):
+        records = []
+        for edge, runs in zip("abc", edges):
+            seq = 0
+            for length, gap in runs:
+                records += [make_record(edge, seq + i) for i in range(length)]
+                seq += length + gap
+        return records
+
+    run = st.tuples(st.integers(1, 14), st.integers(1, 4))  # (length, gap after)
+    return st.lists(st.lists(run, min_size=1, max_size=4), min_size=1, max_size=3).map(build)
+
+
 class TestBuildSequences:
     def test_exact_fit(self):
         records = [make_record("e1", i) for i in range(50)]
-        assert len(build_sequences(records, 50, 1)) == 1
+        assert build_sequences(records, 50, 1).tolist() == [0]
 
     def test_sixty_records_eleven_windows(self):
         records = [make_record("e1", i) for i in range(60)]
-        seqs = build_sequences(records, 50, 1)
-        assert len(seqs) == 11
-        assert [s.start_seq_index for s in seqs] == list(range(11))
+        assert build_sequences(records, 50, 1).tolist() == list(range(11))
 
     def test_too_short_yields_none(self):
         records = [make_record("e1", i) for i in range(49)]
-        assert build_sequences(records, 50, 1) == []
+        assert build_sequences(records, 50, 1).tolist() == []
 
     def test_never_crosses_edges_or_gaps(self):
         records = sorted(
@@ -210,18 +251,18 @@ class TestBuildSequences:
             + [make_record("b", i) for i in range(5)],
             key=lambda r: (r.edge_id, r.seq_index),
         )
-        seqs = build_sequences(records, 4, 1)
-        for s in seqs:
-            assert len({r.edge_id for r in s.records}) == 1
-            idx = [r.seq_index for r in s.records]
+        starts = build_sequences(records, 4, 1)
+        for s in starts:
+            chunk = records[s : s + 4]
+            assert len({r.edge_id for r in chunk}) == 1
+            idx = [r.seq_index for r in chunk]
             assert idx == list(range(idx[0], idx[0] + 4))
         # runs of 8, 6, 5 with window 4: 5 + 3 + 2
-        assert len(seqs) == 10
+        assert len(starts) == 10
 
     def test_stride(self):
         records = [make_record("e1", i) for i in range(10)]
-        seqs = build_sequences(records, 4, 3)
-        assert [s.start_seq_index for s in seqs] == [0, 3, 6]
+        assert build_sequences(records, 4, 3).tolist() == [0, 3, 6]
 
     def test_matches_brute_force_on_random_gap_patterns(self):
         rng = np.random.default_rng(99)
@@ -235,9 +276,15 @@ class TestBuildSequences:
                     run_len = int(rng.integers(1, 15))
                     records.extend(make_record(edge, seq + i) for i in range(run_len))
                     seq += run_len + int(rng.integers(2, 5))  # gap
-            seqs = build_sequences(records, window, stride)
+            starts = build_sequences(records, window, stride)
             expected = brute_force_windows(records, window, stride)
-            assert [records.index(s.records[0]) for s in seqs] == expected
+            assert starts.tolist() == expected
+
+    @given(run_layouts(), st.integers(1, 8), st.integers(1, 5))
+    def test_starts_equal_enumeration_on_random_layouts(self, records, window, stride):
+        starts = build_sequences(records, window, stride)
+        assert starts.dtype == np.intp
+        assert starts.tolist() == enumerate_windows(records, window, stride)
 
     def test_rejects_unsorted(self):
         records = [make_record("e1", 1), make_record("e1", 0)]
@@ -249,9 +296,13 @@ class TestBuildSequences:
             make_record("e1", i, labels=(True, False, i == 0), features=np.full(4, float(i)))
             for i in range(3)
         ]
-        seq = build_sequences(records, 3, 1)[0]
-        assert seq.feature_matrix().shape == (3, 4)
-        assert seq.label_matrix().tolist() == [[1, 0, 1], [1, 0, 0], [1, 0, 0]]
+        features, labels = corridor_arrays(records)
+        assert features.shape == (3, 4) and features.dtype == np.float64
+        assert features[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert labels.tolist() == [[1, 0, 1], [1, 0, 0], [1, 0, 0]]
+        records[1] = make_record("e1", 1)
+        with pytest.raises(ValueError, match="e1-1 has no features"):
+            corridor_arrays(records)
 
 
 class TestClassDistribution:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from safetymap.data import SynthConfig, build_sequences, synth_corridor
 from safetymap.geo import LatLon
@@ -228,6 +230,7 @@ class TestGradients:
 
 
 def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
+    """A synthetic corridor and the start indices of its training windows."""
     cfg = SynthConfig(n_points=n_points, **cfg_kw)
     records = synth_corridor(cfg, seed)
     return records, build_sequences(records, window, stride)
@@ -235,43 +238,44 @@ def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
 
 class TestBpttTrain:
     def test_corridor_training_loss(self):
-        _, seqs = corridor_sequences(2000, seed=0)
+        records, starts = corridor_sequences(2000, seed=0)
         model = init_sequence_model("shared", input_dim=16, hidden=32, seed=1)
-        history = bptt_train(model, seqs, SeqTrainConfig(lr=1e-3, epochs=30, seed=2))
+        cfg = SeqTrainConfig(lr=1e-3, epochs=30, seed=2)
+        history = bptt_train(model, records, starts, 50, cfg)
         assert history[-1]["train_loss"] < 0.15
 
     def test_zero_epochs_unchanged(self):
-        _, seqs = corridor_sequences(200, seed=3, window=20)
+        records, starts = corridor_sequences(200, seed=3, window=20)
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=4)
         before = copy.deepcopy(model.groups)
-        history = bptt_train(model, seqs, SeqTrainConfig(epochs=0))
+        history = bptt_train(model, records, starts, 20, SeqTrainConfig(epochs=0))
         assert history == []
         for name, group in before.items():
             for k in group:
                 assert np.array_equal(model.groups[name][k], group[k])
 
     def test_seed_reproducibility(self):
-        _, seqs = corridor_sequences(200, seed=5, window=20)
+        records, starts = corridor_sequences(200, seed=5, window=20)
 
         def run(seed):
             model = init_sequence_model("shared", input_dim=16, hidden=8, seed=6)
-            return bptt_train(model, seqs, SeqTrainConfig(lr=1e-3, epochs=2, seed=seed))
+            cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=seed)
+            return bptt_train(model, records, starts, 20, cfg)
 
         assert run(7) == run(7)
         assert run(7) != run(8)
 
     def test_validation_history(self):
-        _, seqs = corridor_sequences(150, seed=9, window=20)
+        records, starts = corridor_sequences(150, seed=9, window=20)
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=10)
-        history = bptt_train(
-            model, seqs[:5], SeqTrainConfig(lr=1e-3, epochs=2), val_sequences=seqs[5:]
-        )
+        cfg = SeqTrainConfig(lr=1e-3, epochs=2)
+        history = bptt_train(model, records, starts[:5], 20, cfg, val_starts=starts[5:])
         assert all("val_loss" in h for h in history)
 
     def test_empty_rejected(self):
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            bptt_train(model, [], SeqTrainConfig(epochs=1))
+            bptt_train(model, [], np.array([], dtype=np.intp), 20, SeqTrainConfig(epochs=1))
 
     def test_separate_class_isolated_from_other_labels(self):
         from dataclasses import replace
@@ -283,27 +287,27 @@ class TestBpttTrain:
             rs, mcb, cb = r.labels
             # scramble the rs and cb labels, keep mcb
             permuted.append(replace(r, labels=(bool(rng.random() < 0.5), mcb, bool(rng.random() < 0.5))))
-        seqs_a = build_sequences(records, 20, 10)
-        seqs_b = build_sequences(permuted, 20, 10)
+        starts = build_sequences(records, 20, 10)
+        assert np.array_equal(build_sequences(permuted, 20, 10), starts)
         cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=13)
         model_a = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
         model_b = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
-        bptt_train(model_a, seqs_a, cfg)
-        bptt_train(model_b, seqs_b, cfg)
+        bptt_train(model_a, records, starts, 20, cfg)
+        bptt_train(model_b, permuted, starts, 20, cfg)
         for k in model_a.groups["mcb"]:
             assert np.array_equal(model_a.groups["mcb"][k], model_b.groups["mcb"][k])
 
     def test_separate_lockstep_matches_each_stack_alone(self):
-        _, seqs = corridor_sequences(150, seed=15, window=20, stride=5)
+        records, starts = corridor_sequences(150, seed=15, window=20, stride=5)
         cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=16)
         model = init_sequence_model("separate", input_dim=16, hidden=8, seed=17)
         initial = {key: value.copy() for key, value in model.params.items()}
-        bptt_train(model, seqs, cfg)
-        feats, labels = lstm._windows("separate", seqs)
+        bptt_train(model, records, starts, 20, cfg)
+        windows, targets = lstm._windows("separate", records, 20)
         for k in range(3):
             alone = {key: value[k : k + 1].copy() for key, value in initial.items()}
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
-            lstm._fit(alone, feats, labels[k : k + 1], [rng], cfg, model.dropout_rate)
+            lstm._fit(alone, windows, targets[k : k + 1], starts, [rng], cfg, model.dropout_rate)
             for key, value in alone.items():
                 assert np.array_equal(value[0], model.params[key][k]), (k, key)
 
@@ -414,6 +418,33 @@ class TestPredictCorridor:
             )
             assert np.max(np.abs(probs - expected)) <= 1e-12
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 12) | st.integers(45, 60), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(1, 8),
+        st.sampled_from(["shared", "separate"]),
+    )
+    def test_matches_reference_on_random_run_layouts(self, runs, window, mode):
+        # each run starts a new edge or follows a gap on the current one; runs
+        # of 45-60 images give separate mode (42 windows a chunk) two chunks
+        rng = np.random.default_rng(len(runs) * 100 + window)
+        records, edge, seq = [], 0, 0
+        for length, new_edge in runs:
+            edge, seq = (edge + 1, 0) if new_edge else (edge, seq + 1)
+            records += feature_records(length, rng, edge=f"e{edge}", start=seq, dim=3)
+            seq += length
+        model = init_sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=window)
+        probs, labels = predict_corridor(model, records, window)
+        bounds = np.cumsum([0] + [length for length, _ in runs])
+        expected = np.concatenate(
+            [reference_corridor_probs(model, records[a:b], window) for a, b in zip(bounds, bounds[1:])]
+        )
+        assert np.max(np.abs(probs - expected)) <= 1e-12
+        assert np.array_equal(labels, probs > 0.5)
+
     def test_missing_features_rejected(self):
         from dataclasses import replace
 
@@ -445,3 +476,37 @@ class TestSerialization:
         _, meta = load_tensors(str(path))
         assert meta["mode"] == "separate"
         assert meta["kind"] == "sequence"
+
+    def _resave(self, tmp_path, mode, edit):
+        """Save a model, let edit(tensors, meta) alter what was written, and
+        write the result back; returns the path."""
+        from safetymap.modelio import load_tensors, save_tensors
+
+        path = tmp_path / "seq.bin"
+        seq_save(init_sequence_model(mode, input_dim=4, hidden=5, mid_dim=6, seed=30), str(path))
+        tensors, meta = load_tensors(str(path))
+        edit(tensors, meta)
+        save_tensors(str(path), tensors, meta)
+        return str(path)
+
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    def test_missing_tensor_rejected(self, tmp_path, mode):
+        first = "shared" if mode == "shared" else "rs"
+        path = self._resave(tmp_path, mode, lambda t, m: t.pop(f"{first}/W_f"))
+        with pytest.raises(ValueError, match=rf"{first}/W_f missing, meta implies \(5, 5\)"):
+            seq_load(path)
+
+    def test_wrong_input_dim_rejected(self, tmp_path):
+        path = self._resave(tmp_path, "shared", lambda t, m: m.update(input_dim=7))
+        with pytest.raises(ValueError, match=r"shared/U_f \(5, 4\), meta implies \(5, 7\)"):
+            seq_load(path)
+
+    def test_tensors_of_other_mode_rejected(self, tmp_path):
+        path = self._resave(tmp_path, "shared", lambda t, m: m.update(mode="separate"))
+        with pytest.raises(ValueError, match=r"rs/W_f missing.*shared/W_f \(5, 5\), meta implies none"):
+            seq_load(path)
+
+    def test_incomplete_meta_rejected(self, tmp_path):
+        path = self._resave(tmp_path, "shared", lambda t, m: m.pop("hidden"))
+        with pytest.raises(ValueError, match="incomplete sequence-model meta"):
+            seq_load(path)
