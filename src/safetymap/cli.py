@@ -16,6 +16,7 @@ import csv
 import logging
 import sys
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +58,10 @@ def _log_run(command: str, config: PipelineConfig) -> None:
 def cmd_sample(args, config: PipelineConfig) -> int:
     network = geo.load_road_network(args.network)
     points = geo.sample_points(network, config.interval_m)
-    edges = {e.id: e for e in network.edges}
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(SAMPLE_COLUMNS)
         for p in points:
-            heading = geo.heading_at(edges[p.edge_id], p.chainage_m)
             writer.writerow(
                 [
                     p.edge_id,
@@ -70,7 +69,7 @@ def cmd_sample(args, config: PipelineConfig) -> int:
                     f"{p.chainage_m:.3f}",
                     f"{p.location.lat:.6f}",
                     f"{p.location.lon:.6f}",
-                    f"{round(heading, 2) % 360.0:.2f}",  # 359.996 -> 0.00, not 360.00
+                    f"{round(p.heading_deg, 2) % 360.0:.2f}",  # 359.996 -> 0.00, not 360.00
                 ]
             )
     log.info("wrote %d sample points to %s", len(points), args.out)
@@ -198,6 +197,10 @@ def cmd_predict(args, config: PipelineConfig) -> int:
     records = data.load_labels(args.labels)
     records = data.attach_features(records, args.features, expected_dim=config.feature_dim)
     model = lstm.seq_load(args.model)
+    if model.window != config.window:
+        raise ValueError(
+            f"{args.model} was trained with window {model.window}, config window is {config.window}"
+        )
     probs, labels = lstm.predict_corridor(model, records, config.window, config.threshold)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -222,7 +225,20 @@ def cmd_predict(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _read_predictions(path: str) -> list[dict]:
+class PredictionRow(NamedTuple):
+    """One row of a predictions CSV, parsed and range-checked."""
+
+    edge_id: str
+    seq_index: int
+    location: geo.LatLon
+    probs: tuple[float, ...]  # (p_rs, p_mcb, p_cb), each in [0, 1]
+    labels: tuple[bool, ...]  # (rs, mcb, cb)
+
+
+def _read_predictions(path: str) -> list[PredictionRow]:
+    """Read a predictions CSV; a non-integer seq_index, an invalid lat/lon, a
+    probability that is non-finite or outside [0, 1] or a label other than
+    0/1 is a SchemaError naming the line."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -230,27 +246,41 @@ def _read_predictions(path: str) -> list[dict]:
             raise data.SchemaError(
                 f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {reader.fieldnames}"
             )
-        rows.extend(reader)
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            try:
+                seq_index = int(row["seq_index"])
+                location = geo._check_point(geo.LatLon(float(row["lat"]), float(row["lon"])))
+                probs = tuple(float(row[f"p_{name}"]) for name in CLASS_NAMES)
+            except (TypeError, ValueError) as exc:
+                raise data.SchemaError(f"{where}: {exc}") from exc
+            for name, p in zip(CLASS_NAMES, probs):
+                if not 0.0 <= p <= 1.0:
+                    raise data.SchemaError(f"{where}: p_{name} {p} outside [0, 1]")
+            labels = tuple(
+                data._parse_label(row[name], name, reader.line_num) for name in CLASS_NAMES
+            )
+            rows.append(PredictionRow(row["edge_id"], seq_index, location, probs, labels))
     return rows
 
 
-def _prediction_labels(rows: list[dict]) -> np.ndarray:
-    return np.array([[row["rs"] == "1", row["mcb"] == "1", row["cb"] == "1"] for row in rows])
+def _prediction_labels(rows: list[PredictionRow]) -> np.ndarray:
+    return np.array([row.labels for row in rows])
 
 
-def _align_to_truth(rows: list[dict], truth_records: list[data.ImageRecord], name: str) -> None:
+def _align_to_truth(
+    rows: list[PredictionRow], truth_records: list[data.ImageRecord], name: str
+) -> None:
     """Sort prediction rows by (edge_id, seq_index) and check that they key-match
     the truth records, which load_labels returns in that order, one to one."""
     if len(rows) != len(truth_records):
         raise ValueError(
             f"length mismatch: {len(rows)} {name} rows vs {len(truth_records)} truth records"
         )
-    rows.sort(key=lambda r: (r["edge_id"], int(r["seq_index"])))
+    rows.sort(key=lambda r: (r.edge_id, r.seq_index))
     for row, rec in zip(rows, truth_records):
-        if (row["edge_id"], int(row["seq_index"])) != (rec.edge_id, rec.seq_index):
-            raise ValueError(
-                f"{name}/truth key mismatch at ({row['edge_id']}, {row['seq_index']})"
-            )
+        if (row.edge_id, row.seq_index) != (rec.edge_id, rec.seq_index):
+            raise ValueError(f"{name}/truth key mismatch at ({row.edge_id}, {row.seq_index})")
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
@@ -282,23 +312,14 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 
 def cmd_export_map(args, config: PipelineConfig) -> int:
     rows = _read_predictions(args.predictions)
-    points = []
-    probs = []
-    for row in rows:
-        seq_index = int(row["seq_index"])
-        points.append(
-            geo.SamplePoint(
-                edge_id=row["edge_id"],
-                seq_index=seq_index,
-                chainage_m=seq_index * config.interval_m,
-                location=geo.LatLon(float(row["lat"]), float(row["lon"])),
-            )
-        )
-        probs.append((float(row["p_rs"]), float(row["p_mcb"]), float(row["p_cb"])))
-    doc = geo.export_prediction_geojson(points, probs, config.threshold)
+    doc = geo.export_prediction_geojson(
+        [(r.edge_id, r.seq_index, r.location) for r in rows],
+        [r.probs for r in rows],
+        config.threshold,
+    )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
-    log.info("wrote prediction map with %d points to %s", len(points), args.out)
+    log.info("wrote prediction map with %d points to %s", len(rows), args.out)
     return 0
 
 

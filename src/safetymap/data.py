@@ -339,27 +339,42 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM into an H x W x 3 float array in [0, 1]."""
+    """Read a binary PPM into an H x W x 3 float array in [0, 1]; a
+    malformed header or a short pixel block is a SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields: list[bytes] = []
     pos = 0
-    while len(fields) < 4:
+    while len(fields) < 4 and pos < len(blob):
         while pos < len(blob) and blob[pos : pos + 1].isspace():
             pos += 1
         if blob[pos : pos + 1] == b"#":  # comment line
-            pos = blob.index(b"\n", pos) + 1
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise SchemaError(f"{path}: unterminated PPM header comment")
+            pos = end + 1
             continue
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
-        fields.append(blob[start:pos])
+        if pos > start:
+            fields.append(blob[start:pos])
+    if len(fields) < 4:
+        raise SchemaError(f"{path}: PPM header has {len(fields)} of 4 fields")
     if fields[0] != b"P6":
         raise SchemaError(f"{path}: not a binary PPM (P6), magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: non-numeric PPM header field in {fields[1:]}") from exc
+    if w <= 0 or h <= 0:
+        raise SchemaError(f"{path}: PPM size {w} x {h} is not positive")
     if maxval != 255:
         raise SchemaError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval
+    if len(blob) - pos < w * h * 3:
+        got = max(len(blob) - pos, 0)
+        raise SchemaError(f"{path}: pixel block truncated, {got} of {w * h * 3} bytes")
     raw = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
     return raw.reshape(h, w, 3).astype(np.float64) / 255.0
 

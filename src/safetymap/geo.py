@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote
 
 EARTH_RADIUS_M = 6_371_008.8  # mean Earth radius
@@ -54,6 +54,7 @@ class RoadEdge:
 
     id: str
     polyline: tuple[LatLon, ...]
+    segment_m: tuple[float, ...] = field(init=False, repr=False)  # haversine per segment
     length_m: float = field(init=False)
 
     def __post_init__(self) -> None:
@@ -61,85 +62,75 @@ class RoadEdge:
             raise ValueError(f"edge {self.id!r}: polyline needs >= 2 vertices")
         pts = tuple(_check_point(LatLon(*p)) for p in self.polyline)
         object.__setattr__(self, "polyline", pts)
-        length = sum(haversine_m(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
-        object.__setattr__(self, "length_m", length)
-
-    def segment_lengths(self) -> list[float]:
-        return [
-            haversine_m(self.polyline[i], self.polyline[i + 1])
-            for i in range(len(self.polyline) - 1)
-        ]
+        segments = tuple(haversine_m(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
+        object.__setattr__(self, "segment_m", segments)
+        object.__setattr__(self, "length_m", sum(segments))
 
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """A set of road edges; nodes are the deduplicated edge endpoints."""
+    """A set of road edges."""
 
     edges: tuple[RoadEdge, ...]
-    nodes: tuple[LatLon, ...]
-    edge_nodes: tuple[tuple[int, int], ...]  # (start, end) node index per edge
 
     @classmethod
     def from_edges(cls, edges: Iterable[RoadEdge]) -> "RoadNetwork":
-        edges = tuple(edges)
-        seen: dict[LatLon, int] = {}
-        nodes: list[LatLon] = []
-        edge_nodes: list[tuple[int, int]] = []
-        for e in edges:
-            idx = []
-            for endpoint in (e.polyline[0], e.polyline[-1]):
-                if endpoint not in seen:
-                    seen[endpoint] = len(nodes)
-                    nodes.append(endpoint)
-                idx.append(seen[endpoint])
-            edge_nodes.append((idx[0], idx[1]))
-        return cls(edges=edges, nodes=tuple(nodes), edge_nodes=tuple(edge_nodes))
+        return cls(edges=tuple(edges))
 
 
 @dataclass(frozen=True)
 class SamplePoint:
-    """A point sampled at a fixed chainage along one edge."""
+    """A point sampled at a fixed chainage along one edge, with the road's heading there."""
 
     edge_id: str
     seq_index: int
     chainage_m: float
     location: LatLon
+    heading_deg: float
+
+
+def _walk(edge: RoadEdge, chainages: Iterable[float]) -> Iterator[tuple[LatLon, float]]:
+    """Yield (location, bearing) at each of the ascending chainages, in one
+    pass over the edge's segments.
+
+    A chainage belongs to the first non-zero-length segment whose far end it
+    does not pass, so a chainage on a vertex belongs to the segment ending
+    there. The location interpolates linearly in lat/lon space within that
+    segment, which is accurate to well under 1% at 20 m scale; a chainage
+    past the end maps to the last vertex, on the last non-zero segment.
+    """
+    segments = [i for i, seg_len in enumerate(edge.segment_m) if seg_len > 0.0]
+    if not segments:
+        raise ValueError(f"edge {edge.id!r} has zero length")
+    pts, seg_m = edge.polyline, edge.segment_m
+    k, start = 0, 0.0  # current segment and the chainage of its start
+    i = segments[0]
+    bearing = bearing_deg(pts[i], pts[i + 1])
+    for chainage in chainages:
+        while chainage - start > seg_m[i] and k + 1 < len(segments):
+            start += seg_m[i]
+            k += 1
+            i = segments[k]
+            bearing = bearing_deg(pts[i], pts[i + 1])
+        remaining = chainage - start
+        if remaining > seg_m[i]:
+            yield pts[-1], bearing
+            continue
+        f = remaining / seg_m[i]
+        a, b = pts[i], pts[i + 1]
+        yield LatLon(a.lat + (b.lat - a.lat) * f, a.lon + (b.lon - a.lon) * f), bearing
 
 
 def point_at_chainage(edge: RoadEdge, chainage_m: float) -> LatLon:
-    """Locate the point chainage_m meters from the edge start.
-
-    Interpolates linearly in lat/lon space within the containing polyline
-    segment, which is accurate to well under 1% at 20 m scale.
-    """
+    """Locate the point chainage_m meters from the edge start."""
     if chainage_m < 0 or chainage_m > edge.length_m * (1 + 1e-9):
         raise ValueError(f"chainage {chainage_m} outside edge {edge.id!r} of length {edge.length_m}")
-    remaining = chainage_m
-    for i, seg_len in enumerate(edge.segment_lengths()):
-        if seg_len <= 0.0:
-            continue
-        if remaining <= seg_len:
-            f = remaining / seg_len
-            a, b = edge.polyline[i], edge.polyline[i + 1]
-            return LatLon(a.lat + (b.lat - a.lat) * f, a.lon + (b.lon - a.lon) * f)
-        remaining -= seg_len
-    return edge.polyline[-1]
+    return next(_walk(edge, [chainage_m]))[0]
 
 
 def heading_at(edge: RoadEdge, chainage_m: float) -> float:
     """Bearing of the polyline segment containing the given chainage."""
-    remaining = chainage_m
-    last = None
-    for i, seg_len in enumerate(edge.segment_lengths()):
-        if seg_len <= 0.0:
-            continue
-        last = i
-        if remaining <= seg_len:
-            return bearing_deg(edge.polyline[i], edge.polyline[i + 1])
-        remaining -= seg_len
-    if last is None:
-        raise ValueError(f"edge {edge.id!r} has zero length")
-    return bearing_deg(edge.polyline[last], edge.polyline[last + 1])
+    return next(_walk(edge, [chainage_m]))[1]
 
 
 def sample_points(network: RoadNetwork, interval_m: float) -> list[SamplePoint]:
@@ -148,7 +139,7 @@ def sample_points(network: RoadNetwork, interval_m: float) -> list[SamplePoint]:
     Edges are sampled independently in their stored vertex order; output is
     ordered by edge then chainage, seq_index restarting at 0 per edge. The
     far endpoint is emitted only when the edge length is an exact multiple
-    of the interval.
+    of the interval. Each point carries the bearing of its segment.
     """
     if interval_m <= 0:
         raise ValueError(f"interval_m must be > 0, got {interval_m}")
@@ -156,16 +147,10 @@ def sample_points(network: RoadNetwork, interval_m: float) -> list[SamplePoint]:
     for edge in network.edges:
         # epsilon guards against float rounding when length is an exact multiple
         n = int(math.floor(edge.length_m / interval_m + 1e-9)) + 1
-        for k in range(n):
-            chain = k * interval_m
-            out.append(
-                SamplePoint(
-                    edge_id=edge.id,
-                    seq_index=k,
-                    chainage_m=chain,
-                    location=point_at_chainage(edge, min(chain, edge.length_m)),
-                )
-            )
+        chainages = [k * interval_m for k in range(n)]
+        walk = _walk(edge, (min(chain, edge.length_m) for chain in chainages))
+        for k, (chain, (location, heading)) in enumerate(zip(chainages, walk)):
+            out.append(SamplePoint(edge.id, k, chain, location, heading))
     return out
 
 
@@ -201,22 +186,23 @@ def dumps_stable(doc: object) -> str:
 
 
 def export_prediction_geojson(
-    points: Sequence[SamplePoint],
+    points: Sequence[tuple[str, int, LatLon]],
     probabilities: Sequence[Sequence[float]],
     threshold: float = 0.5,
 ) -> str:
     """Render per-point class probabilities as a GeoJSON FeatureCollection.
 
-    Each feature carries the three class probabilities and boolean labels
-    (probability strictly above the threshold means present). The document
-    is byte-stable given identical input.
+    points holds (edge_id, seq_index, location) per point. Each feature
+    carries the three class probabilities and boolean labels (probability
+    strictly above the threshold means present). The document is
+    byte-stable given identical input.
     """
     if len(points) != len(probabilities):
         raise ValueError(
             f"length mismatch: {len(points)} points vs {len(probabilities)} probability rows"
         )
     features = []
-    for pt, probs in zip(points, probabilities):
+    for (edge_id, seq_index, location), probs in zip(points, probabilities):
         p_rs, p_mcb, p_cb = (float(p) for p in probs)
         features.append(
             {
@@ -224,13 +210,13 @@ def export_prediction_geojson(
                 "geometry": {
                     "type": "Point",
                     "coordinates": [
-                        round(pt.location.lon, COORD_DECIMALS),
-                        round(pt.location.lat, COORD_DECIMALS),
+                        round(location.lon, COORD_DECIMALS),
+                        round(location.lat, COORD_DECIMALS),
                     ],
                 },
                 "properties": {
-                    "edge_id": pt.edge_id,
-                    "seq_index": pt.seq_index,
+                    "edge_id": edge_id,
+                    "seq_index": seq_index,
                     "p_rs": p_rs,
                     "p_mcb": p_mcb,
                     "p_cb": p_cb,

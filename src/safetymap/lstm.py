@@ -72,9 +72,9 @@ def lstm_cell_step(params: nn.Params, x: np.ndarray, prev: LstmState) -> tuple[L
     f = nn.sigmoid(params["W_f"] @ prev.h + params["U_f"] @ x + params["b_f"])
     i = nn.sigmoid(params["W_i"] @ prev.h + params["U_i"] @ x + params["b_i"])
     o = nn.sigmoid(params["W_o"] @ prev.h + params["U_o"] @ x + params["b_o"])
-    u = nn.tanh(params["W_u"] @ prev.h + params["U_u"] @ x + params["b_u"])
+    u = np.tanh(params["W_u"] @ prev.h + params["U_u"] @ x + params["b_u"])
     c = f * prev.c + i * u
-    h = o * nn.tanh(c)
+    h = o * np.tanh(c)
     return LstmState(h=h, c=c), LstmGates(f=f, i=i, o=o, u=u)
 
 
@@ -288,6 +288,7 @@ class SequenceModel:
     mid_dim: int
     dropout_rate: float
     params: nn.Params  # packed tensors, leading group axis
+    window: int | None = None  # the window bptt_train last trained at
     groups: dict[str, nn.Params] = field(init=False, repr=False)  # views into params
 
     def __post_init__(self) -> None:
@@ -455,8 +456,9 @@ def bptt_train(
     """Train with full backpropagation-through-time on the windows of the
     given length starting at `starts` (indices into records, as from
     `data.build_sequences`), one Adam update per window, shuffling per
-    epoch with the seeded RNG; in place. Windows at `val_starts`, if any,
-    give a validation loss per epoch.
+    epoch with the seeded RNG; in place, recording the window in
+    model.window. Windows at `val_starts`, if any, give a validation loss
+    per epoch.
 
     Separate mode steps the three class stacks together but keeps them
     independent: each trains on its own label column with its own RNG
@@ -469,6 +471,7 @@ def bptt_train(
         np.random.default_rng(np.random.SeedSequence([config.seed, k]))
         for k in range(len(model.group_names()))
     ]
+    model.window = window
     windows, targets = _windows(model.mode, records, window)
     history = _fit(
         model.params, windows, targets, starts, rngs, config, model.dropout_rate, val_starts
@@ -526,6 +529,7 @@ def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:
         "input_dim": model.input_dim,
         "mid_dim": model.mid_dim,
         "dropout_rate": model.dropout_rate,
+        "window": model.window,
         "seed": seed,
     }
     save_tensors(path, tensors, meta)
@@ -545,6 +549,7 @@ def seq_load(path: str) -> SequenceModel:
             mid_dim=int(meta["mid_dim"]),
             dropout_rate=float(meta["dropout_rate"]),
         )
+        model.window = meta["window"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: incomplete sequence-model meta: {exc!r}") from exc
     views = {f"{name}/{key}": v for name, group in model.groups.items() for key, v in group.items()}

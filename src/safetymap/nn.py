@@ -38,10 +38,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 # --- dense layer ---
 
 
@@ -167,19 +163,6 @@ def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) 
     if not (0.0 <= rate < 1.0):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def dropout(
-    x: np.ndarray, rate: float, rng: np.random.Generator | None = None, training: bool = False
-) -> np.ndarray:
-    """Inverted dropout: identity at inference, masked and rescaled in training."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    return x * dropout_mask(rng, x.shape, rate)
 
 
 # --- binary cross-entropy ---

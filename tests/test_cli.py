@@ -10,7 +10,7 @@ from conftest import make_pixel_records
 
 from safetymap.cli import build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
-from safetymap.data import write_labels, write_ppm
+from safetymap.data import ImageRecord, write_labels, write_ppm
 from safetymap.geo import LatLon, RoadEdge, heading_at
 
 TINY_CONFIG = """
@@ -94,15 +94,16 @@ class TestHelp:
 
 
 class TestGeoCommands:
-    def _write_network(self, tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018))):
+    def _write_network(self, tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018)), *more):
         doc = {
             "type": "FeatureCollection",
             "features": [
                 {
                     "type": "Feature",
-                    "geometry": {"type": "LineString", "coordinates": [list(c) for c in coordinates]},
-                    "properties": {"id": "seg-1"},
+                    "geometry": {"type": "LineString", "coordinates": [list(c) for c in coords]},
+                    "properties": {"id": f"seg-{k}"},
                 }
+                for k, coords in enumerate((coordinates,) + more, start=1)
             ],
         }
         path = tmp_path / "net.geojson"
@@ -146,8 +147,77 @@ class TestGeoCommands:
         out = str(tmp_path / "urls.txt")
         assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", out) == 5
 
+    def test_zero_length_edge_exit_5(self, tmp_path, capsys):
+        network = self._write_network(
+            tmp_path, ((-87.0, 33.0), (-87.0, 33.0018)), ((-86.0, 33.0), (-86.0, 33.0))
+        )
+        samples = tmp_path / "samples.csv"
+        capsys.readouterr()
+        assert run_cli("sample", "--network", network, "--out", str(samples)) == 5
+        assert "edge 'seg-2' has zero length" in capsys.readouterr().err
+
     def test_missing_network_exits_3(self, tmp_path):
         assert run_cli("sample", "--network", str(tmp_path / "nope.geojson"), "--out", "x") == 3
+
+
+class TestPredictionsBoundary:
+    """evaluate and export-map both read predictions through one checked reader."""
+
+    ROW = {
+        "image_id": "img-1", "edge_id": "e", "seq_index": "1", "lat": "33.000100",
+        "lon": "-87.000000", "p_rs": "0.900000", "p_mcb": "0.100000", "p_cb": "0.600000",
+        "rs": "1", "mcb": "0", "cb": "1",
+    }
+
+    def _write(self, tmp_path, **edits):
+        rows = [dict(self.ROW, image_id="img-0", seq_index="0"), dict(self.ROW, **edits)]
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(
+            ",".join(self.ROW) + "\n" + "".join(",".join(r.values()) + "\n" for r in rows)
+        )
+        truth = [
+            ImageRecord(f"img-{i}", "e", i, LatLon(33.0 + 1e-4 * i, -87.0), (True, False, True))
+            for i in range(2)
+        ]
+        labels = tmp_path / "labels.csv"
+        write_labels(str(labels), truth)
+        return str(predictions), str(labels)
+
+    def _run(self, tmp_path, command, predictions, labels):
+        out = str(tmp_path / "out")
+        if command == "export-map":
+            return run_cli("export-map", "--predictions", predictions, "--out", out)
+        return run_cli("evaluate", "--predictions", predictions, "--truth", labels, "--out", out)
+
+    @pytest.mark.parametrize("command", ["export-map", "evaluate"])
+    def test_valid_rows_accepted(self, tmp_path, command):
+        assert self._run(tmp_path, command, *self._write(tmp_path)) == 0
+
+    @pytest.mark.parametrize("command", ["export-map", "evaluate"])
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            pytest.param({"lat": "133.5"}, "line 3: latitude 133.5 outside [-90, 90]", id="lat"),
+            pytest.param({"lon": "inf"}, "line 3: longitude inf outside [-180, 180]", id="lon"),
+            pytest.param({"p_rs": "nan"}, "line 3: p_rs nan outside [0, 1]", id="p-nan"),
+            pytest.param({"p_cb": "1.5"}, "line 3: p_cb 1.5 outside [0, 1]", id="p-above-1"),
+            pytest.param(
+                {"p_mcb": "high"}, "line 3: could not convert string to float: 'high'", id="p-text"
+            ),
+            pytest.param(
+                {"seq_index": "1.0"},
+                "line 3: invalid literal for int() with base 10: '1.0'",
+                id="seq-index-float",
+            ),
+            pytest.param({"rs": "yes"}, "line 3: label rs='yes' not in {0,1}", id="label"),
+        ],
+    )
+    def test_bad_row_exit_4(self, tmp_path, capsys, command, edits, message):
+        predictions, labels = self._write(tmp_path, **edits)
+        capsys.readouterr()
+        assert self._run(tmp_path, command, predictions, labels) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynthPipeline:
@@ -346,6 +416,21 @@ class TestSynthPipeline:
         assert "line 6: latitude 133.5 outside [-90, 90]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_predict_at_other_window_exit_5(self, tmp_path, tiny_config, capsys):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        other = tmp_path / "window10.cfg"
+        other.write_text(TINY_CONFIG.replace("window = 20", "window = 10"))
+        out = tmp_path / "p.csv"
+        model = str(tmp_path / "model.bin")
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(other), "predict", "--labels", str(labels),
+            "--features", str(features), "--model", model, "--out", str(out),
+        )
+        assert code == 5
+        assert f"{model} was trained with window 20, config window is 10" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_separate_mode(self, tmp_path, tiny_config):
         *_, report, _ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
         doc = json.loads(report.read_text())
@@ -361,7 +446,7 @@ class TestSynthPipeline:
 
 
 class TestPixelCommands:
-    def test_train_cnn_and_extract(self, tmp_path):
+    def _write_inputs(self, tmp_path):
         rng = np.random.default_rng(0)
         records = make_pixel_records(12, rng, height=8, width=8)
         labels = tmp_path / "labels.csv"
@@ -375,6 +460,22 @@ class TestPixelCommands:
         manifest.write_text("\n".join(rows) + "\n")
         cfg = tmp_path / "cnn.cfg"
         cfg.write_text("feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\nseed = 3\n")
+        return labels, manifest, cfg
+
+    def test_truncated_ppm_exit_4(self, tmp_path, capsys):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        ppm = tmp_path / "px-0003.ppm"
+        ppm.write_bytes(ppm.read_bytes()[:50])
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(cfg), "train-cnn", "--labels", str(labels),
+            "--manifest", str(manifest), "--model-out", str(tmp_path / "cnn.bin"),
+        )
+        assert code == 4
+        assert f"{ppm}: pixel block truncated, 39 of 192 bytes" in capsys.readouterr().err
+
+    def test_train_cnn_and_extract(self, tmp_path):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
 
         model = tmp_path / "cnn.bin"
         losses = tmp_path / "losses.csv"

@@ -425,6 +425,49 @@ class TestPpm:
         assert back.shape == (6, 5, 3)
         assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            pytest.param(
+                b"P6\n2 2\n255\n" + bytes(5), "pixel block truncated, 5 of 12 bytes", id="truncated"
+            ),
+            pytest.param(b"P6\nxx 2\n255\n", "non-numeric PPM header field", id="width-text"),
+            pytest.param(b"P6\n2 2\n2.5\n", "non-numeric PPM header field", id="maxval-float"),
+            pytest.param(b"P6\n0 2\n255\n", "PPM size 0 x 2 is not positive", id="width-zero"),
+            pytest.param(b"P6\n2 -2\n255\n", "PPM size 2 x -2 is not positive", id="height-negative"),
+            pytest.param(b"P6\n2 2\n0\n", "only maxval 255 supported, got 0", id="maxval-zero"),
+            pytest.param(b"P6\n# no end", "unterminated PPM header comment", id="open-comment"),
+            pytest.param(b"P6\n2 2", "PPM header has 3 of 4 fields", id="short-header"),
+            pytest.param(b"", "PPM header has 0 of 4 fields", id="empty"),
+        ],
+    )
+    def test_malformed_names_file(self, tmp_path, blob, message):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(SchemaError, match=message) as info:
+            read_ppm(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
+    @given(
+        st.one_of(
+            st.binary(max_size=64),
+            st.binary(max_size=64).map(lambda tail: b"P6\n" + tail),
+            st.integers(0, 11 + 4 * 3 * 3),  # a valid 4 x 3 image cut after this many bytes
+        )
+    )
+    def test_arbitrary_or_cut_bytes_schema_error_only(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("ppm") / "fuzz.ppm"
+        if isinstance(blob, int):
+            write_ppm(str(path), np.full((4, 3, 3), 0.5))
+            blob = path.read_bytes()[:blob]
+        path.write_bytes(blob)
+        try:
+            pixels = read_ppm(str(path))
+        except SchemaError:
+            return
+        assert pixels.ndim == 3 and pixels.shape[2] == 3
+        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+
     def test_load_pixels_via_manifest(self, tmp_path):
         rng = np.random.default_rng(2)
         records = [make_record("e1", i) for i in range(2)]

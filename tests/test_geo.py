@@ -7,13 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from safetymap.geo import (
     EARTH_RADIUS_M,
     LatLon,
     RoadEdge,
     RoadNetwork,
-    SamplePoint,
     bearing_deg,
     export_prediction_geojson,
     haversine_m,
@@ -41,6 +42,55 @@ def meridian_edge(edge_id: str, length_m: float, lat0=33.0, lon0=-87.0, vertices
         LatLon(lat0 + dlat * k / (vertices - 1), lon0) for k in range(vertices)
     ]
     return RoadEdge(id=edge_id, polyline=tuple(pts))
+
+
+def scan_oracle(edge: RoadEdge, chainage: float) -> tuple[LatLon, float]:
+    """Location and heading at one chainage by a fresh scan from the edge
+    start, subtracting each segment length in turn: the rule a single pass
+    along the edge must reproduce."""
+    pts = edge.polyline
+    remaining, last = chainage, None
+    for i in range(len(pts) - 1):
+        seg_len = haversine_m(pts[i], pts[i + 1])
+        if seg_len <= 0.0:
+            continue
+        last = i
+        if remaining <= seg_len:
+            f = remaining / seg_len
+            a, b = pts[i], pts[i + 1]
+            return (
+                LatLon(a.lat + (b.lat - a.lat) * f, a.lon + (b.lon - a.lon) * f),
+                bearing_deg(a, b),
+            )
+        remaining -= seg_len
+    return pts[-1], bearing_deg(pts[last], pts[last + 1])
+
+
+def bearings_within(edge: RoadEdge, chainage: float, tol: float) -> set[float]:
+    """Bearings of the non-zero segments that end or start within tol meters
+    of chainage."""
+    pts, start, out = edge.polyline, 0.0, set()
+    for i in range(len(pts) - 1):
+        seg_len = haversine_m(pts[i], pts[i + 1])
+        end = start + seg_len
+        if seg_len > 0.0 and min(abs(chainage - start), abs(chainage - end)) <= tol:
+            out.add(bearing_deg(pts[i], pts[i + 1]))
+        start = end
+    return out
+
+
+@st.composite
+def polylines(draw):
+    """Short random polylines, about a quarter of whose segments repeat a
+    vertex and so have zero length."""
+    pts = [LatLon(draw(st.floats(-60.0, 60.0)), draw(st.floats(-170.0, 170.0)))]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            pts.append(pts[-1])
+        else:
+            step = st.floats(-0.003, 0.003)
+            pts.append(LatLon(pts[-1].lat + draw(step), pts[-1].lon + draw(step)))
+    return pts
 
 
 class TestHaversine:
@@ -97,16 +147,6 @@ class TestRoadTypes:
             RoadEdge(id="bad", polyline=(LatLon(91.0, 0.0), LatLon(0.0, 0.0)))
         with pytest.raises(ValueError, match="longitude"):
             RoadEdge(id="bad", polyline=(LatLon(0.0, -190.0), LatLon(0.0, 0.0)))
-
-    def test_network_nodes_from_endpoints(self):
-        e1 = meridian_edge("a", 100.0)
-        e2 = meridian_edge("b", 50.0, lat0=e1.polyline[-1].lat)
-        net = RoadNetwork.from_edges([e1, e2])
-        # shared endpoint deduplicated: 3 nodes for 2 chained edges
-        assert len(net.nodes) == 3
-        for start, end in net.edge_nodes:
-            assert 0 <= start < len(net.nodes)
-            assert 0 <= end < len(net.nodes)
 
 
 class TestSamplePoints:
@@ -173,6 +213,42 @@ class TestSamplePoints:
         e = meridian_edge("e", 100.0, vertices=4)
         assert point_at_chainage(e, e.length_m) == e.polyline[-1]
 
+    def test_vertex_chainage_belongs_to_segment_ending_there(self):
+        a, b, c = LatLon(33.0, -87.0), LatLon(33.001, -87.0), LatLon(33.001, -86.999)
+        edge = RoadEdge(id="L", polyline=(a, b, b, c))  # north, a repeated corner, east
+        corner = edge.segment_m[0]
+        assert point_at_chainage(edge, corner) == b
+        assert heading_at(edge, corner) == bearing_deg(a, b)
+        assert heading_at(edge, corner + 1e-6) == bearing_deg(b, c)
+        assert heading_at(edge, edge.length_m + 1e-6) == bearing_deg(b, c)
+
+    def test_zero_length_edge_rejected(self):
+        p = LatLon(33.0, -87.0)
+        edge = RoadEdge(id="x", polyline=(p, p, p))
+        for call in (
+            lambda: sample_points(RoadNetwork.from_edges([edge]), 20.0),
+            lambda: point_at_chainage(edge, 0.0),
+            lambda: heading_at(edge, 0.0),
+        ):
+            with pytest.raises(ValueError, match="edge 'x' has zero length"):
+                call()
+
+    @given(polylines(), st.floats(1.0, 100.0))
+    def test_matches_per_point_scan(self, points, interval):
+        edge = RoadEdge(id="e", polyline=tuple(points))
+        if edge.length_m == 0.0:
+            return
+        sampled = sample_points(RoadNetwork.from_edges([edge]), interval)
+        assert len(sampled) == math.floor(edge.length_m / interval + 1e-9) + 1
+        for p in sampled:
+            chainage = min(p.chainage_m, edge.length_m)
+            location, heading = scan_oracle(edge, chainage)
+            assert abs(p.location.lat - location.lat) <= 1e-12
+            assert abs(p.location.lon - location.lon) <= 1e-12
+            if p.heading_deg != heading:
+                # only a chainage on a vertex may fall to the segment on its other side
+                assert p.heading_deg in bearings_within(edge, chainage, 1e-9), (chainage, heading)
+
 
 class TestHeadings:
     def test_north_edge_bearing_zero(self):
@@ -214,10 +290,7 @@ class TestStreetviewUrl:
 
 class TestExportGeojson:
     def _points(self, n):
-        return [
-            SamplePoint("e1", i, 20.0 * i, LatLon(33.0 + 1e-4 * i, -87.0))
-            for i in range(n)
-        ]
+        return [("e1", i, LatLon(33.0 + 1e-4 * i, -87.0)) for i in range(n)]
 
     def test_thresholding(self):
         doc = json.loads(export_prediction_geojson(self._points(1), [(0.9, 0.2, 0.6)], 0.5))

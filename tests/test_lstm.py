@@ -467,6 +467,16 @@ class TestSerialization:
         xs = np.random.default_rng(28).normal(size=(7, 4))
         assert np.array_equal(sequence_forward(model, xs), sequence_forward(loaded, xs))
 
+    def test_round_trip_keeps_training_window(self, tmp_path):
+        records, starts = corridor_sequences(60, seed=31, window=7)
+        model = init_sequence_model("shared", input_dim=16, hidden=4, mid_dim=5, seed=31)
+        assert model.window is None
+        bptt_train(model, records, starts[:2], 7, SeqTrainConfig(epochs=1))
+        assert model.window == 7
+        path = tmp_path / "seq.bin"
+        seq_save(model, str(path))
+        assert seq_load(str(path)).window == 7
+
     def test_mode_header(self, tmp_path):
         model = init_sequence_model("separate", input_dim=4, hidden=5, seed=29)
         path = tmp_path / "seq.bin"
@@ -509,4 +519,9 @@ class TestSerialization:
     def test_incomplete_meta_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.pop("hidden"))
         with pytest.raises(ValueError, match="incomplete sequence-model meta"):
+            seq_load(path)
+
+    def test_meta_without_window_rejected(self, tmp_path):
+        path = self._resave(tmp_path, "shared", lambda t, m: m.pop("window"))
+        with pytest.raises(ValueError, match=r"incomplete .* meta: KeyError\('window'\)"):
             seq_load(path)

@@ -16,7 +16,7 @@ from safetymap.nn import (
     conv2d_forward,
     dense_backward,
     dense_forward,
-    dropout,
+    dropout_mask,
     glorot_uniform,
     grad_check,
     maxpool2d_backward,
@@ -24,7 +24,6 @@ from safetymap.nn import (
     relu,
     relu_grad,
     sigmoid,
-    tanh,
 )
 
 
@@ -185,7 +184,6 @@ class TestActivations:
 
     def test_zero_points(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-        assert tanh(np.array([0.0]))[0] == 0.0
 
     def test_sigmoid_extremes_stable(self):
         with np.errstate(over="raise"):
@@ -202,27 +200,18 @@ class TestActivations:
 
 
 class TestDropout:
-    def test_rate_zero_identity(self):
-        x = np.arange(10.0)
-        rng = np.random.default_rng(0)
-        assert np.array_equal(dropout(x, 0.0, rng, training=True), x)
-        assert np.array_equal(dropout(x, 0.0, training=False), x)
-
-    def test_inference_identity(self):
-        x = np.arange(10.0)
-        assert dropout(x, 0.2, training=False) is x
-
     def test_training_statistics(self):
         rng = np.random.default_rng(7)
-        x = np.ones(1_000_000)
-        y = dropout(x, 0.2, rng, training=True)
-        survivors = np.count_nonzero(y) / x.size
+        mask = dropout_mask(rng, (1_000_000,), 0.2)
+        survivors = np.count_nonzero(mask) / mask.size
         assert abs(survivors - 0.8) < 0.002
-        assert abs(y.mean() - 1.0) < 0.005
+        assert set(np.unique(mask)) == {0.0, 1.0 / 0.8}  # kept units rescaled by 1/(1-rate)
+        assert abs(mask.mean() - 1.0) < 0.005
 
     def test_invalid_rate(self):
-        with pytest.raises(ValueError, match="rate"):
-            dropout(np.zeros(3), 1.0, np.random.default_rng(0), training=True)
+        for rate in (1.0, -0.1):
+            with pytest.raises(ValueError, match="rate"):
+                dropout_mask(np.random.default_rng(0), (3,), rate)
 
 
 class TestBce:
