@@ -9,3 +9,7 @@ metrics (metrics), and a CLI front door (cli).
 __version__ = "0.1.0"
 
 CLASS_NAMES = ("rs", "mcb", "cb")
+
+
+class SchemaError(ValueError):
+    """File content violates the documented schema."""

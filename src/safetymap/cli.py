@@ -12,11 +12,9 @@ Exit codes: 0 success, 2 usage or config error, 3 missing input file,
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from dataclasses import asdict
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,21 +30,6 @@ EXIT_MISSING_FILE = 3
 EXIT_SCHEMA = 4
 EXIT_VALIDATION = 5
 
-SAMPLE_COLUMNS = ("edge_id", "seq_index", "chainage_m", "lat", "lon", "heading_deg")
-PREDICTION_COLUMNS = (
-    "image_id",
-    "edge_id",
-    "seq_index",
-    "lat",
-    "lon",
-    "p_rs",
-    "p_mcb",
-    "p_cb",
-    "rs",
-    "mcb",
-    "cb",
-)
-
 
 def _log_run(command: str, config: PipelineConfig) -> None:
     log.info("command=%s seed=%d config=%s", command, config.seed, asdict(config))
@@ -58,49 +41,18 @@ def _log_run(command: str, config: PipelineConfig) -> None:
 def cmd_sample(args, config: PipelineConfig) -> int:
     network = geo.load_road_network(args.network)
     points = geo.sample_points(network, config.interval_m)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SAMPLE_COLUMNS)
-        for p in points:
-            writer.writerow(
-                [
-                    p.edge_id,
-                    p.seq_index,
-                    f"{p.chainage_m:.3f}",
-                    f"{p.location.lat:.6f}",
-                    f"{p.location.lon:.6f}",
-                    f"{round(p.heading_deg, 2) % 360.0:.2f}",  # 359.996 -> 0.00, not 360.00
-                ]
-            )
+    data.write_samples(args.out, points)
     log.info("wrote %d sample points to %s", len(points), args.out)
     return 0
 
 
-def _read_samples(path: str) -> list[dict]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SAMPLE_COLUMNS:
-            raise data.SchemaError(
-                f"{path}: expected header {','.join(SAMPLE_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            rows.append(row)
-    return rows
-
-
 def cmd_url_gen(args, config: PipelineConfig) -> int:
-    rows = _read_samples(args.samples)
+    points = data.read_samples(args.samples)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for row in rows:
-            url = geo.streetview_request_url(
-                geo.LatLon(float(row["lat"]), float(row["lon"])),
-                float(row["heading_deg"]),
-                args.size,
-                args.key,
-            )
+        for p in points:
+            url = geo.streetview_request_url(p.location, p.heading_deg, args.size, args.key)
             fh.write(url + "\n")
-    log.info("wrote %d request URLs to %s", len(rows), args.out)
+    log.info("wrote %d request URLs to %s", len(points), args.out)
     return 0
 
 
@@ -202,74 +154,17 @@ def cmd_predict(args, config: PipelineConfig) -> int:
             f"{args.model} was trained with window {model.window}, config window is {config.window}"
         )
     probs, labels = lstm.predict_corridor(model, records, config.window, config.threshold)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTION_COLUMNS)
-        for r, p, lab in zip(records, probs, labels):
-            writer.writerow(
-                [
-                    r.image_id,
-                    r.edge_id,
-                    r.seq_index,
-                    f"{r.location.lat:.6f}",
-                    f"{r.location.lon:.6f}",
-                    f"{p[0]:.6f}",
-                    f"{p[1]:.6f}",
-                    f"{p[2]:.6f}",
-                    int(lab[0]),
-                    int(lab[1]),
-                    int(lab[2]),
-                ]
-            )
+    data.write_predictions(args.out, records, probs, labels)
     log.info("wrote %d predictions to %s", len(records), args.out)
     return 0
 
 
-class PredictionRow(NamedTuple):
-    """One row of a predictions CSV, parsed and range-checked."""
-
-    edge_id: str
-    seq_index: int
-    location: geo.LatLon
-    probs: tuple[float, ...]  # (p_rs, p_mcb, p_cb), each in [0, 1]
-    labels: tuple[bool, ...]  # (rs, mcb, cb)
-
-
-def _read_predictions(path: str) -> list[PredictionRow]:
-    """Read a predictions CSV; a non-integer seq_index, an invalid lat/lon, a
-    probability that is non-finite or outside [0, 1] or a label other than
-    0/1 is a SchemaError naming the line."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != PREDICTION_COLUMNS:
-            raise data.SchemaError(
-                f"{path}: expected header {','.join(PREDICTION_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            try:
-                seq_index = int(row["seq_index"])
-                location = geo._check_point(geo.LatLon(float(row["lat"]), float(row["lon"])))
-                probs = tuple(float(row[f"p_{name}"]) for name in CLASS_NAMES)
-            except (TypeError, ValueError) as exc:
-                raise data.SchemaError(f"{where}: {exc}") from exc
-            for name, p in zip(CLASS_NAMES, probs):
-                if not 0.0 <= p <= 1.0:
-                    raise data.SchemaError(f"{where}: p_{name} {p} outside [0, 1]")
-            labels = tuple(
-                data._parse_label(row[name], name, reader.line_num) for name in CLASS_NAMES
-            )
-            rows.append(PredictionRow(row["edge_id"], seq_index, location, probs, labels))
-    return rows
-
-
-def _prediction_labels(rows: list[PredictionRow]) -> np.ndarray:
+def _prediction_labels(rows: list[data.PredictionRow]) -> np.ndarray:
     return np.array([row.labels for row in rows])
 
 
 def _align_to_truth(
-    rows: list[PredictionRow], truth_records: list[data.ImageRecord], name: str
+    rows: list[data.PredictionRow], truth_records: list[data.ImageRecord], name: str
 ) -> None:
     """Sort prediction rows by (edge_id, seq_index) and check that they key-match
     the truth records, which load_labels returns in that order, one to one."""
@@ -284,7 +179,7 @@ def _align_to_truth(
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    rows = _read_predictions(args.predictions)
+    rows = data.read_predictions(args.predictions)
     truth_records = data.load_labels(args.truth)
     _align_to_truth(rows, truth_records, "prediction")
     predictions = _prediction_labels(rows)
@@ -294,7 +189,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     counts = data.class_distribution(truth_records)
     report = metrics.metrics_report(per_class, counts)
     if args.baseline:
-        base_rows = _read_predictions(args.baseline)
+        base_rows = data.read_predictions(args.baseline)
         _align_to_truth(base_rows, truth_records, "baseline")
         run_lengths = [end - start for start, end in data._runs(truth_records)]
         rates = metrics.isolated_error_correction_rate(
@@ -311,7 +206,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 
 
 def cmd_export_map(args, config: PipelineConfig) -> int:
-    rows = _read_predictions(args.predictions)
+    rows = data.read_predictions(args.predictions)
     doc = geo.export_prediction_geojson(
         [(r.edge_id, r.seq_index, r.location) for r in rows],
         [r.probs for r in rows],
@@ -405,17 +300,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_history(path: str, history: list[dict[str, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss"])
-        for entry in history:
-            writer.writerow(
-                [
-                    int(entry["epoch"]),
-                    f"{entry['train_loss']:.6f}",
-                    f"{entry['val_loss']:.6f}" if "val_loss" in entry else "",
-                ]
+    data.write_table(
+        path,
+        ("epoch", "train_loss", "val_loss"),
+        (
+            (
+                int(entry["epoch"]),
+                f"{entry['train_loss']:.6f}",
+                f"{entry['val_loss']:.6f}" if "val_loss" in entry else "",
             )
+            for entry in history
+        ),
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

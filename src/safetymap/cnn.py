@@ -9,6 +9,7 @@ model downstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .data import ImageRecord
-from .modelio import load_tensors, save_tensors
+from .modelio import check_shapes, load_tensors, save_tensors
 
 N_CLASSES = 3
 
@@ -44,25 +45,33 @@ class CnnModel:
     params: nn.Params
 
 
-def init_cnn(config: CnnConfig, seed: int) -> CnnModel:
-    """Glorot-uniform kernels and dense weights, zero biases."""
-    rng = np.random.default_rng(seed)
+def _param_shapes(config: CnnConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order init_cnn draws them."""
     k = config.kernel_size
-    params: nn.Params = {}
+    shapes: dict[str, tuple[int, ...]] = {}
     in_ch = config.input_shape[0]
     for s, out_ch in enumerate(config.stage_channels):
-        fan_in = in_ch * k * k
-        fan_out = out_ch * k * k
-        params[f"conv{s}.k"] = nn.glorot_uniform(rng, (out_ch, in_ch, k, k), fan_in, fan_out)
-        params[f"conv{s}.b"] = np.zeros(out_ch)
+        shapes[f"conv{s}.k"] = (out_ch, in_ch, k, k)
+        shapes[f"conv{s}.b"] = (out_ch,)
         in_ch = out_ch
-    flat = config.flat_dim()
-    params["feat.w"] = nn.glorot_uniform(rng, (config.feature_dim, flat), flat, config.feature_dim)
-    params["feat.b"] = np.zeros(config.feature_dim)
-    params["cls.w"] = nn.glorot_uniform(
-        rng, (N_CLASSES, config.feature_dim), config.feature_dim, N_CLASSES
-    )
-    params["cls.b"] = np.zeros(N_CLASSES)
+    shapes["feat.w"] = (config.feature_dim, config.flat_dim())
+    shapes["feat.b"] = (config.feature_dim,)
+    shapes["cls.w"] = (N_CLASSES, config.feature_dim)
+    shapes["cls.b"] = (N_CLASSES,)
+    return shapes
+
+
+def init_cnn(config: CnnConfig, seed: int) -> CnnModel:
+    """Glorot-uniform kernels and dense weights, zero biases. A weight of
+    shape (out, in, *kernel) has fan-in in * kernel and fan-out out * kernel."""
+    rng = np.random.default_rng(seed)
+    params: nn.Params = {}
+    for name, shape in _param_shapes(config).items():
+        if name.endswith(".b"):
+            params[name] = np.zeros(shape)
+        else:
+            kernel = math.prod(shape[2:])
+            params[name] = nn.glorot_uniform(rng, shape, shape[1] * kernel, shape[0] * kernel)
     return CnnModel(config=config, params=params)
 
 
@@ -211,15 +220,22 @@ def cnn_save(model: CnnModel, path: str, seed: int | None = None) -> None:
 
 
 def cnn_load(path: str) -> CnnModel:
+    """Read a model written by cnn_save, checking every tensor shape against
+    the configuration its meta declares."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "cnn":
         raise ValueError(f"{path}: not a cnn model (kind={meta.get('kind')!r})")
-    config = CnnConfig(
-        input_shape=tuple(meta["input_shape"]),
-        stage_channels=tuple(meta["stage_channels"]),
-        kernel_size=int(meta["kernel_size"]),
-        feature_dim=int(meta["feature_dim"]),
-    )
+    try:
+        config = CnnConfig(
+            input_shape=tuple(int(d) for d in meta["input_shape"]),
+            stage_channels=tuple(int(c) for c in meta["stage_channels"]),
+            kernel_size=int(meta["kernel_size"]),
+            feature_dim=int(meta["feature_dim"]),
+        )
+        want = _param_shapes(config)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{path}: incomplete or invalid cnn meta: {exc!r}") from exc
+    check_shapes(path, tensors, want)
     return CnnModel(config=config, params=tensors)
 
 

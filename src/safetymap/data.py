@@ -1,9 +1,11 @@
-"""Dataset handling: label/feature file ingestion, sliding-window sequence
-construction, class bookkeeping, synthetic corridor generation, and PPM
-pixel image I/O. The loaders are the validation boundary: malformed,
-out-of-range or non-finite input raises SchemaError naming its line. A
-window is one integer, its start index into the records, and
-`corridor_arrays` gives the contiguous arrays those starts index."""
+"""Dataset handling: the CSV tables (labels, samples, predictions, image
+manifests) behind one checked reader and one writer, feature file ingestion,
+sliding-window sequence construction, class bookkeeping, synthetic corridor
+generation, and PPM pixel image I/O. The loaders are the validation
+boundary: malformed, out-of-range or non-finite input raises SchemaError
+naming its file and line. A window is one integer, its start index into the
+records, and `corridor_arrays` gives the contiguous arrays those starts
+index."""
 
 from __future__ import annotations
 
@@ -12,18 +14,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from . import CLASS_NAMES
-from .geo import EARTH_RADIUS_M, LatLon, _check_point
-
-LABEL_COLUMNS = ("image_id", "edge_id", "seq_index", "lat", "lon") + CLASS_NAMES
-
-
-class SchemaError(ValueError):
-    """File content violates the documented schema."""
+from . import CLASS_NAMES, SchemaError
+from .geo import EARTH_RADIUS_M, LatLon, SamplePoint, _check_point
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,94 @@ class ClassDistribution:
         return (self.rs_n, self.mcb_n, self.cb_n)
 
 
-def _parse_label(value: str, name: str, line: int) -> bool:
-    if value not in ("0", "1"):
-        raise SchemaError(f"line {line}: label {name}={value!r} not in {{0,1}}")
-    return value == "1"
+# --- CSV tables: labels, samples, predictions and image manifests ---
+
+RECORD_COLUMNS = ("image_id", "edge_id", "seq_index", "lat", "lon")
+LABEL_COLUMNS = RECORD_COLUMNS + CLASS_NAMES
+PREDICTION_COLUMNS = RECORD_COLUMNS + tuple(f"p_{name}" for name in CLASS_NAMES) + CLASS_NAMES
+SAMPLE_COLUMNS = ("edge_id", "seq_index", "chainage_m", "lat", "lon", "heading_deg")
+MANIFEST_COLUMNS = ("image_id", "path")
+
+Row = TypeVar("Row")
+
+
+def read_table(
+    path: str, columns: tuple[str, ...], parse_row: Callable[[list[str]], Row]
+) -> dict[int, Row]:
+    """Read a UTF-8 CSV table whose header equals columns (cells stripped);
+    returns {line number: parse_row(fields)} in file order.
+
+    Blank rows are skipped; every other row must have one field per column.
+    A row that breaks this, a ValueError or TypeError from parse_row, bad
+    quoting and an over-long field are SchemaErrors naming the path and the
+    line; bytes that are not UTF-8 are a SchemaError naming the path.
+    """
+    rows: dict[int, Row] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != columns:
+                raise ValueError(f"expected header {','.join(columns)}, got {header}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(columns):
+                    raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+                rows[reader.line_num] = parse_row(fields)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
+        except (ValueError, TypeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from exc
+    return rows
+
+
+def write_table(path: str, columns: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write a CSV table: the header, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _seq_index(value: str) -> int:
+    index = int(value)
+    if index < 0:
+        raise ValueError(f"seq_index {index} is negative")
+    return index
+
+
+def _point(lat: str, lon: str) -> LatLon:
+    return _check_point(LatLon(float(lat), float(lon)))
+
+
+_LABEL_VALUES = {"0": False, "1": True}
+
+
+def _labels(values: list[str]) -> tuple[bool, ...]:
+    try:
+        return tuple([_LABEL_VALUES[value] for value in values])
+    except KeyError as exc:
+        value = exc.args[0]
+        name = CLASS_NAMES[values.index(value)]
+        raise ValueError(f"label {name}={value!r} not in {{0,1}}") from None
+
+
+def _probabilities(values: list[str]) -> tuple[float, ...]:
+    probs = tuple(float(value) for value in values)
+    for name, p in zip(CLASS_NAMES, probs):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_{name} {p} outside [0, 1]")
+    return probs
+
+
+def _label_row(f: list[str]) -> ImageRecord:
+    return ImageRecord(f[0], f[1], _seq_index(f[2]), _point(f[3], f[4]), _labels(f[5:8]))
+
+
+def _record_fields(r: ImageRecord) -> tuple[object, ...]:
+    """A record's RECORD_COLUMNS fields, coordinates to 6 decimals."""
+    return r.image_id, r.edge_id, r.seq_index, f"{r.location.lat:.6f}", f"{r.location.lon:.6f}"
 
 
 def load_labels(path: str) -> list[ImageRecord]:
@@ -61,54 +141,90 @@ def load_labels(path: str) -> list[ImageRecord]:
 
     Schema: image_id,edge_id,seq_index,lat,lon,rs,mcb,cb with 0/1 labels.
     Raises SchemaError naming the offending line on any malformed row,
-    duplicate (edge_id, seq_index) key, out-of-range label, or latitude or
-    longitude that is non-finite or outside [-90, 90] / [-180, 180].
+    duplicate image_id or (edge_id, seq_index) key, out-of-range label, or
+    latitude or longitude that is non-finite or outside [-90, 90] / [-180, 180].
     """
-    records: list[ImageRecord] = []
-    seen: dict[tuple[str, int], int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != LABEL_COLUMNS:
-            raise SchemaError(
-                f"{path}: expected header {','.join(LABEL_COLUMNS)}, got {header}"
-            )
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(LABEL_COLUMNS):
+    rows = read_table(path, LABEL_COLUMNS, _label_row)
+    first_line: dict[tuple[str, object], int] = {}
+    for line, r in rows.items():
+        for name, key in (
+            ("image_id", r.image_id), ("(edge_id, seq_index)", (r.edge_id, r.seq_index))
+        ):
+            first = first_line.setdefault((name, key), line)
+            if first != line:
                 raise SchemaError(
-                    f"line {line}: expected {len(LABEL_COLUMNS)} fields, got {len(row)}"
+                    f"{path}: line {line}: duplicate {name} {key!r}, first seen on line {first}"
                 )
-            image_id, edge_id = row[0], row[1]
-            try:
-                seq_index = int(row[2])
-                location = _check_point(LatLon(float(row[3]), float(row[4])))
-            except ValueError as exc:
-                raise SchemaError(f"line {line}: {exc}") from exc
-            if seq_index < 0:
-                raise SchemaError(f"line {line}: seq_index {seq_index} is negative")
-            labels = tuple(
-                _parse_label(v, n, line) for v, n in zip(row[5:8], CLASS_NAMES)
-            )
-            key = (edge_id, seq_index)
-            if key in seen:
-                raise SchemaError(
-                    f"line {line}: duplicate (edge_id, seq_index) {key}, first seen on line {seen[key]}"
-                )
-            seen[key] = line
-            records.append(
-                ImageRecord(
-                    image_id=image_id,
-                    edge_id=edge_id,
-                    seq_index=seq_index,
-                    location=location,
-                    labels=labels,  # type: ignore[arg-type]
-                )
-            )
-    records.sort(key=lambda r: (r.edge_id, r.seq_index))
-    return records
+    return sorted(rows.values(), key=lambda r: (r.edge_id, r.seq_index))
+
+
+def write_labels(path: str, records: Sequence[ImageRecord]) -> None:
+    """Write records back out in the label CSV schema."""
+    rows = ((*_record_fields(r), *map(int, r.labels)) for r in records)
+    write_table(path, LABEL_COLUMNS, rows)
+
+
+def _sample_row(f: list[str]) -> SamplePoint:
+    return SamplePoint(f[0], _seq_index(f[1]), float(f[2]), _point(f[3], f[4]), float(f[5]))
+
+
+def read_samples(path: str) -> list[SamplePoint]:
+    """Read a samples CSV; a negative or non-integer seq_index, a non-numeric
+    chainage or heading, or an invalid lat/lon is a SchemaError naming the
+    line. The heading's range is checked where it is used."""
+    return list(read_table(path, SAMPLE_COLUMNS, _sample_row).values())
+
+
+def write_samples(path: str, points: Sequence[SamplePoint]) -> None:
+    """Write sample points in the samples CSV schema; a heading that rounds
+    to 360.00 is written as 0.00."""
+    rows = (
+        (
+            p.edge_id,
+            p.seq_index,
+            f"{p.chainage_m:.3f}",
+            f"{p.location.lat:.6f}",
+            f"{p.location.lon:.6f}",
+            f"{round(p.heading_deg, 2) % 360.0:.2f}",
+        )
+        for p in points
+    )
+    write_table(path, SAMPLE_COLUMNS, rows)
+
+
+class PredictionRow(NamedTuple):
+    """One row of a predictions CSV, parsed and range-checked."""
+
+    edge_id: str
+    seq_index: int
+    location: LatLon
+    probs: tuple[float, ...]  # (p_rs, p_mcb, p_cb), each in [0, 1]
+    labels: tuple[bool, ...]  # (rs, mcb, cb)
+
+
+def _prediction_row(f: list[str]) -> PredictionRow:
+    return PredictionRow(
+        f[1], _seq_index(f[2]), _point(f[3], f[4]), _probabilities(f[5:8]), _labels(f[8:11])
+    )
+
+
+def read_predictions(path: str) -> list[PredictionRow]:
+    """Read a predictions CSV; a negative or non-integer seq_index, an
+    invalid lat/lon, a probability that is non-finite or outside [0, 1] or a
+    label other than 0/1 is a SchemaError naming the line."""
+    return list(read_table(path, PREDICTION_COLUMNS, _prediction_row).values())
+
+
+def write_predictions(
+    path: str, records: Sequence[ImageRecord], probs: np.ndarray, labels: np.ndarray
+) -> None:
+    """Write one predictions row per record: its key and location, its class
+    probabilities to 6 decimals and its thresholded labels."""
+    rows = (
+        (*_record_fields(r), *(f"{x:.6f}" for x in p), *map(int, lab))
+        for r, p, lab in zip(records, probs, labels)
+    )
+    write_table(path, PREDICTION_COLUMNS, rows)
 
 
 def attach_features(
@@ -121,8 +237,6 @@ def attach_features(
     expected_dim when given), and every value must be finite.
     """
     by_id = {r.image_id: r for r in records}
-    if len(by_id) != len(records):
-        raise SchemaError("records contain duplicate image_ids")
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
     with open(path, encoding="utf-8") as fh:
@@ -385,18 +499,7 @@ def load_pixels(records: Sequence[ImageRecord], manifest_path: str) -> list[Imag
     Relative paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
-    paths: dict[str, str] = {}
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("image_id", "path"):
-            raise SchemaError(f"{manifest_path}: expected header image_id,path, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"line {reader.line_num}: expected 2 fields, got {len(row)}")
-            paths[row[0]] = row[1]
+    paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
     missing = sorted(r.image_id for r in records if r.image_id not in paths)
     if missing:
         raise SchemaError(f"manifest lacks paths for {len(missing)} record(s): {missing}")
@@ -407,26 +510,6 @@ def load_pixels(records: Sequence[ImageRecord], manifest_path: str) -> list[Imag
             p = os.path.join(base, p)
         out.append(replace(r, pixels=read_ppm(p)))
     return out
-
-
-def write_labels(path: str, records: Sequence[ImageRecord]) -> None:
-    """Write records back out in the label CSV schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.image_id,
-                    r.edge_id,
-                    r.seq_index,
-                    f"{r.location.lat:.6f}",
-                    f"{r.location.lon:.6f}",
-                    int(r.labels[0]),
-                    int(r.labels[1]),
-                    int(r.labels[2]),
-                ]
-            )
 
 
 def write_features(path: str, records: Sequence[ImageRecord]) -> None:

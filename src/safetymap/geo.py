@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote
 
+from . import SchemaError
+
 EARTH_RADIUS_M = 6_371_008.8  # mean Earth radius
 
 COORD_DECIMALS = 6  # ~0.1 m; all serialized coordinates are rounded to this
@@ -229,21 +231,44 @@ def export_prediction_geojson(
     return dumps_stable({"type": "FeatureCollection", "features": features})
 
 
+def _is_position(c: object) -> bool:
+    return (
+        isinstance(c, list)
+        and len(c) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in c)
+    )
+
+
 def load_road_network(path: str) -> RoadNetwork:
-    """Read a GeoJSON FeatureCollection of LineString features with an "id" property."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("type") != "FeatureCollection":
-        raise ValueError(f"{path}: expected a FeatureCollection, got {doc.get('type')!r}")
+    """Read a GeoJSON FeatureCollection of LineString features with an "id"
+    property and [lon, lat] number-pair positions. A document of another
+    shape is a SchemaError naming the file and, inside the collection, the
+    feature index."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+        raise SchemaError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
+        kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+        raise SchemaError(f"{path}: expected a FeatureCollection object, got {kind!r}")
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise SchemaError(f"{path}: 'features' is not a list")
     edges = []
-    for i, feat in enumerate(doc.get("features", [])):
+    for i, feat in enumerate(features):
+        feat = feat if isinstance(feat, dict) else {}
         geom = feat.get("geometry") or {}
-        if geom.get("type") != "LineString":
-            raise ValueError(f"{path}: feature {i} is not a LineString")
+        if not isinstance(geom, dict) or geom.get("type") != "LineString":
+            raise SchemaError(f"{path}: feature {i} is not a LineString")
         props = feat.get("properties") or {}
-        if "id" not in props:
-            raise ValueError(f"{path}: feature {i} has no 'id' property")
-        # GeoJSON positions are [lon, lat]
-        polyline = tuple(LatLon(lat=c[1], lon=c[0]) for c in geom["coordinates"])
+        if not isinstance(props, dict) or "id" not in props:
+            raise SchemaError(f"{path}: feature {i} has no 'id' property")
+        coords = geom.get("coordinates")
+        if not isinstance(coords, list) or not all(_is_position(c) for c in coords):
+            raise SchemaError(
+                f"{path}: feature {i}: coordinates must be a list of [lon, lat] number pairs"
+            )
+        polyline = tuple(LatLon(lat=lat, lon=lon) for lon, lat in coords)
         edges.append(RoadEdge(id=str(props["id"]), polyline=polyline))
     return RoadNetwork.from_edges(edges)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import CLASS_NAMES, nn
 from .data import ImageRecord, _runs, corridor_arrays
-from .modelio import load_tensors, save_tensors
+from .modelio import check_shapes, load_tensors, save_tensors
 
 GATES = ("f", "i", "o", "u")
 HEAD_KEYS = ("mid.w", "mid.b", "out.w", "out.b")
@@ -553,15 +553,7 @@ def seq_load(path: str) -> SequenceModel:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: incomplete sequence-model meta: {exc!r}") from exc
     views = {f"{name}/{key}": v for name, group in model.groups.items() for key, v in group.items()}
-    got = {key: v.shape for key, v in tensors.items()}
-    want = {key: v.shape for key, v in views.items()}
-    if got != want:
-        wrong = [
-            f"{key} {got.get(key, 'missing')}, meta implies {want.get(key, 'none')}"
-            for key in sorted(got.keys() | want.keys())
-            if got.get(key) != want.get(key)
-        ]
-        raise ValueError(f"{path}: tensors do not match the meta: {'; '.join(wrong)}")
+    check_shapes(path, tensors, {key: v.shape for key, v in views.items()})
     for key, view in views.items():
         view[...] = tensors[key]
     return model

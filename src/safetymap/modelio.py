@@ -5,6 +5,8 @@ float64 tensor data in declaration order."""
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -26,24 +28,60 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _is_entry(entry: object) -> bool:
+    """A tensor entry: a string name and a list of non-negative integer dims."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
+
+
 def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container back into (tensors, meta)."""
+    """Read a container back into (tensors, meta). A header that is not a
+    container header, a malformed or repeated tensor entry, and tensor data
+    that is short or followed by extra bytes are ValueErrors naming path."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
+        if not header_line.endswith(b"\n"):
+            raise ValueError(f"{path}: truncated model header")
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
             raise ValueError(f"{path}: invalid model header: {exc}") from exc
-        if header.get("format") != FORMAT_NAME:
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise ValueError(f"{path}: not a {FORMAT_NAME} container")
         if header.get("version") != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported version {header.get('version')}")
+        entries, meta = header.get("tensors"), header.get("meta", {})
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise ValueError(f"{path}: model header needs a 'tensors' list and a 'meta' object")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # bytes of tensor data
         tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
+        for i, entry in enumerate(entries):
+            if not _is_entry(entry) or entry["name"] in tensors:
+                raise ValueError(f"{path}: malformed or repeated tensor entry {i}: {entry!r}")
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            nbytes = math.prod(shape) * 8
+            if nbytes > left:
                 raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
+            raw = fh.read(nbytes)
             tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return tensors, header.get("meta", {})
+            left -= nbytes
+    if left:
+        raise ValueError(f"{path}: {left} bytes after the last tensor")
+    return tensors, meta
+
+
+def check_shapes(path: str, tensors: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
+    """Raise a ValueError naming path and every tensor that is missing, extra
+    or of another shape than want, the shapes its meta implies."""
+    got = {key: v.shape for key, v in tensors.items()}
+    if got != want:
+        wrong = [
+            f"{key} {got.get(key, 'missing')}, meta implies {want.get(key, 'none')}"
+            for key in sorted(got.keys() | want.keys())
+            if got.get(key) != want.get(key)
+        ]
+        raise ValueError(f"{path}: tensors do not match the meta: {'; '.join(wrong)}")

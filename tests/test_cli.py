@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +148,71 @@ class TestGeoCommands:
         out = str(tmp_path / "urls.txt")
         assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", out) == 5
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            pytest.param(
+                "seg-1,0,0.000,abc,-87.0,10.00",
+                "line 2: could not convert string to float: 'abc'",
+                id="lat-text",
+            ),
+            pytest.param("seg-1,0,0.000,33.0,-87.0", "line 2: expected 6 fields, got 5", id="short"),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00,x", "line 2: expected 6 fields, got 7", id="long"
+            ),
+        ],
+    )
+    def test_url_gen_bad_row_exit_4(self, tmp_path, capsys, row, message):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(f"edge_id,seq_index,chainage_m,lat,lon,heading_deg\n{row}\n")
+        out = tmp_path / "urls.txt"
+        capsys.readouterr()
+        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", str(out)) == 4
+        assert f"{samples}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param('{"type": "FeatureCollection",', "not a JSON document", id="not-json"),
+            pytest.param("[]", "expected a FeatureCollection object, got 'list'", id="list"),
+            pytest.param('{"type": "Feature"}', "got 'Feature'", id="not-collection"),
+            pytest.param(
+                lambda geometry: geometry.update(type="Point"),
+                "feature 0 is not a LineString",
+                id="not-linestring",
+            ),
+            pytest.param(
+                lambda geometry: geometry.pop("coordinates"),
+                "feature 0: coordinates must be a list of [lon, lat] number pairs",
+                id="no-coordinates",
+            ),
+            pytest.param(
+                lambda geometry: geometry.update(coordinates=[["-87", "33"], ["-87", "33.1"]]),
+                "feature 0: coordinates",
+                id="strings",
+            ),
+            pytest.param(
+                lambda geometry: geometry.update(coordinates=[[-87.0], [-87.0, 33.1]]),
+                "feature 0: coordinates",
+                id="one-number",
+            ),
+        ],
+    )
+    def test_malformed_network_exit_4(self, tmp_path, capsys, edit, message):
+        network = Path(self._write_network(tmp_path))
+        if callable(edit):
+            doc = json.loads(network.read_text())
+            edit(doc["features"][0]["geometry"])
+            network.write_text(json.dumps(doc))
+        else:
+            network.write_text(edit)
+        capsys.readouterr()
+        assert run_cli("sample", "--network", str(network), "--out", str(tmp_path / "s.csv")) == 4
+        err = capsys.readouterr().err
+        assert f"{network}: " in err
+        assert message in err
+
     def test_zero_length_edge_exit_5(self, tmp_path, capsys):
         network = self._write_network(
             tmp_path, ((-87.0, 33.0), (-87.0, 33.0018)), ((-86.0, 33.0), (-86.0, 33.0))
@@ -210,14 +276,28 @@ class TestPredictionsBoundary:
                 id="seq-index-float",
             ),
             pytest.param({"rs": "yes"}, "line 3: label rs='yes' not in {0,1}", id="label"),
+            pytest.param(
+                {"seq_index": "-1"}, "line 3: seq_index -1 is negative", id="seq-index-negative"
+            ),
+            pytest.param({"extra": "x"}, "line 3: expected 11 fields, got 12", id="extra-field"),
         ],
     )
     def test_bad_row_exit_4(self, tmp_path, capsys, command, edits, message):
         predictions, labels = self._write(tmp_path, **edits)
         capsys.readouterr()
         assert self._run(tmp_path, command, predictions, labels) == 4
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"{predictions}: {message}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["export-map", "evaluate"])
+    def test_padded_header_accepted(self, tmp_path, command):
+        """Header cells are compared stripped, in predictions as in labels."""
+        predictions, labels = self._write(tmp_path)
+        text = Path(predictions).read_text()
+        Path(predictions).write_text(text.replace(",lat,", ", lat ,", 1))
+        assert self._run(tmp_path, command, predictions, labels) == 0
 
 
 class TestSynthPipeline:
@@ -415,6 +495,41 @@ class TestSynthPipeline:
         assert code == 4
         assert "line 6: latitude 133.5 outside [-90, 90]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda line: line.replace("syn-00001", "syn-00000"),
+                "line 3: duplicate image_id 'syn-00000', first seen on line 2",
+                id="duplicate-image-id",
+            ),
+            pytest.param(
+                lambda line: line.replace("syn-00001", "syn-\udcff"),
+                "not UTF-8",
+                id="not-utf8",
+            ),
+            pytest.param(
+                lambda line: line.replace("syn-00001", "x" * 140_000),
+                "line 3: field larger than field limit (131072)",
+                id="over-long-field",
+            ),
+        ],
+    )
+    def test_bad_labels_exit_4(self, tmp_path, tiny_config, capsys, edit, message):
+        labels, features, predictions, *_ = self._run_pipeline(tmp_path, tiny_config)
+        lines = labels.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        labels.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for argv in (
+            ["evaluate", "--predictions", str(predictions), "--truth", str(labels), "--out"],
+            ["train-lstm", "--labels", str(labels), "--features", str(features), "--model-out"],
+        ):
+            assert run_cli("--config", tiny_config, *argv, str(out)) == 4
+            assert f"{labels}: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_predict_at_other_window_exit_5(self, tmp_path, tiny_config, capsys):
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)

@@ -22,6 +22,7 @@ from safetymap.cnn import (
     init_cnn,
     init_frame_classifier,
 )
+from safetymap.modelio import load_tensors, save_tensors
 from safetymap.nn import grad_check
 
 SMALL = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4)
@@ -184,6 +185,26 @@ class TestCnnSerialization:
         a = cnn_forward(model, image)
         b = cnn_forward(loaded, image)
         assert np.array_equal(a[0], b[0])
+
+    def _resave(self, tmp_path, edit):
+        """Save a SMALL model, let edit(tensors, meta) alter what was written,
+        and write the result back; returns the path."""
+        path = tmp_path / "cnn.bin"
+        cnn_save(init_cnn(SMALL, seed=10), str(path))
+        tensors, meta = load_tensors(str(path))
+        edit(tensors, meta)
+        save_tensors(str(path), tensors, meta)
+        return str(path)
+
+    def test_missing_meta_key_rejected(self, tmp_path):
+        path = self._resave(tmp_path, lambda t, m: m.pop("kernel_size"))
+        with pytest.raises(ValueError, match=r"invalid cnn meta: KeyError\('kernel_size'\)"):
+            cnn_load(path)
+
+    def test_feature_dim_disagreeing_with_tensors_rejected(self, tmp_path):
+        path = self._resave(tmp_path, lambda t, m: m.update(feature_dim=5))
+        with pytest.raises(ValueError, match=r"feat.w \(4, 32\), meta implies \(5, 32\)"):
+            cnn_load(path)
 
 
 class TestFrameClassifier:

@@ -11,6 +11,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from safetymap.data import (
+    LABEL_COLUMNS,
+    MANIFEST_COLUMNS,
+    PREDICTION_COLUMNS,
+    SAMPLE_COLUMNS,
     ImageRecord,
     SchemaError,
     SynthConfig,
@@ -21,12 +25,17 @@ from safetymap.data import (
     load_labels,
     load_pixels,
     read_ppm,
+    read_predictions,
+    read_samples,
     synth_corridor,
     write_features,
     write_labels,
     write_ppm,
+    write_predictions,
+    write_samples,
+    write_table,
 )
-from safetymap.geo import LatLon
+from safetymap.geo import LatLon, SamplePoint
 
 
 def make_record(edge_id: str, seq_index: int, labels=(False, False, False), **kw) -> ImageRecord:
@@ -103,6 +112,67 @@ class TestLoadLabels:
         back = load_labels(str(path))
         assert [r.labels for r in back] == [r.labels for r in records]
         assert [r.image_id for r in back] == [r.image_id for r in records]
+
+
+CSV_READERS = {
+    "labels": (LABEL_COLUMNS, load_labels),
+    "predictions": (PREDICTION_COLUMNS, read_predictions),
+    "samples": (SAMPLE_COLUMNS, read_samples),
+    "manifest": (MANIFEST_COLUMNS, lambda path: load_pixels([], path)),
+}
+
+
+def write_valid_table(kind: str, path: str) -> None:
+    """Three valid rows for the given reader; the edge_id holds a quote, a
+    comma, a newline and a two-byte UTF-8 letter, so cuts land inside a
+    quoted field and inside a character."""
+    records = [make_record('e,"\n\u00e9', i, labels=(i % 2 == 0, True, False)) for i in range(3)]
+    if kind == "labels":
+        write_labels(path, records)
+    elif kind == "predictions":
+        write_predictions(path, records, np.full((3, 3), 0.25), np.zeros((3, 3), dtype=bool))
+    elif kind == "samples":
+        write_samples(
+            path, [SamplePoint(r.edge_id, r.seq_index, 0.0, r.location, 90.0) for r in records]
+        )
+    else:
+        write_table(path, MANIFEST_COLUMNS, [(r.image_id, f"{r.image_id}.ppm") for r in records])
+
+
+class TestCsvReaders:
+    """Every CSV reader returns its rows or raises SchemaError, whatever the bytes."""
+
+    def _read(self, kind, path):
+        try:
+            rows = CSV_READERS[kind][1](str(path))
+        except SchemaError:
+            return None
+        assert isinstance(rows, list)
+        return rows
+
+    @pytest.mark.parametrize("kind", sorted(CSV_READERS))
+    def test_valid_file_cut_at_every_length(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.csv"
+        write_valid_table(kind, str(path))
+        blob = path.read_bytes()
+        assert self._read(kind, path) is not None
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            self._read(kind, path)
+
+    @pytest.mark.parametrize("kind", sorted(CSV_READERS))
+    @given(
+        header=st.booleans(),
+        tail=st.one_of(
+            st.binary(max_size=200),
+            st.text(alphabet=',"\r\n\x00 01.-eé', max_size=200).map(str.encode),
+        ),
+    )
+    def test_arbitrary_bytes(self, tmp_path_factory, kind, header, tail):
+        path = tmp_path_factory.mktemp("csv") / f"{kind}.csv"
+        columns = CSV_READERS[kind][0]
+        path.write_bytes((",".join(columns) + "\r\n").encode() * header + tail)
+        self._read(kind, path)
 
 
 class TestAttachFeatures:

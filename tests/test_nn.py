@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from safetymap.modelio import load_tensors, save_tensors
 from safetymap.nn import (
@@ -327,6 +329,13 @@ class TestGradCheck:
         assert err == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
+HEADER = b'{"format": "safetymap-model", "version": 1, "meta": {}'
+# name -> shape, with 0-d and zero-size shapes among them
+TENSOR_SHAPES = st.dictionaries(
+    st.text(max_size=6), st.lists(st.integers(0, 3), max_size=3).map(tuple), max_size=4
+)
+
+
 class TestModelContainer:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -355,4 +364,62 @@ class TestModelContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_tensors(str(path))
+
+    @pytest.mark.parametrize(
+        "header, data, message",
+        [
+            pytest.param(b"[]", b"", "not a safetymap-model container", id="list-header"),
+            pytest.param(HEADER + b"}", b"", "needs a 'tensors' list", id="no-tensors"),
+            pytest.param(
+                HEADER + b', "tensors": [{"name": "w", "shape": [-1]}]}',
+                b"",
+                "malformed or repeated tensor entry 0",
+                id="negative-dim",
+            ),
+            pytest.param(
+                HEADER + b', "tensors": [{"name": "w"}]}', b"", "tensor entry 0", id="no-shape"
+            ),
+            pytest.param(
+                HEADER + b', "tensors": [{"name": "w", "shape": [1]}, {"name": "w", "shape": [1]}]}',
+                bytes(16),
+                "malformed or repeated tensor entry 1",
+                id="repeated-name",
+            ),
+            pytest.param(
+                HEADER + b', "tensors": [{"name": "w", "shape": [1]}]}',
+                bytes(9),
+                "1 bytes after the last tensor",
+                id="trailing-bytes",
+            ),
+        ],
+    )
+    def test_malformed_names_file(self, tmp_path, header, data, message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(header + b"\n" + data)
+        with pytest.raises(ValueError, match=message) as info:
+            load_tensors(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
+    @given(TENSOR_SHAPES, st.integers(0, 2**32 - 1))
+    def test_round_trip_any_names_and_shapes(self, tmp_path_factory, shapes, seed):
+        rng = np.random.default_rng(seed)
+        tensors = {name: np.asarray(rng.normal(size=shape)) for name, shape in shapes.items()}
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        save_tensors(str(path), tensors, meta={"seed": seed})
+        loaded, meta = load_tensors(str(path))
+        assert list(loaded) == list(tensors)
+        for name, value in tensors.items():
+            assert loaded[name].shape == value.shape
+            assert np.array_equal(loaded[name], value)
+        assert meta == {"seed": seed}
+
+    @given(TENSOR_SHAPES, st.integers(1, 4096))
+    @example({}, 1)  # a header-only container missing its newline
+    def test_cut_raises_value_error(self, tmp_path_factory, shapes, cut):
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        save_tensors(str(path), {name: np.ones(shape) for name, shape in shapes.items()})
+        blob = path.read_bytes()
+        path.write_bytes(blob[: max(len(blob) - cut, 0)])
+        with pytest.raises(ValueError):
             load_tensors(str(path))
