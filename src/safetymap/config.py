@@ -3,6 +3,7 @@ overridable by CLI flags, plus the master-seed splitting rule."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,6 +30,10 @@ class PipelineConfig:
     noise_sigma: float = 0.7
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"config: {f.name} must be finite, got {value}")
         checks = [
             (self.interval_m > 0, "interval_m must be > 0"),
             (self.window >= 1, "window must be >= 1"),
@@ -44,6 +49,7 @@ class PipelineConfig:
             (self.n_points >= 1, "n_points must be >= 1"),
             (0.0 <= self.corrupt_rate < 1.0, "corrupt_rate must be in [0, 1)"),
             (self.noise_sigma > 0, "noise_sigma must be > 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
         for ok, message in checks:
             if not ok:

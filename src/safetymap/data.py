@@ -1,7 +1,7 @@
 """Dataset handling: the CSV tables (labels, samples, predictions, image
 manifests) behind one checked reader and one writer, feature file ingestion,
 sliding-window sequence construction, class bookkeeping, synthetic corridor
-generation, and PPM pixel image I/O. The loaders are the validation
+generation, and PPM pixel image reading. The loaders are the validation
 boundary: malformed, out-of-range or non-finite input raises SchemaError
 naming its file and line. A window is one integer, its start index into the
 records, and `corridor_arrays` gives the contiguous arrays those starts
@@ -232,40 +232,55 @@ def attach_features(
 ) -> list[ImageRecord]:
     """Attach feature vectors from a JSON-lines file keyed by image_id.
 
-    Every record must receive a vector and every file entry must match a
-    record; dimension consistency is enforced across the file (and against
-    expected_dim when given), and every value must be finite.
+    Each non-blank line is an object with a string image_id and a flat list
+    of finite numbers. Every record must receive a vector, every file entry
+    must match a record and name it once, and the dimension must agree
+    across the file (and with expected_dim when given). A line that breaks
+    this is a SchemaError naming the path and the line; bytes that are not
+    UTF-8 are a SchemaError naming the path.
     """
-    by_id = {r.image_id: r for r in records}
+    ids = {r.image_id for r in records}
     vectors: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     dim = expected_dim
+    line_no = 0
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
+                if not isinstance(obj, dict) or not {"image_id", "features"} <= obj.keys():
+                    raise ValueError("expected an object with image_id and features")
                 image_id = obj["image_id"]
+                if not isinstance(image_id, str):
+                    raise ValueError(f"image_id must be a string, got {image_id!r}")
+                if image_id not in ids:
+                    raise ValueError(f"unknown image_id {image_id!r}")
+                if image_id in first_line:
+                    raise ValueError(
+                        f"duplicate image_id {image_id!r}, first seen on line {first_line[image_id]}"
+                    )
                 vec = np.asarray(obj["features"], dtype=np.float64)
-            except (ValueError, KeyError, TypeError) as exc:  # bad JSON or a non-numeric value
-                raise SchemaError(f"line {line_no}: {exc}") from exc
-            if image_id not in by_id:
-                raise SchemaError(f"line {line_no}: unknown image_id {image_id!r}")
-            if vec.ndim != 1:
-                raise SchemaError(f"line {line_no}: features must be a flat list")
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
-                raise SchemaError(
-                    f"line {line_no}: feature dimension {vec.shape[0]} != expected {dim}"
-                )
-            if not np.isfinite(vec).all():
-                raise SchemaError(f"line {line_no}: non-finite feature value")
-            vectors[image_id] = vec
-    missing = sorted(set(by_id) - set(vectors))
+                if vec.ndim != 1:
+                    raise ValueError("features must be a flat list")
+                if dim is None:
+                    dim = vec.shape[0]
+                elif vec.shape[0] != dim:
+                    raise ValueError(f"feature dimension {vec.shape[0]} != expected {dim}")
+                if not np.isfinite(vec).all():
+                    raise ValueError("non-finite feature value")
+                first_line[image_id] = line_no
+                vectors[image_id] = vec
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            # bad JSON, a non-numeric value, an integer too large for a float, deep nesting
+            raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
+    missing = sorted(ids - vectors.keys())
     if missing:
-        raise SchemaError(f"no features for {len(missing)} record(s): {missing}")
+        raise SchemaError(f"{path}: no features for {len(missing)} record(s): {missing}")
     return [replace(r, features=vectors[r.image_id]) for r in records]
 
 
@@ -438,18 +453,7 @@ def synth_corridor(config: SynthConfig, seed: int) -> list[ImageRecord]:
     return records
 
 
-# --- pixel image I/O (portable binary PPM, P6, maxval 255) ---
-
-
-def write_ppm(path: str, pixels: np.ndarray) -> None:
-    """Write an H x W x 3 float array in [0, 1] as a binary PPM."""
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise ValueError(f"pixels must be H x W x 3, got {pixels.shape}")
-    h, w = pixels.shape[:2]
-    raw = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(raw.tobytes())
+# --- pixel images (portable binary PPM, P6, maxval 255) ---
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -502,7 +506,9 @@ def load_pixels(records: Sequence[ImageRecord], manifest_path: str) -> list[Imag
     paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
     missing = sorted(r.image_id for r in records if r.image_id not in paths)
     if missing:
-        raise SchemaError(f"manifest lacks paths for {len(missing)} record(s): {missing}")
+        raise SchemaError(
+            f"{manifest_path}: manifest lacks paths for {len(missing)} record(s): {missing}"
+        )
     out = []
     for r in records:
         p = paths[r.image_id]

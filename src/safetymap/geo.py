@@ -123,13 +123,6 @@ def _walk(edge: RoadEdge, chainages: Iterable[float]) -> Iterator[tuple[LatLon, 
         yield LatLon(a.lat + (b.lat - a.lat) * f, a.lon + (b.lon - a.lon) * f), bearing
 
 
-def point_at_chainage(edge: RoadEdge, chainage_m: float) -> LatLon:
-    """Locate the point chainage_m meters from the edge start."""
-    if chainage_m < 0 or chainage_m > edge.length_m * (1 + 1e-9):
-        raise ValueError(f"chainage {chainage_m} outside edge {edge.id!r} of length {edge.length_m}")
-    return next(_walk(edge, [chainage_m]))[0]
-
-
 def heading_at(edge: RoadEdge, chainage_m: float) -> float:
     """Bearing of the polyline segment containing the given chainage."""
     return next(_walk(edge, [chainage_m]))[1]

@@ -8,9 +8,10 @@ hidden state and U the step input. The source of truth is
 `SequenceModel.params`, packed along a leading group axis G (1 in shared
 mode, one stack per class in separate mode): `wp` (G, 4H, H), `up`
 (G, 4H, d) and `bp` (G, 4H) stack the gates f, i, o, u, then come the head's
-`mid.w`, `mid.b`, `out.w`, `out.b`. The per-gate `W_f`...`b_u` entries of
-`SequenceModel.groups` are views into them; the cell reference
-`lstm_cell_step` reads those, and they are the serialization layout.
+`mid.w`, `mid.b`, `out.w`, `out.b`. Those 7 tensors are the whole model,
+in memory and in its container. The paper's reference cell, `lstm_cell_step`
+and `lstm_forward`, takes one group's per-gate `W_f`...`b_u` matrices, which
+are the row blocks of `wp`, `up` and `bp`.
 
 One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
 groups over (G, B windows, T steps) together, in training and prediction.
@@ -22,7 +23,7 @@ prediction both read windows through `_window_view`, a strided
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,9 +31,6 @@ import numpy as np
 from . import CLASS_NAMES, nn
 from .data import ImageRecord, _runs, corridor_arrays
 from .modelio import check_shapes, load_tensors, save_tensors
-
-GATES = ("f", "i", "o", "u")
-HEAD_KEYS = ("mid.w", "mid.b", "out.w", "out.b")
 
 
 class LstmState(NamedTuple):
@@ -49,16 +47,6 @@ class LstmGates(NamedTuple):
 
 def zero_state(hidden: int) -> LstmState:
     return LstmState(h=np.zeros(hidden), c=np.zeros(hidden))
-
-
-def init_lstm_params(hidden: int, input_dim: int, rng: np.random.Generator) -> nn.Params:
-    """Glorot-uniform gate matrices; zero biases except forget-gate bias 1.0."""
-    params: nn.Params = {}
-    for g in GATES:
-        params[f"W_{g}"] = nn.glorot_uniform(rng, (hidden, hidden), hidden, hidden)
-        params[f"U_{g}"] = nn.glorot_uniform(rng, (hidden, input_dim), input_dim, hidden)
-        params[f"b_{g}"] = np.ones(hidden) if g == "f" else np.zeros(hidden)
-    return params
 
 
 def lstm_cell_step(params: nn.Params, x: np.ndarray, prev: LstmState) -> tuple[LstmState, LstmGates]:
@@ -260,23 +248,6 @@ def packed_loss_and_grads(
 # --- the model: one stack per group, packed along the group axis ---
 
 
-def _group_view(params: nn.Params, k: int, hidden: int) -> nn.Params:
-    """Group k's per-gate and head tensors, as views into the packed ones."""
-    view: nn.Params = {}
-    for j, g in enumerate(GATES):
-        rows = slice(j * hidden, (j + 1) * hidden)
-        view[f"W_{g}"] = params["wp"][k, rows]
-        view[f"U_{g}"] = params["up"][k, rows]
-        view[f"b_{g}"] = params["bp"][k, rows]
-    for key in HEAD_KEYS:
-        view[key] = params[key][k]
-    return view
-
-
-def _group_names(mode: str) -> tuple[str, ...]:
-    return ("shared",) if mode == "shared" else CLASS_NAMES
-
-
 @dataclass
 class SequenceModel:
     """Multi-label sequence classifier in shared (one 3-output stack) or
@@ -289,39 +260,30 @@ class SequenceModel:
     dropout_rate: float
     params: nn.Params  # packed tensors, leading group axis
     window: int | None = None  # the window bptt_train last trained at
-    groups: dict[str, nn.Params] = field(init=False, repr=False)  # views into params
-
-    def __post_init__(self) -> None:
-        self.groups = {
-            name: _group_view(self.params, k, self.hidden)
-            for k, name in enumerate(self.group_names())
-        }
-
-    def group_names(self) -> tuple[str, ...]:
-        return _group_names(self.mode)
 
 
-def _blank_model(
-    mode: str, input_dim: int, hidden: int, mid_dim: int, dropout_rate: float
-) -> SequenceModel:
-    """A model with uninitialised packed tensors in the layout the sizes imply."""
+def _param_shapes(
+    mode: str, input_dim: int, hidden: int, mid_dim: int
+) -> dict[str, tuple[int, ...]]:
+    """Every packed tensor's shape, group axis first: one 3-output group in
+    shared mode, one 1-output group per class in CLASS_NAMES order otherwise."""
     if mode not in ("shared", "separate"):
         raise ValueError(f"mode must be 'shared' or 'separate', got {mode!r}")
-    if not (0.0 <= dropout_rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    out_dim = 3 if mode == "shared" else 1
-    shapes = {
-        "wp": (4 * hidden, hidden),
-        "up": (4 * hidden, input_dim),
-        "bp": (4 * hidden,),
-        "mid.w": (mid_dim, hidden),
-        "mid.b": (mid_dim,),
-        "out.w": (out_dim, mid_dim),
-        "out.b": (out_dim,),
+    groups, out_dim = (1, 3) if mode == "shared" else (len(CLASS_NAMES), 1)
+    return {
+        "wp": (groups, 4 * hidden, hidden),
+        "up": (groups, 4 * hidden, input_dim),
+        "bp": (groups, 4 * hidden),
+        "mid.w": (groups, mid_dim, hidden),
+        "mid.b": (groups, mid_dim),
+        "out.w": (groups, out_dim, mid_dim),
+        "out.b": (groups, out_dim),
     }
-    groups = len(_group_names(mode))
-    params = {key: np.empty((groups,) + shape) for key, shape in shapes.items()}
-    return SequenceModel(mode, hidden, input_dim, mid_dim, dropout_rate, params)
+
+
+def _check_dropout(rate: float) -> None:
+    if not (0.0 <= rate < 1.0):
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
 
 
 def init_sequence_model(
@@ -332,50 +294,28 @@ def init_sequence_model(
     dropout_rate: float = 0.2,
     seed: int = 0,
 ) -> SequenceModel:
-    """Build a fresh model; each separate-mode group gets its own seed stream."""
-    model = _blank_model(mode, input_dim, hidden, mid_dim, dropout_rate)
-    for k, view in enumerate(model.groups.values()):
+    """Glorot-uniform weights, zero biases except forget-gate bias 1.0. Each
+    group draws from its own seed stream: per gate f, i, o, u its W then its
+    U, then the head's mid.w and out.w. A weight (out, in) has fan-in in."""
+    shapes = _param_shapes(mode, input_dim, hidden, mid_dim)
+    _check_dropout(dropout_rate)
+    params = {key: np.zeros(shape) for key, shape in shapes.items()}
+    params["bp"][:, :hidden] = 1.0  # the forget gate's rows
+    gate_rows = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
+    for k in range(len(params["wp"])):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        group = init_lstm_params(hidden, input_dim, rng)
-        group["mid.w"] = nn.glorot_uniform(rng, (mid_dim, hidden), hidden, mid_dim)
-        group["mid.b"] = np.zeros(mid_dim)
-        out_dim = view["out.b"].shape[0]
-        group["out.w"] = nn.glorot_uniform(rng, (out_dim, mid_dim), mid_dim, out_dim)
-        group["out.b"] = np.zeros(out_dim)
-        for key, value in group.items():
-            view[key][...] = value
-    return model
+        weights = [params[key][k, rows] for rows in gate_rows for key in ("wp", "up")]
+        for w in weights + [params["mid.w"][k], params["out.w"][k]]:
+            w[...] = nn.glorot_uniform(rng, w.shape, w.shape[1], w.shape[0])
+    return SequenceModel(mode, hidden, input_dim, mid_dim, dropout_rate, params)
 
 
-def _class_probs(
-    model: SequenceModel, windows: np.ndarray, masks: np.ndarray | None = None
-) -> np.ndarray:
+def _class_probs(model: SequenceModel, windows: np.ndarray) -> np.ndarray:
     """Per-step class probabilities (B, T, 3) of windows (B, T, d); in
     separate mode column k comes from class k's stack."""
-    xs = np.broadcast_to(windows, (len(model.group_names()),) + windows.shape)
-    probs = packed_probs(model.params, xs, masks)
+    xs = np.broadcast_to(windows, (len(model.params["wp"]),) + windows.shape)
+    probs = packed_probs(model.params, xs)
     return probs[0] if model.mode == "shared" else np.moveaxis(probs[..., 0], 0, -1)
-
-
-def sequence_forward(
-    model: SequenceModel,
-    inputs: np.ndarray,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Per-step class probabilities of one window, shape (steps, 3).
-
-    Dropout is active only in training mode (rng required then).
-    """
-    if inputs.ndim != 2 or inputs.shape[1] != model.input_dim:
-        raise ValueError(f"inputs shape {inputs.shape} mismatches input_dim {model.input_dim}")
-    masks = None
-    if training and model.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode forward needs an rng")
-        shape = (len(model.group_names()), 1, inputs.shape[0], model.hidden)
-        masks = nn.dropout_mask(rng, shape, model.dropout_rate)  # group by group, in order
-    return _class_probs(model, inputs[None], masks)[0]
 
 
 @dataclass(frozen=True)
@@ -469,7 +409,7 @@ def bptt_train(
         raise ValueError("empty training set")
     rngs = [
         np.random.default_rng(np.random.SeedSequence([config.seed, k]))
-        for k in range(len(model.group_names()))
+        for k in range(len(model.params["wp"]))
     ]
     model.window = window
     windows, targets = _windows(model.mode, records, window)
@@ -497,7 +437,7 @@ def predict_corridor(
     """
     feats, _ = corridor_arrays(records)
     probs = np.zeros((len(records), 3))
-    chunk = 128 // len(model.group_names())  # bounds the working set at 128 group-windows
+    chunk = 128 // len(model.params["wp"])  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
         run = feats[start:end]
         n = end - start
@@ -518,10 +458,6 @@ def predict_corridor(
 
 
 def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:
-    tensors = {}
-    for name in model.group_names():
-        for key, value in model.groups[name].items():
-            tensors[f"{name}/{key}"] = value
     meta = {
         "kind": "sequence",
         "mode": model.mode,
@@ -532,7 +468,7 @@ def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:
         "window": model.window,
         "seed": seed,
     }
-    save_tensors(path, tensors, meta)
+    save_tensors(path, model.params, meta)
 
 
 def seq_load(path: str) -> SequenceModel:
@@ -542,18 +478,20 @@ def seq_load(path: str) -> SequenceModel:
     if meta.get("kind") != "sequence":
         raise ValueError(f"{path}: not a sequence model (kind={meta.get('kind')!r})")
     try:
-        model = _blank_model(
+        model = SequenceModel(
             meta["mode"],
-            input_dim=int(meta["input_dim"]),
             hidden=int(meta["hidden"]),
+            input_dim=int(meta["input_dim"]),
             mid_dim=int(meta["mid_dim"]),
             dropout_rate=float(meta["dropout_rate"]),
+            params=tensors,
+            window=meta["window"],
         )
-        model.window = meta["window"]
+        _check_dropout(model.dropout_rate)
+        want = _param_shapes(model.mode, model.input_dim, model.hidden, model.mid_dim)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: incomplete sequence-model meta: {exc!r}") from exc
-    views = {f"{name}/{key}": v for name, group in model.groups.items() for key, v in group.items()}
-    check_shapes(path, tensors, {key: v.shape for key, v in views.items()})
-    for key, view in views.items():
-        view[...] = tensors[key]
+    except ValueError as exc:
+        raise ValueError(f"{path}: invalid sequence-model meta: {exc}") from exc
+    check_shapes(path, tensors, want)
     return model

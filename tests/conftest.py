@@ -36,6 +36,15 @@ settings.register_profile(
 settings.load_profile("safetymap")
 
 
+def write_ppm(path: str, pixels: np.ndarray) -> None:
+    """Write an H x W x 3 float array in [0, 1] as a binary PPM (P6, maxval 255)."""
+    h, w = pixels.shape[:2]
+    raw = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        fh.write(raw.tobytes())
+
+
 def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width: int = 32):
     """Separable synthetic pixel dataset: label k brightens color channel k."""
     records = []

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_pixel_records
+from conftest import make_pixel_records, write_ppm
+from test_lstm import gate_params
 
 from safetymap.cli import build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
-from safetymap.data import ImageRecord, write_labels, write_ppm
+from safetymap.data import ImageRecord, write_labels
 from safetymap.geo import LatLon, RoadEdge, heading_at
+from safetymap.modelio import load_tensors, save_tensors
 
 TINY_CONFIG = """
 # desk-scale settings for fast CLI tests
@@ -24,6 +27,8 @@ mid_dim = 8
 lstm_epochs = 2
 seed = 42
 """
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
 
 
 @pytest.fixture
@@ -551,6 +556,26 @@ class TestSynthPipeline:
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["avg_f"] <= 1.0
 
+    def test_per_gate_layout_rejected(self, tmp_path, tiny_config, capsys):
+        # the container layout before the packed one: one W/U/b tensor per
+        # gate and the head, per group, named shared/W_f ... shared/out.b
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        model = tmp_path / "model.bin"
+        tensors, meta = load_tensors(str(model))
+        per_gate = {f"shared/{key}": value for key, value in gate_params(tensors, 0).items()}
+        save_tensors(str(model), per_gate, meta)
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "--config", tiny_config, "predict", "--labels", str(labels),
+            "--features", str(features), "--model", str(model), "--out", str(out),
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"{model}: tensors do not match the meta" in err
+        assert "shared/W_f (8, 8), meta implies none" in err and "wp missing" in err
+        assert not out.exists()
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("window = 0\n")
@@ -558,6 +583,81 @@ class TestSynthPipeline:
             "--config", str(cfg), "synth", "--out", "l.csv", "--features-out", "f.jsonl"
         )
         assert code == 2
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "labels.csv"
+        code = run_cli(
+            "--config", str(cfg), "synth", "--out", str(out), "--features-out", str(tmp_path / "f.jsonl")
+        )
+        assert code == 2
+        assert f"config: {key} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        code = run_cli(
+            "--seed", "-1", "synth", "--out", str(out), "--features-out", str(tmp_path / "f.jsonl")
+        )
+        assert code == 2
+        assert "config: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFeatureFileBoundary:
+    """train-lstm on a malformed feature file exits 4, naming the file."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda lines: [lines[0].replace(b"syn-00000", b"syn-\xff")] + lines[1:],
+                "not UTF-8: 'utf-8' codec can't decode byte 0xff",
+                id="not-utf8",
+            ),
+            pytest.param(
+                lambda lines: [b"[1,2]"] + lines[1:],
+                "line 1: expected an object with image_id and features",
+                id="array-line",
+            ),
+            pytest.param(
+                lambda lines: [lines[0].replace(b'"syn-00000"', b'["syn-00000"]')] + lines[1:],
+                "line 1: image_id must be a string, got ['syn-00000']",
+                id="list-image-id",
+            ),
+            pytest.param(
+                lambda lines: lines[:2] + [lines[0]] + lines[2:],
+                "line 3: duplicate image_id 'syn-00000', first seen on line 1",
+                id="duplicate-image-id",
+            ),
+            pytest.param(
+                lambda lines: lines[1:],
+                "no features for 1 record(s): ['syn-00000']",
+                id="missing-record",
+            ),
+        ],
+    )
+    def test_bad_features_exit_4(self, tmp_path, tiny_config, capsys, edit, message):
+        labels = tmp_path / "labels.csv"
+        features = tmp_path / "features.jsonl"
+        assert run_cli(
+            "--config", tiny_config, "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        features.write_bytes(b"\n".join(edit(features.read_bytes().splitlines())) + b"\n")
+        out = tmp_path / "model.bin"
+        capsys.readouterr()
+        code = run_cli(
+            "--config", tiny_config, "train-lstm", "--labels", str(labels),
+            "--features", str(features), "--model-out", str(out),
+        )
+        assert code == 4
+        assert f"error: {features}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPixelCommands:

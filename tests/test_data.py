@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import enumerate_windows
+from conftest import enumerate_windows, write_ppm
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -30,7 +31,6 @@ from safetymap.data import (
     synth_corridor,
     write_features,
     write_labels,
-    write_ppm,
     write_predictions,
     write_samples,
     write_table,
@@ -235,8 +235,28 @@ class TestAttachFeatures:
         records = [make_record("e1", i) for i in range(3)]
         path = tmp_path / "features.jsonl"
         self._write_jsonl(path, [{"image_id": "e1-1", "features": [0.0]}])
-        with pytest.raises(SchemaError, match=r"e1-0.*e1-2"):
+        with pytest.raises(SchemaError, match=r"e1-0.*e1-2") as info:
             attach_features(records, str(path))
+        assert str(info.value).startswith(f"{path}: no features for 2 record(s)")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param('{"image_id": "e1-1"}', "expected an object", id="no-features"),
+            pytest.param('{"image_id": "e1-1", "features": [[1.0]]}', "features must be a flat list", id="nested"),
+            pytest.param('{"image_id": "e1-1", "features": ["a"]}', "could not convert", id="text-value"),
+            pytest.param('{"image_id": "e1-1", "features": [1' + "0" * 400 + "]}", "too large", id="huge-int"),
+            pytest.param("[" * 100_000, "recursion", id="deep-nesting"),
+            pytest.param('{"image_id": "e1-1", ', "Expecting", id="cut-short"),
+        ],
+    )
+    def test_bad_line_names_path_and_line(self, tmp_path, line, message):
+        records = [make_record("e1", 0), make_record("e1", 1)]
+        path = tmp_path / "features.jsonl"
+        path.write_text('{"image_id": "e1-0", "features": [0.0]}\n' + line + "\n")
+        with pytest.raises(SchemaError, match=message) as info:
+            attach_features(records, str(path))
+        assert str(info.value).startswith(f"{path}: line 2: ")
 
     def test_features_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -252,6 +272,49 @@ class TestAttachFeatures:
         back = attach_features(stripped, str(path))
         for a, b in zip(records, back):
             assert np.allclose(a.features, b.features)
+
+
+class TestFeatureFileFuzz:
+    """attach_features returns records or raises SchemaError, whatever the bytes."""
+
+    RECORDS = [make_record("e1", i) for i in range(3)]
+
+    def _attach(self, path):
+        try:
+            out = attach_features(self.RECORDS, str(path))
+        except SchemaError:
+            return None
+        assert [r.image_id for r in out] == [r.image_id for r in self.RECORDS]
+        assert len({r.features.shape for r in out}) == 1 and out[0].features.ndim == 1
+        assert all(np.isfinite(r.features).all() for r in out)
+        return out
+
+    def test_valid_file_cut_at_every_length(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        rng = np.random.default_rng(0)
+        write_features(str(path), [replace(r, features=rng.normal(size=2)) for r in self.RECORDS])
+        blob = path.read_bytes()
+        assert self._attach(path) is not None
+        for n in range(len(blob)):
+            path.write_bytes(blob[:n])
+            self._attach(path)
+
+    @given(
+        st.one_of(
+            st.binary(max_size=200),
+            st.lists(
+                st.sampled_from(
+                    ['{"image_id": ', '"features": ', '"e1-0"', '"e1-1"', '"e1-2"', "[", "]",
+                     "{", "}", ",", "1.5", "-0", "1e999", "NaN", "true", "null", "\n", "\r", "\x00", "é"]
+                ),
+                max_size=40,
+            ).map(lambda parts: "".join(parts).encode()),
+        )
+    )
+    def test_arbitrary_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("features") / "features.jsonl"
+        path.write_bytes(blob)
+        self._attach(path)
 
 
 def brute_force_windows(records, window, stride):
@@ -554,5 +617,6 @@ class TestPpm:
         records = [make_record("e1", 0)]
         manifest = tmp_path / "manifest.csv"
         manifest.write_text("image_id,path\nother,img.ppm\n")
-        with pytest.raises(SchemaError, match="e1-0"):
+        with pytest.raises(SchemaError, match="e1-0") as info:
             load_pixels(records, str(manifest))
+        assert str(info.value).startswith(f"{manifest}: manifest lacks paths for 1 record(s)")

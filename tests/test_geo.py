@@ -20,9 +20,9 @@ from safetymap.geo import (
     haversine_m,
     heading_at,
     load_road_network,
-    point_at_chainage,
     sample_points,
     streetview_request_url,
+    _walk,
 )
 
 
@@ -211,13 +211,13 @@ class TestSamplePoints:
 
     def test_chainage_end_is_last_vertex(self):
         e = meridian_edge("e", 100.0, vertices=4)
-        assert point_at_chainage(e, e.length_m) == e.polyline[-1]
+        assert next(_walk(e, [e.length_m]))[0] == e.polyline[-1]
 
     def test_vertex_chainage_belongs_to_segment_ending_there(self):
         a, b, c = LatLon(33.0, -87.0), LatLon(33.001, -87.0), LatLon(33.001, -86.999)
         edge = RoadEdge(id="L", polyline=(a, b, b, c))  # north, a repeated corner, east
         corner = edge.segment_m[0]
-        assert point_at_chainage(edge, corner) == b
+        assert next(_walk(edge, [corner]))[0] == b
         assert heading_at(edge, corner) == bearing_deg(a, b)
         assert heading_at(edge, corner + 1e-6) == bearing_deg(b, c)
         assert heading_at(edge, edge.length_m + 1e-6) == bearing_deg(b, c)
@@ -227,7 +227,7 @@ class TestSamplePoints:
         edge = RoadEdge(id="x", polyline=(p, p, p))
         for call in (
             lambda: sample_points(RoadNetwork.from_edges([edge]), 20.0),
-            lambda: point_at_chainage(edge, 0.0),
+            lambda: next(_walk(edge, [0.0])),
             lambda: heading_at(edge, 0.0),
         ):
             with pytest.raises(ValueError, match="edge 'x' has zero length"):

@@ -27,10 +27,9 @@ from safetymap.lstm import (
     predict_corridor,
     seq_load,
     seq_save,
-    sequence_forward,
     zero_state,
 )
-from safetymap.nn import dropout_mask, grad_check, relu, sigmoid
+from safetymap.nn import dropout_mask, glorot_uniform, grad_check, relu, sigmoid
 
 
 def cell_oracle(params, x, h_prev, c_prev):
@@ -71,6 +70,26 @@ def random_params(rng, hidden, input_dim):
         **{f"U_{g}": rng.normal(size=(hidden, input_dim)) for g in "fiou"},
         **{f"b_{g}": rng.normal(size=hidden) for g in "fiou"},
     }
+
+
+def gate_params(params, k):
+    """Group k of packed sequence-model params as the reference cell's
+    per-gate W_g/U_g/b_g dicts plus the head: views of the row blocks of
+    wp, up and bp (gates f, i, o, u) and of the head tensors."""
+    hidden = params["wp"].shape[2]
+    group = {}
+    for j, g in enumerate("fiou"):
+        rows = slice(j * hidden, (j + 1) * hidden)
+        for key, packed in (("W", "wp"), ("U", "up"), ("b", "bp")):
+            group[f"{key}_{g}"] = params[packed][k, rows]
+    for key in ("mid.w", "mid.b", "out.w", "out.b"):
+        group[key] = params[key][k]
+    return group
+
+
+def window_probs(model, xs):
+    """Per-step class probabilities (steps, 3) of one window xs (steps, d)."""
+    return lstm._class_probs(model, xs[None])[0]
 
 
 class TestCellStep:
@@ -153,10 +172,11 @@ class TestLstmForward:
     def test_packed_path_matches_cell_path(self):
         rng = np.random.default_rng(9)
         model = init_sequence_model("separate", input_dim=4, hidden=5, seed=9)
-        params = [random_params(rng, 5, 4) for _ in model.group_names()]
-        for name, group in zip(model.group_names(), params):
+        params = [random_params(rng, 5, 4) for _ in range(3)]
+        for k, group in enumerate(params):
+            view = gate_params(model.params, k)
             for key, value in group.items():
-                model.groups[name][key][:] = value
+                view[key][:] = value
         xs = rng.normal(size=(3, 2, 8, 4))  # a different pair of windows per group
         H = packed_forward(model.params, xs).H
         for k, group in enumerate(params):
@@ -168,36 +188,59 @@ class TestLstmForward:
 class TestSequenceForward:
     def test_zero_model_all_half(self):
         model = init_sequence_model("shared", input_dim=4, hidden=5, mid_dim=6, seed=0)
-        for g in model.groups.values():
-            for k in g:
-                g[k][:] = 0.0
-        probs = sequence_forward(model, np.random.default_rng(0).normal(size=(7, 4)))
+        for value in model.params.values():
+            value[...] = 0.0
+        probs = window_probs(model, np.random.default_rng(0).normal(size=(7, 4)))
         assert np.all(probs == 0.5)
 
     def test_separate_zero_models_all_half(self):
         model = init_sequence_model("separate", input_dim=4, hidden=5, mid_dim=6, seed=0)
-        for g in model.groups.values():
-            for k in g:
-                g[k][:] = 0.0
-        probs = sequence_forward(model, np.random.default_rng(1).normal(size=(7, 4)))
+        for value in model.params.values():
+            value[...] = 0.0
+        probs = window_probs(model, np.random.default_rng(1).normal(size=(7, 4)))
         assert probs.shape == (7, 3)
         assert np.all(probs == 0.5)
 
     def test_inference_deterministic(self):
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=2)
         xs = np.random.default_rng(3).normal(size=(6, 4))
-        assert np.array_equal(sequence_forward(model, xs), sequence_forward(model, xs))
+        assert np.array_equal(window_probs(model, xs), window_probs(model, xs))
 
-    def test_training_mode_needs_rng(self):
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=2)
-        xs = np.random.default_rng(3).normal(size=(6, 4))
-        with pytest.raises(ValueError, match="rng"):
-            sequence_forward(model, xs, training=True)
 
-    def test_input_dim_checked(self):
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=2)
-        with pytest.raises(ValueError, match="input_dim"):
-            sequence_forward(model, np.zeros((6, 3)))
+def per_gate_init(mode, input_dim, hidden, mid_dim, seed):
+    """Each group's parameters drawn one gate matrix at a time, in the
+    order init_sequence_model documents: per group k its own stream
+    SeedSequence([seed, k]); per gate f, i, o, u a Glorot W then U; then
+    mid.w and out.w. Biases are zero, but the forget gate's are 1."""
+    out_dim = 3 if mode == "shared" else 1
+    groups = []
+    for k in range(1 if mode == "shared" else 3):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        group = {}
+        for g in "fiou":
+            group[f"W_{g}"] = glorot_uniform(rng, (hidden, hidden), hidden, hidden)
+            group[f"U_{g}"] = glorot_uniform(rng, (hidden, input_dim), input_dim, hidden)
+            group[f"b_{g}"] = np.ones(hidden) if g == "f" else np.zeros(hidden)
+        group["mid.w"] = glorot_uniform(rng, (mid_dim, hidden), hidden, mid_dim)
+        group["mid.b"] = np.zeros(mid_dim)
+        group["out.w"] = glorot_uniform(rng, (out_dim, mid_dim), mid_dim, out_dim)
+        group["out.b"] = np.zeros(out_dim)
+        groups.append(group)
+    return groups
+
+
+class TestInit:
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    @pytest.mark.parametrize("input_dim, hidden, mid_dim", [(16, 100, 50), (250, 12, 7), (3, 4, 5)])
+    def test_matches_per_gate_draws(self, mode, input_dim, hidden, mid_dim):
+        model = init_sequence_model(mode, input_dim, hidden=hidden, mid_dim=mid_dim, seed=42)
+        expected = per_gate_init(mode, input_dim, hidden, mid_dim, seed=42)
+        assert len(model.params["wp"]) == len(expected)
+        for k, group in enumerate(expected):
+            got = gate_params(model.params, k)
+            assert got.keys() == group.keys()
+            for key, value in group.items():
+                assert np.array_equal(got[key], value), (k, key)
 
 
 def summed_loss(xs, labels, masks=None):
@@ -247,12 +290,11 @@ class TestBpttTrain:
     def test_zero_epochs_unchanged(self):
         records, starts = corridor_sequences(200, seed=3, window=20)
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=4)
-        before = copy.deepcopy(model.groups)
+        before = copy.deepcopy(model.params)
         history = bptt_train(model, records, starts, 20, SeqTrainConfig(epochs=0))
         assert history == []
-        for name, group in before.items():
-            for k in group:
-                assert np.array_equal(model.groups[name][k], group[k])
+        for key, value in before.items():
+            assert np.array_equal(model.params[key], value)
 
     def test_seed_reproducibility(self):
         records, starts = corridor_sequences(200, seed=5, window=20)
@@ -294,8 +336,9 @@ class TestBpttTrain:
         model_b = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
         bptt_train(model_a, records, starts, 20, cfg)
         bptt_train(model_b, permuted, starts, 20, cfg)
-        for k in model_a.groups["mcb"]:
-            assert np.array_equal(model_a.groups["mcb"][k], model_b.groups["mcb"][k])
+        mcb = 1  # separate mode's groups follow CLASS_NAMES
+        for key, value in model_a.params.items():
+            assert np.array_equal(value[mcb], model_b.params[key][mcb]), key
 
     def test_separate_lockstep_matches_each_stack_alone(self):
         records, starts = corridor_sequences(150, seed=15, window=20, stride=5)
@@ -316,7 +359,8 @@ def reference_window_probs(model, xs):
     """Per-step class probabilities of one window from the cell reference
     (lstm_forward) and a straight transcription of the head, group by group."""
     out = np.empty((xs.shape[0], 3))
-    for k, group in enumerate(model.groups.values()):
+    for k in range(len(model.params["wp"])):
+        group = gate_params(model.params, k)
         hs, _ = lstm_forward(group, xs)
         a_mid = relu(hs @ group["mid.w"].T + group["mid.b"])
         p = sigmoid(a_mid @ group["out.w"].T + group["out.b"])
@@ -359,7 +403,7 @@ class TestPredictCorridor:
         records = feature_records(6, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=16)
         probs, labels = predict_corridor(model, records, window=6)
-        direct = sequence_forward(model, np.stack([r.features for r in records]))
+        direct = window_probs(model, np.stack([r.features for r in records]))
         assert np.allclose(probs, direct, atol=1e-14)
         assert np.array_equal(labels, probs > 0.5)
 
@@ -368,8 +412,8 @@ class TestPredictCorridor:
         records = feature_records(7, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=18)
         feats = np.stack([r.features for r in records])
-        w0 = sequence_forward(model, feats[:6])
-        w1 = sequence_forward(model, feats[1:])
+        w0 = window_probs(model, feats[:6])
+        w1 = window_probs(model, feats[1:])
         expected = np.zeros((7, 3))
         expected[0] = w0[0]
         expected[6] = w1[5]
@@ -382,16 +426,15 @@ class TestPredictCorridor:
         records = feature_records(4, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=20)
         probs, _ = predict_corridor(model, records, window=10)
-        direct = sequence_forward(model, np.stack([r.features for r in records]))
+        direct = window_probs(model, np.stack([r.features for r in records]))
         assert np.allclose(probs, direct, atol=1e-14)
 
     def test_constant_model_aggregation_exact(self):
         rng = np.random.default_rng(21)
         records = feature_records(12, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=22)
-        for g in model.groups.values():
-            for k in g:
-                g[k][:] = 0.0
+        for value in model.params.values():
+            value[...] = 0.0
         probs, labels = predict_corridor(model, records, window=5)
         assert np.all(probs == 0.5)
         assert not labels.any()  # exactly at threshold means absent
@@ -464,8 +507,11 @@ class TestSerialization:
         seq_save(model, str(path), seed=27)
         loaded = seq_load(str(path))
         assert loaded.mode == mode
+        assert loaded.params.keys() == model.params.keys()
+        for key, value in model.params.items():
+            assert np.array_equal(loaded.params[key], value), key
         xs = np.random.default_rng(28).normal(size=(7, 4))
-        assert np.array_equal(sequence_forward(model, xs), sequence_forward(loaded, xs))
+        assert np.array_equal(window_probs(model, xs), window_probs(loaded, xs))
 
     def test_round_trip_keeps_training_window(self, tmp_path):
         records, starts = corridor_sequences(60, seed=31, window=7)
@@ -501,20 +547,43 @@ class TestSerialization:
 
     @pytest.mark.parametrize("mode", ["shared", "separate"])
     def test_missing_tensor_rejected(self, tmp_path, mode):
-        first = "shared" if mode == "shared" else "rs"
-        path = self._resave(tmp_path, mode, lambda t, m: t.pop(f"{first}/W_f"))
-        with pytest.raises(ValueError, match=rf"{first}/W_f missing, meta implies \(5, 5\)"):
+        groups = 1 if mode == "shared" else 3
+        path = self._resave(tmp_path, mode, lambda t, m: t.pop("wp"))
+        with pytest.raises(ValueError, match=rf"wp missing, meta implies \({groups}, 20, 5\)"):
             seq_load(path)
 
     def test_wrong_input_dim_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.update(input_dim=7))
-        with pytest.raises(ValueError, match=r"shared/U_f \(5, 4\), meta implies \(5, 7\)"):
+        with pytest.raises(ValueError, match=r"up \(1, 20, 4\), meta implies \(1, 20, 7\)"):
             seq_load(path)
 
     def test_tensors_of_other_mode_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.update(mode="separate"))
-        with pytest.raises(ValueError, match=r"rs/W_f missing.*shared/W_f \(5, 5\), meta implies none"):
+        with pytest.raises(
+            ValueError, match=r"out.b \(1, 3\), meta implies \(3, 1\).*wp \(1, 20, 5\), meta implies \(3, 20, 5\)"
+        ):
             seq_load(path)
+
+    def test_saved_tensors_are_the_packed_params(self, tmp_path):
+        path = self._resave(tmp_path, "separate", lambda t, m: None)
+        from safetymap.modelio import load_tensors
+
+        tensors, _ = load_tensors(path)
+        assert list(tensors) == ["wp", "up", "bp", "mid.w", "mid.b", "out.w", "out.b"]
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ({"mode": "both"}, "mode must be 'shared' or 'separate', got 'both'"),
+            ({"dropout_rate": 1.0}, r"dropout rate must be in \[0, 1\), got 1.0"),
+            ({"hidden": "five"}, "invalid literal for int"),
+        ],
+    )
+    def test_invalid_meta_rejected(self, tmp_path, meta, message):
+        path = self._resave(tmp_path, "shared", lambda t, m: m.update(meta))
+        with pytest.raises(ValueError, match=message) as info:
+            seq_load(path)
+        assert str(info.value).startswith(f"{path}: invalid sequence-model meta: ")
 
     def test_incomplete_meta_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.pop("hidden"))
