@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -72,14 +72,13 @@ def cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def cmd_train_cnn(args, config: PipelineConfig) -> int:
+    arch = cnn_mod.CnnConfig(feature_dim=config.feature_dim)
     records = data.load_labels(args.labels)
-    records = data.load_pixels(records, args.manifest)
-    shape = records[0].pixels.shape
+    # every image has the first one's size, which each pooling stage halves
+    records = data.load_pixels(records, args.manifest, multiple=2 ** len(arch.stage_channels))
+    height, width = records[0].pixels.shape[:2]
     model = cnn_mod.init_cnn(
-        cnn_mod.CnnConfig(
-            input_shape=(3, shape[0], shape[1]), feature_dim=config.feature_dim
-        ),
-        seed=stage_seed(config.seed, "cnn-init"),
+        replace(arch, input_shape=(3, height, width)), seed=stage_seed(config.seed, "cnn-init")
     )
     history = cnn_mod.cnn_train(
         model,
@@ -100,10 +99,10 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
 
 
 def cmd_extract_features(args, config: PipelineConfig) -> int:
-    records = data.load_labels(args.labels)
-    records = data.load_pixels(records, args.manifest)
     model = cnn_mod.cnn_load(args.model)
-    records = cnn_mod.extract_features(model, records)
+    records = data.load_labels(args.labels)
+    records = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
+    records = cnn_mod.extract_features(model, records, config.batch_size)
     data.write_features(args.out, records)
     log.info("wrote %d feature vectors to %s", len(records), args.out)
     return 0

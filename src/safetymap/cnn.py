@@ -75,62 +75,84 @@ def init_cnn(config: CnnConfig, seed: int) -> CnnModel:
     return CnnModel(config=config, params=params)
 
 
-def _forward_cached(model: CnnModel, image: np.ndarray) -> dict:
-    cfg = model.config
-    if image.shape != cfg.input_shape:
-        raise ValueError(f"image shape {image.shape} != configured {cfg.input_shape}")
-    pad = cfg.kernel_size // 2
-    cache: dict = {"stage": [], "pad": pad}
+def _conv_forward(model: CnnModel, image: np.ndarray) -> tuple[np.ndarray, list]:
+    """The conv, ReLU and pool stages on one C x H x W image: the pooled
+    output and, per stage, what the backward pass keeps (input, argmax
+    cache, pooled output)."""
+    pad = model.config.kernel_size // 2
+    stages = []
     x = image
-    for s in range(len(cfg.stage_channels)):
+    for s in range(len(model.config.stage_channels)):
         z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], 1, pad)
-        a = nn.relu(z)
-        pooled, idx = nn.maxpool2d_forward(a)
-        cache["stage"].append({"x": x, "z": z, "idx": idx})
+        pooled, idx = nn.maxpool2d_forward(nn.relu(z))
+        stages.append((x, idx, pooled))
         x = pooled
-    flat = x.reshape(-1)
+    return x, stages
+
+
+def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Params) -> np.ndarray:
+    """Backpropagate one image's flat pooled-output gradient through its
+    stages, adding the kernel and bias gradients into grads; returns the
+    gradient on the image."""
+    pad = model.config.kernel_size // 2
+    grad = grad.reshape(stages[-1][2].shape)
+    for s in reversed(range(len(stages))):
+        x, idx, pooled = stages[s]
+        # the ReLU passes gradient only where the pooled maximum is positive
+        grad_z = nn.maxpool2d_backward(idx, grad * nn.relu_grad(pooled))
+        grad, grad_k, grad_b = nn.conv2d_backward(x, model.params[f"conv{s}.k"], grad_z, 1, pad)
+        grads[f"conv{s}.k"] += grad_k
+        grads[f"conv{s}.b"] += grad_b
+    return grad
+
+
+def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.ndarray]]:
+    """Conv stages image by image, then the dense head on the stacked
+    (N, flat) pooled outputs as one GEMM per layer."""
+    if images.ndim != 4 or images.shape[1:] != model.config.input_shape:
+        raise ValueError(
+            f"image batch shape {images.shape} != (N, *{model.config.input_shape})"
+        )
+    pooled, stages = zip(*(_conv_forward(model, image) for image in images))
+    flat = np.stack([p.reshape(-1) for p in pooled])
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
     features = nn.relu(feat_z)
     cls_z = nn.dense_forward(features, model.params["cls.w"], model.params["cls.b"])
-    probs = nn.sigmoid(cls_z)
-    cache.update(
-        {"pool_shape": x.shape, "flat": flat, "feat_z": feat_z, "features": features, "probs": probs}
-    )
-    return cache
+    head = {"flat": flat, "feat_z": feat_z, "features": features, "probs": nn.sigmoid(cls_z)}
+    return list(stages), head
 
 
-def cnn_forward(model: CnnModel, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities (3-vector) and the nonnegative feature vector."""
-    cache = _forward_cached(model, image)
-    return cache["probs"], cache["features"]
+def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class probabilities (N, 3) and nonnegative feature vectors (N,
+    feature_dim) for an (N, C, H, W) batch of images."""
+    _, head = _forward(model, images)
+    return head["probs"], head["features"]
 
 
 def cnn_loss_and_grads(
-    model: CnnModel, image: np.ndarray, labels: np.ndarray
+    model: CnnModel, images: np.ndarray, labels: np.ndarray
 ) -> tuple[float, nn.Params, np.ndarray]:
-    """Mean BCE over the three outputs plus gradients for every parameter
-    and the input image."""
-    cache = _forward_cached(model, image)
-    probs = cache["probs"]
+    """Batch-mean BCE over the three outputs of N images, the batch-mean
+    gradients for every parameter, and the gradient on each image."""
+    stages, head = _forward(model, images)
+    probs = head["probs"]
     loss, _ = nn.bce_loss(probs, labels)
     grads: nn.Params = {}
     grad_cls_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
     grad_feat, grads["cls.w"], grads["cls.b"] = nn.dense_backward(
-        cache["features"], model.params["cls.w"], grad_cls_z
+        head["features"], model.params["cls.w"], grad_cls_z
     )
-    grad_feat_z = grad_feat * nn.relu_grad(cache["feat_z"])
+    grad_feat_z = grad_feat * nn.relu_grad(head["feat_z"])
     grad_flat, grads["feat.w"], grads["feat.b"] = nn.dense_backward(
-        cache["flat"], model.params["feat.w"], grad_feat_z
+        head["flat"], model.params["feat.w"], grad_feat_z
     )
-    grad_x = grad_flat.reshape(cache["pool_shape"])
-    for s in reversed(range(len(model.config.stage_channels))):
-        st = cache["stage"][s]
-        grad_a = nn.maxpool2d_backward(st["idx"], grad_x)
-        grad_z = grad_a * nn.relu_grad(st["z"])
-        grad_x, grads[f"conv{s}.k"], grads[f"conv{s}.b"] = nn.conv2d_backward(
-            st["x"], model.params[f"conv{s}.k"], grad_z, 1, cache["pad"]
-        )
-    return loss, grads, grad_x
+    for s in range(len(model.config.stage_channels)):
+        grads[f"conv{s}.k"] = np.zeros_like(model.params[f"conv{s}.k"])
+        grads[f"conv{s}.b"] = np.zeros_like(model.params[f"conv{s}.b"])
+    grad_images = np.stack(
+        [_conv_backward(model, st, g, grads) for st, g in zip(stages, grad_flat)]
+    )
+    return loss, grads, grad_images
 
 
 @dataclass(frozen=True)
@@ -141,37 +163,28 @@ class TrainConfig:
     seed: int = 0
 
 
-def _mean_loss(model: CnnModel, records: Sequence[ImageRecord]) -> float:
-    total = 0.0
-    for r in records:
-        probs, _ = cnn_forward(model, _chw(r))
-        loss, _ = nn.bce_loss(probs, np.array(r.labels, dtype=np.float64))
-        total += loss
-    return total / len(records)
-
-
-def _chw(record: ImageRecord) -> np.ndarray:
-    if record.pixels is None:
-        raise ValueError(f"record {record.image_id} has no pixels")
-    return record.pixels.transpose(2, 0, 1)
-
-
-def cnn_train(
-    model: CnnModel,
-    records: Sequence[ImageRecord],
-    config: TrainConfig,
-    val_records: Sequence[ImageRecord] | None = None,
-) -> list[dict[str, float]]:
-    """Minimize mean BCE with Adam over shuffled mini-batches, in place.
-
-    Returns one history entry per epoch: {"epoch", "train_loss"} plus
-    "val_loss" when a validation set is given.
-    """
-    if not records:
-        raise ValueError("empty training set")
+def _require_pixels(records: Sequence[ImageRecord]) -> None:
     for r in records:
         if r.pixels is None:
             raise ValueError(f"record {r.image_id} has no pixels")
+
+
+def _images(records: Sequence[ImageRecord]) -> np.ndarray:
+    """The (N, 3, H, W) float64 batch of the records' uint8 pixels over 255."""
+    return np.stack([r.pixels for r in records]).transpose(0, 3, 1, 2) / 255.0
+
+
+def cnn_train(
+    model: CnnModel, records: Sequence[ImageRecord], config: TrainConfig
+) -> list[dict[str, float]]:
+    """Minimize mean BCE with Adam over shuffled mini-batches, in place.
+
+    Returns one history entry per epoch: {"epoch", "train_loss"}.
+    """
+    if not records:
+        raise ValueError("empty training set")
+    _require_pixels(records)
+    labels = np.array([r.labels for r in records], dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     state = nn.adam_init(model.params, lr=config.lr)
     history: list[dict[str, float]] = []
@@ -179,31 +192,31 @@ def cnn_train(
         order = rng.permutation(len(records))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = [records[i] for i in order[start : start + config.batch_size]]
-            acc: nn.Params = {k: np.zeros_like(v) for k, v in model.params.items()}
-            for r in batch:
-                loss, grads, _ = cnn_loss_and_grads(
-                    model, _chw(r), np.array(r.labels, dtype=np.float64)
-                )
-                epoch_loss += loss
-                for k in acc:
-                    acc[k] += grads[k]
-            for k in acc:
-                acc[k] /= len(batch)
-            nn.adam_step(model.params, acc, state)
-        entry = {"epoch": float(epoch), "train_loss": epoch_loss / len(records)}
-        if val_records:
-            entry["val_loss"] = _mean_loss(model, val_records)
-        history.append(entry)
+            batch = order[start : start + config.batch_size]
+            loss, grads, _ = cnn_loss_and_grads(
+                model, _images([records[i] for i in batch]), labels[batch]
+            )
+            epoch_loss += loss * len(batch)
+            nn.adam_step(model.params, grads, state)
+        history.append({"epoch": float(epoch), "train_loss": epoch_loss / len(records)})
     return history
 
 
-def extract_features(model: CnnModel, records: Sequence[ImageRecord]) -> list[ImageRecord]:
-    """Attach each record's CNN feature vector; order-independent per record."""
-    out = []
-    for r in records:
-        _, features = cnn_forward(model, _chw(r))
-        out.append(replace(r, features=features))
+def extract_features(
+    model: CnnModel, records: Sequence[ImageRecord], batch_size: int
+) -> list[ImageRecord]:
+    """Attach each record's CNN feature vector, batch_size images per forward
+    call. Batches are cut from the records sorted by image_id, so a record's
+    features do not depend on the input order (a GEMM row's last bits can
+    depend on its position in the batch)."""
+    _require_pixels(records)
+    order = sorted(range(len(records)), key=lambda i: records[i].image_id)
+    out = list(records)
+    for start in range(0, len(order), batch_size):
+        batch = order[start : start + batch_size]
+        _, features = cnn_forward(model, _images([records[i] for i in batch]))
+        for i, f in zip(batch, features):
+            out[i] = replace(records[i], features=f)
     return out
 
 

@@ -31,7 +31,7 @@ class ImageRecord:
     seq_index: int
     location: LatLon
     labels: tuple[bool, bool, bool]  # (rs, mcb, cb)
-    pixels: np.ndarray | None = None  # H x W x 3, values in [0, 1]
+    pixels: np.ndarray | None = None  # H x W x 3 uint8, 0-255 as read from the PPM
     features: np.ndarray | None = None
 
 
@@ -457,8 +457,8 @@ def synth_corridor(config: SynthConfig, seed: int) -> list[ImageRecord]:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM into an H x W x 3 float array in [0, 1]; a
-    malformed header or a short pixel block is a SchemaError naming the file."""
+    """Read a binary PPM into an H x W x 3 uint8 array; a malformed header
+    or a short pixel block is a SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields: list[bytes] = []
@@ -494,13 +494,21 @@ def read_ppm(path: str) -> np.ndarray:
         got = max(len(blob) - pos, 0)
         raise SchemaError(f"{path}: pixel block truncated, {got} of {w * h * 3} bytes")
     raw = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return raw.reshape(h, w, 3).astype(np.float64) / 255.0
+    return raw.reshape(h, w, 3).copy()
 
 
-def load_pixels(records: Sequence[ImageRecord], manifest_path: str) -> list[ImageRecord]:
+def load_pixels(
+    records: Sequence[ImageRecord],
+    manifest_path: str,
+    extent: tuple[int, int] | None = None,
+    multiple: int = 1,
+) -> list[ImageRecord]:
     """Attach pixel grids per a manifest CSV mapping image_id -> PPM path.
 
-    Relative paths are resolved against the manifest's directory.
+    Relative paths are resolved against the manifest's directory. Every
+    image must be `extent` (height, width) pixels, or the first image's
+    size when extent is None, and both extents must be multiples of
+    `multiple`; an image that is not is a ValueError naming it and its file.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
@@ -514,7 +522,19 @@ def load_pixels(records: Sequence[ImageRecord], manifest_path: str) -> list[Imag
         p = paths[r.image_id]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
-        out.append(replace(r, pixels=read_ppm(p)))
+        pixels = read_ppm(p)
+        h, w = pixels.shape[:2]
+        if extent is None:
+            extent = (h, w)
+        if (h, w) != extent:
+            raise ValueError(
+                f"{p}: image {r.image_id} is {w} x {h} pixels, expected {extent[1]} x {extent[0]}"
+            )
+        if h % multiple or w % multiple:
+            raise ValueError(
+                f"{p}: image {r.image_id} is {w} x {h} pixels, not a multiple of {multiple}"
+            )
+        out.append(replace(r, pixels=pixels))
     return out
 
 

@@ -42,21 +42,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """y = W @ x + b for a single input vector."""
-    if weights.shape != (bias.shape[0], x.shape[0]):
+    """y = x @ W.T + b for a batch of input rows x of shape (N, in)."""
+    if x.ndim != 2 or weights.shape != (bias.shape[0], x.shape[1]):
         raise ValueError(
             f"dense shapes inconsistent: W {weights.shape}, x {x.shape}, b {bias.shape}"
         )
-    return weights @ x + bias
+    return x @ weights.T + bias
 
 
 def dense_backward(
     x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_W, d_b) given the upstream gradient on the output."""
-    if grad_out.shape[0] != weights.shape[0]:
-        raise ValueError(f"grad shape {grad_out.shape} mismatches W {weights.shape}")
-    return weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
+    """Gradients (d_x, d_W, d_b) given the upstream gradient on the (N, out)
+    output; d_W and d_b sum over the N rows."""
+    if grad_out.shape != (x.shape[0], weights.shape[0]):
+        raise ValueError(f"grad shape {grad_out.shape} mismatches x {x.shape}, W {weights.shape}")
+    return grad_out @ weights, grad_out.T @ x, grad_out.sum(axis=0)
 
 
 # --- 2-D convolution (cross-correlation with zero padding) ---
@@ -134,17 +135,23 @@ def conv2d_backward(
 
 
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-wise 2x2 window maxima; also returns the argmax index cache.
+    """Channel-wise 2x2 window maxima; also returns the argmax index cache
+    (0..3 in row-major order within each window).
 
-    Ties route to the first maximal element in row-major scan order.
+    Ties route to the first maximal element in row-major scan order, and a
+    NaN counts as the maximum, as in np.argmax.
     """
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d needs even extents, got {h}x{w}")
-    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+    a, b, c, d = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    # the later of two elements wins when it is greater or when only it is NaN
+    right_top = ~(a >= b) & (a == a)
+    right_bottom = ~(c >= d) & (c == c)
+    top = np.where(right_top, b, a)
+    bottom = np.where(right_bottom, d, c)
+    lower = ~(top >= bottom) & (top == top)
+    return np.where(lower, bottom, top), np.where(lower, right_bottom + 2, right_top)
 
 
 def maxpool2d_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:

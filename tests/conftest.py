@@ -36,17 +36,24 @@ settings.register_profile(
 settings.load_profile("safetymap")
 
 
+def quantise(pixels: np.ndarray) -> np.ndarray:
+    """An H x W x 3 float array in [0, 1] as the uint8 levels a PPM stores."""
+    return np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+
+
 def write_ppm(path: str, pixels: np.ndarray) -> None:
-    """Write an H x W x 3 float array in [0, 1] as a binary PPM (P6, maxval 255)."""
+    """Write an H x W x 3 uint8 array, or a float array in [0, 1] quantised
+    to uint8, as a binary PPM (P6, maxval 255)."""
     h, w = pixels.shape[:2]
-    raw = np.clip(np.rint(pixels * 255.0), 0, 255).astype(np.uint8)
+    raw = pixels if pixels.dtype == np.uint8 else quantise(pixels)
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(raw.tobytes())
 
 
 def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width: int = 32):
-    """Separable synthetic pixel dataset: label k brightens color channel k."""
+    """Separable synthetic pixel dataset: label k brightens color channel k.
+    Pixels are uint8, quantised as write_ppm stores them."""
     records = []
     for i in range(n):
         labels = tuple(bool(b) for b in rng.random(3) < 0.5)
@@ -62,7 +69,7 @@ def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width
                 seq_index=i,
                 location=LatLon(33.0, -87.0 + 1e-4 * i),
                 labels=labels,
-                pixels=img,
+                pixels=quantise(img),
             )
         )
     return records

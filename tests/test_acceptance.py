@@ -81,16 +81,17 @@ class TestCriterion3Gradients:
         rng = np.random.default_rng(31)
         worst = {}
 
-        coeff = rng.normal(size=4)
+        # dense and CNN checks run on a batch of 2 rows / images
+        coeff = rng.normal(size=(2, 4))
 
         def dense_fn(params):
             y = dense_forward(params["x"], params["w"], params["b"])
             gx, gw, gb = dense_backward(params["x"], params["w"], coeff)
-            return float(coeff @ y), {"x": gx, "w": gw, "b": gb}
+            return float(np.sum(coeff * y)), {"x": gx, "w": gw, "b": gb}
 
         worst["dense"] = grad_check(
             dense_fn,
-            {"x": rng.normal(size=5), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=4)},
+            {"x": rng.normal(size=(2, 5)), "w": rng.normal(size=(4, 5)), "b": rng.normal(size=4)},
         )
 
         conv_coeff = rng.normal(size=(3, 6, 6))
@@ -130,12 +131,12 @@ class TestCriterion3Gradients:
         cnn_model = init_cnn(
             CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4), seed=32
         )
-        image = rng.random((3, 8, 8)) + 0.05
-        cnn_labels = np.array([1.0, 0.0, 1.0])
+        images = rng.random((2, 3, 8, 8)) + 0.05
+        cnn_labels = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
         def cnn_fn(params):
             cnn_model.params = params
-            loss, grads, _ = cnn_loss_and_grads(cnn_model, image, cnn_labels)
+            loss, grads, _ = cnn_loss_and_grads(cnn_model, images, cnn_labels)
             return loss, grads
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)

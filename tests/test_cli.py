@@ -689,6 +689,52 @@ class TestPixelCommands:
         assert code == 4
         assert f"{ppm}: pixel block truncated, 39 of 192 bytes" in capsys.readouterr().err
 
+    def _train(self, tmp_path, labels, manifest, cfg):
+        return run_cli(
+            "--config", str(cfg), "train-cnn", "--labels", str(labels),
+            "--manifest", str(manifest), "--model-out", str(tmp_path / "cnn.bin"),
+        )
+
+    @pytest.mark.parametrize(
+        "size, message",
+        [
+            pytest.param(16, "is 16 x 16 pixels, expected 8 x 8", id="differs-from-first"),
+            pytest.param(9, "is 9 x 9 pixels, expected 8 x 8", id="odd"),
+        ],
+    )
+    def test_train_cnn_image_size_exit_5(self, tmp_path, capsys, size, message):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        ppm = tmp_path / "px-0005.ppm"
+        write_ppm(str(ppm), np.zeros((size, size, 3)))
+        capsys.readouterr()
+        assert self._train(tmp_path, labels, manifest, cfg) == 5
+        assert f"{ppm}: image px-0005 {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cnn.bin").exists()
+
+    def test_train_cnn_unpoolable_size_exit_5(self, tmp_path, capsys):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        for n in range(12):  # every image 10 x 10: the second 2x2 pool would see 5 x 5
+            write_ppm(str(tmp_path / f"px-{n:04d}.ppm"), np.zeros((10, 10, 3)))
+        capsys.readouterr()
+        assert self._train(tmp_path, labels, manifest, cfg) == 5
+        message = "image px-0000 is 10 x 10 pixels, not a multiple of 4"
+        assert f"{tmp_path / 'px-0000.ppm'}: {message}" in capsys.readouterr().err
+
+    def test_extract_features_image_size_exit_5(self, tmp_path, capsys):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        assert self._train(tmp_path, labels, manifest, cfg) == 0
+        ppm = tmp_path / "px-0007.ppm"
+        write_ppm(str(ppm), np.zeros((8, 12, 3)))
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(cfg), "extract-features", "--labels", str(labels),
+            "--manifest", str(manifest), "--model", str(tmp_path / "cnn.bin"),
+            "--out", str(tmp_path / "features.jsonl"),
+        )
+        assert code == 5
+        assert f"{ppm}: image px-0007 is 12 x 8 pixels, expected 8 x 8" in capsys.readouterr().err
+        assert not (tmp_path / "features.jsonl").exists()
+
     def test_train_cnn_and_extract(self, tmp_path):
         labels, manifest, cfg = self._write_inputs(tmp_path)
 

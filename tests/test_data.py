@@ -555,8 +555,8 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         write_ppm(str(path), img)
         back = read_ppm(str(path))
-        assert back.shape == (6, 5, 3)
-        assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-12
+        assert back.shape == (6, 5, 3) and back.dtype == np.uint8
+        assert np.max(np.abs(back / 255.0 - img)) <= 0.5 / 255.0 + 1e-12
 
     @pytest.mark.parametrize(
         "blob, message",
@@ -598,8 +598,7 @@ class TestPpm:
             pixels = read_ppm(str(path))
         except SchemaError:
             return
-        assert pixels.ndim == 3 and pixels.shape[2] == 3
-        assert pixels.min() >= 0.0 and pixels.max() <= 1.0
+        assert pixels.ndim == 3 and pixels.shape[2] == 3 and pixels.dtype == np.uint8
 
     def test_load_pixels_via_manifest(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -612,6 +611,35 @@ class TestPpm:
         )
         out = load_pixels(records, str(manifest))
         assert all(r.pixels is not None and r.pixels.shape == (4, 4, 3) for r in out)
+
+    @pytest.mark.parametrize(
+        "sizes, kwargs, bad, message",
+        [
+            pytest.param(
+                [(4, 4), (6, 4)], {}, 1, "is 4 x 6 pixels, expected 4 x 4", id="differs-from-first"
+            ),
+            pytest.param(
+                [(4, 4), (4, 4)], {"extent": (4, 6)}, 0, "is 4 x 4 pixels, expected 6 x 4",
+                id="differs-from-extent",
+            ),
+            pytest.param(
+                [(4, 6), (4, 6)], {"multiple": 4}, 0, "is 6 x 4 pixels, not a multiple of 4",
+                id="not-a-multiple",
+            ),
+        ],
+    )
+    def test_image_extent_checked(self, tmp_path, sizes, kwargs, bad, message):
+        records = [make_record("e1", i) for i in range(len(sizes))]
+        for r, size in zip(records, sizes):
+            write_ppm(str(tmp_path / f"{r.image_id}.ppm"), np.zeros((*size, 3)))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "image_id,path\n" + "".join(f"{r.image_id},{r.image_id}.ppm\n" for r in records)
+        )
+        with pytest.raises(ValueError) as info:
+            load_pixels(records, str(manifest), **kwargs)
+        path = tmp_path / f"{records[bad].image_id}.ppm"
+        assert str(info.value) == f"{path}: image {records[bad].image_id} {message}"
 
     def test_manifest_missing_record(self, tmp_path):
         records = [make_record("e1", 0)]

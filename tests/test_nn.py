@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from safetymap.modelio import load_tensors, save_tensors
 from safetymap.nn import (
@@ -50,33 +51,51 @@ def naive_conv2d(x, kernels, bias, stride=1, padding=0):
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -1.0]])
         y = dense_forward(x, np.eye(3), np.zeros(3))
         assert np.array_equal(y, x)
 
     def test_hand_arithmetic(self):
-        x = np.array([1.0, 2.0])
+        x = np.array([[1.0, 2.0], [3.0, 0.0]])
         w = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([0.0, 1.0])
-        assert dense_forward(x, w, b).tolist() == [3.0, 3.0]
+        assert dense_forward(x, w, b).tolist() == [[3.0, 3.0], [3.0, 1.0]]
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(0)
-        x0 = rng.normal(size=5)
-        coeff = rng.normal(size=4)  # reduce output to a scalar
+        x0 = rng.normal(size=(3, 5))
+        coeff = rng.normal(size=(3, 4))  # reduce output to a scalar
 
         def loss_and_grads(params):
             y = dense_forward(params["x"], params["w"], params["b"])
-            loss = float(coeff @ y)
+            loss = float(np.sum(coeff * y))
             gx, gw, gb = dense_backward(params["x"], params["w"], coeff)
             return loss, {"x": gx, "w": gw, "b": gb}
 
         params = {"x": x0, "w": rng.normal(size=(4, 5)), "b": rng.normal(size=4)}
         assert grad_check(loss_and_grads, params) < 1e-6
 
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(1)
+        x, w, b = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)
+        g = rng.normal(size=(6, 4))
+        y = dense_forward(x, w, b)
+        gx, gw, gb = dense_backward(x, w, g)
+        for n in range(6):
+            row = slice(n, n + 1)
+            assert np.max(np.abs(y[row] - dense_forward(x[row], w, b))) <= 1e-12
+            assert np.array_equal(dense_backward(x[row], w, g[row])[1], np.outer(g[n], x[n]))
+        assert np.max(np.abs(gw - sum(np.outer(g[n], x[n]) for n in range(6)))) <= 1e-12
+        assert np.max(np.abs(gb - g.sum(axis=0))) <= 1e-12
+        assert np.max(np.abs(gx - g @ w)) == 0.0
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dense"):
-            dense_forward(np.zeros(3), np.zeros((4, 2)), np.zeros(4))
+            dense_forward(np.zeros((1, 3)), np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="dense"):
+            dense_forward(np.zeros(2), np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(ValueError, match="grad shape"):
+            dense_backward(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((1, 4)))
 
 
 class TestConv2d:
@@ -143,7 +162,38 @@ class TestConv2d:
             conv2d_forward(np.zeros((1, 6, 6)), np.zeros((1, 1, 3, 3)), np.zeros(1), stride=2)
 
 
+def argmax_maxpool2d(x):
+    """The transpose + reshape + argmax formula maxpool2d_forward replaced,
+    kept as its oracle."""
+    c, h, w = x.shape
+    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
+    idx = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], idx
+
+
+# C x 2h x 2w inputs; the few repeated values make ties and signed zeros common
+POOL_INPUTS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda s: hnp.arrays(
+        np.float64,
+        (s[0], 2 * s[1], 2 * s[2]),
+        elements=st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5, math.nan]), st.floats()),
+    )
+)
+
+
 class TestMaxpool:
+    @given(POOL_INPUTS)
+    @example(np.array([[[1.0, math.nan], [2.0, 3.0]]]))
+    @example(np.array([[[-0.0, 0.0], [0.0, -0.0]]]))
+    def test_matches_argmax_formula(self, x):
+        out, idx = maxpool2d_forward(x)
+        want_out, want_idx = argmax_maxpool2d(x)
+        # bitwise: the same element of each window, signed zeros and NaNs included
+        assert out.tobytes() == want_out.tobytes()
+        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+        windows = x.reshape(x.shape[0], out.shape[1], 2, out.shape[2], 2)
+        assert np.array_equal(np.isnan(out), np.isnan(windows).any(axis=(2, 4)))
+
     def test_constant_input(self):
         out, _ = maxpool2d_forward(np.full((2, 4, 4), 3.5))
         assert np.array_equal(out, np.full((2, 2, 2), 3.5))
@@ -303,8 +353,8 @@ class TestGradCheck:
 
     def test_dense_sigmoid_bce_composite(self):
         rng = np.random.default_rng(10)
-        labels = (rng.random(4) < 0.5).astype(np.float64)
-        x = rng.normal(size=5)
+        labels = (rng.random((1, 4)) < 0.5).astype(np.float64)
+        x = rng.normal(size=(1, 5))
 
         def loss_and_grads(params):
             z = dense_forward(x, params["w"], params["b"])
