@@ -64,9 +64,9 @@ def cmd_synth(args, config: PipelineConfig) -> int:
         noise_sigma=config.noise_sigma,
         interval_m=config.interval_m,
     )
-    records = data.synth_corridor(synth_config, stage_seed(config.seed, "synth"))
+    records, features = data.synth_corridor(synth_config, stage_seed(config.seed, "synth"))
     data.write_labels(args.out, records)
-    data.write_features(args.features_out, records)
+    data.write_features(args.features_out, records, features)
     log.info("wrote %d synthetic records to %s / %s", len(records), args.out, args.features_out)
     return 0
 
@@ -74,15 +74,17 @@ def cmd_synth(args, config: PipelineConfig) -> int:
 def cmd_train_cnn(args, config: PipelineConfig) -> int:
     arch = cnn_mod.CnnConfig(feature_dim=config.feature_dim)
     records = data.load_labels(args.labels)
+    if not records:
+        raise ValueError(f"{args.labels}: empty training set")
     # every image has the first one's size, which each pooling stage halves
-    records = data.load_pixels(records, args.manifest, multiple=2 ** len(arch.stage_channels))
-    height, width = records[0].pixels.shape[:2]
+    pixels = data.load_pixels(records, args.manifest, multiple=2 ** len(arch.stage_channels))
     model = cnn_mod.init_cnn(
-        replace(arch, input_shape=(3, height, width)), seed=stage_seed(config.seed, "cnn-init")
+        replace(arch, input_shape=(3, *pixels.shape[1:3])), seed=stage_seed(config.seed, "cnn-init")
     )
     history = cnn_mod.cnn_train(
         model,
         records,
+        pixels,
         cnn_mod.TrainConfig(
             lr=config.cnn_lr,
             batch_size=config.batch_size,
@@ -101,16 +103,16 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
 def cmd_extract_features(args, config: PipelineConfig) -> int:
     model = cnn_mod.cnn_load(args.model)
     records = data.load_labels(args.labels)
-    records = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
-    records = cnn_mod.extract_features(model, records, config.batch_size)
-    data.write_features(args.out, records)
+    pixels = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
+    features = cnn_mod.extract_features(model, records, pixels, config.batch_size)
+    data.write_features(args.out, records, features)
     log.info("wrote %d feature vectors to %s", len(records), args.out)
     return 0
 
 
 def cmd_train_lstm(args, config: PipelineConfig) -> int:
     records = data.load_labels(args.labels)
-    records = data.attach_features(records, args.features, expected_dim=config.feature_dim)
+    features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
     starts = data.build_sequences(records, config.window, config.stride)
     model = lstm.init_sequence_model(
         args.mode,
@@ -123,6 +125,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     history = lstm.bptt_train(
         model,
         records,
+        features,
         starts,
         config.window,
         lstm.SeqTrainConfig(
@@ -146,13 +149,18 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
 
 def cmd_predict(args, config: PipelineConfig) -> int:
     records = data.load_labels(args.labels)
-    records = data.attach_features(records, args.features, expected_dim=config.feature_dim)
+    features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
     model = lstm.seq_load(args.model)
     if model.window != config.window:
         raise ValueError(
             f"{args.model} was trained with window {model.window}, config window is {config.window}"
         )
-    probs, labels = lstm.predict_corridor(model, records, config.window, config.threshold)
+    if model.input_dim != config.feature_dim:
+        raise ValueError(
+            f"{args.model} was trained with input_dim {model.input_dim}, "
+            f"config feature_dim is {config.feature_dim}"
+        )
+    probs, labels = lstm.predict_corridor(model, records, features, config.window, config.threshold)
     data.write_predictions(args.out, records, probs, labels)
     log.info("wrote %d predictions to %s", len(records), args.out)
     return 0
@@ -185,7 +193,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     truth = np.array([r.labels for r in truth_records])
     per_class = metrics.class_metrics(predictions, truth)
     metrics.warn_if_degenerate(per_class)
-    counts = data.class_distribution(truth_records)
+    counts = truth.sum(axis=0).tolist()
     report = metrics.metrics_report(per_class, counts)
     if args.baseline:
         base_rows = data.read_predictions(args.baseline)

@@ -4,13 +4,16 @@ and a logistic frame classifier over precomputed feature vectors.
 
 Each image maps to a feature vector (post-ReLU, so nonnegative) and three
 independent class probabilities; the feature vectors feed the sequence
-model downstream.
+model downstream. Training and extraction take the records (labels and
+image_id order) next to the payload array their loader returns: the
+(n, H, W, 3) uint8 pixels of `data.load_pixels` or the (n, d) features of
+`data.attach_features`, row i belonging to records[i].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -83,27 +86,29 @@ def _conv_forward(model: CnnModel, image: np.ndarray) -> tuple[np.ndarray, list]
     stages = []
     x = image
     for s in range(len(model.config.stage_channels)):
-        z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], 1, pad)
+        z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], pad)
         pooled, idx = nn.maxpool2d_forward(nn.relu(z))
         stages.append((x, idx, pooled))
         x = pooled
     return x, stages
 
 
-def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Params) -> np.ndarray:
+def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Params) -> None:
     """Backpropagate one image's flat pooled-output gradient through its
-    stages, adding the kernel and bias gradients into grads; returns the
-    gradient on the image."""
+    stages, adding the kernel and bias gradients into grads. The gradient
+    on the image itself is never formed."""
     pad = model.config.kernel_size // 2
     grad = grad.reshape(stages[-1][2].shape)
     for s in reversed(range(len(stages))):
         x, idx, pooled = stages[s]
+        kernels = model.params[f"conv{s}.k"]
         # the ReLU passes gradient only where the pooled maximum is positive
         grad_z = nn.maxpool2d_backward(idx, grad * nn.relu_grad(pooled))
-        grad, grad_k, grad_b = nn.conv2d_backward(x, model.params[f"conv{s}.k"], grad_z, 1, pad)
+        grad_k, grad_b = nn.conv2d_backward(x, kernels, grad_z, pad)
         grads[f"conv{s}.k"] += grad_k
         grads[f"conv{s}.b"] += grad_b
-    return grad
+        if s > 0:
+            grad = nn.conv2d_backward_input(kernels, grad_z, pad)
 
 
 def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.ndarray]]:
@@ -131,9 +136,9 @@ def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def cnn_loss_and_grads(
     model: CnnModel, images: np.ndarray, labels: np.ndarray
-) -> tuple[float, nn.Params, np.ndarray]:
-    """Batch-mean BCE over the three outputs of N images, the batch-mean
-    gradients for every parameter, and the gradient on each image."""
+) -> tuple[float, nn.Params]:
+    """Batch-mean BCE over the three outputs of N images and the batch-mean
+    gradients for every parameter."""
     stages, head = _forward(model, images)
     probs = head["probs"]
     loss, _ = nn.bce_loss(probs, labels)
@@ -149,10 +154,9 @@ def cnn_loss_and_grads(
     for s in range(len(model.config.stage_channels)):
         grads[f"conv{s}.k"] = np.zeros_like(model.params[f"conv{s}.k"])
         grads[f"conv{s}.b"] = np.zeros_like(model.params[f"conv{s}.b"])
-    grad_images = np.stack(
-        [_conv_backward(model, st, g, grads) for st, g in zip(stages, grad_flat)]
-    )
-    return loss, grads, grad_images
+    for st, g in zip(stages, grad_flat):
+        _conv_backward(model, st, g, grads)
+    return loss, grads
 
 
 @dataclass(frozen=True)
@@ -163,27 +167,21 @@ class TrainConfig:
     seed: int = 0
 
 
-def _require_pixels(records: Sequence[ImageRecord]) -> None:
-    for r in records:
-        if r.pixels is None:
-            raise ValueError(f"record {r.image_id} has no pixels")
-
-
-def _images(records: Sequence[ImageRecord]) -> np.ndarray:
-    """The (N, 3, H, W) float64 batch of the records' uint8 pixels over 255."""
-    return np.stack([r.pixels for r in records]).transpose(0, 3, 1, 2) / 255.0
+def _images(pixels: np.ndarray) -> np.ndarray:
+    """The (N, 3, H, W) float64 batch of (N, H, W, 3) uint8 pixels over 255."""
+    return pixels.transpose(0, 3, 1, 2) / 255.0
 
 
 def cnn_train(
-    model: CnnModel, records: Sequence[ImageRecord], config: TrainConfig
+    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, config: TrainConfig
 ) -> list[dict[str, float]]:
     """Minimize mean BCE with Adam over shuffled mini-batches, in place.
+    pixels[i] is the (H, W, 3) uint8 image of records[i].
 
     Returns one history entry per epoch: {"epoch", "train_loss"}.
     """
     if not records:
         raise ValueError("empty training set")
-    _require_pixels(records)
     labels = np.array([r.labels for r in records], dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     state = nn.adam_init(model.params, lr=config.lr)
@@ -193,9 +191,7 @@ def cnn_train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads, _ = cnn_loss_and_grads(
-                model, _images([records[i] for i in batch]), labels[batch]
-            )
+            loss, grads = cnn_loss_and_grads(model, _images(pixels[batch]), labels[batch])
             epoch_loss += loss * len(batch)
             nn.adam_step(model.params, grads, state)
         history.append({"epoch": float(epoch), "train_loss": epoch_loss / len(records)})
@@ -203,20 +199,18 @@ def cnn_train(
 
 
 def extract_features(
-    model: CnnModel, records: Sequence[ImageRecord], batch_size: int
-) -> list[ImageRecord]:
-    """Attach each record's CNN feature vector, batch_size images per forward
-    call. Batches are cut from the records sorted by image_id, so a record's
+    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, batch_size: int
+) -> np.ndarray:
+    """The (n, feature_dim) CNN feature vectors of the images pixels (n, H,
+    W, 3), row i for records[i], batch_size images per forward call.
+    Batches are cut from the records sorted by image_id, so a record's
     features do not depend on the input order (a GEMM row's last bits can
     depend on its position in the batch)."""
-    _require_pixels(records)
     order = sorted(range(len(records)), key=lambda i: records[i].image_id)
-    out = list(records)
+    out = np.empty((len(records), model.config.feature_dim))
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
-        _, features = cnn_forward(model, _images([records[i] for i in batch]))
-        for i, f in zip(batch, features):
-            out[i] = replace(records[i], features=f)
+        out[batch] = cnn_forward(model, _images(pixels[batch]))[1]
     return out
 
 
@@ -254,8 +248,8 @@ def cnn_load(path: str) -> CnnModel:
 
 # --- logistic frame classifier over precomputed feature vectors ---
 #
-# Stand-in for the per-image ("frame only") baseline when records carry
-# feature vectors instead of pixels: three independent logistic outputs.
+# Stand-in for the per-image ("frame only") baseline on feature vectors
+# instead of pixels: three independent logistic outputs.
 
 
 @dataclass
@@ -281,12 +275,15 @@ def frame_predict(model: FrameClassifier, features: np.ndarray) -> np.ndarray:
 
 
 def frame_train(
-    model: FrameClassifier, records: Sequence[ImageRecord], config: TrainConfig
+    model: FrameClassifier,
+    records: Sequence[ImageRecord],
+    features: np.ndarray,
+    config: TrainConfig,
 ) -> list[dict[str, float]]:
-    """Train the logistic frame classifier with Adam on mean BCE, in place."""
+    """Train the logistic frame classifier with Adam on mean BCE, in place;
+    features[i] is the (feature_dim,) vector of records[i]."""
     if not records:
         raise ValueError("empty training set")
-    feats = np.stack([r.features for r in records])
     labels = np.array([r.labels for r in records], dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     state = nn.adam_init(model.params, lr=config.lr)
@@ -296,7 +293,7 @@ def frame_train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             idx = order[start : start + config.batch_size]
-            x, y = feats[idx], labels[idx]
+            x, y = features[idx], labels[idx]
             probs = frame_predict(model, x)
             loss, _ = nn.bce_loss(probs, y)
             epoch_loss += loss * len(idx)

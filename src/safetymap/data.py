@@ -1,11 +1,15 @@
 """Dataset handling: the CSV tables (labels, samples, predictions, image
 manifests) behind one checked reader and one writer, feature file ingestion,
-sliding-window sequence construction, class bookkeeping, synthetic corridor
-generation, and PPM pixel image reading. The loaders are the validation
-boundary: malformed, out-of-range or non-finite input raises SchemaError
-naming its file and line. A window is one integer, its start index into the
-records, and `corridor_arrays` gives the contiguous arrays those starts
-index."""
+sliding-window sequence construction, synthetic corridor generation, and
+PPM pixel image reading. The loaders are the validation boundary:
+malformed, out-of-range or non-finite input raises SchemaError naming its
+file and line.
+
+A record is a key, a location and three labels. Each payload travels as
+the one array its loader returns, aligned with the records: row i of the
+(n, d) features of `attach_features` or `synth_corridor` and of the (n, H,
+W, 3) pixels of `load_pixels` belongs to records[i]. A window is one
+integer, its start index into the records and so into those arrays."""
 
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -31,19 +35,6 @@ class ImageRecord:
     seq_index: int
     location: LatLon
     labels: tuple[bool, bool, bool]  # (rs, mcb, cb)
-    pixels: np.ndarray | None = None  # H x W x 3 uint8, 0-255 as read from the PPM
-    features: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class ClassDistribution:
-    n_images: int
-    rs_n: int
-    mcb_n: int
-    cb_n: int
-
-    def positives(self) -> tuple[int, int, int]:
-        return (self.rs_n, self.mcb_n, self.cb_n)
 
 
 # --- CSV tables: labels, samples, predictions and image manifests ---
@@ -229,8 +220,9 @@ def write_predictions(
 
 def attach_features(
     records: Sequence[ImageRecord], path: str, expected_dim: int | None = None
-) -> list[ImageRecord]:
-    """Attach feature vectors from a JSON-lines file keyed by image_id.
+) -> np.ndarray:
+    """Read a JSON-lines file keyed by image_id into an (n, d) float64
+    array whose row i is the vector of records[i].
 
     Each non-blank line is an object with a string image_id and a flat list
     of finite numbers. Every record must receive a vector, every file entry
@@ -239,10 +231,10 @@ def attach_features(
     this is a SchemaError naming the path and the line; bytes that are not
     UTF-8 are a SchemaError naming the path.
     """
-    ids = {r.image_id for r in records}
-    vectors: dict[str, np.ndarray] = {}
+    rows = {r.image_id: i for i, r in enumerate(records)}
     first_line: dict[str, int] = {}
     dim = expected_dim
+    features = np.empty((len(records), dim or 0))
     line_no = 0
     with open(path, encoding="utf-8") as fh:
         try:
@@ -256,7 +248,7 @@ def attach_features(
                 image_id = obj["image_id"]
                 if not isinstance(image_id, str):
                     raise ValueError(f"image_id must be a string, got {image_id!r}")
-                if image_id not in ids:
+                if image_id not in rows:
                     raise ValueError(f"unknown image_id {image_id!r}")
                 if image_id in first_line:
                     raise ValueError(
@@ -267,21 +259,22 @@ def attach_features(
                     raise ValueError("features must be a flat list")
                 if dim is None:
                     dim = vec.shape[0]
+                    features = np.empty((len(records), dim))
                 elif vec.shape[0] != dim:
                     raise ValueError(f"feature dimension {vec.shape[0]} != expected {dim}")
                 if not np.isfinite(vec).all():
                     raise ValueError("non-finite feature value")
                 first_line[image_id] = line_no
-                vectors[image_id] = vec
+                features[rows[image_id]] = vec
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:
             # bad JSON, a non-numeric value, an integer too large for a float, deep nesting
             raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
-    missing = sorted(ids - vectors.keys())
+    missing = sorted(rows.keys() - first_line.keys())
     if missing:
         raise SchemaError(f"{path}: no features for {len(missing)} record(s): {missing}")
-    return [replace(r, features=vectors[r.image_id]) for r in records]
+    return features
 
 
 def _runs(records: Sequence[ImageRecord]) -> list[tuple[int, int]]:
@@ -314,27 +307,6 @@ def build_sequences(
         raise ValueError("records must be sorted by (edge_id, seq_index)")
     starts = [s for start, end in _runs(records) for s in range(start, end - window + 1, stride)]
     return np.array(starts, dtype=np.intp)
-
-
-def corridor_arrays(records: Sequence[ImageRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Features (n, d) and float labels (n, 3) of records, one row per record."""
-    for r in records:
-        if r.features is None:
-            raise ValueError(f"record {r.image_id} has no features")
-    features = np.array([r.features for r in records], dtype=np.float64)
-    labels = np.array([r.labels for r in records], dtype=np.float64).reshape(len(records), 3)
-    return features, labels
-
-
-def class_distribution(records: Iterable[ImageRecord]) -> ClassDistribution:
-    """Count per-class positives."""
-    n = rs = mcb = cb = 0
-    for r in records:
-        n += 1
-        rs += int(r.labels[0])
-        mcb += int(r.labels[1])
-        cb += int(r.labels[2])
-    return ClassDistribution(n_images=n, rs_n=rs, mcb_n=mcb, cb_n=cb)
 
 
 @dataclass(frozen=True)
@@ -390,8 +362,9 @@ def _run_length_labels(rng: np.random.Generator, n: int, mean_on: float, mean_of
     return labels
 
 
-def synth_corridor(config: SynthConfig, seed: int) -> list[ImageRecord]:
-    """Generate a labeled synthetic corridor with feature vectors.
+def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], np.ndarray]:
+    """Generate a labeled synthetic corridor: its records and their (n,
+    feature_dim) feature vectors, row i for records[i].
 
     Feature coordinates 0..2 are informative for (rs, mcb, cb): their mean is
     +separation/2 when the label is on and -separation/2 when off, plus
@@ -447,18 +420,17 @@ def synth_corridor(config: SynthConfig, seed: int) -> list[ImageRecord]:
                 seq_index=i,
                 location=LatLon(lat0, lon),
                 labels=(bool(labels[i, 0]), bool(labels[i, 1]), bool(labels[i, 2])),
-                features=features[i].copy(),
             )
         )
-    return records
+    return records, features
 
 
 # --- pixel images (portable binary PPM, P6, maxval 255) ---
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM into an H x W x 3 uint8 array; a malformed header
-    or a short pixel block is a SchemaError naming the file."""
+    """Read a binary PPM into a read-only H x W x 3 uint8 array; a malformed
+    header or a short pixel block is a SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields: list[bytes] = []
@@ -493,8 +465,7 @@ def read_ppm(path: str) -> np.ndarray:
     if len(blob) - pos < w * h * 3:
         got = max(len(blob) - pos, 0)
         raise SchemaError(f"{path}: pixel block truncated, {got} of {w * h * 3} bytes")
-    raw = np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos)
-    return raw.reshape(h, w, 3).copy()
+    return np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(h, w, 3)
 
 
 def load_pixels(
@@ -502,8 +473,9 @@ def load_pixels(
     manifest_path: str,
     extent: tuple[int, int] | None = None,
     multiple: int = 1,
-) -> list[ImageRecord]:
-    """Attach pixel grids per a manifest CSV mapping image_id -> PPM path.
+) -> np.ndarray:
+    """Read the records' images, per a manifest CSV mapping image_id -> PPM
+    path, into one (n, H, W, 3) uint8 array whose row i is records[i]'s.
 
     Relative paths are resolved against the manifest's directory. Every
     image must be `extent` (height, width) pixels, or the first image's
@@ -517,8 +489,8 @@ def load_pixels(
         raise SchemaError(
             f"{manifest_path}: manifest lacks paths for {len(missing)} record(s): {missing}"
         )
-    out = []
-    for r in records:
+    out = np.empty((len(records), *(extent or (0, 0)), 3), dtype=np.uint8)
+    for i, r in enumerate(records):
         p = paths[r.image_id]
         if not os.path.isabs(p):
             p = os.path.join(base, p)
@@ -526,6 +498,7 @@ def load_pixels(
         h, w = pixels.shape[:2]
         if extent is None:
             extent = (h, w)
+            out = np.empty((len(records), h, w, 3), dtype=np.uint8)
         if (h, w) != extent:
             raise ValueError(
                 f"{p}: image {r.image_id} is {w} x {h} pixels, expected {extent[1]} x {extent[0]}"
@@ -534,19 +507,12 @@ def load_pixels(
             raise ValueError(
                 f"{p}: image {r.image_id} is {w} x {h} pixels, not a multiple of {multiple}"
             )
-        out.append(replace(r, pixels=pixels))
+        out[i] = pixels
     return out
 
 
-def write_features(path: str, records: Sequence[ImageRecord]) -> None:
-    """Write per-record feature vectors as JSON-lines keyed by image_id."""
+def write_features(path: str, records: Sequence[ImageRecord], features: np.ndarray) -> None:
+    """Write features[i], the vector of records[i], as JSON-lines keyed by image_id."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            if r.features is None:
-                raise ValueError(f"record {r.image_id} has no features")
-            fh.write(
-                json.dumps(
-                    {"image_id": r.image_id, "features": [float(x) for x in r.features]}
-                )
-                + "\n"
-            )
+        for r, vec in zip(records, features, strict=True):
+            fh.write(json.dumps({"image_id": r.image_id, "features": vec.tolist()}) + "\n")

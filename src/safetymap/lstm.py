@@ -16,9 +16,11 @@ are the row blocks of `wp`, `up` and `bp`.
 One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
 groups over (G, B windows, T steps) together, in training and prediction.
 
-A window is its start index into a corridor's records; training and
-prediction both read windows through `_window_view`, a strided
-(n - T + 1, T, k) view of the corridor's (n, k) feature or label array.
+Training and prediction take a corridor as its records (keys, labels)
+next to the (n, d) feature array its loader returns, row i belonging to
+records[i]. A window is its start index into the records; both read windows
+through `_window_view`, a strided (n - T + 1, T, k) view of the corridor's
+(n, k) feature or label array.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import CLASS_NAMES, nn
-from .data import ImageRecord, _runs, corridor_arrays
+from .data import ImageRecord, _runs
 from .modelio import check_shapes, load_tensors, save_tensors
 
 
@@ -332,11 +334,14 @@ def _window_view(a: np.ndarray, window: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(a, window, axis=0).swapaxes(1, 2)
 
 
-def _windows(mode: str, records: Sequence[ImageRecord], window: int) -> tuple[np.ndarray, ...]:
+def _windows(
+    mode: str, records: Sequence[ImageRecord], features: np.ndarray, window: int
+) -> tuple[np.ndarray, ...]:
     """Window views of the corridor: features (M, T, d) and each group's targets
     (G, M, T, o), all three columns in shared mode, column k for class k otherwise."""
-    feats, labels = (_window_view(a, window) for a in corridor_arrays(records))
-    return feats, labels[None] if mode == "shared" else np.moveaxis(labels, -1, 0)[..., None]
+    labels = _window_view(np.array([r.labels for r in records], dtype=np.float64), window)
+    targets = labels[None] if mode == "shared" else np.moveaxis(labels, -1, 0)[..., None]
+    return _window_view(features, window), targets
 
 
 def _fit(
@@ -388,14 +393,15 @@ def _fit(
 def bptt_train(
     model: SequenceModel,
     records: Sequence[ImageRecord],
+    features: np.ndarray,
     starts: np.ndarray,
     window: int,
     config: SeqTrainConfig,
     val_starts: np.ndarray | None = None,
 ) -> list[dict[str, float]]:
     """Train with full backpropagation-through-time on the windows of the
-    given length starting at `starts` (indices into records, as from
-    `data.build_sequences`), one Adam update per window, shuffling per
+    given length starting at `starts` (indices into records and features,
+    as from `data.build_sequences`), one Adam update per window, shuffling per
     epoch with the seeded RNG; in place, recording the window in
     model.window. Windows at `val_starts`, if any, give a validation loss
     per epoch.
@@ -412,7 +418,7 @@ def bptt_train(
         for k in range(len(model.params["wp"]))
     ]
     model.window = window
-    windows, targets = _windows(model.mode, records, window)
+    windows, targets = _windows(model.mode, records, features, window)
     history = _fit(
         model.params, windows, targets, starts, rngs, config, model.dropout_rate, val_starts
     )
@@ -425,21 +431,22 @@ def bptt_train(
 def predict_corridor(
     model: SequenceModel,
     records: Sequence[ImageRecord],
+    features: np.ndarray,
     window: int,
     threshold: float = 0.5,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-image class probabilities and labels over contiguous runs.
+    """Per-image class probabilities and labels over the contiguous runs of
+    records, features[i] being the vector of records[i].
 
     Each image's probability is the mean of its per-step probability over
     every stride-1 window containing it, summed in window start order; a
     run shorter than the window gets one truncated pass. The label rule is
     strictly-above-threshold.
     """
-    feats, _ = corridor_arrays(records)
     probs = np.zeros((len(records), 3))
     chunk = 128 // len(model.params["wp"])  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
-        run = feats[start:end]
+        run = features[start:end]
         n = end - start
         if n < window:
             probs[start:end] = _class_probs(model, run[None])[0]

@@ -10,7 +10,6 @@ from typing import Sequence
 import numpy as np
 
 from . import CLASS_NAMES
-from .data import ClassDistribution
 
 
 @dataclass(frozen=True)
@@ -60,22 +59,17 @@ def class_metrics(predictions: np.ndarray, truth: np.ndarray) -> tuple[ClassMetr
     return tuple(out)  # type: ignore[return-value]
 
 
-def weighted_avg_f(
-    f_scores: Sequence[float], counts: ClassDistribution | Sequence[int]
-) -> float:
+def weighted_avg_f(f_scores: Sequence[float], counts: Sequence[int]) -> float:
     """Average the three per-class F-scores weighted by ground-truth positive counts."""
-    weights = counts.positives() if isinstance(counts, ClassDistribution) else tuple(counts)
-    if len(f_scores) != 3 or len(weights) != 3:
+    if len(f_scores) != 3 or len(counts) != 3:
         raise ValueError("expected three F-scores and three counts")
-    total = sum(weights)
+    total = sum(counts)
     if total <= 0:
         raise ValueError("all class counts are zero")
-    return sum(f * w for f, w in zip(f_scores, weights)) / total
+    return sum(f * w for f, w in zip(f_scores, counts)) / total
 
 
-def weighted_avg_f_from_metrics(
-    metrics: Sequence[ClassMetrics], counts: ClassDistribution | Sequence[int]
-) -> float:
+def weighted_avg_f_from_metrics(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> float:
     return weighted_avg_f([m.f for m in metrics], counts)
 
 
@@ -121,9 +115,7 @@ def isolated_error_correction_rate(
     return tuple(rates)  # type: ignore[return-value]
 
 
-def metrics_report(
-    metrics: Sequence[ClassMetrics], counts: ClassDistribution | Sequence[int]
-) -> dict:
+def metrics_report(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> dict:
     """Machine-readable report: per-class counts and scores plus the weighted F."""
     doc: dict = {}
     for m in metrics:
@@ -140,7 +132,7 @@ def metrics_report(
     return doc
 
 
-def format_table(metrics: Sequence[ClassMetrics], counts: ClassDistribution | Sequence[int]) -> str:
+def format_table(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> str:
     """Human-readable table: Class, Precision, Recall, F, and the average F."""
     lines = [f"{'Class':<6} {'Precision':>9} {'Recall':>9} {'F':>9}"]
     for m in metrics:

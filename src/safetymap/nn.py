@@ -63,72 +63,67 @@ def dense_backward(
 # --- 2-D convolution (cross-correlation with zero padding) ---
 
 
-def _conv_output_extent(extent: int, k: int, stride: int, padding: int) -> int:
+def _conv_output_extent(extent: int, k: int, padding: int) -> int:
     span = extent + 2 * padding - k
     if span < 0:
         raise ValueError(f"kernel {k} larger than padded input {extent + 2 * padding}")
-    if span % stride != 0:
-        raise ValueError(
-            f"non-integral output extent: ({extent} + 2*{padding} - {k}) / {stride}"
-        )
-    return span // stride + 1
+    return span + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
     """Column matrix of all kernel-sized patches, shape (C*kh*kw, H'*W')."""
     c = x.shape[0]
-    h_out = _conv_output_extent(x.shape[1], kh, stride, padding)
-    w_out = _conv_output_extent(x.shape[2], kw, stride, padding)
+    h_out = _conv_output_extent(x.shape[1], kh, padding)
+    w_out = _conv_output_extent(x.shape[2], kw, padding)
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
     cols = np.empty((c, kh, kw, h_out, w_out), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride]
+            cols[:, i, j] = xp[:, i : i + h_out, j : j + w_out]
     return cols.reshape(c * kh * kw, h_out * w_out)
 
 
 def conv2d_forward(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    bias: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: int = 0
 ) -> np.ndarray:
-    """Convolve a C x H x W input with K kernels of shape C x kh x kw."""
+    """Convolve a C x H x W input with K kernels of shape C x kh x kw, stride 1."""
     k, c, kh, kw = kernels.shape
     if x.shape[0] != c:
         raise ValueError(f"input channels {x.shape[0]} != kernel channels {c}")
     if bias.shape != (k,):
         raise ValueError(f"bias shape {bias.shape} != ({k},)")
-    h_out = _conv_output_extent(x.shape[1], kh, stride, padding)
-    w_out = _conv_output_extent(x.shape[2], kw, stride, padding)
-    cols = _im2col(x, kh, kw, stride, padding)
+    h_out = _conv_output_extent(x.shape[1], kh, padding)
+    w_out = _conv_output_extent(x.shape[2], kw, padding)
+    cols = _im2col(x, kh, kw, padding)
     out = kernels.reshape(k, -1) @ cols + bias[:, None]
     return out.reshape(k, h_out, w_out)
 
 
 def conv2d_backward(
-    x: np.ndarray,
-    kernels: np.ndarray,
-    grad_out: np.ndarray,
-    stride: int = 1,
-    padding: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_kernels, d_bias) for conv2d_forward."""
+    x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray, padding: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients (d_kernels, d_bias) for conv2d_forward."""
+    k = kernels.shape[0]
+    grad_mat = grad_out.reshape(k, -1)
+    cols = _im2col(x, kernels.shape[2], kernels.shape[3], padding)
+    return (grad_mat @ cols.T).reshape(kernels.shape), grad_mat.sum(axis=1)
+
+
+def conv2d_backward_input(
+    kernels: np.ndarray, grad_out: np.ndarray, padding: int = 0
+) -> np.ndarray:
+    """Gradient d_x on the input of conv2d_forward."""
     k, c, kh, kw = kernels.shape
     h_out, w_out = grad_out.shape[1], grad_out.shape[2]
-    grad_mat = grad_out.reshape(k, -1)
-    cols = _im2col(x, kh, kw, stride, padding)
-    grad_bias = grad_mat.sum(axis=1)
-    grad_kernels = (grad_mat @ cols.T).reshape(kernels.shape)
-    grad_cols = (kernels.reshape(k, -1).T @ grad_mat).reshape(c, kh, kw, h_out, w_out)
-    grad_xp = np.zeros((c, x.shape[1] + 2 * padding, x.shape[2] + 2 * padding))
+    grad_cols = kernels.reshape(k, -1).T @ grad_out.reshape(k, -1)
+    grad_cols = grad_cols.reshape(c, kh, kw, h_out, w_out)
+    grad_xp = np.zeros((c, h_out + kh - 1, w_out + kw - 1))
     for i in range(kh):
         for j in range(kw):
-            grad_xp[:, i : i + stride * h_out : stride, j : j + stride * w_out : stride] += grad_cols[:, i, j]
+            grad_xp[:, i : i + h_out, j : j + w_out] += grad_cols[:, i, j]
     if padding:
         grad_xp = grad_xp[:, padding:-padding, padding:-padding]
-    return grad_xp, grad_kernels, grad_bias
+    return grad_xp
 
 
 # --- 2x2 max pooling, stride 2 ---
@@ -157,9 +152,11 @@ def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def maxpool2d_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Route each output gradient back to its window's argmax position."""
     c, h2, w2 = grad_out.shape
-    grad_windows = np.zeros((c, h2, w2, 4))
-    np.put_along_axis(grad_windows, idx[..., None], grad_out[..., None], axis=-1)
-    return grad_windows.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
+    grad = np.zeros((c, 2 * h2, 2 * w2))
+    # slot k of a window is the strided slice the forward pass reads as a, b, c, d
+    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.copyto(grad[:, i::2, j::2], grad_out, where=idx == k)
+    return grad
 
 
 # --- inverted dropout ---
@@ -194,6 +191,11 @@ def bce_grad_from_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 # --- Adam optimizer ---
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per named parameter plus the step count."""
@@ -202,21 +204,14 @@ class AdamState:
     v: Params
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: Params = field(default_factory=dict, repr=False)  # update work buffers
 
 
-def adam_init(params: Params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(params: Params, lr: float = 1e-3) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
-        t=0,
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
     )
 
 
@@ -229,7 +224,7 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(set(params) ^ set(grads))}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
     for key, p in params.items():
@@ -251,7 +246,7 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
         # denominator sqrt(v_hat) + eps, then the bias-corrected step
         np.divide(v, bias2, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += ADAM_EPS
         np.divide(m, scratch, out=scratch)
         scratch *= state.lr / bias1
         p -= scratch

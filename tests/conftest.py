@@ -7,13 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from safetymap.cnn import TrainConfig, frame_predict, frame_train, init_frame_classifier
-from safetymap.data import (
-    ImageRecord,
-    SynthConfig,
-    build_sequences,
-    class_distribution,
-    synth_corridor,
-)
+from safetymap.data import ImageRecord, SynthConfig, build_sequences, synth_corridor
 from safetymap.geo import LatLon
 from safetymap.lstm import SeqTrainConfig, bptt_train, init_sequence_model, predict_corridor
 from safetymap.metrics import (
@@ -53,15 +47,17 @@ def write_ppm(path: str, pixels: np.ndarray) -> None:
 
 def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width: int = 32):
     """Separable synthetic pixel dataset: label k brightens color channel k.
-    Pixels are uint8, quantised as write_ppm stores them."""
+    Returns the records and their (n, height, width, 3) uint8 pixels,
+    quantised as write_ppm stores them."""
     records = []
+    pixels = np.empty((n, height, width, 3), dtype=np.uint8)
     for i in range(n):
         labels = tuple(bool(b) for b in rng.random(3) < 0.5)
         img = rng.normal(0.45, 0.08, size=(height, width, 3))
         for k in range(3):
             if labels[k]:
                 img[:, :, k] += 0.35
-        img = np.clip(img, 0.0, 1.0)
+        pixels[i] = quantise(np.clip(img, 0.0, 1.0))
         records.append(
             ImageRecord(
                 image_id=f"px-{i:04d}",
@@ -69,10 +65,9 @@ def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width
                 seq_index=i,
                 location=LatLon(33.0, -87.0 + 1e-4 * i),
                 labels=labels,
-                pixels=quantise(img),
             )
         )
-    return records
+    return records, pixels
 
 
 def enumerate_windows(records, window, stride):
@@ -127,32 +122,35 @@ def corridor_experiments():
     config = SynthConfig()
     results = []
     for seed in CORRIDOR_SEEDS:
-        train_records = synth_corridor(config, seed=1000 + seed)
-        test_records = synth_corridor(config, seed=2000 + seed)
+        train_records, train_features = synth_corridor(config, seed=1000 + seed)
+        test_records, test_features = synth_corridor(config, seed=2000 + seed)
         truth = np.array([r.labels for r in test_records])
-        counts = class_distribution(test_records)
+        counts = truth.sum(axis=0).tolist()
 
         frame = init_frame_classifier(config.feature_dim, seed=seed)
         frame_train(
-            frame, train_records, TrainConfig(lr=1e-2, batch_size=32, epochs=30, seed=seed)
+            frame,
+            train_records,
+            train_features,
+            TrainConfig(lr=1e-2, batch_size=32, epochs=30, seed=seed),
         )
-        frame_labels = (
-            frame_predict(frame, np.stack([r.features for r in test_records])) > 0.5
-        )
+        frame_labels = frame_predict(frame, test_features) > 0.5
 
         starts = build_sequences(train_records, CORRIDOR_WINDOW, CORRIDOR_TRAIN_STRIDE)
         train_config = SeqTrainConfig(lr=1e-3, epochs=CORRIDOR_EPOCHS, seed=seed)
         shared = init_sequence_model(
             "shared", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed
         )
-        bptt_train(shared, train_records, starts, CORRIDOR_WINDOW, train_config)
+        bptt_train(shared, train_records, train_features, starts, CORRIDOR_WINDOW, train_config)
         separate = init_sequence_model(
             "separate", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed
         )
-        bptt_train(separate, train_records, starts, CORRIDOR_WINDOW, train_config)
+        bptt_train(separate, train_records, train_features, starts, CORRIDOR_WINDOW, train_config)
 
-        _, shared_labels = predict_corridor(shared, test_records, CORRIDOR_WINDOW)
-        _, separate_labels = predict_corridor(separate, test_records, CORRIDOR_WINDOW)
+        _, shared_labels = predict_corridor(shared, test_records, test_features, CORRIDOR_WINDOW)
+        _, separate_labels = predict_corridor(
+            separate, test_records, test_features, CORRIDOR_WINDOW
+        )
 
         def avg_f(labels):
             return weighted_avg_f_from_metrics(class_metrics(labels, truth), counts)

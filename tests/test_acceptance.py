@@ -26,6 +26,7 @@ from safetymap.metrics import weighted_avg_f
 from safetymap.nn import (
     bce_loss,
     conv2d_backward,
+    conv2d_backward_input,
     conv2d_forward,
     dense_backward,
     dense_forward,
@@ -98,7 +99,8 @@ class TestCriterion3Gradients:
 
         def conv_fn(params):
             y = conv2d_forward(params["x"], params["k"], params["b"])
-            gx, gk, gb = conv2d_backward(params["x"], params["k"], conv_coeff)
+            gk, gb = conv2d_backward(params["x"], params["k"], conv_coeff)
+            gx = conv2d_backward_input(params["k"], conv_coeff)
             return float(np.sum(conv_coeff * y)), {"x": gx, "k": gk, "b": gb}
 
         worst["conv2d"] = grad_check(
@@ -136,8 +138,7 @@ class TestCriterion3Gradients:
 
         def cnn_fn(params):
             cnn_model.params = params
-            loss, grads, _ = cnn_loss_and_grads(cnn_model, images, cnn_labels)
-            return loss, grads
+            return cnn_loss_and_grads(cnn_model, images, cnn_labels)
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)
 

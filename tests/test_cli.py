@@ -13,7 +13,7 @@ from test_lstm import gate_params
 
 from safetymap.cli import build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
-from safetymap.data import ImageRecord, write_labels
+from safetymap.data import ImageRecord, write_labels, write_predictions
 from safetymap.geo import LatLon, RoadEdge, heading_at
 from safetymap.modelio import load_tensors, save_tensors
 
@@ -428,6 +428,25 @@ class TestSynthPipeline:
         err = capsys.readouterr().err
         assert "140" in err and "150" in err
 
+    def test_evaluate_weights_f_by_truth_counts(self, tmp_path):
+        # a 983-image table with 868/324/352 positives, every image predicted positive
+        records = [
+            ImageRecord(f"img-{i}", "e1", i, LatLon(33.0, -87.0), (i < 868, i < 324, i < 352))
+            for i in range(983)
+        ]
+        truth, predictions = tmp_path / "truth.csv", tmp_path / "predictions.csv"
+        write_labels(str(truth), records)
+        write_predictions(str(predictions), records, np.ones((983, 3)), np.ones((983, 3), bool))
+        report = tmp_path / "metrics.json"
+        assert run_cli(
+            "evaluate", "--predictions", str(predictions), "--truth", str(truth),
+            "--out", str(report),
+        ) == 0
+        counts = (868, 324, 352)
+        f = [2 * (n / 983) / (n / 983 + 1) for n in counts]
+        want = sum(fk * n for fk, n in zip(f, counts)) / sum(counts)
+        assert json.loads(report.read_text())["avg_f"] == round(want, 6)
+
     def test_evaluate_baseline_mismatches_exit_5(self, tmp_path, tiny_config, capsys):
         labels, _, predictions, *_ = self._run_pipeline(tmp_path, tiny_config)
         lines = predictions.read_text().splitlines()
@@ -551,6 +570,31 @@ class TestSynthPipeline:
         assert f"{model} was trained with window 20, config window is 10" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_predict_with_model_of_other_width_exit_5(self, tmp_path, tiny_config, capsys):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        wide = tmp_path / "wide.cfg"
+        wide.write_text(TINY_CONFIG.replace("feature_dim = 8", "feature_dim = 16"))
+        wide_labels, wide_features = tmp_path / "wide_labels.csv", tmp_path / "wide.jsonl"
+        model = tmp_path / "wide_model.bin"
+        base = ["--config", str(wide)]
+        assert run_cli(
+            *base, "synth", "--out", str(wide_labels), "--features-out", str(wide_features)
+        ) == 0
+        assert run_cli(
+            *base, "train-lstm", "--labels", str(wide_labels), "--features", str(wide_features),
+            "--model-out", str(model),
+        ) == 0
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "--config", tiny_config, "predict", "--labels", str(labels),
+            "--features", str(features), "--model", str(model), "--out", str(out),
+        )
+        assert code == 5
+        message = f"{model} was trained with input_dim 16, config feature_dim is 8"
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_separate_mode(self, tmp_path, tiny_config):
         *_, report, _ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
         doc = json.loads(report.read_text())
@@ -663,14 +707,14 @@ class TestFeatureFileBoundary:
 class TestPixelCommands:
     def _write_inputs(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = make_pixel_records(12, rng, height=8, width=8)
+        records, pixels = make_pixel_records(12, rng, height=8, width=8)
         labels = tmp_path / "labels.csv"
         write_labels(str(labels), records)
         manifest = tmp_path / "manifest.csv"
         rows = ["image_id,path"]
-        for r in records:
+        for r, image in zip(records, pixels):
             ppm = tmp_path / f"{r.image_id}.ppm"
-            write_ppm(str(ppm), r.pixels)
+            write_ppm(str(ppm), image)
             rows.append(f"{r.image_id},{ppm.name}")
         manifest.write_text("\n".join(rows) + "\n")
         cfg = tmp_path / "cnn.cfg"
@@ -709,6 +753,14 @@ class TestPixelCommands:
         capsys.readouterr()
         assert self._train(tmp_path, labels, manifest, cfg) == 5
         assert f"{ppm}: image px-0005 {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cnn.bin").exists()
+
+    def test_train_cnn_empty_labels_exit_5(self, tmp_path, capsys):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels.write_text(labels.read_text().splitlines()[0] + "\n")  # the header alone
+        capsys.readouterr()
+        assert self._train(tmp_path, labels, manifest, cfg) == 5
+        assert capsys.readouterr().err == f"error: {labels}: empty training set\n"
         assert not (tmp_path / "cnn.bin").exists()
 
     def test_train_cnn_unpoolable_size_exit_5(self, tmp_path, capsys):

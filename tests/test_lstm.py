@@ -273,56 +273,61 @@ class TestGradients:
 
 
 def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
-    """A synthetic corridor and the start indices of its training windows."""
+    """A synthetic corridor's records and features, and the start indices of
+    its training windows."""
     cfg = SynthConfig(n_points=n_points, **cfg_kw)
-    records = synth_corridor(cfg, seed)
-    return records, build_sequences(records, window, stride)
+    records, features = synth_corridor(cfg, seed)
+    return records, features, build_sequences(records, window, stride)
 
 
 class TestBpttTrain:
     def test_corridor_training_loss(self):
-        records, starts = corridor_sequences(2000, seed=0)
+        records, features, starts = corridor_sequences(2000, seed=0)
         model = init_sequence_model("shared", input_dim=16, hidden=32, seed=1)
         cfg = SeqTrainConfig(lr=1e-3, epochs=30, seed=2)
-        history = bptt_train(model, records, starts, 50, cfg)
+        history = bptt_train(model, records, features, starts, 50, cfg)
         assert history[-1]["train_loss"] < 0.15
 
     def test_zero_epochs_unchanged(self):
-        records, starts = corridor_sequences(200, seed=3, window=20)
+        records, features, starts = corridor_sequences(200, seed=3, window=20)
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=4)
         before = copy.deepcopy(model.params)
-        history = bptt_train(model, records, starts, 20, SeqTrainConfig(epochs=0))
+        history = bptt_train(model, records, features, starts, 20, SeqTrainConfig(epochs=0))
         assert history == []
         for key, value in before.items():
             assert np.array_equal(model.params[key], value)
 
     def test_seed_reproducibility(self):
-        records, starts = corridor_sequences(200, seed=5, window=20)
+        records, features, starts = corridor_sequences(200, seed=5, window=20)
 
         def run(seed):
             model = init_sequence_model("shared", input_dim=16, hidden=8, seed=6)
             cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=seed)
-            return bptt_train(model, records, starts, 20, cfg)
+            return bptt_train(model, records, features, starts, 20, cfg)
 
         assert run(7) == run(7)
         assert run(7) != run(8)
 
     def test_validation_history(self):
-        records, starts = corridor_sequences(150, seed=9, window=20)
+        records, features, starts = corridor_sequences(150, seed=9, window=20)
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=10)
         cfg = SeqTrainConfig(lr=1e-3, epochs=2)
-        history = bptt_train(model, records, starts[:5], 20, cfg, val_starts=starts[5:])
+        history = bptt_train(
+            model, records, features, starts[:5], 20, cfg, val_starts=starts[5:]
+        )
         assert all("val_loss" in h for h in history)
 
     def test_empty_rejected(self):
         model = init_sequence_model("shared", input_dim=16, hidden=8, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            bptt_train(model, [], np.array([], dtype=np.intp), 20, SeqTrainConfig(epochs=1))
+            bptt_train(
+                model, [], np.empty((0, 16)), np.array([], dtype=np.intp), 20, SeqTrainConfig(epochs=1)
+            )
 
     def test_separate_class_isolated_from_other_labels(self):
         from dataclasses import replace
 
-        records, _ = corridor_sequences(300, seed=11, window=20)
+        records, features, _ = corridor_sequences(300, seed=11, window=20)
         rng = np.random.default_rng(12)
         permuted = []
         for r in records:
@@ -334,19 +339,19 @@ class TestBpttTrain:
         cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=13)
         model_a = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
         model_b = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
-        bptt_train(model_a, records, starts, 20, cfg)
-        bptt_train(model_b, permuted, starts, 20, cfg)
+        bptt_train(model_a, records, features, starts, 20, cfg)
+        bptt_train(model_b, permuted, features, starts, 20, cfg)
         mcb = 1  # separate mode's groups follow CLASS_NAMES
         for key, value in model_a.params.items():
             assert np.array_equal(value[mcb], model_b.params[key][mcb]), key
 
     def test_separate_lockstep_matches_each_stack_alone(self):
-        records, starts = corridor_sequences(150, seed=15, window=20, stride=5)
+        records, features, starts = corridor_sequences(150, seed=15, window=20, stride=5)
         cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=16)
         model = init_sequence_model("separate", input_dim=16, hidden=8, seed=17)
         initial = {key: value.copy() for key, value in model.params.items()}
-        bptt_train(model, records, starts, 20, cfg)
-        windows, targets = lstm._windows("separate", records, 20)
+        bptt_train(model, records, features, starts, 20, cfg)
+        windows, targets = lstm._windows("separate", records, features, 20)
         for k in range(3):
             alone = {key: value[k : k + 1].copy() for key, value in initial.items()}
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
@@ -370,72 +375,77 @@ def reference_window_probs(model, xs):
     return out
 
 
-def reference_corridor_probs(model, run, window):
-    """Overlapping-window mean over one gapless run, one window at a time."""
-    feats = np.stack([r.features for r in run])
-    if len(run) < window:
+def reference_corridor_probs(model, feats, window):
+    """Overlapping-window mean over one gapless run's features, one window at a time."""
+    n = len(feats)
+    if n < window:
         return reference_window_probs(model, feats)
-    sums = np.zeros((len(run), 3))
-    counts = np.zeros((len(run), 1))
-    for s in range(len(run) - window + 1):
+    sums = np.zeros((n, 3))
+    counts = np.zeros((n, 1))
+    for s in range(n - window + 1):
         sums[s : s + window] += reference_window_probs(model, feats[s : s + window])
         counts[s : s + window] += 1.0
     return sums / counts
 
 
 def feature_records(n, rng, edge="e1", start=0, dim=4):
-    return [
+    """A gapless run of n records on one edge and their (n, dim) features."""
+    records = [
         ImageRecord(
             image_id=f"{edge}-{start + i}",
             edge_id=edge,
             seq_index=start + i,
             location=LatLon(33.0, -87.0 + 1e-4 * (start + i)),
             labels=(False, False, False),
-            features=rng.normal(size=dim),
         )
         for i in range(n)
     ]
+    return records, rng.normal(size=(n, dim))
+
+
+def join_runs(runs):
+    """The records and features of several (records, features) runs, in order."""
+    return [r for records, _ in runs for r in records], np.concatenate([f for _, f in runs])
 
 
 class TestPredictCorridor:
     def test_single_window_is_identity(self):
         rng = np.random.default_rng(15)
-        records = feature_records(6, rng)
+        records, feats = feature_records(6, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=16)
-        probs, labels = predict_corridor(model, records, window=6)
-        direct = window_probs(model, np.stack([r.features for r in records]))
+        probs, labels = predict_corridor(model, records, feats, window=6)
+        direct = window_probs(model, feats)
         assert np.allclose(probs, direct, atol=1e-14)
         assert np.array_equal(labels, probs > 0.5)
 
     def test_window_plus_one_averages(self):
         rng = np.random.default_rng(17)
-        records = feature_records(7, rng)
+        records, feats = feature_records(7, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=18)
-        feats = np.stack([r.features for r in records])
         w0 = window_probs(model, feats[:6])
         w1 = window_probs(model, feats[1:])
         expected = np.zeros((7, 3))
         expected[0] = w0[0]
         expected[6] = w1[5]
         expected[1:6] = (w0[1:] + w1[:5]) / 2.0
-        probs, _ = predict_corridor(model, records, window=6)
+        probs, _ = predict_corridor(model, records, feats, window=6)
         assert np.allclose(probs, expected, atol=1e-12)
 
     def test_short_run_truncated_fallback(self):
         rng = np.random.default_rng(19)
-        records = feature_records(4, rng)
+        records, feats = feature_records(4, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=20)
-        probs, _ = predict_corridor(model, records, window=10)
-        direct = window_probs(model, np.stack([r.features for r in records]))
+        probs, _ = predict_corridor(model, records, feats, window=10)
+        direct = window_probs(model, feats)
         assert np.allclose(probs, direct, atol=1e-14)
 
     def test_constant_model_aggregation_exact(self):
         rng = np.random.default_rng(21)
-        records = feature_records(12, rng)
+        records, feats = feature_records(12, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=22)
         for value in model.params.values():
             value[...] = 0.0
-        probs, labels = predict_corridor(model, records, window=5)
+        probs, labels = predict_corridor(model, records, feats, window=5)
         assert np.all(probs == 0.5)
         assert not labels.any()  # exactly at threshold means absent
 
@@ -443,19 +453,21 @@ class TestPredictCorridor:
         # runs of 48, 8 and 5 images at window 6: 43 windows (two separate-mode
         # chunks), 3 windows, and one truncated pass
         rng = np.random.default_rng(23)
-        records = (
-            feature_records(48, rng, edge="e0")
-            + feature_records(8, rng)
-            + feature_records(5, rng, edge="e2")
+        records, feats = join_runs(
+            [
+                feature_records(48, rng, edge="e0"),
+                feature_records(8, rng),
+                feature_records(5, rng, edge="e2"),
+            ]
         )
         for mode in ("shared", "separate"):
             model = init_sequence_model(mode, input_dim=4, hidden=5, seed=24)
-            probs, labels = predict_corridor(model, records, window=6)
+            probs, labels = predict_corridor(model, records, feats, window=6)
             assert probs.shape == (61, 3)
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             expected = np.concatenate(
                 [
-                    reference_corridor_probs(model, records[a:b], window=6)
+                    reference_corridor_probs(model, feats[a:b], window=6)
                     for a, b in ((0, 48), (48, 56), (56, 61))
                 ]
             )
@@ -474,29 +486,20 @@ class TestPredictCorridor:
         # each run starts a new edge or follows a gap on the current one; runs
         # of 45-60 images give separate mode (42 windows a chunk) two chunks
         rng = np.random.default_rng(len(runs) * 100 + window)
-        records, edge, seq = [], 0, 0
+        parts, edge, seq = [], 0, 0
         for length, new_edge in runs:
             edge, seq = (edge + 1, 0) if new_edge else (edge, seq + 1)
-            records += feature_records(length, rng, edge=f"e{edge}", start=seq, dim=3)
+            parts.append(feature_records(length, rng, edge=f"e{edge}", start=seq, dim=3))
             seq += length
+        records, feats = join_runs(parts)
         model = init_sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=window)
-        probs, labels = predict_corridor(model, records, window)
+        probs, labels = predict_corridor(model, records, feats, window)
         bounds = np.cumsum([0] + [length for length, _ in runs])
         expected = np.concatenate(
-            [reference_corridor_probs(model, records[a:b], window) for a, b in zip(bounds, bounds[1:])]
+            [reference_corridor_probs(model, feats[a:b], window) for a, b in zip(bounds, bounds[1:])]
         )
         assert np.max(np.abs(probs - expected)) <= 1e-12
         assert np.array_equal(labels, probs > 0.5)
-
-    def test_missing_features_rejected(self):
-        from dataclasses import replace
-
-        rng = np.random.default_rng(25)
-        records = feature_records(6, rng)
-        records[2] = replace(records[2], features=None)
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=26)
-        with pytest.raises(ValueError, match="features"):
-            predict_corridor(model, records, window=3)
 
 
 class TestSerialization:
@@ -514,10 +517,10 @@ class TestSerialization:
         assert np.array_equal(window_probs(model, xs), window_probs(loaded, xs))
 
     def test_round_trip_keeps_training_window(self, tmp_path):
-        records, starts = corridor_sequences(60, seed=31, window=7)
+        records, features, starts = corridor_sequences(60, seed=31, window=7)
         model = init_sequence_model("shared", input_dim=16, hidden=4, mid_dim=5, seed=31)
         assert model.window is None
-        bptt_train(model, records, starts[:2], 7, SeqTrainConfig(epochs=1))
+        bptt_train(model, records, features, starts[:2], 7, SeqTrainConfig(epochs=1))
         assert model.window == 7
         path = tmp_path / "seq.bin"
         seq_save(model, str(path))

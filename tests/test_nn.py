@@ -16,6 +16,7 @@ from safetymap.nn import (
     adam_step,
     bce_loss,
     conv2d_backward,
+    conv2d_backward_input,
     conv2d_forward,
     dense_backward,
     dense_forward,
@@ -30,12 +31,12 @@ from safetymap.nn import (
 )
 
 
-def naive_conv2d(x, kernels, bias, stride=1, padding=0):
-    """Direct-loop convolution oracle, independent of the im2col path."""
+def naive_conv2d(x, kernels, bias, padding=0):
+    """Direct-loop stride-1 convolution oracle, independent of the im2col path."""
     k, c, kh, kw = kernels.shape
     xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
+    h_out = xp.shape[1] - kh + 1
+    w_out = xp.shape[2] - kw + 1
     out = np.zeros((k, h_out, w_out))
     for f in range(k):
         for i in range(h_out):
@@ -44,7 +45,7 @@ def naive_conv2d(x, kernels, bias, stride=1, padding=0):
                 for ch in range(c):
                     for a in range(kh):
                         for b in range(kw):
-                            acc += kernels[f, ch, a, b] * xp[ch, i * stride + a, j * stride + b]
+                            acc += kernels[f, ch, a, b] * xp[ch, i + a, j + b]
                 out[f, i, j] = acc
     return out
 
@@ -113,53 +114,48 @@ class TestConv2d:
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 9.0
 
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_matches_naive_oracle(self, stride, padding):
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_matches_naive_oracle(self, padding):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(2, 7, 7))
         k = rng.normal(size=(3, 2, 3, 3))
         b = rng.normal(size=3)
-        got = conv2d_forward(x, k, b, stride=stride, padding=padding)
-        want = naive_conv2d(x, k, b, stride=stride, padding=padding)
+        got = conv2d_forward(x, k, b, padding=padding)
+        want = naive_conv2d(x, k, b, padding=padding)
         assert np.allclose(got, want, atol=1e-12)
+
+    @staticmethod
+    def conv_loss(coeff, padding):
+        """sum(coeff * conv) and its gradients on the input, kernels and bias."""
+
+        def loss_and_grads(params):
+            y = conv2d_forward(params["x"], params["k"], params["b"], padding=padding)
+            gk, gb = conv2d_backward(params["x"], params["k"], coeff, padding=padding)
+            gx = conv2d_backward_input(params["k"], coeff, padding=padding)
+            return float(np.sum(coeff * y)), {"x": gx, "k": gk, "b": gb}
+
+        return loss_and_grads
 
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         coeff = rng.normal(size=(3, 6, 6))
-
-        def loss_and_grads(params):
-            y = conv2d_forward(params["x"], params["k"], params["b"], stride=1, padding=0)
-            loss = float(np.sum(coeff * y))
-            gx, gk, gb = conv2d_backward(params["x"], params["k"], coeff, stride=1, padding=0)
-            return loss, {"x": gx, "k": gk, "b": gb}
-
         params = {
             "x": rng.normal(size=(2, 8, 8)),
             "k": rng.normal(size=(3, 2, 3, 3)),
             "b": rng.normal(size=3),
         }
-        assert grad_check(loss_and_grads, params) < 1e-6
+        assert grad_check(self.conv_loss(coeff, 0), params) < 1e-6
 
-    def test_strided_padded_gradients(self):
+    def test_padded_gradients(self):
+        # the CNN's stages: a 3 x 3 kernel with padding 1 keeps the extent
         rng = np.random.default_rng(4)
-        coeff = rng.normal(size=(2, 4, 4))
-
-        def loss_and_grads(params):
-            y = conv2d_forward(params["x"], params["k"], params["b"], stride=2, padding=1)
-            loss = float(np.sum(coeff * y))
-            gx, gk, gb = conv2d_backward(params["x"], params["k"], coeff, stride=2, padding=1)
-            return loss, {"x": gx, "k": gk, "b": gb}
-
+        coeff = rng.normal(size=(2, 7, 7))
         params = {
             "x": rng.normal(size=(1, 7, 7)),
             "k": rng.normal(size=(2, 1, 3, 3)),
             "b": rng.normal(size=2),
         }
-        assert grad_check(loss_and_grads, params) < 1e-6
-
-    def test_non_integral_extent_rejected(self):
-        with pytest.raises(ValueError, match="non-integral"):
-            conv2d_forward(np.zeros((1, 6, 6)), np.zeros((1, 1, 3, 3)), np.zeros(1), stride=2)
+        assert grad_check(self.conv_loss(coeff, 1), params) < 1e-6
 
 
 def argmax_maxpool2d(x):
@@ -169,6 +165,15 @@ def argmax_maxpool2d(x):
     windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h // 2, w // 2, 4)
     idx = windows.argmax(axis=-1)
     return np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0], idx
+
+
+def scatter_maxpool2d_backward(idx, grad_out):
+    """The zeroed 4-slot scatter and transposed copy maxpool2d_backward
+    replaced, kept as its oracle."""
+    c, h2, w2 = grad_out.shape
+    grad_windows = np.zeros((c, h2, w2, 4))
+    np.put_along_axis(grad_windows, idx[..., None], grad_out[..., None], axis=-1)
+    return grad_windows.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
 
 
 # C x 2h x 2w inputs; the few repeated values make ties and signed zeros common
@@ -209,6 +214,16 @@ class TestMaxpool:
         grad = maxpool2d_backward(idx, np.ones((1, 1, 1)))
         assert grad[0, 0, 0] == 1.0
         assert grad.sum() == 1.0
+
+    @given(POOL_INPUTS)
+    def test_backward_matches_scatter_formula(self, x):
+        _, idx = maxpool2d_forward(x)
+        grad_out = np.random.default_rng(x.size).normal(size=idx.shape)
+        grad_out.flat[::3] = -0.0
+        # bitwise, signed zeros included: each output gradient lands on its argmax
+        assert maxpool2d_backward(idx, grad_out).tobytes() == scatter_maxpool2d_backward(
+            idx, grad_out
+        ).tobytes()
 
     def test_gradient_at_non_tied_points(self):
         rng = np.random.default_rng(5)
