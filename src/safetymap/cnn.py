@@ -135,28 +135,28 @@ def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def cnn_loss_and_grads(
-    model: CnnModel, images: np.ndarray, labels: np.ndarray
-) -> tuple[float, nn.Params]:
-    """Batch-mean BCE over the three outputs of N images and the batch-mean
-    gradients for every parameter."""
+    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Params
+) -> float:
+    """Batch-mean BCE over the three outputs of N images; the batch-mean
+    gradient of every parameter is written into grads, which holds one array
+    of the parameter's shape per name."""
     stages, head = _forward(model, images)
     probs = head["probs"]
     loss, _ = nn.bce_loss(probs, labels)
-    grads: nn.Params = {}
     grad_cls_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
-    grad_feat, grads["cls.w"], grads["cls.b"] = nn.dense_backward(
-        head["features"], model.params["cls.w"], grad_cls_z
+    grad_feat = nn.dense_backward(
+        head["features"], model.params["cls.w"], grad_cls_z, grads["cls.w"], grads["cls.b"]
     )
     grad_feat_z = grad_feat * nn.relu_grad(head["feat_z"])
-    grad_flat, grads["feat.w"], grads["feat.b"] = nn.dense_backward(
-        head["flat"], model.params["feat.w"], grad_feat_z
+    grad_flat = nn.dense_backward(
+        head["flat"], model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
     )
     for s in range(len(model.config.stage_channels)):
-        grads[f"conv{s}.k"] = np.zeros_like(model.params[f"conv{s}.k"])
-        grads[f"conv{s}.b"] = np.zeros_like(model.params[f"conv{s}.b"])
+        grads[f"conv{s}.k"].fill(0.0)
+        grads[f"conv{s}.b"].fill(0.0)
     for st, g in zip(stages, grad_flat):
         _conv_backward(model, st, g, grads)
-    return loss, grads
+    return loss
 
 
 @dataclass(frozen=True)
@@ -185,13 +185,23 @@ def cnn_train(
     labels = np.array([r.labels for r in records], dtype=np.float64)
     rng = np.random.default_rng(config.seed)
     state = nn.adam_init(model.params, lr=config.lr)
+    # Every step writes its float image batch and its gradients into these
+    # arrays. A (feature_dim, flat) weight gradient allocated and freed at
+    # each step would raise glibc's mmap threshold to its size; the rest of
+    # a step would then come from a heap whose resident size depends on the
+    # process's allocation layout, and peak RSS would differ by tens of MB
+    # between identical runs.
+    grads = {key: np.empty_like(p) for key, p in model.params.items()}
+    batch_images = np.empty((config.batch_size, *pixels.shape[1:]))
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):
         order = rng.permutation(len(records))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = cnn_loss_and_grads(model, _images(pixels[batch]), labels[batch])
+            images = batch_images[: len(batch)]
+            np.divide(pixels[batch], 255.0, out=images)
+            loss = cnn_loss_and_grads(model, images.transpose(0, 3, 1, 2), labels[batch], grads)
             epoch_loss += loss * len(batch)
             nn.adam_step(model.params, grads, state)
         history.append({"epoch": float(epoch), "train_loss": epoch_loss / len(records)})

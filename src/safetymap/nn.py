@@ -51,13 +51,20 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def dense_backward(
-    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_x, d_W, d_b) given the upstream gradient on the (N, out)
-    output; d_W and d_b sum over the N rows."""
+    x: np.ndarray,
+    weights: np.ndarray,
+    grad_out: np.ndarray,
+    grad_weights: np.ndarray,
+    grad_bias: np.ndarray,
+) -> np.ndarray:
+    """Given the upstream gradient on the (N, out) output, write d_W and d_b,
+    each summed over the N rows, into grad_weights and grad_bias; returns
+    d_x. Training passes the same arrays at every step."""
     if grad_out.shape != (x.shape[0], weights.shape[0]):
         raise ValueError(f"grad shape {grad_out.shape} mismatches x {x.shape}, W {weights.shape}")
-    return grad_out @ weights, grad_out.T @ x, grad_out.sum(axis=0)
+    np.matmul(grad_out.T, x, out=grad_weights)
+    np.sum(grad_out, axis=0, out=grad_bias)
+    return grad_out @ weights
 
 
 # --- 2-D convolution (cross-correlation with zero padding) ---

@@ -87,7 +87,8 @@ class TestCriterion3Gradients:
 
         def dense_fn(params):
             y = dense_forward(params["x"], params["w"], params["b"])
-            gx, gw, gb = dense_backward(params["x"], params["w"], coeff)
+            gw, gb = np.empty_like(params["w"]), np.empty_like(params["b"])
+            gx = dense_backward(params["x"], params["w"], coeff, gw, gb)
             return float(np.sum(coeff * y)), {"x": gx, "w": gw, "b": gb}
 
         worst["dense"] = grad_check(
@@ -138,7 +139,8 @@ class TestCriterion3Gradients:
 
         def cnn_fn(params):
             cnn_model.params = params
-            return cnn_loss_and_grads(cnn_model, images, cnn_labels)
+            grads = {key: np.empty_like(p) for key, p in params.items()}
+            return cnn_loss_and_grads(cnn_model, images, cnn_labels, grads), grads
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)
 

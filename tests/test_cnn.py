@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import make_pixel_records
 
+from safetymap import nn
 from safetymap.cnn import (
     CnnConfig,
     TrainConfig,
@@ -27,6 +28,12 @@ from safetymap.nn import grad_check
 
 SMALL = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4)
 DESK = CnnConfig(input_shape=(3, 32, 32), stage_channels=(4, 8), feature_dim=16)
+
+
+def loss_and_grads(model, images, labels):
+    """cnn_loss_and_grads into fresh gradient arrays: (loss, grads)."""
+    grads = {key: np.empty_like(p) for key, p in model.params.items()}
+    return cnn_loss_and_grads(model, images, labels, grads), grads
 
 
 def relative_error(got: np.ndarray, want: np.ndarray) -> float:
@@ -76,11 +83,11 @@ class TestCnnGradients:
         images = rng.random((2, 3, 8, 8)) + 0.05  # jitter keeps preactivations off kinks
         labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
-        def loss_and_grads(params):
+        def fn(params):
             model.params = params
-            return cnn_loss_and_grads(model, images, labels)
+            return loss_and_grads(model, images, labels)
 
-        assert grad_check(loss_and_grads, model.params) < 1e-4
+        assert grad_check(fn, model.params) < 1e-4
 
     def test_two_stage_gradient_check(self):
         # stage 1's kernels reach the loss only through the input gradient
@@ -92,21 +99,19 @@ class TestCnnGradients:
         images = rng.random((2, 3, 8, 8)) + 0.05
         labels = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
-        def loss_and_grads(params):
+        def fn(params):
             model.params = params
-            return cnn_loss_and_grads(model, images, labels)
+            return loss_and_grads(model, images, labels)
 
-        assert grad_check(loss_and_grads, model.params) < 1e-4
+        assert grad_check(fn, model.params) < 1e-4
 
     def test_batch_mean_matches_single_image_calls(self):
         model = init_cnn(CnnConfig(input_shape=(3, 8, 8), stage_channels=(2, 3), feature_dim=6), 11)
         rng = np.random.default_rng(12)
         images = rng.random((5, 3, 8, 8))
         labels = (rng.random((5, 3)) < 0.5).astype(np.float64)
-        loss, grads = cnn_loss_and_grads(model, images, labels)
-        singles = [
-            cnn_loss_and_grads(model, images[n : n + 1], labels[n : n + 1]) for n in range(5)
-        ]
+        loss, grads = loss_and_grads(model, images, labels)
+        singles = [loss_and_grads(model, images[n : n + 1], labels[n : n + 1]) for n in range(5)]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=1e-12)
         for key in model.params:
             want = np.mean([s[1][key] for s in singles], axis=0)
@@ -151,6 +156,32 @@ class TestCnnTrain:
         h1 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, cfg)
         h2 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, cfg)
         assert h1 == h2
+
+    def test_matches_fresh_arrays_per_step(self):
+        # cnn_train reuses one image batch and one gradient array per
+        # parameter; a step that allocates them anew must give the same
+        # bits, a short last batch (10 = 4 + 4 + 2) included
+        rng = np.random.default_rng(3)
+        records, pixels = make_pixel_records(10, rng, height=8, width=8)
+        config = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2, 3), feature_dim=4)
+        cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, seed=12)
+        model = init_cnn(config, seed=6)
+        history = cnn_train(model, records, pixels, cfg)
+
+        want = init_cnn(config, seed=6)
+        labels = np.array([r.labels for r in records], dtype=np.float64)
+        order_rng = np.random.default_rng(cfg.seed)
+        state = nn.adam_init(want.params, lr=cfg.lr)
+        for epoch in range(cfg.epochs):
+            order = order_rng.permutation(10)
+            for start in range(0, 10, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                images = pixels[batch].transpose(0, 3, 1, 2) / 255.0
+                _, grads = loss_and_grads(want, images, labels[batch])
+                nn.adam_step(want.params, grads, state)
+        assert len(history) == 2
+        for key in want.params:
+            assert np.array_equal(model.params[key], want.params[key]), key
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

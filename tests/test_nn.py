@@ -31,6 +31,12 @@ from safetymap.nn import (
 )
 
 
+def dense_grads(x, weights, grad_out):
+    """dense_backward into fresh arrays: (d_x, d_W, d_b)."""
+    grad_weights, grad_bias = np.empty_like(weights), np.empty(weights.shape[0])
+    return dense_backward(x, weights, grad_out, grad_weights, grad_bias), grad_weights, grad_bias
+
+
 def naive_conv2d(x, kernels, bias, padding=0):
     """Direct-loop stride-1 convolution oracle, independent of the im2col path."""
     k, c, kh, kw = kernels.shape
@@ -70,7 +76,7 @@ class TestDense:
         def loss_and_grads(params):
             y = dense_forward(params["x"], params["w"], params["b"])
             loss = float(np.sum(coeff * y))
-            gx, gw, gb = dense_backward(params["x"], params["w"], coeff)
+            gx, gw, gb = dense_grads(params["x"], params["w"], coeff)
             return loss, {"x": gx, "w": gw, "b": gb}
 
         params = {"x": x0, "w": rng.normal(size=(4, 5)), "b": rng.normal(size=4)}
@@ -81,14 +87,22 @@ class TestDense:
         x, w, b = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=4)
         g = rng.normal(size=(6, 4))
         y = dense_forward(x, w, b)
-        gx, gw, gb = dense_backward(x, w, g)
+        gx, gw, gb = dense_grads(x, w, g)
         for n in range(6):
             row = slice(n, n + 1)
             assert np.max(np.abs(y[row] - dense_forward(x[row], w, b))) <= 1e-12
-            assert np.array_equal(dense_backward(x[row], w, g[row])[1], np.outer(g[n], x[n]))
+            assert np.array_equal(dense_grads(x[row], w, g[row])[1], np.outer(g[n], x[n]))
         assert np.max(np.abs(gw - sum(np.outer(g[n], x[n]) for n in range(6)))) <= 1e-12
         assert np.max(np.abs(gb - g.sum(axis=0))) <= 1e-12
         assert np.max(np.abs(gx - g @ w)) == 0.0
+
+    def test_backward_overwrites_callers_arrays(self):
+        rng = np.random.default_rng(2)
+        x, w, g = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=(6, 4))
+        gw, gb = np.full((4, 5), np.nan), np.full(4, np.nan)
+        # bit for bit the allocating expressions, whatever the arrays held
+        assert np.array_equal(dense_backward(x, w, g, gw, gb), g @ w)
+        assert np.array_equal(gw, g.T @ x) and np.array_equal(gb, g.sum(axis=0))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dense"):
@@ -96,7 +110,7 @@ class TestDense:
         with pytest.raises(ValueError, match="dense"):
             dense_forward(np.zeros(2), np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(ValueError, match="grad shape"):
-            dense_backward(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((1, 4)))
+            dense_grads(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((1, 4)))
 
 
 class TestConv2d:
@@ -376,7 +390,7 @@ class TestGradCheck:
             p = sigmoid(z)
             loss, grad_p = bce_loss(p, labels)
             grad_z = grad_p * p * (1.0 - p)
-            _, gw, gb = dense_backward(x, params["w"], grad_z)
+            _, gw, gb = dense_grads(x, params["w"], grad_z)
             return loss, {"w": gw, "b": gb}
 
         params = {
