@@ -15,6 +15,11 @@ are the row blocks of `wp`, `up` and `bp`.
 
 One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
 groups over (G, B windows, T steps) together, in training and prediction.
+The kernel takes projected inputs: `_project` forms U x + b for every
+feature row as one GEMM per group, outside the recurrence. Training projects
+its windows' rows; prediction projects each chunk's consecutive rows once
+and steps a window view of that projection, so a feature row is projected
+once per chunk it falls in, not once per window containing it.
 
 Training and prediction take a corridor as its records (keys, labels)
 next to the (n, d) feature array its loader returns, row i belonging to
@@ -101,18 +106,27 @@ class Forward(NamedTuple):
     H: np.ndarray
 
 
-def packed_forward(params: nn.Params, xs: np.ndarray, cache: bool = True) -> Forward:
-    """Run every group's cell over windows xs (G, B, T, d) from a zero state.
+def _project(params: nn.Params, xs: np.ndarray) -> np.ndarray:
+    """Input projections U x + b of every row of xs (G, ..., d): one GEMM per
+    group over all rows, giving (G, ..., 4H) in the row layout of up."""
+    rows = xs.reshape(len(xs), -1, xs.shape[-1])
+    ux = rows @ params["up"].transpose(0, 2, 1)
+    ux += params["bp"][:, None]
+    return ux.reshape(xs.shape[:-1] + ux.shape[-1:])
 
-    The input projection of all steps is one batched GEMM ahead of the
-    recurrence; each step then makes one batched matmul and writes into
-    preallocated buffers only. The plain logistic 1/(1+exp(-z)) is safe
-    under errstate, since an overflowing exp saturates to the right limit.
+
+def packed_forward(params: nn.Params, ux: np.ndarray, cache: bool = True) -> Forward:
+    """Run every group's cell over projected windows ux (G, B, T, 4H), as
+    from `_project`, from a zero state.
+
+    ux may be a strided view: splitting its contiguous last axis into the
+    four gates is a view too, so the kernel copies no input. Each step makes
+    one batched matmul and writes into preallocated buffers only. The plain
+    logistic 1/(1+exp(-z)) is safe under errstate, since an overflowing exp
+    saturates to the right limit.
     """
-    groups, batch, steps, _ = xs.shape
+    groups, batch, steps, _ = ux.shape
     hidden = params["wp"].shape[2]
-    ux = xs @ params["up"].transpose(0, 2, 1)[:, None]
-    ux += params["bp"][:, None, None]
     ux = ux.reshape(groups, batch, steps, 4, hidden).transpose(2, 3, 0, 1, 4)
     wp_t = params["wp"].transpose(0, 2, 1)
     kept = steps if cache else 1
@@ -209,10 +223,11 @@ def _head_forward(
     return d, z_mid, a_mid, nn.sigmoid(z_out)
 
 
-def packed_probs(params: nn.Params, xs: np.ndarray, masks: np.ndarray | None = None) -> np.ndarray:
-    """Per-step probabilities (G, B, T, o) of windows xs (G, B, T, d), keeping no BPTT cache."""
-    hs = packed_forward(params, xs, cache=False).H.transpose(1, 2, 0, 3)
-    return _head_forward(params, hs, masks)[3]
+def _step_probs(params: nn.Params, ux: np.ndarray) -> np.ndarray:
+    """Per-step probabilities (G, B, T, o) of projected windows ux (G, B, T, 4H),
+    keeping no BPTT cache."""
+    hs = packed_forward(params, ux, cache=False).H.transpose(1, 2, 0, 3)
+    return _head_forward(params, hs, None)[3]
 
 
 def packed_loss_and_grads(
@@ -224,7 +239,7 @@ def packed_loss_and_grads(
     keep masks, (G, B, T, H). Returns the (G,) losses and gradients keyed
     like params; group k's loss depends on group k's slices only.
     """
-    fw = packed_forward(params, xs)
+    fw = packed_forward(params, _project(params, xs))
     d, z_mid, a_mid, probs = _head_forward(params, fw.H.transpose(1, 2, 0, 3), masks)
     losses = np.empty(len(probs))
     dz_out = np.empty_like(probs)
@@ -312,14 +327,6 @@ def init_sequence_model(
     return SequenceModel(mode, hidden, input_dim, mid_dim, dropout_rate, params)
 
 
-def _class_probs(model: SequenceModel, windows: np.ndarray) -> np.ndarray:
-    """Per-step class probabilities (B, T, 3) of windows (B, T, d); in
-    separate mode column k comes from class k's stack."""
-    xs = np.broadcast_to(windows, (len(model.params["wp"]),) + windows.shape)
-    probs = packed_probs(model.params, xs)
-    return probs[0] if model.mode == "shared" else np.moveaxis(probs[..., 0], 0, -1)
-
-
 @dataclass(frozen=True)
 class SeqTrainConfig:
     lr: float = 1e-3
@@ -328,10 +335,13 @@ class SeqTrainConfig:
     # one Adam update per sequence (batch size 1)
 
 
-def _window_view(a: np.ndarray, window: int) -> np.ndarray:
-    """Every window of `window` consecutive rows of a (n, k): a strided
-    (n - window + 1, window, k) view, row s being the window starting at s."""
-    return np.lib.stride_tricks.sliding_window_view(a, window, axis=0).swapaxes(1, 2)
+def _window_view(a: np.ndarray, window: int, axis: int = 0) -> np.ndarray:
+    """Every window of `window` consecutive entries of a along axis: a strided
+    view with that axis, of length n, replaced by (n - window + 1, window);
+    (n, k) -> (n - window + 1, window, k) at axis 0, entry s being the window
+    starting at s."""
+    view = np.lib.stride_tricks.sliding_window_view(a, window, axis=axis)
+    return np.moveaxis(view, -1, axis + 1)
 
 
 def _windows(
@@ -380,12 +390,14 @@ def _fit(
             nn.adam_step(params, grads, state)
         entry = {"train_loss": total / n}
         if val_starts is not None and len(val_starts) > 0:
-            val_total = np.zeros(len(rngs))
-            for s in val_starts:
-                xs = np.broadcast_to(windows[s], (len(rngs), 1) + windows.shape[1:])
-                probs = packed_probs(params, xs)
-                val_total += [nn.bce_loss(p, y)[0] for p, y in zip(probs, targets[:, s, None])]
-            entry["val_loss"] = val_total / len(val_starts)
+            val_windows = windows[val_starts]
+            xs = np.broadcast_to(val_windows, (len(rngs),) + val_windows.shape)
+            probs = _step_probs(params, _project(params, xs))
+            val_total = [
+                sum(nn.bce_loss(p, y)[0] for p, y in zip(group_probs, group_targets))
+                for group_probs, group_targets in zip(probs, targets[:, val_starts])
+            ]
+            entry["val_loss"] = np.array(val_total) / len(val_starts)
         history.append(entry)
     return history
 
@@ -440,27 +452,29 @@ def predict_corridor(
 
     Each image's probability is the mean of its per-step probability over
     every stride-1 window containing it, summed in window start order; a
-    run shorter than the window gets one truncated pass. The label rule is
-    strictly-above-threshold.
+    run shorter than the window is one window of its own length. The label
+    rule is strictly-above-threshold. Each chunk of windows projects its
+    feature rows once and steps a window view of that projection.
     """
+    params = model.params
+    groups = len(params["wp"])
     probs = np.zeros((len(records), 3))
-    chunk = 128 // len(model.params["wp"])  # bounds the working set at 128 group-windows
+    chunk = 128 // groups  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
-        run = features[start:end]
         n = end - start
-        if n < window:
-            probs[start:end] = _class_probs(model, run[None])[0]
-            continue
-        windows = _window_view(run, window)
+        w = min(window, n)
         sums = probs[start:end]
-        for first in range(0, len(windows), chunk):
-            window_probs = _class_probs(model, windows[first : first + chunk])
+        for first in range(0, n - w + 1, chunk):
+            rows = features[start + first : start + min(first + chunk + w - 1, n)]
+            ux = _project(params, np.broadcast_to(rows, (groups,) + rows.shape))
+            # (B, T, 3): the shared stack's columns, or class k's stack as column k
+            window_probs = np.concatenate(_step_probs(params, _window_view(ux, w, axis=1)), axis=-1)
             # image first + j + t gets step t of window first + j; taking t
             # downwards adds each image's windows in start order
-            for t in range(window - 1, -1, -1):
+            for t in range(w - 1, -1, -1):
                 sums[first + t : first + t + len(window_probs)] += window_probs[:, t]
         pos = np.arange(n)
-        sums /= np.minimum(np.minimum(pos + 1, n - pos), min(window, n - window + 1))[:, None]
+        sums /= np.minimum(np.minimum(pos + 1, n - pos), min(w, n - w + 1))[:, None]
     return probs, probs > threshold
 
 

@@ -14,8 +14,20 @@ FORMAT_NAME = "safetymap-model"
 FORMAT_VERSION = 1
 
 
+def _check_finite(path: str, tensors: dict[str, np.ndarray]) -> None:
+    """Raise a ValueError naming path, the first tensor holding NaN or inf and
+    how many such values it holds."""
+    for name, value in tensors.items():
+        bad = value.size - np.count_nonzero(np.isfinite(value))
+        if bad:
+            raise ValueError(f"{path}: tensor {name!r} holds {bad} non-finite values")
+
+
 def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write named tensors plus metadata; iteration order is the declaration order."""
+    """Write named tensors plus metadata; iteration order is the declaration
+    order. A tensor holding NaN or inf is a ValueError, raised before the
+    file is opened."""
+    _check_finite(path, tensors)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -40,8 +52,9 @@ def _is_entry(entry: object) -> bool:
 
 def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container back into (tensors, meta). A header that is not a
-    container header, a malformed or repeated tensor entry, and tensor data
-    that is short or followed by extra bytes are ValueErrors naming path."""
+    container header, a malformed or repeated tensor entry, tensor data that
+    is short or followed by extra bytes, and a tensor holding NaN or inf are
+    ValueErrors naming path."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line.endswith(b"\n"):
@@ -71,6 +84,7 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
             left -= nbytes
     if left:
         raise ValueError(f"{path}: {left} bytes after the last tensor")
+    _check_finite(path, tensors)
     return tensors, meta
 
 

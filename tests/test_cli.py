@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,6 +14,8 @@ import pytest
 from conftest import make_pixel_records, write_ppm
 from test_lstm import gate_params
 
+import safetymap
+from safetymap import lstm
 from safetymap.cli import build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
 from safetymap.data import ImageRecord, write_labels, write_predictions
@@ -40,6 +45,13 @@ def tiny_config(tmp_path):
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def set_first_value(path: Path, value: float) -> None:
+    """Overwrite the first float64 of a model container's first tensor."""
+    blob = path.read_bytes()
+    at = blob.index(b"\n") + 1
+    path.write_bytes(blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8 :])
 
 
 class TestConfig:
@@ -620,6 +632,36 @@ class TestSynthPipeline:
         assert "shared/W_f (8, 8), meta implies none" in err and "wp missing" in err
         assert not out.exists()
 
+    def test_non_finite_model_exit_5(self, tmp_path, tiny_config, capsys):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        model = tmp_path / "model.bin"
+        set_first_value(model, np.nan)  # wp[0, 0, 0]
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        code = run_cli(
+            "--config", tiny_config, "predict", "--labels", str(labels),
+            "--features", str(features), "--model", str(model), "--out", str(out),
+        )
+        assert code == 5
+        assert f"error: {model}: tensor 'wp' holds 1 non-finite values\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diverging_training_exit_5(self, tmp_path, tiny_config, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_CONFIG + "lstm_lr = 1e300\n")
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        base = ["--config", str(cfg)]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        model, losses = tmp_path / "model.bin", tmp_path / "losses.csv"
+        capsys.readouterr()
+        code = run_cli(
+            *base, "train-lstm", "--labels", str(labels), "--features", str(features),
+            "--model-out", str(model), "--loss-out", str(losses),
+        )
+        assert code == 5
+        assert f"error: {model}: tensor 'wp' holds " in capsys.readouterr().err
+        assert not model.exists() and not losses.exists()
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("window = 0\n")
@@ -627,6 +669,34 @@ class TestSynthPipeline:
             "--config", str(cfg), "synth", "--out", "l.csv", "--features-out", "f.jsonl"
         )
         assert code == 2
+
+
+class TestBlasThreads:
+    def test_predict_independent_of_blas_thread_count(self, tmp_path):
+        # a separate-mode model at paper width, whose projection and
+        # recurrence GEMMs a BLAS may split differently per thread count
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("n_points = 300\nfeature_dim = 250\nwindow = 50\nseed = 5\n")
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        base = ["--config", str(cfg)]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        model = lstm.init_sequence_model("separate", input_dim=250, seed=6)
+        model.window = 50
+        lstm.seq_save(model, str(tmp_path / "model.bin"))
+        src = str(Path(safetymap.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"predictions-{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update({key: threads for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+            subprocess.run(
+                [sys.executable, "-m", "safetymap.cli", *base, "predict", "--labels", str(labels),
+                 "--features", str(features), "--model", str(tmp_path / "model.bin"),
+                 "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestConfigValues:
@@ -786,6 +856,23 @@ class TestPixelCommands:
         assert code == 5
         assert f"{ppm}: image px-0007 is 12 x 8 pixels, expected 8 x 8" in capsys.readouterr().err
         assert not (tmp_path / "features.jsonl").exists()
+
+    def test_extract_features_non_finite_model_exit_5(self, tmp_path, capsys):
+        labels, manifest, cfg = self._write_inputs(tmp_path)
+        assert self._train(tmp_path, labels, manifest, cfg) == 0
+        model = tmp_path / "cnn.bin"
+        set_first_value(model, np.inf)
+        out = tmp_path / "features.jsonl"
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(cfg), "extract-features", "--labels", str(labels),
+            "--manifest", str(manifest), "--model", str(model), "--out", str(out),
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: tensor ")
+        assert err.endswith(" holds 1 non-finite values\n")
+        assert not out.exists()
 
     def test_train_cnn_and_extract(self, tmp_path):
         labels, manifest, cfg = self._write_inputs(tmp_path)

@@ -88,8 +88,10 @@ def gate_params(params, k):
 
 
 def window_probs(model, xs):
-    """Per-step class probabilities (steps, 3) of one window xs (steps, d)."""
-    return lstm._class_probs(model, xs[None])[0]
+    """Per-step class probabilities (steps, 3) of one window xs (steps, d):
+    corridor prediction over a run that is exactly that window."""
+    records, _ = feature_records(len(xs), np.random.default_rng(0), dim=xs.shape[1])
+    return predict_corridor(model, records, xs, window=len(xs))[0]
 
 
 class TestCellStep:
@@ -178,7 +180,7 @@ class TestLstmForward:
             for key, value in group.items():
                 view[key][:] = value
         xs = rng.normal(size=(3, 2, 8, 4))  # a different pair of windows per group
-        H = packed_forward(model.params, xs).H
+        H = packed_forward(model.params, lstm._project(model.params, xs)).H
         for k, group in enumerate(params):
             for b in range(2):
                 plain, _ = lstm_forward(group, xs[k, b])
@@ -414,8 +416,8 @@ class TestPredictCorridor:
         records, feats = feature_records(6, rng)
         model = init_sequence_model("shared", input_dim=4, hidden=5, seed=16)
         probs, labels = predict_corridor(model, records, feats, window=6)
-        direct = window_probs(model, feats)
-        assert np.allclose(probs, direct, atol=1e-14)
+        direct = reference_window_probs(model, feats)
+        assert np.max(np.abs(probs - direct)) <= 1e-12
         assert np.array_equal(labels, probs > 0.5)
 
     def test_window_plus_one_averages(self):
@@ -500,6 +502,50 @@ class TestPredictCorridor:
         )
         assert np.max(np.abs(probs - expected)) <= 1e-12
         assert np.array_equal(labels, probs > 0.5)
+
+    @pytest.mark.parametrize("n_windows", [127, 128, 129, 257])
+    def test_shared_mode_chunk_boundaries(self, n_windows):
+        # shared mode steps 128 windows a chunk: one short of a chunk, one
+        # full chunk, one window over, and two chunks plus one
+        rng = np.random.default_rng(n_windows)
+        records, feats = feature_records(n_windows + 2, rng, dim=3)
+        model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=n_windows)
+        probs, labels = predict_corridor(model, records, feats, window=3)
+        expected = reference_corridor_probs(model, feats, window=3)
+        assert np.max(np.abs(probs - expected)) <= 1e-12
+        assert np.array_equal(labels, probs > 0.5)
+
+    @pytest.mark.parametrize("mode, window", [("shared", 6), ("separate", 6), ("separate", 50)])
+    def test_each_chunk_projects_its_rows_once(self, monkeypatch, mode, window):
+        # the kernel steps a view of the chunk's projection, and no feature
+        # row is projected more than ceil((chunk + T - 1) / chunk) times
+        projected, stepped = [], []
+        project, forward = lstm._project, lstm.packed_forward
+
+        def spy_project(params, xs):
+            projected.append((xs, project(params, xs)))
+            return projected[-1][1]
+
+        def spy_forward(params, ux, cache=True):
+            stepped.append(ux)
+            return forward(params, ux, cache)
+
+        monkeypatch.setattr(lstm, "_project", spy_project)
+        monkeypatch.setattr(lstm, "packed_forward", spy_forward)
+        rng = np.random.default_rng(29)
+        records, feats = feature_records(300, rng)
+        model = init_sequence_model(mode, input_dim=4, hidden=5, seed=30)
+        predict_corridor(model, records, feats, window)
+        assert len(projected) == len(stepped) > 1
+        chunk = 128 // len(model.params["wp"])
+        times = np.zeros(len(feats), dtype=int)
+        for (xs, ux), view in zip(projected, stepped):
+            assert np.shares_memory(view, ux)
+            assert len(view[0]) <= chunk
+            rows = xs[0]
+            times[np.flatnonzero(np.isin(feats[:, 0], rows[:, 0]))] += 1
+        assert times.min() >= 1
+        assert times.max() <= math.ceil((chunk + window - 1) / chunk)
 
 
 class TestSerialization:

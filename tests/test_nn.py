@@ -480,6 +480,26 @@ class TestModelContainer:
             load_tensors(str(path))
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_before_opening(self, tmp_path, bad):
+        path = tmp_path / "model.bin"
+        w = np.zeros((2, 3))
+        w[1, 2] = bad
+        with pytest.raises(ValueError) as info:
+            save_tensors(str(path), {"b": np.ones(3), "w": w})
+        assert str(info.value) == f"{path}: tensor 'w' holds 1 non-finite values"
+        assert not path.exists()
+
+    def test_load_rejects_non_finite(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_tensors(str(path), {"b": np.ones(3), "w": np.zeros(4)})
+        blob = path.read_bytes()
+        # the last two float64s of w become NaN and inf
+        path.write_bytes(blob[:-16] + np.array([np.nan, np.inf], dtype="<f8").tobytes())
+        with pytest.raises(ValueError) as info:
+            load_tensors(str(path))
+        assert str(info.value) == f"{path}: tensor 'w' holds 2 non-finite values"
+
     @given(TENSOR_SHAPES, st.integers(0, 2**32 - 1))
     def test_round_trip_any_names_and_shapes(self, tmp_path_factory, shapes, seed):
         rng = np.random.default_rng(seed)
