@@ -1,28 +1,27 @@
 """Frame-level classification: a small from-scratch CNN over pixel grids
-(conv/relu/pool stages, a ReLU feature head, a 3-way sigmoid class head)
-and a logistic frame classifier over precomputed feature vectors.
+(conv/relu/pool stages, a ReLU feature head, a 3-way sigmoid class head),
+whose class head trained alone on precomputed features is the frame baseline.
 
 Each image maps to a feature vector (post-ReLU, so nonnegative) and three
 independent class probabilities; the feature vectors feed the sequence
-model downstream. Training and extraction take the records (labels and
-image_id order) next to the payload array their loader returns: the
-(n, H, W, 3) uint8 pixels of `data.load_pixels` or the (n, d) features of
-`data.attach_features`, row i belonging to records[i].
+model downstream. Training (one seeded mini-batch Adam loop for both) and
+extraction take the records (labels and image_id order) next to the payload
+array their loader returns: the (n, H, W, 3) uint8 pixels of
+`data.load_pixels` or the (n, d) features of `data.attach_features`, row i
+belonging to records[i].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import nn
+from . import CLASS_NAMES, nn
 from .data import ImageRecord
-from .modelio import check_shapes, load_tensors, save_tensors
-
-N_CLASSES = 3
+from .modelio import check_shapes, load_tensors, meta_int, save_tensors
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,8 @@ def _param_shapes(config: CnnConfig) -> dict[str, tuple[int, ...]]:
         in_ch = out_ch
     shapes["feat.w"] = (config.feature_dim, config.flat_dim())
     shapes["feat.b"] = (config.feature_dim,)
-    shapes["cls.w"] = (N_CLASSES, config.feature_dim)
-    shapes["cls.b"] = (N_CLASSES,)
+    shapes["cls.w"] = (len(CLASS_NAMES), config.feature_dim)
+    shapes["cls.b"] = (len(CLASS_NAMES),)
     return shapes
 
 
@@ -111,6 +110,36 @@ def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Pa
             grad = nn.conv2d_backward_input(kernels, grad_z, pad)
 
 
+# --- the class head: the CNN's last layer, and alone the frame baseline ---
+
+
+def init_frame_classifier(feature_dim: int, seed: int) -> nn.Params:
+    """The frame baseline: a class head {"cls.w", "cls.b"} over
+    precomputed (n, feature_dim) feature vectors, Glorot-uniform weights and
+    zero biases."""
+    rng = np.random.default_rng(seed)
+    n = len(CLASS_NAMES)
+    return {"cls.w": nn.glorot_uniform(rng, (n, feature_dim), feature_dim, n), "cls.b": np.zeros(n)}
+
+
+def frame_predict(params: nn.Params, features: np.ndarray) -> np.ndarray:
+    """Class probabilities (n, 3) of the class head in params over (n,
+    feature_dim) feature vectors."""
+    return nn.sigmoid(nn.dense_forward(features, params["cls.w"], params["cls.b"]))
+
+
+def _head_backward(
+    params: nn.Params, features: np.ndarray, probs: np.ndarray, labels: np.ndarray,
+    grads: nn.Params,
+) -> tuple[float, np.ndarray]:
+    """Batch-mean BCE of probs = frame_predict(params, features) against
+    labels; writes the cls.w and cls.b gradients into grads and returns the
+    loss and the gradient on the features."""
+    loss, _ = nn.bce_loss(probs, labels)
+    grad_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
+    return loss, nn.dense_backward(features, params["cls.w"], grad_z, grads["cls.w"], grads["cls.b"])
+
+
 def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.ndarray]]:
     """Conv stages image by image, then the dense head on the stacked
     (N, flat) pooled outputs as one GEMM per layer."""
@@ -122,9 +151,8 @@ def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.nd
     flat = np.stack([p.reshape(-1) for p in pooled])
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
     features = nn.relu(feat_z)
-    cls_z = nn.dense_forward(features, model.params["cls.w"], model.params["cls.b"])
-    head = {"flat": flat, "feat_z": feat_z, "features": features, "probs": nn.sigmoid(cls_z)}
-    return list(stages), head
+    probs = frame_predict(model.params, features)
+    return list(stages), {"flat": flat, "feat_z": feat_z, "features": features, "probs": probs}
 
 
 def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +169,7 @@ def cnn_loss_and_grads(
     gradient of every parameter is written into grads, which holds one array
     of the parameter's shape per name."""
     stages, head = _forward(model, images)
-    probs = head["probs"]
-    loss, _ = nn.bce_loss(probs, labels)
-    grad_cls_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
-    grad_feat = nn.dense_backward(
-        head["features"], model.params["cls.w"], grad_cls_z, grads["cls.w"], grads["cls.b"]
-    )
+    loss, grad_feat = _head_backward(model.params, head["features"], head["probs"], labels, grads)
     grad_feat_z = grad_feat * nn.relu_grad(head["feat_z"])
     grad_flat = nn.dense_backward(
         head["flat"], model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
@@ -167,45 +190,65 @@ class TrainConfig:
     seed: int = 0
 
 
-def _images(pixels: np.ndarray) -> np.ndarray:
-    """The (N, 3, H, W) float64 batch of (N, H, W, 3) uint8 pixels over 255."""
-    return pixels.transpose(0, 3, 1, 2) / 255.0
+def _train(
+    params: nn.Params, n: int, config: TrainConfig, step: Callable[[np.ndarray, nn.Params], float]
+) -> list[dict[str, float]]:
+    """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
+    examples, in place. step(batch, grads) writes the batch-mean gradient of
+    every parameter for the example indices batch into grads and returns the
+    batch's mean loss. Returns one {"epoch", "train_loss"} entry per epoch."""
+    if n == 0:
+        raise ValueError("empty training set")
+    rng = np.random.default_rng(config.seed)
+    state = nn.adam_init(params, lr=config.lr)
+    # Every step writes its gradients into these arrays. A (feature_dim,
+    # flat) weight gradient allocated and freed at each step would raise
+    # glibc's mmap threshold to its size; the rest of a step would then come
+    # from a heap whose resident size depends on the process's allocation
+    # layout, and peak RSS would differ by tens of MB between identical runs.
+    grads = {key: np.empty_like(p) for key, p in params.items()}
+    history: list[dict[str, float]] = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            epoch_loss += step(batch, grads) * len(batch)
+            nn.adam_step(params, grads, state)
+        history.append({"epoch": float(epoch), "train_loss": epoch_loss / n})
+    return history
 
 
 def cnn_train(
     model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, config: TrainConfig
 ) -> list[dict[str, float]]:
-    """Minimize mean BCE with Adam over shuffled mini-batches, in place.
-    pixels[i] is the (H, W, 3) uint8 image of records[i].
-
-    Returns one history entry per epoch: {"epoch", "train_loss"}.
-    """
-    if not records:
-        raise ValueError("empty training set")
+    """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
+    image of records[i]. Returns _train's history."""
     labels = np.array([r.labels for r in records], dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
-    state = nn.adam_init(model.params, lr=config.lr)
-    # Every step writes its float image batch and its gradients into these
-    # arrays. A (feature_dim, flat) weight gradient allocated and freed at
-    # each step would raise glibc's mmap threshold to its size; the rest of
-    # a step would then come from a heap whose resident size depends on the
-    # process's allocation layout, and peak RSS would differ by tens of MB
-    # between identical runs.
-    grads = {key: np.empty_like(p) for key, p in model.params.items()}
+    # Every step writes its float images into this one buffer, for the same
+    # reason _train reuses its gradient arrays.
     batch_images = np.empty((config.batch_size, *pixels.shape[1:]))
-    history: list[dict[str, float]] = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(records))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            images = batch_images[: len(batch)]
-            np.divide(pixels[batch], 255.0, out=images)
-            loss = cnn_loss_and_grads(model, images.transpose(0, 3, 1, 2), labels[batch], grads)
-            epoch_loss += loss * len(batch)
-            nn.adam_step(model.params, grads, state)
-        history.append({"epoch": float(epoch), "train_loss": epoch_loss / len(records)})
-    return history
+
+    def step(batch: np.ndarray, grads: nn.Params) -> float:
+        images = batch_images[: len(batch)]
+        np.divide(pixels[batch], 255.0, out=images)
+        return cnn_loss_and_grads(model, images.transpose(0, 3, 1, 2), labels[batch], grads)
+
+    return _train(model.params, len(records), config, step)
+
+
+def frame_train(
+    params: nn.Params, records: Sequence[ImageRecord], features: np.ndarray, config: TrainConfig
+) -> list[dict[str, float]]:
+    """Train the frame baseline's class head with _train, in place; features[i]
+    is the (feature_dim,) vector of records[i]. Returns _train's history."""
+    labels = np.array([r.labels for r in records], dtype=np.float64)
+
+    def step(batch: np.ndarray, grads: nn.Params) -> float:
+        x = features[batch]
+        return _head_backward(params, x, frame_predict(params, x), labels[batch], grads)[0]
+
+    return _train(params, len(records), config, step)
 
 
 def extract_features(
@@ -220,7 +263,7 @@ def extract_features(
     out = np.empty((len(records), model.config.feature_dim))
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
-        out[batch] = cnn_forward(model, _images(pixels[batch]))[1]
+        out[batch] = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)[1]
     return out
 
 
@@ -244,71 +287,13 @@ def cnn_load(path: str) -> CnnModel:
         raise ValueError(f"{path}: not a cnn model (kind={meta.get('kind')!r})")
     try:
         config = CnnConfig(
-            input_shape=tuple(int(d) for d in meta["input_shape"]),
-            stage_channels=tuple(int(c) for c in meta["stage_channels"]),
-            kernel_size=int(meta["kernel_size"]),
-            feature_dim=int(meta["feature_dim"]),
+            input_shape=tuple(meta_int("input_shape", d) for d in meta["input_shape"]),
+            stage_channels=tuple(meta_int("stage_channels", c) for c in meta["stage_channels"]),
+            kernel_size=meta_int("kernel_size", meta["kernel_size"]),
+            feature_dim=meta_int("feature_dim", meta["feature_dim"]),
         )
         want = _param_shapes(config)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ValueError(f"{path}: incomplete or invalid cnn meta: {exc!r}") from exc
     check_shapes(path, tensors, want)
     return CnnModel(config=config, params=tensors)
-
-
-# --- logistic frame classifier over precomputed feature vectors ---
-#
-# Stand-in for the per-image ("frame only") baseline on feature vectors
-# instead of pixels: three independent logistic outputs.
-
-
-@dataclass
-class FrameClassifier:
-    feature_dim: int
-    params: nn.Params
-
-
-def init_frame_classifier(feature_dim: int, seed: int) -> FrameClassifier:
-    rng = np.random.default_rng(seed)
-    return FrameClassifier(
-        feature_dim=feature_dim,
-        params={
-            "w": nn.glorot_uniform(rng, (N_CLASSES, feature_dim), feature_dim, N_CLASSES),
-            "b": np.zeros(N_CLASSES),
-        },
-    )
-
-
-def frame_predict(model: FrameClassifier, features: np.ndarray) -> np.ndarray:
-    """Per-frame class probabilities for a (n, feature_dim) matrix."""
-    return nn.sigmoid(features @ model.params["w"].T + model.params["b"])
-
-
-def frame_train(
-    model: FrameClassifier,
-    records: Sequence[ImageRecord],
-    features: np.ndarray,
-    config: TrainConfig,
-) -> list[dict[str, float]]:
-    """Train the logistic frame classifier with Adam on mean BCE, in place;
-    features[i] is the (feature_dim,) vector of records[i]."""
-    if not records:
-        raise ValueError("empty training set")
-    labels = np.array([r.labels for r in records], dtype=np.float64)
-    rng = np.random.default_rng(config.seed)
-    state = nn.adam_init(model.params, lr=config.lr)
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(records))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            x, y = features[idx], labels[idx]
-            probs = frame_predict(model, x)
-            loss, _ = nn.bce_loss(probs, y)
-            epoch_loss += loss * len(idx)
-            grad_z = (probs - y) / probs.size
-            grads = {"w": grad_z.T @ x, "b": grad_z.sum(axis=0)}
-            nn.adam_step(model.params, grads, state)
-        history.append({"epoch": float(epoch), "train_loss": epoch_loss / len(records)})
-    return history

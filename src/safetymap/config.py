@@ -60,23 +60,31 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 
 def parse_config_file(path: str) -> dict:
-    """Read `key = value` lines; unknown keys are rejected."""
+    """Read `key = value` lines. An unknown or repeated key, a line without '=', a bad
+    value or bytes that are not UTF-8 are ValueErrors that start `config: PATH:`."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-            kind = _FIELD_TYPES[key]
-            try:
-                values[key] = int(value) if kind == "int" else float(value)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from exc
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                where = f"config: {path}:{line_no}"
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ValueError(f"{where}: expected 'key = value', got {raw.rstrip()!r}")
+                key, _, value = (part.strip() for part in line.partition("="))
+                if key not in _FIELD_TYPES:
+                    raise ValueError(f"{where}: unknown config key {key!r}")
+                if key in first_line:
+                    raise ValueError(f"{where}: {key} repeated, first set on line {first_line[key]}")
+                first_line[key] = line_no
+                try:
+                    values[key] = int(value) if _FIELD_TYPES[key] == "int" else float(value)
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {key}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"config: {path}: not UTF-8: {exc}") from exc
     return values
 
 

@@ -218,23 +218,20 @@ def write_predictions(
     write_table(path, PREDICTION_COLUMNS, rows)
 
 
-def attach_features(
-    records: Sequence[ImageRecord], path: str, expected_dim: int | None = None
-) -> np.ndarray:
+def attach_features(records: Sequence[ImageRecord], path: str, expected_dim: int) -> np.ndarray:
     """Read a JSON-lines file keyed by image_id into an (n, d) float64
     array whose row i is the vector of records[i].
 
     Each non-blank line is an object with a string image_id and a flat list
     of finite numbers. Every record must receive a vector, every file entry
-    must match a record and name it once, and the dimension must agree
-    across the file (and with expected_dim when given). A line that breaks
-    this is a SchemaError naming the path and the line; bytes that are not
-    UTF-8 are a SchemaError naming the path.
+    must match a record and name it once, and every vector must have
+    expected_dim entries. A line that breaks this is a SchemaError naming the
+    path and the line; bytes that are not UTF-8 are a SchemaError naming the
+    path.
     """
     rows = {r.image_id: i for i, r in enumerate(records)}
     first_line: dict[str, int] = {}
-    dim = expected_dim
-    features = np.empty((len(records), dim or 0))
+    features = np.empty((len(records), expected_dim))
     line_no = 0
     with open(path, encoding="utf-8") as fh:
         try:
@@ -257,11 +254,8 @@ def attach_features(
                 vec = np.asarray(obj["features"], dtype=np.float64)
                 if vec.ndim != 1:
                     raise ValueError("features must be a flat list")
-                if dim is None:
-                    dim = vec.shape[0]
-                    features = np.empty((len(records), dim))
-                elif vec.shape[0] != dim:
-                    raise ValueError(f"feature dimension {vec.shape[0]} != expected {dim}")
+                if vec.shape[0] != expected_dim:
+                    raise ValueError(f"feature dimension {vec.shape[0]} != expected {expected_dim}")
                 if not np.isfinite(vec).all():
                     raise ValueError("non-finite feature value")
                 first_line[image_id] = line_no

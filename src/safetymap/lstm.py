@@ -37,7 +37,7 @@ import numpy as np
 
 from . import CLASS_NAMES, nn
 from .data import ImageRecord, _runs
-from .modelio import check_shapes, load_tensors, save_tensors
+from .modelio import check_shapes, load_tensors, meta_int, save_tensors
 
 
 class LstmState(NamedTuple):
@@ -286,7 +286,7 @@ def _param_shapes(
     shared mode, one 1-output group per class in CLASS_NAMES order otherwise."""
     if mode not in ("shared", "separate"):
         raise ValueError(f"mode must be 'shared' or 'separate', got {mode!r}")
-    groups, out_dim = (1, 3) if mode == "shared" else (len(CLASS_NAMES), 1)
+    groups, out_dim = (1, len(CLASS_NAMES)) if mode == "shared" else (len(CLASS_NAMES), 1)
     return {
         "wp": (groups, 4 * hidden, hidden),
         "up": (groups, 4 * hidden, input_dim),
@@ -458,7 +458,7 @@ def predict_corridor(
     """
     params = model.params
     groups = len(params["wp"])
-    probs = np.zeros((len(records), 3))
+    probs = np.zeros((len(records), len(CLASS_NAMES)))
     chunk = 128 // groups  # bounds the working set at 128 group-windows
     for start, end in _runs(records):
         n = end - start
@@ -501,12 +501,13 @@ def seq_load(path: str) -> SequenceModel:
     try:
         model = SequenceModel(
             meta["mode"],
-            hidden=int(meta["hidden"]),
-            input_dim=int(meta["input_dim"]),
-            mid_dim=int(meta["mid_dim"]),
+            hidden=meta_int("hidden", meta["hidden"]),
+            input_dim=meta_int("input_dim", meta["input_dim"]),
+            mid_dim=meta_int("mid_dim", meta["mid_dim"]),
             dropout_rate=float(meta["dropout_rate"]),
             params=tensors,
-            window=meta["window"],
+            # an untrained model is saved with no window
+            window=None if meta["window"] is None else meta_int("window", meta["window"]),
         )
         _check_dropout(model.dropout_rate)
         want = _param_shapes(model.mode, model.input_dim, model.hidden, model.mid_dim)

@@ -88,6 +88,14 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
+def meta_int(key: str, value: object) -> int:
+    """value when the header holds it as a JSON integer; a bool, float,
+    string or any other value is a ValueError naming key."""
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def check_shapes(path: str, tensors: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
     """Raise a ValueError naming path and every tensor that is missing, extra
     or of another shape than want, the shapes its meta implies."""

@@ -662,6 +662,26 @@ class TestSynthPipeline:
         assert f"error: {model}: tensor 'wp' holds " in capsys.readouterr().err
         assert not model.exists() and not losses.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(b"no_such_knob = 3\n", ":1: unknown config key 'no_such_knob'", id="unknown-key"),
+            pytest.param(b"# comment\nwindow 5\n", ":2: expected 'key = value', got 'window 5'", id="no-equals"),
+            pytest.param(b"window = 1.5\n", ":1: window: invalid literal for int()", id="float-for-int"),
+            pytest.param(b"window = 5\n\nwindow = 6\n", ":3: window repeated, first set on line 1", id="repeated"),
+            pytest.param(b"window = 5\nseed = \xff\n", ": not UTF-8: ", id="not-utf8"),
+        ],
+    )
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(text)
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(cfg), "synth", "--out", "l.csv", "--features-out", "f.jsonl"
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config: {cfg}{message}")
+
     def test_bad_config_key_exit_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("window = 0\n")

@@ -1,4 +1,4 @@
-"""Tests for the tiny CNN and the logistic frame classifier."""
+"""Tests for the tiny CNN and the frame baseline, its class head trained alone."""
 
 from __future__ import annotations
 
@@ -244,6 +244,24 @@ class TestCnnSerialization:
         path = self._resave(tmp_path, lambda t, m: m.pop("kernel_size"))
         with pytest.raises(ValueError, match=r"invalid cnn meta: KeyError\('kernel_size'\)"):
             cnn_load(path)
+
+    @pytest.mark.parametrize("value", [4.9, "4", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize(
+        "key, index",
+        [("kernel_size", None), ("feature_dim", None), ("input_shape", 1), ("stage_channels", 0)],
+    )
+    def test_non_integer_meta_rejected(self, tmp_path, key, index, value):
+        def edit(tensors, meta):
+            if index is None:
+                meta[key] = value
+            else:
+                meta[key][index] = value
+
+        path = self._resave(tmp_path, edit)
+        with pytest.raises(ValueError) as info:
+            cnn_load(path)
+        assert str(info.value).startswith(f"{path}: incomplete or invalid cnn meta: ValueError(")
+        assert f"{key} must be an integer, got {value!r}" in str(info.value)
 
     def test_feature_dim_disagreeing_with_tensors_rejected(self, tmp_path):
         path = self._resave(tmp_path, lambda t, m: m.update(feature_dim=5))

@@ -191,7 +191,7 @@ class TestAttachFeatures:
                 {"image_id": "e1-0", "features": [0.0] * 250},
             ],
         )
-        out = attach_features(records, str(path))
+        out = attach_features(records, str(path), 250)
         # row i is records[i]'s vector, whatever the file order
         assert out.shape == (2, 250) and out.dtype == np.float64
         assert out[0].tolist() == [0.0] * 250 and out[1].tolist() == [1.0] * 250
@@ -212,7 +212,7 @@ class TestAttachFeatures:
             ],
         )
         with pytest.raises(SchemaError, match="dimension"):
-            attach_features(records, str(path))
+            attach_features(records, str(path), 250)
 
     def test_unknown_id_listed(self, tmp_path):
         records = [make_record("e1", 0)]
@@ -225,7 +225,7 @@ class TestAttachFeatures:
             ],
         )
         with pytest.raises(SchemaError, match="ghost"):
-            attach_features(records, str(path))
+            attach_features(records, str(path), 2)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_value_names_line(self, tmp_path, value):
@@ -236,14 +236,14 @@ class TestAttachFeatures:
             f'{{"image_id": "e1-1", "features": [0.0, {value}]}}\n'
         )
         with pytest.raises(SchemaError, match="line 2: non-finite"):
-            attach_features(records, str(path))
+            attach_features(records, str(path), 2)
 
     def test_missing_features_reported_completely(self, tmp_path):
         records = [make_record("e1", i) for i in range(3)]
         path = tmp_path / "features.jsonl"
         self._write_jsonl(path, [{"image_id": "e1-1", "features": [0.0]}])
         with pytest.raises(SchemaError, match=r"e1-0.*e1-2") as info:
-            attach_features(records, str(path))
+            attach_features(records, str(path), 1)
         assert str(info.value).startswith(f"{path}: no features for 2 record(s)")
 
     @pytest.mark.parametrize(
@@ -262,7 +262,7 @@ class TestAttachFeatures:
         path = tmp_path / "features.jsonl"
         path.write_text('{"image_id": "e1-0", "features": [0.0]}\n' + line + "\n")
         with pytest.raises(SchemaError, match=message) as info:
-            attach_features(records, str(path))
+            attach_features(records, str(path), 1)
         assert str(info.value).startswith(f"{path}: line 2: ")
 
     def test_write_features_needs_one_row_per_record(self, tmp_path):
@@ -275,7 +275,7 @@ class TestAttachFeatures:
         features = np.random.default_rng(0).normal(size=(4, 8))
         path = tmp_path / "features.jsonl"
         write_features(str(path), records, features)
-        assert np.array_equal(attach_features(records, str(path)), features)
+        assert np.array_equal(attach_features(records, str(path), 8), features)
 
 
 class TestFeatureFileFuzz:
@@ -285,7 +285,7 @@ class TestFeatureFileFuzz:
 
     def _attach(self, path):
         try:
-            out = attach_features(self.RECORDS, str(path))
+            out = attach_features(self.RECORDS, str(path), 2)
         except SchemaError:
             return None
         assert out.ndim == 2 and len(out) == len(self.RECORDS)

@@ -625,7 +625,6 @@ class TestSerialization:
         [
             ({"mode": "both"}, "mode must be 'shared' or 'separate', got 'both'"),
             ({"dropout_rate": 1.0}, r"dropout rate must be in \[0, 1\), got 1.0"),
-            ({"hidden": "five"}, "invalid literal for int"),
         ],
     )
     def test_invalid_meta_rejected(self, tmp_path, meta, message):
@@ -633,6 +632,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message) as info:
             seq_load(path)
         assert str(info.value).startswith(f"{path}: invalid sequence-model meta: ")
+
+    @pytest.mark.parametrize("value", [4.9, "4", True], ids=["float", "string", "bool"])
+    @pytest.mark.parametrize("key", ["hidden", "input_dim", "mid_dim", "window"])
+    def test_non_integer_meta_rejected(self, tmp_path, key, value):
+        # int() would read 4.9 as 4 and True as 1
+        path = self._resave(tmp_path, "shared", lambda t, m: m.update({key: value}))
+        with pytest.raises(ValueError) as info:
+            seq_load(path)
+        message = f"{key} must be an integer, got {value!r}"
+        assert str(info.value) == f"{path}: invalid sequence-model meta: {message}"
 
     def test_incomplete_meta_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.pop("hidden"))
