@@ -77,19 +77,25 @@ def init_cnn(config: CnnConfig, seed: int) -> CnnModel:
     return CnnModel(config=config, params=params)
 
 
-def _conv_forward(model: CnnModel, image: np.ndarray) -> tuple[np.ndarray, list]:
-    """The conv, ReLU and pool stages on one C x H x W image: the pooled
-    output and, per stage, what the backward pass keeps (input, argmax
-    cache, pooled output)."""
+def _conv_forward(model: CnnModel, image: np.ndarray, out: np.ndarray) -> list:
+    """The conv, ReLU and pool stages on one C x H x W image. The last
+    stage's pooled output is written into out, the image's (flat,) row of the
+    dense input. Returns, per stage, what the backward pass keeps (input,
+    argmax cache, pooled output; the last one a view of out)."""
     pad = model.config.kernel_size // 2
+    last = len(model.config.stage_channels) - 1
     stages = []
     x = image
-    for s in range(len(model.config.stage_channels)):
+    for s in range(last + 1):
         z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], pad)
         pooled, idx = nn.maxpool2d_forward(nn.relu(z))
+        if s == last:
+            row = out.reshape(pooled.shape)
+            row[...] = pooled
+            pooled = row
         stages.append((x, idx, pooled))
         x = pooled
-    return x, stages
+    return stages
 
 
 def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Params) -> None:
@@ -141,18 +147,19 @@ def _head_backward(
 
 
 def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.ndarray]]:
-    """Conv stages image by image, then the dense head on the stacked
-    (N, flat) pooled outputs as one GEMM per layer."""
+    """Conv stages image by image, each writing its pooled output into its
+    row of the (N, flat) dense input, then the dense head on those rows as
+    one GEMM per layer."""
     if images.ndim != 4 or images.shape[1:] != model.config.input_shape:
         raise ValueError(
             f"image batch shape {images.shape} != (N, *{model.config.input_shape})"
         )
-    pooled, stages = zip(*(_conv_forward(model, image) for image in images))
-    flat = np.stack([p.reshape(-1) for p in pooled])
+    flat = np.empty((len(images), model.config.flat_dim()))
+    stages = [_conv_forward(model, image, row) for image, row in zip(images, flat)]
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
     features = nn.relu(feat_z)
     probs = frame_predict(model.params, features)
-    return list(stages), {"flat": flat, "feat_z": feat_z, "features": features, "probs": probs}
+    return stages, {"flat": flat, "feat_z": feat_z, "features": features, "probs": probs}
 
 
 def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,11 +208,13 @@ def _train(
         raise ValueError("empty training set")
     rng = np.random.default_rng(config.seed)
     state = nn.adam_init(params, lr=config.lr)
-    # Every step writes its gradients into these arrays. A (feature_dim,
-    # flat) weight gradient allocated and freed at each step would raise
-    # glibc's mmap threshold to its size; the rest of a step would then come
-    # from a heap whose resident size depends on the process's allocation
-    # layout, and peak RSS would differ by tens of MB between identical runs.
+    # Every step writes its gradients into these arrays, and adam_step works
+    # through one tile-sized buffer. A (feature_dim, flat) weight gradient or
+    # Adam buffer allocated and freed at each step would raise glibc's mmap
+    # threshold (128 KB at start) to its size; every smaller allocation of a
+    # step would then come from a heap whose resident size depends on the
+    # process's allocation layout, and peak RSS would differ by tens of MB
+    # between identical runs.
     grads = {key: np.empty_like(p) for key, p in params.items()}
     history: list[dict[str, float]] = []
     for epoch in range(config.epochs):

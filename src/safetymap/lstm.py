@@ -37,7 +37,7 @@ import numpy as np
 
 from . import CLASS_NAMES, nn
 from .data import ImageRecord, _runs
-from .modelio import check_shapes, load_tensors, meta_int, save_tensors
+from .modelio import check_shapes, load_tensors, meta_float, meta_int, save_tensors
 
 
 class LstmState(NamedTuple):
@@ -504,7 +504,7 @@ def seq_load(path: str) -> SequenceModel:
             hidden=meta_int("hidden", meta["hidden"]),
             input_dim=meta_int("input_dim", meta["input_dim"]),
             mid_dim=meta_int("mid_dim", meta["mid_dim"]),
-            dropout_rate=float(meta["dropout_rate"]),
+            dropout_rate=meta_float("dropout_rate", meta["dropout_rate"]),
             params=tensors,
             # an untrained model is saved with no window
             window=None if meta["window"] is None else meta_int("window", meta["window"]),

@@ -96,6 +96,15 @@ def meta_int(key: str, value: object) -> int:
     return value
 
 
+def meta_float(key: str, value: object) -> float:
+    """value as a float when the header holds it as a finite JSON number (an
+    integer or a float); a bool, string, NaN, infinity or any other value is
+    a ValueError naming key."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_shapes(path: str, tensors: dict[str, np.ndarray], want: dict[str, tuple]) -> None:
     """Raise a ValueError naming path and every tensor that is missing, extra
     or of another shape than want, the shapes its meta implies."""

@@ -138,7 +138,7 @@ def conv2d_backward_input(
 
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channel-wise 2x2 window maxima; also returns the argmax index cache
-    (0..3 in row-major order within each window).
+    (uint8, 0..3 in row-major order within each window).
 
     Ties route to the first maximal element in row-major scan order, and a
     NaN counts as the maximum, as in np.argmax.
@@ -153,7 +153,8 @@ def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     top = np.where(right_top, b, a)
     bottom = np.where(right_bottom, d, c)
     lower = ~(top >= bottom) & (top == top)
-    return np.where(lower, bottom, top), np.where(lower, right_bottom + 2, right_top)
+    # a uint8 cache is an eighth of an int64 one
+    return np.where(lower, bottom, top), np.where(lower, right_bottom + np.uint8(2), right_top)
 
 
 def maxpool2d_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
@@ -203,6 +204,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Elements per tile of adam_step: small enough that a tile of each of the
+# five arrays an update touches (param, grad, m, v, scratch) stays in cache,
+# large enough that the per-tile Python overhead is small next to the math.
+# Of 2^13-2^17, 2^15 timed fastest on a 250 x 16384 weight (40 ms a step,
+# against 75 ms untiled; one thread of a 2-vCPU Haswell host).
+ADAM_TILE = 1 << 15
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates per named parameter plus the step count."""
@@ -211,7 +220,8 @@ class AdamState:
     v: Params
     t: int = 0
     lr: float = 1e-3
-    scratch: Params = field(default_factory=dict, repr=False)  # update work buffers
+    # work buffer for one tile of any tensor
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(ADAM_TILE), repr=False)
 
 
 def adam_init(params: Params, lr: float = 1e-3) -> AdamState:
@@ -226,7 +236,10 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
     """One bias-corrected Adam update, applied in place; returns params.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m/(1-b1^t),
-    v_hat = v/(1-b2^t); computed allocation-free via per-tensor scratch.
+    v_hat = v/(1-b2^t). The update is elementwise, so it runs over each
+    tensor's flat view in tiles of ADAM_TILE elements through the state's
+    one tile-sized scratch, allocating nothing; every element gets the same
+    operations in the same order as a whole-tensor update, so the same bits.
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(set(params) ^ set(grads))}")
@@ -238,25 +251,28 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
         g = grads[key]
         if g.shape != p.shape:
             raise ValueError(f"{key}: grad shape {g.shape} != param shape {p.shape}")
-        m = state.m[key]
-        v = state.v[key]
-        scratch = state.scratch.get(key)
-        if scratch is None:
-            scratch = state.scratch[key] = np.empty_like(p)
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=scratch)
-        m += scratch
-        v *= b2
-        np.multiply(g, g, out=scratch)
-        scratch *= 1.0 - b2
-        v += scratch
-        # denominator sqrt(v_hat) + eps, then the bias-corrected step
-        np.divide(v, bias2, out=scratch)
-        np.sqrt(scratch, out=scratch)
-        scratch += ADAM_EPS
-        np.divide(m, scratch, out=scratch)
-        scratch *= state.lr / bias1
-        p -= scratch
+        if not p.flags.c_contiguous:  # reshape would copy, and the update would be lost
+            raise ValueError(f"{key}: parameter array is not C-contiguous")
+        p_flat, g_flat = p.reshape(-1), g.reshape(-1)
+        m_flat, v_flat = state.m[key].reshape(-1), state.v[key].reshape(-1)
+        for start in range(0, p.size, ADAM_TILE):
+            tile = slice(start, start + ADAM_TILE)
+            p_t, g_t, m, v = p_flat[tile], g_flat[tile], m_flat[tile], v_flat[tile]
+            scratch = state.scratch[: len(p_t)]
+            m *= b1
+            np.multiply(g_t, 1.0 - b1, out=scratch)
+            m += scratch
+            v *= b2
+            np.multiply(g_t, g_t, out=scratch)
+            scratch *= 1.0 - b2
+            v += scratch
+            # denominator sqrt(v_hat) + eps, then the bias-corrected step
+            np.divide(v, bias2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += ADAM_EPS
+            np.divide(m, scratch, out=scratch)
+            scratch *= state.lr / bias1
+            p_t -= scratch
     return params
 
 

@@ -654,10 +654,12 @@ class TestSynthPipeline:
         assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
         model, losses = tmp_path / "model.bin", tmp_path / "losses.csv"
         capsys.readouterr()
-        code = run_cli(
-            *base, "train-lstm", "--labels", str(labels), "--features", str(features),
-            "--model-out", str(model), "--loss-out", str(losses),
-        )
+        with pytest.warns(RuntimeWarning) as warned:
+            code = run_cli(
+                *base, "train-lstm", "--labels", str(labels), "--features", str(features),
+                "--model-out", str(model), "--loss-out", str(losses),
+            )
+        assert any("overflow" in str(w.message) for w in warned)
         assert code == 5
         assert f"error: {model}: tensor 'wp' holds " in capsys.readouterr().err
         assert not model.exists() and not losses.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from safetymap import nn
 from safetymap.cnn import (
     CnnConfig,
     TrainConfig,
+    _forward,
     cnn_forward,
     cnn_load,
     cnn_loss_and_grads,
@@ -67,6 +69,14 @@ class TestCnnForward:
         model = init_cnn(SMALL, seed=4)
         _, features = cnn_forward(model, np.random.default_rng(5).random((3, 3, 8, 8)))
         assert np.all(features >= 0.0)
+
+    def test_pooled_outputs_are_rows_of_the_dense_input(self):
+        model = init_cnn(DESK, seed=4)
+        stages, head = _forward(model, np.random.default_rng(6).random((3, 3, 32, 32)))
+        for row, image_stages in zip(head["flat"], stages):
+            pooled = image_stages[-1][2]
+            assert np.shares_memory(pooled, row)
+            assert np.array_equal(pooled.reshape(-1), row)
 
     def test_shape_mismatch(self):
         model = init_cnn(SMALL, seed=0)
@@ -182,6 +192,24 @@ class TestCnnTrain:
         assert len(history) == 2
         for key in want.params:
             assert np.array_equal(model.params[key], want.params[key]), key
+
+    def test_memory_peak_below_three_and_a_half_parameter_copies(self):
+        # feat.w (4096 x 512) is 99% of the parameters. Training holds the
+        # gradients and Adam's two moments, three copies; a fourth, such as
+        # a tensor-sized Adam scratch, would cross the bound.
+        rng = np.random.default_rng(7)
+        records, pixels = make_pixel_records(16, rng)
+        config = CnnConfig(input_shape=(3, 32, 32), stage_channels=(4, 8), feature_dim=4096)
+        model = init_cnn(config, seed=8)
+        param_bytes = sum(p.nbytes for p in model.params.values())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cnn_train(model, records, pixels, TrainConfig(batch_size=8, epochs=1, seed=9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3.5 * param_bytes
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

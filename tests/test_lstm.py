@@ -643,6 +643,17 @@ class TestSerialization:
         message = f"{key} must be an integer, got {value!r}"
         assert str(info.value) == f"{path}: invalid sequence-model meta: {message}"
 
+    @pytest.mark.parametrize(
+        "value", ["0.2", True, None, math.nan], ids=["string", "bool", "null", "nan"]
+    )
+    def test_non_number_dropout_rate_rejected(self, tmp_path, value):
+        # float() would read "0.2" as 0.2 and True as 1.0
+        path = self._resave(tmp_path, "shared", lambda t, m: m.update({"dropout_rate": value}))
+        with pytest.raises(ValueError) as info:
+            seq_load(path)
+        message = f"dropout_rate must be a finite number, got {value!r}"
+        assert str(info.value) == f"{path}: invalid sequence-model meta: {message}"
+
     def test_incomplete_meta_rejected(self, tmp_path):
         path = self._resave(tmp_path, "shared", lambda t, m: m.pop("hidden"))
         with pytest.raises(ValueError, match="incomplete sequence-model meta"):

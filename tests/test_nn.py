@@ -12,6 +12,10 @@ from hypothesis.extra import numpy as hnp
 
 from safetymap.modelio import load_tensors, save_tensors
 from safetymap.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    ADAM_TILE,
     adam_init,
     adam_step,
     bce_loss,
@@ -209,7 +213,7 @@ class TestMaxpool:
         want_out, want_idx = argmax_maxpool2d(x)
         # bitwise: the same element of each window, signed zeros and NaNs included
         assert out.tobytes() == want_out.tobytes()
-        assert idx.dtype == want_idx.dtype and np.array_equal(idx, want_idx)
+        assert idx.dtype == np.uint8 and np.array_equal(idx, want_idx)
         windows = x.reshape(x.shape[0], out.shape[1], 2, out.shape[2], 2)
         assert np.array_equal(np.isnan(out), np.isnan(windows).any(axis=(2, 4)))
 
@@ -323,7 +327,65 @@ class TestBce:
             bce_loss(np.zeros(3), np.zeros(4))
 
 
+def per_tensor_adam_step(params, grads, m, v, t, lr):
+    """The whole-tensor Adam update adam_step replaced, with a scratch array
+    of each tensor's size, kept as its oracle."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    for key, p in params.items():
+        g = grads[key]
+        scratch = np.empty_like(p)
+        m[key] *= b1
+        np.multiply(g, 1.0 - b1, out=scratch)
+        m[key] += scratch
+        v[key] *= b2
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - b2
+        v[key] += scratch
+        np.divide(v[key], bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m[key], scratch, out=scratch)
+        scratch *= lr / bias1
+        p -= scratch
+
+
+TILE_SIZES = [0, 1, ADAM_TILE - 1, ADAM_TILE, ADAM_TILE + 1, 3 * ADAM_TILE + 5]
+
+
 class TestAdam:
+    @pytest.mark.parametrize("ndim", [1, 2, 4])
+    def test_tiles_match_per_tensor_update_bitwise(self, ndim):
+        rng = np.random.default_rng(ndim)
+
+        def shape(size):
+            """size elements in ndim axes, each leading axis a small factor of size"""
+            dims = []
+            for _ in range(ndim - 1):
+                dims.append(next((f for f in range(2, 64) if size % f == 0), 1))
+                size //= dims[-1]
+            return (*dims, size)
+
+        start = {f"w{size}": rng.normal(size=shape(size)) for size in TILE_SIZES}
+        params = {k: p.copy() for k, p in start.items()}
+        want = {k: p.copy() for k, p in start.items()}
+        m = {k: np.zeros_like(p) for k, p in start.items()}
+        v = {k: np.zeros_like(p) for k, p in start.items()}
+        state = adam_init(params, lr=0.01)
+        for t in range(1, 6):
+            # gradients vary in scale and sign from step to step, signed zeros included
+            grads = {k: rng.normal(scale=10.0**t, size=p.shape) for k, p in start.items()}
+            for g in grads.values():
+                g.reshape(-1)[::7] = -0.0
+            adam_step(params, grads, state)
+            per_tensor_adam_step(want, grads, m, v, t, 0.01)
+            assert state.scratch.size <= ADAM_TILE
+            for key in start:
+                assert params[key].tobytes() == want[key].tobytes(), key
+                assert state.m[key].tobytes() == m[key].tobytes(), key
+                assert state.v[key].tobytes() == v[key].tobytes(), key
+
     def test_zero_gradient_no_move(self):
         params = {"w": np.array([1.0, -2.0])}
         state = adam_init(params, lr=0.1)
@@ -370,6 +432,13 @@ class TestAdam:
         state = adam_init(params)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.zeros(4)}, state)
+
+    def test_non_contiguous_param_rejected(self):
+        # the update writes through a flat view, which a strided array has not
+        params = {"w": np.zeros((3, 4)).T}
+        state = adam_init(params)
+        with pytest.raises(ValueError, match="w: parameter array is not C-contiguous"):
+            adam_step(params, {"w": np.ones((4, 3))}, state)
 
 
 class TestGradCheck:
