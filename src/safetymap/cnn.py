@@ -88,7 +88,7 @@ def _conv_forward(model: CnnModel, image: np.ndarray, out: np.ndarray) -> list:
     x = image
     for s in range(last + 1):
         z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], pad)
-        pooled, idx = nn.maxpool2d_forward(nn.relu(z))
+        pooled, idx = nn.maxpool2d_forward(nn.relu(z, out=z))
         if s == last:
             row = out.reshape(pooled.shape)
             row[...] = pooled
@@ -270,9 +270,13 @@ def extract_features(
     depend on its position in the batch)."""
     order = sorted(range(len(records)), key=lambda i: records[i].image_id)
     out = np.empty((len(records), model.config.feature_dim))
+    # one float image buffer for every batch, as in cnn_train
+    batch_images = np.empty((min(batch_size, len(records)), *pixels.shape[1:]))
     for start in range(0, len(order), batch_size):
         batch = order[start : start + batch_size]
-        out[batch] = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)[1]
+        images = batch_images[: len(batch)]
+        np.divide(pixels[batch], 255.0, out=images)
+        out[batch] = cnn_forward(model, images.transpose(0, 3, 1, 2))[1]
     return out
 
 

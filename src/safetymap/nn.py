@@ -19,8 +19,11 @@ BCE_CLAMP = 1e-12
 # --- activations ---
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, x)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(0, x), into out if given (out=x rectifies in place). The operand
+    order of np.maximum(0.0, x) is kept: it decides which zero comes out
+    for x = -0.0 and which NaN for a NaN x."""
+    return np.maximum(0.0, x, out=out)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -102,7 +105,8 @@ def conv2d_forward(
     h_out = _conv_output_extent(x.shape[1], kh, padding)
     w_out = _conv_output_extent(x.shape[2], kw, padding)
     cols = _im2col(x, kh, kw, padding)
-    out = kernels.reshape(k, -1) @ cols + bias[:, None]
+    out = kernels.reshape(k, -1) @ cols
+    out += bias[:, None]
     return out.reshape(k, h_out, w_out)
 
 
@@ -134,36 +138,78 @@ def conv2d_backward_input(
 
 
 # --- 2x2 max pooling, stride 2 ---
+#
+# Selections run as integer arithmetic on the float64 bits: a comparison or
+# a bit op costs about a twentieth of a masked select (np.where) per element,
+# and picking bits keeps each element's sign and NaN payload.
+
+
+def _later_wins(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Where second beats first: it is greater, or only it is NaN."""
+    wins = first >= second
+    np.invert(wins, out=wins)
+    wins &= first == first
+    return wins
+
+
+def _pick(wins: np.ndarray, first: np.ndarray, second: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = second where wins, else first, bit for bit; overwrites second."""
+    f_bits, s_bits = first.view(np.uint64), second.view(np.uint64)
+    np.bitwise_xor(s_bits, f_bits, out=s_bits)
+    np.multiply(s_bits, wins, out=s_bits, dtype=np.uint64)  # the difference, or 0
+    np.bitwise_xor(f_bits, s_bits, out=out.view(np.uint64))
+    return out
 
 
 def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Channel-wise 2x2 window maxima; also returns the argmax index cache
     (uint8, 0..3 in row-major order within each window).
 
-    Ties route to the first maximal element in row-major scan order, and a
-    NaN counts as the maximum, as in np.argmax.
+    The result is the element np.argmax picks, bit for bit: ties go to the
+    first maximal element in row-major scan order (so of -0.0 and +0.0, the
+    first), and a NaN counts as the maximum, the first NaN winning with its
+    sign and payload. Each window's top pair and bottom pair are decided
+    first, then the two winners against each other.
     """
-    _, h, w = x.shape
+    c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d needs even extents, got {h}x{w}")
-    a, b, c, d = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
-    # the later of two elements wins when it is greater or when only it is NaN
-    right_top = ~(a >= b) & (a == a)
-    right_bottom = ~(c >= d) & (c == c)
-    top = np.where(right_top, b, a)
-    bottom = np.where(right_bottom, d, c)
-    lower = ~(top >= bottom) & (top == top)
-    # a uint8 cache is an eighth of an int64 one
-    return np.where(lower, bottom, top), np.where(lower, right_bottom + np.uint8(2), right_top)
+    # win[i, j] is window slot (i, j), x[:, i::2, j::2], as a float64 copy
+    win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(2, 4, 0, 1, 3).astype(np.float64, order="C")
+    # left and right columns; the top and bottom pairs are decided together
+    left, right = win[:, 0], win[:, 1]
+    right_wins = _later_wins(left, right)
+    pair = _pick(right_wins, left, right, out=left)
+    lower = _later_wins(pair[0], pair[1])
+    out = _pick(lower, pair[0], pair[1], out=np.empty((c, h // 2, w // 2)))
+    # idx = 2 * lower + (right_wins[1] if lower else right_wins[0]), in uint8
+    # arithmetic on lower's own array; a uint8 cache is an eighth of an int64 one
+    idx, bits = lower.view(np.uint8), right_wins.view(np.uint8)
+    bits[1] ^= bits[0]
+    bits[1] &= idx
+    bits[1] ^= bits[0]
+    idx += idx  # 2 * lower; numpy's uint8 left shift is about ten times slower
+    idx |= bits[1]
+    return out, idx
+
+
+# _SLOTS[i, j] is the cache value 2 * i + j of window slot (i, j)
+_SLOTS = np.arange(4, dtype=np.uint8).reshape(2, 2, 1, 1, 1)
 
 
 def maxpool2d_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Route each output gradient back to its window's argmax position."""
+    """Route each output gradient back to its window's argmax position.
+
+    Every slot is written, as the gradient's bits times 1 at the argmax and
+    times 0 elsewhere, so the other three slots of a window are +0.0 even
+    where the gradient is inf or NaN, and the argmax keeps the gradient's
+    exact bits (-0.0 and NaN payloads included).
+    """
+    grad_out = np.asarray(grad_out, dtype=np.float64)
     c, h2, w2 = grad_out.shape
-    grad = np.zeros((c, 2 * h2, 2 * w2))
-    # slot k of a window is the strided slice the forward pass reads as a, b, c, d
-    for k, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        np.copyto(grad[:, i::2, j::2], grad_out, where=idx == k)
+    grad = np.empty((c, 2 * h2, 2 * w2))
+    slots = grad.view(np.uint64).reshape(c, h2, 2, w2, 2).transpose(2, 4, 0, 1, 3)
+    np.multiply(grad_out.view(np.uint64), idx == _SLOTS, out=slots, dtype=np.uint64)
     return grad
 
 

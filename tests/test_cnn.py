@@ -13,6 +13,7 @@ from safetymap import nn
 from safetymap.cnn import (
     CnnConfig,
     TrainConfig,
+    _conv_forward,
     _forward,
     cnn_forward,
     cnn_load,
@@ -77,6 +78,24 @@ class TestCnnForward:
             pooled = image_stages[-1][2]
             assert np.shares_memory(pooled, row)
             assert np.array_equal(pooled.reshape(-1), row)
+
+    def test_stage_records_match_allocating_calls_bitwise(self):
+        # the conv's bias and the ReLU run in place on the GEMM output; the
+        # reference forms each with a new array
+        model = init_cnn(DESK, seed=12)
+        image = np.random.default_rng(13).random((3, 32, 32)) - 0.3
+        row = np.empty(DESK.flat_dim())
+        stages = _conv_forward(model, image, row)
+        x = image
+        for s, (got_x, got_idx, got_pooled) in enumerate(stages):
+            kernels, bias = model.params[f"conv{s}.k"], model.params[f"conv{s}.b"]
+            z = kernels.reshape(len(kernels), -1) @ nn._im2col(x, 3, 3, 1) + bias[:, None]
+            pooled, idx = nn.maxpool2d_forward(np.maximum(0.0, z).reshape(-1, *x.shape[1:]))
+            assert got_x.tobytes() == x.tobytes()
+            assert got_idx.tobytes() == idx.tobytes()
+            assert got_pooled.tobytes() == pooled.tobytes()
+            x = pooled
+        assert row.tobytes() == x.tobytes()
 
     def test_shape_mismatch(self):
         model = init_cnn(SMALL, seed=0)
@@ -235,6 +254,19 @@ class TestExtractFeatures:
         for order in (np.arange(7)[::-1], np.array([3, 6, 0, 5, 1, 4, 2])):
             out = extract_features(model, [records[i] for i in order], pixels[order], 3)
             assert np.array_equal(out, want[order])
+
+    def test_batches_match_allocating_division_bitwise(self):
+        # the reused float buffer holds what pixels[batch] / 255.0 would,
+        # the last, shorter batch included
+        rng = np.random.default_rng(8)
+        records, pixels = make_pixel_records(7, rng, height=8, width=8)
+        model = init_cnn(SMALL, seed=10)
+        out = extract_features(model, records, pixels, batch_size=3)
+        order = sorted(range(7), key=lambda i: records[i].image_id)
+        for start in range(0, 7, 3):
+            batch = order[start : start + 3]
+            _, want = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)
+            assert out[batch].tobytes() == want.tobytes()
 
     def test_matches_single_forward(self):
         rng = np.random.default_rng(7)

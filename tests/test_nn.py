@@ -16,6 +16,7 @@ from safetymap.nn import (
     ADAM_BETA2,
     ADAM_EPS,
     ADAM_TILE,
+    _im2col,
     adam_init,
     adam_step,
     bce_loss,
@@ -142,6 +143,16 @@ class TestConv2d:
         want = naive_conv2d(x, k, b, padding=padding)
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_in_place_bias_matches_allocating_formula_bitwise(self, padding):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 10, 12))
+        k = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        want = k.reshape(4, -1) @ _im2col(x, 3, 3, padding) + b[:, None]
+        got = conv2d_forward(x, k, b, padding=padding)
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
     @staticmethod
     def conv_loss(coeff, padding):
         """sum(coeff * conv) and its gradients on the input, kernels and bias."""
@@ -194,6 +205,9 @@ def scatter_maxpool2d_backward(idx, grad_out):
     return grad_windows.reshape(c, h2, w2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2 * 2, w2 * 2)
 
 
+# a NaN with the sign bit set and a payload other than the default quiet NaN's
+NEG_PAYLOAD_NAN = float(np.array(0xFFF8_0000_0000_0005, dtype=np.uint64).view(np.float64))
+
 # C x 2h x 2w inputs; the few repeated values make ties and signed zeros common
 POOL_INPUTS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
     lambda s: hnp.arrays(
@@ -208,6 +222,10 @@ class TestMaxpool:
     @given(POOL_INPUTS)
     @example(np.array([[[1.0, math.nan], [2.0, 3.0]]]))
     @example(np.array([[[-0.0, 0.0], [0.0, -0.0]]]))
+    @example(np.array([[[0.0, -0.0], [-0.0, 0.0]]]))
+    # two NaNs of different sign and payload: the first wins, bit for bit
+    @example(np.array([[[1.0, math.nan], [NEG_PAYLOAD_NAN, 3.0]], [[NEG_PAYLOAD_NAN, 2.0], [math.nan, -1.0]]]))
+    @example(np.full((2, 2, 4), -2.5))
     def test_matches_argmax_formula(self, x):
         out, idx = maxpool2d_forward(x)
         want_out, want_idx = argmax_maxpool2d(x)
@@ -238,7 +256,12 @@ class TestMaxpool:
         _, idx = maxpool2d_forward(x)
         grad_out = np.random.default_rng(x.size).normal(size=idx.shape)
         grad_out.flat[::3] = -0.0
-        # bitwise, signed zeros included: each output gradient lands on its argmax
+        grad_out.flat[1::5] = math.inf
+        grad_out.flat[2::5] = -math.inf
+        grad_out.flat[3::7] = NEG_PAYLOAD_NAN
+        grad_out.flat[4::7] = math.nan
+        # bitwise, signed zeros and NaN payloads included: each output gradient
+        # lands on its argmax, and the other slots stay +0.0
         assert maxpool2d_backward(idx, grad_out).tobytes() == scatter_maxpool2d_backward(
             idx, grad_out
         ).tobytes()
@@ -266,6 +289,22 @@ class TestActivations:
         assert relu(np.array([-3.0]))[0] == 0.0
         assert relu(np.array([3.0]))[0] == 3.0
         assert relu_grad(np.array([-1.0, 2.0])).tolist() == [0.0, 1.0]
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.one_of(
+                st.sampled_from([-0.0, 0.0, math.nan, NEG_PAYLOAD_NAN, math.inf, -math.inf]),
+                st.floats(),
+            ),
+        )
+    )
+    def test_in_place_matches_allocating_form_bitwise(self, x):
+        want = np.maximum(0.0, x)
+        got = relu(x, out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_points(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
