@@ -4,6 +4,10 @@ Commands cover the full flow: sample points along a road network, generate
 synthetic corridors, train the frame CNN, extract features, train the
 sequence model, predict, evaluate, and export prediction maps as GeoJSON.
 
+Each command imports the modules it runs (cnn, lstm, metrics, numpy) when it
+runs, so the geometry and table commands (sample, url-gen, export-map) start
+without loading numpy.
+
 Exit codes: 0 success, 2 usage or config error, 3 missing input file,
 4 input file violates its schema, 5 validation or dimension error,
 1 unexpected failure.
@@ -16,11 +20,7 @@ import logging
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
-from . import CLASS_NAMES
-from . import cnn as cnn_mod
-from . import data, geo, lstm, metrics
+from . import CLASS_NAMES, data, geo
 from .config import PipelineConfig, load_config, stage_seed
 
 log = logging.getLogger("safetymap")
@@ -72,6 +72,8 @@ def cmd_synth(args, config: PipelineConfig) -> int:
 
 
 def cmd_train_cnn(args, config: PipelineConfig) -> int:
+    from . import cnn as cnn_mod
+
     arch = cnn_mod.CnnConfig(feature_dim=config.feature_dim)
     records = data.load_labels(args.labels)
     if not records:
@@ -101,6 +103,8 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
 
 
 def cmd_extract_features(args, config: PipelineConfig) -> int:
+    from . import cnn as cnn_mod
+
     model = cnn_mod.cnn_load(args.model)
     records = data.load_labels(args.labels)
     pixels = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
@@ -111,6 +115,8 @@ def cmd_extract_features(args, config: PipelineConfig) -> int:
 
 
 def cmd_train_lstm(args, config: PipelineConfig) -> int:
+    from . import lstm
+
     records = data.load_labels(args.labels)
     features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
     starts = data.build_sequences(records, config.window, config.stride)
@@ -148,6 +154,8 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
 
 
 def cmd_predict(args, config: PipelineConfig) -> int:
+    from . import lstm
+
     records = data.load_labels(args.labels)
     features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
     model = lstm.seq_load(args.model)
@@ -166,10 +174,6 @@ def cmd_predict(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _prediction_labels(rows: list[data.PredictionRow]) -> np.ndarray:
-    return np.array([row.labels for row in rows])
-
-
 def _align_to_truth(
     rows: list[data.PredictionRow], truth_records: list[data.ImageRecord], name: str
 ) -> None:
@@ -186,10 +190,14 @@ def _align_to_truth(
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
+    import numpy as np
+
+    from . import metrics
+
     rows = data.read_predictions(args.predictions)
     truth_records = data.load_labels(args.truth)
     _align_to_truth(rows, truth_records, "prediction")
-    predictions = _prediction_labels(rows)
+    predictions = np.array([row.labels for row in rows])
     truth = np.array([r.labels for r in truth_records])
     per_class = metrics.class_metrics(predictions, truth)
     metrics.warn_if_degenerate(per_class)
@@ -200,7 +208,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
         _align_to_truth(base_rows, truth_records, "baseline")
         run_lengths = [end - start for start, end in data._runs(truth_records)]
         rates = metrics.isolated_error_correction_rate(
-            _prediction_labels(base_rows), predictions, truth, run_lengths
+            np.array([row.labels for row in base_rows]), predictions, truth, run_lengths
         )
         report["isolated_error_correction"] = {
             name: rate for name, rate in zip(CLASS_NAMES, rates)
@@ -217,7 +225,7 @@ def cmd_export_map(args, config: PipelineConfig) -> int:
     doc = geo.export_prediction_geojson(
         [(r.edge_id, r.seq_index, r.location) for r in rows],
         [r.probs for r in rows],
-        config.threshold,
+        [r.labels for r in rows],
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)

@@ -146,16 +146,24 @@ def _head_backward(
     return loss, nn.dense_backward(features, params["cls.w"], grad_z, grads["cls.w"], grads["cls.b"])
 
 
-def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.ndarray]]:
+def _forward(
+    model: CnnModel, images: np.ndarray, keep_stages: bool = True
+) -> tuple[list, dict[str, np.ndarray]]:
     """Conv stages image by image, each writing its pooled output into its
     row of the (N, flat) dense input, then the dense head on those rows as
-    one GEMM per layer."""
+    one GEMM per layer. Each image's stage records, which only the backward
+    pass reads, are returned with keep_stages and otherwise dropped as soon
+    as the image's row is written."""
     if images.ndim != 4 or images.shape[1:] != model.config.input_shape:
         raise ValueError(
             f"image batch shape {images.shape} != (N, *{model.config.input_shape})"
         )
     flat = np.empty((len(images), model.config.flat_dim()))
-    stages = [_conv_forward(model, image, row) for image, row in zip(images, flat)]
+    stages = []
+    for image, row in zip(images, flat):
+        record = _conv_forward(model, image, row)
+        if keep_stages:
+            stages.append(record)
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
     features = nn.relu(feat_z)
     probs = frame_predict(model.params, features)
@@ -164,8 +172,9 @@ def _forward(model: CnnModel, images: np.ndarray) -> tuple[list, dict[str, np.nd
 
 def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities (N, 3) and nonnegative feature vectors (N,
-    feature_dim) for an (N, C, H, W) batch of images."""
-    _, head = _forward(model, images)
+    feature_dim) for an (N, C, H, W) batch of images; no image's stage
+    records outlive its conv stages."""
+    _, head = _forward(model, images, keep_stages=False)
     return head["probs"], head["features"]
 
 

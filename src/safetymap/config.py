@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -114,4 +112,6 @@ STAGE_IDS = {
 
 
 def stage_seed(master_seed: int, stage: str) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence([master_seed, STAGE_IDS[stage]]).generate_state(1)[0])

@@ -9,7 +9,11 @@ A record is a key, a location and three labels. Each payload travels as
 the one array its loader returns, aligned with the records: row i of the
 (n, d) features of `attach_features` or `synth_corridor` and of the (n, H,
 W, 3) pixels of `load_pixels` belongs to records[i]. A window is one
-integer, its start index into the records and so into those arrays."""
+integer, its start index into the records and so into those arrays.
+
+The CSV tables need no numpy; each function that builds an array imports
+numpy when it runs, so a command that only reads and writes tables never
+loads it."""
 
 from __future__ import annotations
 
@@ -18,12 +22,13 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import CLASS_NAMES, SchemaError
 from .geo import EARTH_RADIUS_M, LatLon, SamplePoint, _check_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -229,6 +234,8 @@ def attach_features(records: Sequence[ImageRecord], path: str, expected_dim: int
     path and the line; bytes that are not UTF-8 are a SchemaError naming the
     path.
     """
+    import numpy as np
+
     rows = {r.image_id: i for i, r in enumerate(records)}
     first_line: dict[str, int] = {}
     features = np.empty((len(records), expected_dim))
@@ -292,6 +299,8 @@ def build_sequences(
     """Start indices into records of the windows slid over every gapless run,
     at offsets 0, stride, 2*stride, ... within the run; runs shorter than the
     window yield nothing. Only the records' keys are read."""
+    import numpy as np
+
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if stride < 1:
@@ -326,9 +335,13 @@ class SynthConfig:
     origin: LatLon = LatLon(33.5, -86.5)
 
     def separations(self) -> np.ndarray:
+        import numpy as np
+
         return np.broadcast_to(np.asarray(self.separation, dtype=np.float64), (3,))
 
     def validate(self) -> None:
+        import numpy as np
+
         if self.n_points < 1:
             raise ValueError("n_points must be >= 1")
         if self.feature_dim < 3:
@@ -343,6 +356,8 @@ class SynthConfig:
 
 def _run_length_labels(rng: np.random.Generator, n: int, mean_on: float, mean_off: float) -> np.ndarray:
     """Alternating geometric on/off runs, returned as an n-vector of 0/1."""
+    import numpy as np
+
     labels = np.zeros(n, dtype=bool)
     stationary_on = mean_on / (mean_on + mean_off)
     state = bool(rng.random() < stationary_on)
@@ -368,6 +383,8 @@ def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], n
     are redrawn under coin-flip labels, emulating occlusion. Labels are never
     corrupted. Deterministic given the seed.
     """
+    import numpy as np
+
     config.validate()
     rng = np.random.default_rng(seed)
     n, dim = config.n_points, config.feature_dim
@@ -425,6 +442,8 @@ def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], n
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary PPM into a read-only H x W x 3 uint8 array; a malformed
     header or a short pixel block is a SchemaError naming the file."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         blob = fh.read()
     fields: list[bytes] = []
@@ -476,6 +495,8 @@ def load_pixels(
     size when extent is None, and both extents must be multiples of
     `multiple`; an image that is not is a ValueError naming it and its file.
     """
+    import numpy as np
+
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
     missing = sorted(r.image_id for r in records if r.image_id not in paths)

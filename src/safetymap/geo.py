@@ -183,21 +183,23 @@ def dumps_stable(doc: object) -> str:
 def export_prediction_geojson(
     points: Sequence[tuple[str, int, LatLon]],
     probabilities: Sequence[Sequence[float]],
-    threshold: float = 0.5,
+    labels: Sequence[Sequence[bool]],
 ) -> str:
-    """Render per-point class probabilities as a GeoJSON FeatureCollection.
+    """Render per-point class probabilities and labels as a GeoJSON
+    FeatureCollection.
 
-    points holds (edge_id, seq_index, location) per point. Each feature
-    carries the three class probabilities and boolean labels (probability
-    strictly above the threshold means present). The document is
-    byte-stable given identical input.
+    points holds (edge_id, seq_index, location) per point, and probabilities
+    and labels its (rs, mcb, cb) probabilities and labels, as a predictions
+    file records them; the labels are drawn as given, not re-thresholded.
+    The document is byte-stable given identical input.
     """
-    if len(points) != len(probabilities):
+    if not len(points) == len(probabilities) == len(labels):
         raise ValueError(
             f"length mismatch: {len(points)} points vs {len(probabilities)} probability rows"
+            f" vs {len(labels)} label rows"
         )
     features = []
-    for (edge_id, seq_index, location), probs in zip(points, probabilities):
+    for (edge_id, seq_index, location), probs, (rs, mcb, cb) in zip(points, probabilities, labels):
         p_rs, p_mcb, p_cb = (float(p) for p in probs)
         features.append(
             {
@@ -215,9 +217,9 @@ def export_prediction_geojson(
                     "p_rs": p_rs,
                     "p_mcb": p_mcb,
                     "p_cb": p_cb,
-                    "rs": p_rs > threshold,
-                    "mcb": p_mcb > threshold,
-                    "cb": p_cb > threshold,
+                    "rs": rs,
+                    "mcb": mcb,
+                    "cb": cb,
                 },
             }
         )

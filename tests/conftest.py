@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import safetymap
 from safetymap.cnn import TrainConfig, frame_predict, frame_train, init_frame_classifier
 from safetymap.data import ImageRecord, SynthConfig, build_sequences, synth_corridor
 from safetymap.geo import LatLon
@@ -28,6 +36,41 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("safetymap")
+
+
+# Runs cli.main(argv) and then prints, as the last line of stdout, the names
+# of the numpy and package modules the process loaded.
+_CLI_PROCESS = """
+import json, sys
+from safetymap import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --help and argparse usage errors
+    code = exc.code
+finally:
+    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "safetymap"))))
+sys.exit(code)
+"""
+
+
+class CliProcess(NamedTuple):
+    code: int
+    modules: frozenset[str]  # numpy and safetymap modules loaded
+    stderr: str
+
+
+def run_cli_process(*argv: str, threads: str = "1", timeout: float = 120.0) -> CliProcess:
+    """Run `cli.main(argv)` in a fresh interpreter, with this package's source
+    first on PYTHONPATH and `threads` OpenBLAS and OpenMP threads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(safetymap.__file__).resolve().parents[1])}
+    env.update({key: threads for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_PROCESS, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
+    modules = (proc.stdout.splitlines() or [""])[-1]
+    assert modules.startswith("["), f"no module list; stderr:\n{proc.stderr}"
+    return CliProcess(proc.returncode, frozenset(json.loads(modules)), proc.stderr)
 
 
 def quantise(pixels: np.ndarray) -> np.ndarray:

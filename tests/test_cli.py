@@ -3,22 +3,18 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_pixel_records, write_ppm
+from conftest import make_pixel_records, run_cli_process, write_ppm
 from test_lstm import gate_params
 
-import safetymap
 from safetymap import lstm
-from safetymap.cli import build_parser, main
+from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build_parser, main
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
-from safetymap.data import ImageRecord, write_labels, write_predictions
+from safetymap.data import PREDICTION_COLUMNS, ImageRecord, write_labels, write_predictions
 from safetymap.geo import LatLon, RoadEdge, heading_at
 from safetymap.modelio import load_tensors, save_tensors
 
@@ -52,6 +48,43 @@ def set_first_value(path: Path, value: float) -> None:
     blob = path.read_bytes()
     at = blob.index(b"\n") + 1
     path.write_bytes(blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8 :])
+
+
+def write_network(tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018)), *more):
+    """A road network of one edge per coordinate list, as tmp_path/net.geojson."""
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": [list(c) for c in coords]},
+                "properties": {"id": f"seg-{k}"},
+            }
+            for k, coords in enumerate((coordinates,) + more, start=1)
+        ],
+    }
+    path = tmp_path / "net.geojson"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def write_pixel_inputs(tmp_path):
+    """Twelve 8 x 8 labelled PPM images, their manifest and a one-epoch CNN
+    config, in tmp_path: returns the label, manifest and config paths."""
+    rng = np.random.default_rng(0)
+    records, pixels = make_pixel_records(12, rng, height=8, width=8)
+    labels = tmp_path / "labels.csv"
+    write_labels(str(labels), records)
+    manifest = tmp_path / "manifest.csv"
+    rows = ["image_id,path"]
+    for r, image in zip(records, pixels):
+        ppm = tmp_path / f"{r.image_id}.ppm"
+        write_ppm(str(ppm), image)
+        rows.append(f"{r.image_id},{ppm.name}")
+    manifest.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cnn.cfg"
+    cfg.write_text("feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\nseed = 3\n")
+    return labels, manifest, cfg
 
 
 class TestConfig:
@@ -112,24 +145,8 @@ class TestHelp:
 
 
 class TestGeoCommands:
-    def _write_network(self, tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018)), *more):
-        doc = {
-            "type": "FeatureCollection",
-            "features": [
-                {
-                    "type": "Feature",
-                    "geometry": {"type": "LineString", "coordinates": [list(c) for c in coords]},
-                    "properties": {"id": f"seg-{k}"},
-                }
-                for k, coords in enumerate((coordinates,) + more, start=1)
-            ],
-        }
-        path = tmp_path / "net.geojson"
-        path.write_text(json.dumps(doc))
-        return str(path)
-
     def test_sample_then_url_gen(self, tmp_path):
-        network = self._write_network(tmp_path)
+        network = write_network(tmp_path)
         samples = tmp_path / "samples.csv"
         assert run_cli("sample", "--network", network, "--out", str(samples)) == 0
         lines = samples.read_text().strip().splitlines()
@@ -148,7 +165,7 @@ class TestGeoCommands:
         coordinates = ((-87.0, 33.0), (-87.0000001, 33.0018))
         edge = RoadEdge(id="seg-1", polyline=tuple(LatLon(lat, lon) for lon, lat in coordinates))
         assert 359.995 <= heading_at(edge, 0.0) < 360.0
-        network = self._write_network(tmp_path, coordinates)
+        network = write_network(tmp_path, coordinates)
         samples = tmp_path / "samples.csv"
         assert run_cli("sample", "--network", network, "--out", str(samples)) == 0
         headings = [line.split(",")[-1] for line in samples.read_text().strip().splitlines()[1:]]
@@ -217,7 +234,7 @@ class TestGeoCommands:
         ],
     )
     def test_malformed_network_exit_4(self, tmp_path, capsys, edit, message):
-        network = Path(self._write_network(tmp_path))
+        network = Path(write_network(tmp_path))
         if callable(edit):
             doc = json.loads(network.read_text())
             edit(doc["features"][0]["geometry"])
@@ -231,7 +248,7 @@ class TestGeoCommands:
         assert message in err
 
     def test_zero_length_edge_exit_5(self, tmp_path, capsys):
-        network = self._write_network(
+        network = write_network(
             tmp_path, ((-87.0, 33.0), (-87.0, 33.0018)), ((-86.0, 33.0), (-86.0, 33.0))
         )
         samples = tmp_path / "samples.csv"
@@ -307,6 +324,33 @@ class TestPredictionsBoundary:
         assert message in err
         assert f"{predictions}: {message}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_export_map_keeps_label_of_half_probability(self, tmp_path):
+        # p_rs in (0.5, 0.5000005) is written as 0.500000 with its label 1
+        predictions, labels = self._write(tmp_path, p_rs="0.500000", rs="1")
+        assert self._run(tmp_path, "export-map", predictions, labels) == 0
+        props = json.loads((tmp_path / "out").read_text())["features"][1]["properties"]
+        assert (props["p_rs"], props["rs"]) == (0.5, True)
+
+    def test_export_map_agrees_with_evaluate_at_another_threshold(self, tmp_path):
+        predictions, labels = self._write(tmp_path, p_rs="0.400000", rs="1", mcb="1")
+        cfg = tmp_path / "high.cfg"
+        cfg.write_text("threshold = 0.95\n")
+        geojson, report = tmp_path / "map.geojson", tmp_path / "metrics.json"
+        base = ["--config", str(cfg)]
+        assert run_cli(*base, "export-map", "--predictions", predictions, "--out", str(geojson)) == 0
+        with pytest.warns(UserWarning, match="class mcb: zero denominator"):  # no mcb in truth
+            code = run_cli(*base, "evaluate", "--predictions", predictions, "--truth", labels,
+                           "--out", str(report))
+        assert code == 0
+        props = [f["properties"] for f in json.loads(geojson.read_text())["features"]]
+        assert [(p["rs"], p["mcb"], p["cb"]) for p in props] == [
+            (True, False, True), (True, True, True)
+        ]
+        metrics = json.loads(report.read_text())
+        for name in ("rs", "mcb", "cb"):
+            drawn = sum(p[name] for p in props)
+            assert drawn == metrics[name]["tp"] + metrics[name]["fp"]
 
     @pytest.mark.parametrize("command", ["export-map", "evaluate"])
     def test_padded_header_accepted(self, tmp_path, command):
@@ -705,20 +749,126 @@ class TestBlasThreads:
         model = lstm.init_sequence_model("separate", input_dim=250, seed=6)
         model.window = 50
         lstm.seq_save(model, str(tmp_path / "model.bin"))
-        src = str(Path(safetymap.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"predictions-{threads}.csv"
-            env = {**os.environ, "PYTHONPATH": src}
-            env.update({key: threads for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
-            subprocess.run(
-                [sys.executable, "-m", "safetymap.cli", *base, "predict", "--labels", str(labels),
-                 "--features", str(features), "--model", str(tmp_path / "model.bin"),
-                 "--out", str(out)],
-                env=env, check=True, timeout=120,
+            run = run_cli_process(
+                *base, "predict", "--labels", str(labels), "--features", str(features),
+                "--model", str(tmp_path / "model.bin"), "--out", str(out), threads=threads,
             )
+            assert run.code == 0, run.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """Inputs for every command but synth, each made in this process: a road
+    network and its samples, a synthetic corridor with a trained sequence
+    model and its predictions, and pixel images with a trained CNN."""
+    d = tmp_path_factory.mktemp("commands")
+    paths = {name: str(d / name) for name in (
+        "samples.csv", "labels.csv", "features.jsonl", "model.bin",
+        "predictions.csv", "cnn.bin", "tiny.cfg",
+    )}
+    paths["network.geojson"] = write_network(d)
+    Path(paths["tiny.cfg"]).write_text(TINY_CONFIG)
+    base = ["--config", paths["tiny.cfg"]]
+    steps = [
+        ["sample", "--network", paths["network.geojson"], "--out", paths["samples.csv"]],
+        [*base, "synth", "--out", paths["labels.csv"], "--features-out", paths["features.jsonl"]],
+        [*base, "train-lstm", "--labels", paths["labels.csv"], "--features", paths["features.jsonl"],
+         "--model-out", paths["model.bin"]],
+        [*base, "predict", "--labels", paths["labels.csv"], "--features", paths["features.jsonl"],
+         "--model", paths["model.bin"], "--out", paths["predictions.csv"]],
+    ]
+    (d / "pixels").mkdir()
+    pixel_labels, manifest, cnn_cfg = write_pixel_inputs(d / "pixels")
+    paths.update(pixels=str(pixel_labels), manifest=str(manifest), cnn_cfg=str(cnn_cfg))
+    steps.append(["--config", paths["cnn_cfg"], "train-cnn", "--labels", paths["pixels"],
+                  "--manifest", paths["manifest"], "--model-out", paths["cnn.bin"]])
+    for argv in steps:
+        assert run_cli(*argv) == 0, argv
+    return paths
+
+
+def command_argv(command: str, p: dict[str, str], out: str) -> list[str]:
+    """A valid argv for each command, writing its output to out."""
+    tiny, cnn = ["--config", p["tiny.cfg"]], ["--config", p["cnn_cfg"]]
+    return {
+        "sample": ["sample", "--network", p["network.geojson"], "--out", out],
+        "url-gen": ["url-gen", "--samples", p["samples.csv"], "--key", "K", "--out", out],
+        "export-map": ["export-map", "--predictions", p["predictions.csv"], "--out", out],
+        "train-lstm": [*tiny, "train-lstm", "--labels", p["labels.csv"],
+                       "--features", p["features.jsonl"], "--model-out", out],
+        "predict": [*tiny, "predict", "--labels", p["labels.csv"], "--features",
+                    p["features.jsonl"], "--model", p["model.bin"], "--out", out],
+        "evaluate": [*tiny, "evaluate", "--predictions", p["predictions.csv"],
+                     "--truth", p["labels.csv"], "--out", out],
+        "train-cnn": [*cnn, "train-cnn", "--labels", p["pixels"], "--manifest", p["manifest"],
+                      "--model-out", out],
+        "extract-features": [*cnn, "extract-features", "--labels", p["pixels"],
+                             "--manifest", p["manifest"], "--model", p["cnn.bin"], "--out", out],
+    }[command]
+
+
+# modules a command must not load
+NOT_LOADED = {
+    "sample": {"numpy"},
+    "url-gen": {"numpy"},
+    "export-map": {"numpy"},
+    "train-lstm": {"safetymap.cnn"},
+    "predict": {"safetymap.cnn"},
+    "evaluate": {"safetymap.cnn"},
+    "train-cnn": {"safetymap.lstm", "safetymap.metrics"},
+    "extract-features": {"safetymap.lstm", "safetymap.metrics"},
+}
+
+
+class TestCommandModules:
+    """Each command, run alone in a fresh interpreter, loads only the modules it runs."""
+
+    @pytest.mark.parametrize("command", NOT_LOADED)
+    def test_command_loads_only_what_it_runs(self, tmp_path, command_inputs, command):
+        out = tmp_path / "out"
+        run = run_cli_process(*command_argv(command, command_inputs, str(out)))
+        assert run.code == 0, run.stderr
+        assert out.stat().st_size > 0
+        assert not run.modules & NOT_LOADED[command]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            pytest.param(["--help"], 0, id="help"),
+            pytest.param(["sample", "--out", "x"], 2, id="usage-error"),
+            pytest.param(["--seed", "-1", "sample", "--network", "n", "--out", "x"], 2,
+                         id="config-error"),
+        ],
+    )
+    def test_parser_loads_no_numpy(self, argv, code):
+        run = run_cli_process(*argv)
+        assert run.code == code, run.stderr
+        assert "numpy" not in run.modules
+
+    def test_light_command_errors_load_no_numpy(self, tmp_path, command_inputs):
+        p = command_inputs
+        predictions = tmp_path / "predictions.csv"
+        lines = Path(p["predictions.csv"]).read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[PREDICTION_COLUMNS.index("p_rs")] = "1.5"
+        predictions.write_text("\n".join([lines[0], ",".join(fields), *lines[2:]]) + "\n")
+        out = str(tmp_path / "out")
+        for argv, code in [
+            (["url-gen", "--samples", p["samples.csv"], "--key", "K", "--size", "0",
+              "--out", out], EXIT_VALIDATION),
+            (["export-map", "--predictions", str(predictions), "--out", out], EXIT_SCHEMA),
+            (["sample", "--network", str(tmp_path / "missing.geojson"), "--out", out],
+             EXIT_MISSING_FILE),
+        ]:
+            run = run_cli_process(*argv)
+            assert run.code == code, (argv, run.stderr)
+            assert run.stderr.startswith("error: ")
+            assert "numpy" not in run.modules
 
 
 class TestConfigValues:
@@ -797,24 +947,8 @@ class TestFeatureFileBoundary:
 
 
 class TestPixelCommands:
-    def _write_inputs(self, tmp_path):
-        rng = np.random.default_rng(0)
-        records, pixels = make_pixel_records(12, rng, height=8, width=8)
-        labels = tmp_path / "labels.csv"
-        write_labels(str(labels), records)
-        manifest = tmp_path / "manifest.csv"
-        rows = ["image_id,path"]
-        for r, image in zip(records, pixels):
-            ppm = tmp_path / f"{r.image_id}.ppm"
-            write_ppm(str(ppm), image)
-            rows.append(f"{r.image_id},{ppm.name}")
-        manifest.write_text("\n".join(rows) + "\n")
-        cfg = tmp_path / "cnn.cfg"
-        cfg.write_text("feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\nseed = 3\n")
-        return labels, manifest, cfg
-
     def test_truncated_ppm_exit_4(self, tmp_path, capsys):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         ppm = tmp_path / "px-0003.ppm"
         ppm.write_bytes(ppm.read_bytes()[:50])
         capsys.readouterr()
@@ -839,7 +973,7 @@ class TestPixelCommands:
         ],
     )
     def test_train_cnn_image_size_exit_5(self, tmp_path, capsys, size, message):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         ppm = tmp_path / "px-0005.ppm"
         write_ppm(str(ppm), np.zeros((size, size, 3)))
         capsys.readouterr()
@@ -848,7 +982,7 @@ class TestPixelCommands:
         assert not (tmp_path / "cnn.bin").exists()
 
     def test_train_cnn_empty_labels_exit_5(self, tmp_path, capsys):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         labels.write_text(labels.read_text().splitlines()[0] + "\n")  # the header alone
         capsys.readouterr()
         assert self._train(tmp_path, labels, manifest, cfg) == 5
@@ -856,7 +990,7 @@ class TestPixelCommands:
         assert not (tmp_path / "cnn.bin").exists()
 
     def test_train_cnn_unpoolable_size_exit_5(self, tmp_path, capsys):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         for n in range(12):  # every image 10 x 10: the second 2x2 pool would see 5 x 5
             write_ppm(str(tmp_path / f"px-{n:04d}.ppm"), np.zeros((10, 10, 3)))
         capsys.readouterr()
@@ -865,7 +999,7 @@ class TestPixelCommands:
         assert f"{tmp_path / 'px-0000.ppm'}: {message}" in capsys.readouterr().err
 
     def test_extract_features_image_size_exit_5(self, tmp_path, capsys):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         assert self._train(tmp_path, labels, manifest, cfg) == 0
         ppm = tmp_path / "px-0007.ppm"
         write_ppm(str(ppm), np.zeros((8, 12, 3)))
@@ -880,7 +1014,7 @@ class TestPixelCommands:
         assert not (tmp_path / "features.jsonl").exists()
 
     def test_extract_features_non_finite_model_exit_5(self, tmp_path, capsys):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
         assert self._train(tmp_path, labels, manifest, cfg) == 0
         model = tmp_path / "cnn.bin"
         set_first_value(model, np.inf)
@@ -897,7 +1031,7 @@ class TestPixelCommands:
         assert not out.exists()
 
     def test_train_cnn_and_extract(self, tmp_path):
-        labels, manifest, cfg = self._write_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
 
         model = tmp_path / "cnn.bin"
         losses = tmp_path / "losses.csv"

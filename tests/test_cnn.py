@@ -97,6 +97,33 @@ class TestCnnForward:
             x = pooled
         assert row.tobytes() == x.tobytes()
 
+    def test_inference_keeps_no_stage_records(self):
+        # the training forward keeps every image's argmax caches and pooled
+        # outputs for the backward pass; cnn_forward drops each image's
+        model = init_cnn(DESK, seed=14)
+        images = np.random.default_rng(15).random((64, 3, 32, 32))
+
+        def traced(forward):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = forward(model, images)
+                return result, tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        (stages, head), training_peak = traced(_forward)
+        (probs, features), peak = traced(cnn_forward)
+        # the last stage's pooled output is a view of the dense input
+        record_bytes = sum(
+            idx.nbytes + (pooled.nbytes if s < len(image_stages) - 1 else 0)
+            for image_stages in stages
+            for s, (_, idx, pooled) in enumerate(image_stages)
+        )
+        assert training_peak - peak > 0.9 * record_bytes
+        assert probs.tobytes() == head["probs"].tobytes()
+        assert features.tobytes() == head["features"].tobytes()
+
     def test_shape_mismatch(self):
         model = init_cnn(SMALL, seed=0)
         with pytest.raises(ValueError, match="shape"):

@@ -292,33 +292,45 @@ class TestExportGeojson:
     def _points(self, n):
         return [("e1", i, LatLon(33.0 + 1e-4 * i, -87.0)) for i in range(n)]
 
-    def test_thresholding(self):
-        doc = json.loads(export_prediction_geojson(self._points(1), [(0.9, 0.2, 0.6)], 0.5))
+    def test_labels_drawn_as_given(self):
+        # labels that no threshold would give these probabilities are kept
+        doc = json.loads(
+            export_prediction_geojson(self._points(1), [(0.9, 0.2, 0.6)], [(False, True, False)])
+        )
         props = doc["features"][0]["properties"]
-        assert (props["rs"], props["mcb"], props["cb"]) == (True, False, True)
+        assert (props["rs"], props["mcb"], props["cb"]) == (False, True, False)
 
     def test_empty(self):
-        doc = json.loads(export_prediction_geojson([], []))
+        doc = json.loads(export_prediction_geojson([], [], []))
         assert doc == {"type": "FeatureCollection", "features": []}
 
-    def test_exactly_at_threshold_is_absent(self):
-        doc = json.loads(export_prediction_geojson(self._points(1), [(0.5, 0.5, 0.5)], 0.5))
+    def test_half_probability_keeps_its_label(self):
+        # a probability just above 0.5, written to 6 decimals as 0.500000
+        doc = json.loads(
+            export_prediction_geojson(self._points(1), [(0.5, 0.5, 0.5)], [(True, False, True)])
+        )
         props = doc["features"][0]["properties"]
-        assert (props["rs"], props["mcb"], props["cb"]) == (False, False, False)
+        assert (props["p_rs"], props["rs"], props["mcb"], props["cb"]) == (0.5, True, False, True)
 
     def test_round_trip_byte_identical(self):
         text = export_prediction_geojson(
-            self._points(3), [(0.9, 0.2, 0.6), (0.1, 0.8, 0.5), (0.4, 0.4, 0.9)]
+            self._points(3),
+            [(0.9, 0.2, 0.6), (0.1, 0.8, 0.5), (0.4, 0.4, 0.9)],
+            [(True, False, True), (False, True, False), (False, False, True)],
         )
         reserialized = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
         assert reserialized == text
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            export_prediction_geojson(self._points(2), [(0.1, 0.2, 0.3)])
+            export_prediction_geojson(self._points(2), [(0.1, 0.2, 0.3)], [(False,) * 3] * 2)
+        with pytest.raises(ValueError, match="vs 1 label rows"):
+            export_prediction_geojson(self._points(2), [(0.1, 0.2, 0.3)] * 2, [(False,) * 3])
 
     def test_carries_ids_and_probabilities(self):
-        doc = json.loads(export_prediction_geojson(self._points(2), [(0.9, 0.2, 0.6)] * 2))
+        doc = json.loads(
+            export_prediction_geojson(self._points(2), [(0.9, 0.2, 0.6)] * 2, [(True,) * 3] * 2)
+        )
         for i, feat in enumerate(doc["features"]):
             assert feat["properties"]["edge_id"] == "e1"
             assert feat["properties"]["seq_index"] == i
