@@ -39,8 +39,8 @@ def _log_run(command: str, config: PipelineConfig) -> None:
 
 
 def cmd_sample(args, config: PipelineConfig) -> int:
-    network = geo.load_road_network(args.network)
-    points = geo.sample_points(network, config.interval_m)
+    edges = geo.load_road_network(args.network)
+    points = geo.sample_points(edges, config.interval_m)
     data.write_samples(args.out, points)
     log.info("wrote %d sample points to %s", len(points), args.out)
     return 0

@@ -258,11 +258,15 @@ def attach_features(records: Sequence[ImageRecord], path: str, expected_dim: int
                     raise ValueError(
                         f"duplicate image_id {image_id!r}, first seen on line {first_line[image_id]}"
                     )
-                vec = np.asarray(obj["features"], dtype=np.float64)
+                values = obj["features"]
+                vec = np.asarray(values, dtype=np.float64)
                 if vec.ndim != 1:
                     raise ValueError("features must be a flat list")
                 if vec.shape[0] != expected_dim:
                     raise ValueError(f"feature dimension {vec.shape[0]} != expected {expected_dim}")
+                if not set(map(type, values)) <= {int, float}:  # asarray reads "1.5" and true
+                    bad = next(v for v in values if type(v) not in (int, float))
+                    raise ValueError(f"feature values must be numbers, got {bad!r}")
                 if not np.isfinite(vec).all():
                     raise ValueError("non-finite feature value")
                 first_line[image_id] = line_no

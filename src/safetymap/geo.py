@@ -70,17 +70,6 @@ class RoadEdge:
 
 
 @dataclass(frozen=True)
-class RoadNetwork:
-    """A set of road edges."""
-
-    edges: tuple[RoadEdge, ...]
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[RoadEdge]) -> "RoadNetwork":
-        return cls(edges=tuple(edges))
-
-
-@dataclass(frozen=True)
 class SamplePoint:
     """A point sampled at a fixed chainage along one edge, with the road's heading there."""
 
@@ -128,7 +117,7 @@ def heading_at(edge: RoadEdge, chainage_m: float) -> float:
     return next(_walk(edge, [chainage_m]))[1]
 
 
-def sample_points(network: RoadNetwork, interval_m: float) -> list[SamplePoint]:
+def sample_points(edges: Iterable[RoadEdge], interval_m: float) -> list[SamplePoint]:
     """Sample each edge at chainages 0, interval, 2*interval, ... <= length.
 
     Edges are sampled independently in their stored vertex order; output is
@@ -139,7 +128,7 @@ def sample_points(network: RoadNetwork, interval_m: float) -> list[SamplePoint]:
     if interval_m <= 0:
         raise ValueError(f"interval_m must be > 0, got {interval_m}")
     out: list[SamplePoint] = []
-    for edge in network.edges:
+    for edge in edges:
         # epsilon guards against float rounding when length is an exact multiple
         n = int(math.floor(edge.length_m / interval_m + 1e-9)) + 1
         chainages = [k * interval_m for k in range(n)]
@@ -234,11 +223,11 @@ def _is_position(c: object) -> bool:
     )
 
 
-def load_road_network(path: str) -> RoadNetwork:
+def load_road_network(path: str) -> tuple[RoadEdge, ...]:
     """Read a GeoJSON FeatureCollection of LineString features with an "id"
-    property and [lon, lat] number-pair positions. A document of another
-    shape is a SchemaError naming the file and, inside the collection, the
-    feature index."""
+    property and [lon, lat] number-pair positions as its edges, in file
+    order. A document of another shape is a SchemaError naming the file
+    and, inside the collection, the feature index."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -266,4 +255,4 @@ def load_road_network(path: str) -> RoadNetwork:
             )
         polyline = tuple(LatLon(lat=lat, lon=lon) for lon, lat in coords)
         edges.append(RoadEdge(id=str(props["id"]), polyline=polyline))
-    return RoadNetwork.from_edges(edges)
+    return tuple(edges)

@@ -9,9 +9,7 @@ hidden state and U the step input. The source of truth is
 mode, one stack per class in separate mode): `wp` (G, 4H, H), `up`
 (G, 4H, d) and `bp` (G, 4H) stack the gates f, i, o, u, then come the head's
 `mid.w`, `mid.b`, `out.w`, `out.b`. Those 7 tensors are the whole model,
-in memory and in its container. The paper's reference cell, `lstm_cell_step`
-and `lstm_forward`, takes one group's per-gate `W_f`...`b_u` matrices, which
-are the row blocks of `wp`, `up` and `bp`.
+in memory and in its container.
 
 One kernel, `packed_forward` and its BPTT `packed_backward`, steps all G
 groups over (G, B windows, T steps) together, in training and prediction.
@@ -38,57 +36,6 @@ import numpy as np
 from . import CLASS_NAMES, nn
 from .data import ImageRecord, _runs
 from .modelio import check_shapes, load_tensors, meta_float, meta_int, save_tensors
-
-
-class LstmState(NamedTuple):
-    h: np.ndarray
-    c: np.ndarray
-
-
-class LstmGates(NamedTuple):
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    u: np.ndarray
-
-
-def zero_state(hidden: int) -> LstmState:
-    return LstmState(h=np.zeros(hidden), c=np.zeros(hidden))
-
-
-def lstm_cell_step(params: nn.Params, x: np.ndarray, prev: LstmState) -> tuple[LstmState, LstmGates]:
-    """One recurrence step: gate activations, cell update, hidden output."""
-    hidden = prev.h.shape[0]
-    if params["U_f"].shape[1] != x.shape[0] or params["W_f"].shape[0] != hidden:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, h {prev.h.shape}, "
-            f"W {params['W_f'].shape}, U {params['U_f'].shape}"
-        )
-    f = nn.sigmoid(params["W_f"] @ prev.h + params["U_f"] @ x + params["b_f"])
-    i = nn.sigmoid(params["W_i"] @ prev.h + params["U_i"] @ x + params["b_i"])
-    o = nn.sigmoid(params["W_o"] @ prev.h + params["U_o"] @ x + params["b_o"])
-    u = np.tanh(params["W_u"] @ prev.h + params["U_u"] @ x + params["b_u"])
-    c = f * prev.c + i * u
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c), LstmGates(f=f, i=i, o=o, u=u)
-
-
-def lstm_forward(
-    params: nn.Params, inputs: np.ndarray, initial: LstmState | None = None
-) -> tuple[np.ndarray, LstmState]:
-    """Run the cell over a (steps, input_dim) sequence from the given state.
-
-    Returns every per-step hidden vector plus the final state.
-    """
-    if inputs.ndim != 2 or inputs.shape[0] == 0:
-        raise ValueError(f"inputs must be a nonempty (steps, input_dim) array, got {inputs.shape}")
-    hidden = params["W_f"].shape[0]
-    state = initial if initial is not None else zero_state(hidden)
-    outs = np.empty((inputs.shape[0], hidden))
-    for t in range(inputs.shape[0]):
-        state, _ = lstm_cell_step(params, inputs[t], state)
-        outs[t] = state.h
-    return outs, state
 
 
 # --- the packed kernel: G groups x B windows x T steps ---

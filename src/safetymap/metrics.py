@@ -69,10 +69,6 @@ def weighted_avg_f(f_scores: Sequence[float], counts: Sequence[int]) -> float:
     return sum(f * w for f, w in zip(f_scores, counts)) / total
 
 
-def weighted_avg_f_from_metrics(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> float:
-    return weighted_avg_f([m.f for m in metrics], counts)
-
-
 def isolated_error_correction_rate(
     baseline: np.ndarray,
     sequence_model: np.ndarray,
@@ -128,7 +124,7 @@ def metrics_report(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> di
             "fn": m.fn,
             "tn": m.tn,
         }
-    doc["avg_f"] = round(weighted_avg_f_from_metrics(metrics, counts), 6)
+    doc["avg_f"] = round(weighted_avg_f([m.f for m in metrics], counts), 6)
     return doc
 
 
@@ -137,7 +133,7 @@ def format_table(metrics: Sequence[ClassMetrics], counts: Sequence[int]) -> str:
     lines = [f"{'Class':<6} {'Precision':>9} {'Recall':>9} {'F':>9}"]
     for m in metrics:
         lines.append(f"{m.name.upper():<6} {m.precision:>9.2f} {m.recall:>9.2f} {m.f:>9.2f}")
-    lines.append(f"{'Avg. F':<6} {weighted_avg_f_from_metrics(metrics, counts):>29.2f}")
+    lines.append(f"{'Avg. F':<6} {weighted_avg_f([m.f for m in metrics], counts):>29.2f}")
     return "\n".join(lines)
 
 

@@ -21,7 +21,7 @@ from safetymap.lstm import SeqTrainConfig, bptt_train, init_sequence_model, pred
 from safetymap.metrics import (
     class_metrics,
     isolated_error_correction_rate,
-    weighted_avg_f_from_metrics,
+    weighted_avg_f,
 )
 
 
@@ -196,7 +196,7 @@ def corridor_experiments():
         )
 
         def avg_f(labels):
-            return weighted_avg_f_from_metrics(class_metrics(labels, truth), counts)
+            return weighted_avg_f([m.f for m in class_metrics(labels, truth)], counts)
 
         results.append(
             {
@@ -216,7 +216,7 @@ def corridor_experiments():
 
 ACCEPTANCE_CRITERIA = {
     1: "Eq-2 weighted-F fidelity on published table rows",
-    2: "LSTM cell matches straight-line oracle (1000 triples, <=1e-12)",
+    2: "packed LSTM kernel matches straight-line cell oracle (1000 transitions, <=1e-12)",
     3: "finite-difference gradient checks (layers, CNN, LSTM shared and separate, <1e-4)",
     4: "sequence model beats frame-only by >=0.03 Avg.F; correction rate >=0.5",
     5: "separate mode >= shared mode - 0.01, strictly greater in majority",

@@ -20,8 +20,8 @@ from conftest import (
 
 from safetymap.cli import main as cli_main
 from safetymap.data import ImageRecord, build_sequences
-from safetymap.geo import EARTH_RADIUS_M, LatLon, RoadEdge, RoadNetwork, haversine_m, sample_points
-from safetymap.lstm import LstmState, init_sequence_model, lstm_cell_step
+from safetymap.geo import EARTH_RADIUS_M, LatLon, RoadEdge, haversine_m, sample_points
+from safetymap.lstm import _project, init_sequence_model, packed_forward
 from safetymap.metrics import weighted_avg_f
 from safetymap.nn import (
     bce_loss,
@@ -34,7 +34,7 @@ from safetymap.nn import (
     maxpool2d_backward,
     maxpool2d_forward,
 )
-from test_lstm import cell_oracle, random_params, summed_loss
+from test_lstm import oracle_deviation, pack_gates, random_params, summed_loss
 
 pytestmark = pytest.mark.usefixtures("_acceptance_marker")
 
@@ -57,22 +57,25 @@ class TestCriterion1WeightedF:
 
 class TestCriterion2CellOracle:
     def test_thousand_random_triples(self):
+        """The kernel that training and prediction run, over 20 random groups
+        of one 51-step window each: every step after the first is checked
+        against the oracle from the kernel's own prior (h, c). Half the
+        groups forget less (forget bias raised by 4), so their cells grow."""
         rng = np.random.default_rng(2024)
-        worst = 0.0
-        for _ in range(1000):
-            params = random_params(rng, 4, 3)
-            x = rng.normal(size=3)
-            h_prev = rng.uniform(-1.0, 1.0, size=4)
-            c_prev = rng.normal(size=4) * 2.0
-            state, _ = lstm_cell_step(params, x, LstmState(h=h_prev.copy(), c=c_prev.copy()))
-            h_ref, c_ref = cell_oracle(params, list(x), list(h_prev), list(c_prev))
-            worst = max(
-                worst,
-                float(np.max(np.abs(state.h - h_ref))),
-                float(np.max(np.abs(state.c - c_ref))),
-            )
+        groups = [random_params(rng, 4, 3) for _ in range(20)]
+        for group in groups[::2]:
+            group["b_f"] += 4.0
+        xs = rng.normal(size=(20, 1, 51, 3))
+        params = pack_gates(groups)
+        fw = packed_forward(params, _project(params, xs))
+        worst, c_prev_max = oracle_deviation(groups, xs, fw)
+        transitions = xs.shape[0] * xs.shape[1] * (xs.shape[2] - 1)
+        assert transitions >= 1000
         assert worst <= 1e-12
-        record_acceptance(2, f"max abs deviation {worst:.2e}")
+        assert c_prev_max >= 8.0
+        record_acceptance(
+            2, f"{transitions} transitions, max abs deviation {worst:.2e}, max |c_prev| {c_prev_max:.1f}"
+        )
 
 
 class TestCriterion3Gradients:
@@ -214,8 +217,7 @@ class TestCriterion6Sampling:
         worst_spacing = 0.0
         for i in range(100):
             edge = gently_curving_edge(rng, edge_id=f"edge-{i}")
-            network = RoadNetwork.from_edges([edge])
-            points = sample_points(network, 20.0)
+            points = sample_points([edge], 20.0)
             assert len(points) == math.floor(edge.length_m / 20.0) + 1
             for a, b in zip(points, points[1:]):
                 spacing = haversine_m(a.location, b.location)

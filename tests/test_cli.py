@@ -289,9 +289,17 @@ class TestPredictionsBoundary:
             return run_cli("export-map", "--predictions", predictions, "--out", out)
         return run_cli("evaluate", "--predictions", predictions, "--truth", labels, "--out", out)
 
+    def _run_valid(self, tmp_path, command, predictions, labels):
+        """_run on rows evaluate accepts: neither ROW's truth nor its
+        predictions hold mcb, so evaluate warns of its zero denominators."""
+        if command == "export-map":
+            return self._run(tmp_path, command, predictions, labels)
+        with pytest.warns(UserWarning, match="class mcb: zero denominator"):
+            return self._run(tmp_path, command, predictions, labels)
+
     @pytest.mark.parametrize("command", ["export-map", "evaluate"])
     def test_valid_rows_accepted(self, tmp_path, command):
-        assert self._run(tmp_path, command, *self._write(tmp_path)) == 0
+        assert self._run_valid(tmp_path, command, *self._write(tmp_path)) == 0
 
     @pytest.mark.parametrize("command", ["export-map", "evaluate"])
     @pytest.mark.parametrize(
@@ -358,7 +366,7 @@ class TestPredictionsBoundary:
         predictions, labels = self._write(tmp_path)
         text = Path(predictions).read_text()
         Path(predictions).write_text(text.replace(",lat,", ", lat ,", 1))
-        assert self._run(tmp_path, command, predictions, labels) == 0
+        assert self._run_valid(tmp_path, command, predictions, labels) == 0
 
 
 class TestSynthPipeline:
@@ -401,19 +409,22 @@ class TestSynthPipeline:
             )
             == 0
         )
-        assert (
-            run_cli(
-                *base,
-                "evaluate",
-                "--predictions",
-                str(predictions),
-                "--truth",
-                str(labels),
-                "--out",
-                str(report),
+        # the 150-point corridor holds 7 mcb images and the two-epoch model
+        # predicts none, so mcb precision has a zero denominator
+        with pytest.warns(UserWarning, match="class mcb: zero denominator"):
+            assert (
+                run_cli(
+                    *base,
+                    "evaluate",
+                    "--predictions",
+                    str(predictions),
+                    "--truth",
+                    str(labels),
+                    "--out",
+                    str(report),
+                )
+                == 0
             )
-            == 0
-        )
         assert (
             run_cli(
                 *base, "export-map", "--predictions", str(predictions), "--out", str(geojson)
@@ -515,27 +526,31 @@ class TestSynthPipeline:
             (short, "149 baseline rows vs 150"),
             (rekeyed, "baseline/truth key mismatch at (corridor, 150)"),
         ):
-            code = run_cli(
-                "evaluate",
-                "--predictions",
-                str(predictions),
-                "--truth",
-                str(labels),
-                "--baseline",
-                str(baseline),
-                "--out",
-                str(tmp_path / "m.json"),
-            )
+            # evaluate scores the predictions, with no mcb, before it reads the baseline
+            with pytest.warns(UserWarning, match="class mcb: zero denominator"):
+                code = run_cli(
+                    "evaluate",
+                    "--predictions",
+                    str(predictions),
+                    "--truth",
+                    str(labels),
+                    "--baseline",
+                    str(baseline),
+                    "--out",
+                    str(tmp_path / "m.json"),
+                )
             assert code == 5
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train-lstm", "predict"])
-    def test_non_finite_feature_exit_4(self, tmp_path, tiny_config, capsys, command):
+    def _run_on_bad_feature(self, tmp_path, tiny_config, capsys, command, value):
+        """Run command on the pipeline's feature file with the first value of
+        line 3 set to value; returns the exit code and stderr, after checking
+        that the command wrote no output."""
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
         lines = features.read_text().splitlines()
         entry = json.loads(lines[2])
-        entry["features"][0] = float("nan")
-        lines[2] = json.dumps(entry)  # writes the bare NaN token JSON-lines readers accept
+        entry["features"][0] = value
+        lines[2] = json.dumps(entry)  # writes NaN as the bare token JSON-lines readers accept
         features.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
         if command == "train-lstm":
@@ -546,9 +561,22 @@ class TestSynthPipeline:
         code = run_cli(
             "--config", tiny_config, command, "--labels", str(labels), "--features", str(features), *target
         )
-        assert code == 4
-        assert "line 3: non-finite feature value" in capsys.readouterr().err
         assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-lstm", "predict"])
+    def test_non_finite_feature_exit_4(self, tmp_path, tiny_config, capsys, command):
+        code, err = self._run_on_bad_feature(tmp_path, tiny_config, capsys, command, float("nan"))
+        assert code == 4
+        assert "line 3: non-finite feature value" in err
+
+    @pytest.mark.parametrize("value", ["1.5", True], ids=["numeric-text", "bool"])
+    @pytest.mark.parametrize("command", ["train-lstm", "predict"])
+    def test_non_number_feature_exit_4(self, tmp_path, tiny_config, capsys, command, value):
+        # np.asarray would read "1.5" as 1.5 and true as 1.0
+        code, err = self._run_on_bad_feature(tmp_path, tiny_config, capsys, command, value)
+        assert code == 4
+        assert f"line 3: feature values must be numbers, got {value!r}" in err
 
     def test_latitude_out_of_range_exit_4(self, tmp_path, tiny_config, capsys):
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)

@@ -252,6 +252,8 @@ class TestAttachFeatures:
             pytest.param('{"image_id": "e1-1"}', "expected an object", id="no-features"),
             pytest.param('{"image_id": "e1-1", "features": [[1.0]]}', "features must be a flat list", id="nested"),
             pytest.param('{"image_id": "e1-1", "features": ["a"]}', "could not convert", id="text-value"),
+            pytest.param('{"image_id": "e1-1", "features": ["1.5"]}', "got '1.5'", id="numeric-text"),
+            pytest.param('{"image_id": "e1-1", "features": [true]}', "got True", id="bool-value"),
             pytest.param('{"image_id": "e1-1", "features": [1' + "0" * 400 + "]}", "too large", id="huge-int"),
             pytest.param("[" * 100_000, "recursion", id="deep-nesting"),
             pytest.param('{"image_id": "e1-1", ', "Expecting", id="cut-short"),

@@ -14,7 +14,6 @@ from safetymap.geo import (
     EARTH_RADIUS_M,
     LatLon,
     RoadEdge,
-    RoadNetwork,
     bearing_deg,
     export_prediction_geojson,
     haversine_m,
@@ -151,31 +150,27 @@ class TestRoadTypes:
 
 class TestSamplePoints:
     def test_100m_edge_interval_20(self):
-        net = RoadNetwork.from_edges([meridian_edge("e", 100.0)])
-        pts = sample_points(net, 20.0)
+        pts = sample_points([meridian_edge("e", 100.0)], 20.0)
         assert [p.chainage_m for p in pts] == [0.0, 20.0, 40.0, 60.0, 80.0, 100.0]
         assert [p.seq_index for p in pts] == list(range(6))
 
     def test_50m_edge_endpoint_off_grid(self):
-        net = RoadNetwork.from_edges([meridian_edge("e", 50.0)])
-        pts = sample_points(net, 20.0)
+        pts = sample_points([meridian_edge("e", 50.0)], 20.0)
         assert [p.chainage_m for p in pts] == [0.0, 20.0, 40.0]
 
     def test_two_edges_restart_seq_index(self):
-        net = RoadNetwork.from_edges(
-            [meridian_edge("a", 100.0), meridian_edge("b", 50.0, lon0=-86.0)]
-        )
-        pts = sample_points(net, 20.0)
+        edges = [meridian_edge("a", 100.0), meridian_edge("b", 50.0, lon0=-86.0)]
+        pts = sample_points(edges, 20.0)
         assert len(pts) == 9
         assert [p.seq_index for p in pts if p.edge_id == "a"] == list(range(6))
         assert [p.seq_index for p in pts if p.edge_id == "b"] == list(range(3))
 
     def test_rejects_nonpositive_interval(self):
-        net = RoadNetwork.from_edges([meridian_edge("e", 100.0)])
+        edges = [meridian_edge("e", 100.0)]
         with pytest.raises(ValueError, match="interval"):
-            sample_points(net, 0.0)
+            sample_points(edges, 0.0)
         with pytest.raises(ValueError, match="interval"):
-            sample_points(net, -5.0)
+            sample_points(edges, -5.0)
 
     def test_point_count_law_randomized(self):
         rng = np.random.default_rng(42)
@@ -183,8 +178,7 @@ class TestSamplePoints:
             length = rng.uniform(5.0, 900.0)
             nverts = int(rng.integers(2, 8))
             edge = meridian_edge("e", length, vertices=nverts)
-            net = RoadNetwork.from_edges([edge])
-            pts = sample_points(net, 20.0)
+            pts = sample_points([edge], 20.0)
             assert len(pts) == math.floor(edge.length_m / 20.0) + 1
 
     def test_consecutive_spacing_within_one_percent(self):
@@ -203,8 +197,7 @@ class TestSamplePoints:
                     step * math.sin(ang) / (EARTH_RADIUS_M * math.cos(math.radians(lat)))
                 )
                 pts.append(LatLon(lat, lon))
-            net = RoadNetwork.from_edges([RoadEdge(id="z", polyline=tuple(pts))])
-            sampled = sample_points(net, 20.0)
+            sampled = sample_points([RoadEdge(id="z", polyline=tuple(pts))], 20.0)
             for a, b in zip(sampled, sampled[1:]):
                 d = haversine_m(a.location, b.location)
                 assert abs(d - 20.0) <= 0.2, f"spacing {d} deviates >1% from 20 m"
@@ -226,7 +219,7 @@ class TestSamplePoints:
         p = LatLon(33.0, -87.0)
         edge = RoadEdge(id="x", polyline=(p, p, p))
         for call in (
-            lambda: sample_points(RoadNetwork.from_edges([edge]), 20.0),
+            lambda: sample_points([edge], 20.0),
             lambda: next(_walk(edge, [0.0])),
             lambda: heading_at(edge, 0.0),
         ):
@@ -238,7 +231,7 @@ class TestSamplePoints:
         edge = RoadEdge(id="e", polyline=tuple(points))
         if edge.length_m == 0.0:
             return
-        sampled = sample_points(RoadNetwork.from_edges([edge]), interval)
+        sampled = sample_points([edge], interval)
         assert len(sampled) == math.floor(edge.length_m / interval + 1e-9) + 1
         for p in sampled:
             chainage = min(p.chainage_m, edge.length_m)
@@ -356,10 +349,10 @@ class TestLoadRoadNetwork:
         }
         path = tmp_path / "net.geojson"
         path.write_text(json.dumps(doc))
-        net = load_road_network(str(path))
-        assert len(net.edges) == 1
-        assert net.edges[0].id == "seg-1"
-        assert net.edges[0].polyline[0] == LatLon(33.0, -87.0)
+        edges = load_road_network(str(path))
+        assert len(edges) == 1
+        assert edges[0].id == "seg-1"
+        assert edges[0].polyline[0] == LatLon(33.0, -87.0)
 
     def test_rejects_missing_id(self, tmp_path):
         doc = {

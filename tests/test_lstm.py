@@ -1,4 +1,4 @@
-"""Tests for the LSTM cell, the sequence stack, BPTT training, and
+"""Tests for the packed LSTM kernel, the sequence stack, BPTT training, and
 corridor prediction."""
 
 from __future__ import annotations
@@ -16,18 +16,14 @@ from safetymap.geo import LatLon
 from safetymap.data import ImageRecord
 from safetymap import lstm
 from safetymap.lstm import (
-    LstmState,
     SeqTrainConfig,
     bptt_train,
     init_sequence_model,
-    lstm_cell_step,
-    lstm_forward,
     packed_forward,
     packed_loss_and_grads,
     predict_corridor,
     seq_load,
     seq_save,
-    zero_state,
 )
 from safetymap.nn import dropout_mask, glorot_uniform, grad_check, relu, sigmoid
 
@@ -64,6 +60,38 @@ def cell_oracle(params, x, h_prev, c_prev):
     return h, c
 
 
+def reference_forward(params, xs):
+    """The hidden states (steps, hidden) of one group's per-gate W_g/U_g/b_g
+    cell run over xs (steps, input_dim) from a zero state, one gate at a time."""
+    h = c = np.zeros(params["W_f"].shape[0])
+    hs = []
+    for x in xs:
+        z = {g: params[f"W_{g}"] @ h + params[f"U_{g}"] @ x + params[f"b_{g}"] for g in "fiou"}
+        c = sigmoid(z["f"]) * c + sigmoid(z["i"]) * np.tanh(z["u"])
+        h = sigmoid(z["o"]) * np.tanh(c)
+        hs.append(h)
+    return np.array(hs)
+
+
+def oracle_deviation(groups, xs, fw):
+    """Check every step t >= 1 of a cached packed_forward over windows xs
+    (G, B, T, d) of the per-gate groups against cell_oracle, started from
+    the kernel's own state at t - 1. Returns the worst deviation of h and c
+    and the largest |c| among the prior states checked."""
+    worst = 0.0
+    for k, group in enumerate(groups):
+        for b in range(xs.shape[1]):
+            for t in range(1, xs.shape[2]):
+                prev = fw.H[t - 1, k, b], fw.C[t - 1, k, b]
+                h_ref, c_ref = cell_oracle(group, list(xs[k, b, t]), *map(list, prev))
+                worst = max(
+                    worst,
+                    float(np.max(np.abs(fw.H[t, k, b] - h_ref))),
+                    float(np.max(np.abs(fw.C[t, k, b] - c_ref))),
+                )
+    return worst, float(np.max(np.abs(fw.C[:-1])))
+
+
 def random_params(rng, hidden, input_dim):
     return {
         **{f"W_{g}": rng.normal(size=(hidden, hidden)) for g in "fiou"},
@@ -72,10 +100,25 @@ def random_params(rng, hidden, input_dim):
     }
 
 
+def pack_gates(groups):
+    """Per-gate W_g/U_g/b_g dicts, one per group, as the packed wp, up and bp
+    the kernel takes: the gates f, i, o, u stacked along the rows."""
+    return {
+        packed: np.stack([np.concatenate([group[f"{key}_{g}"] for g in "fiou"]) for group in groups])
+        for key, packed in (("W", "wp"), ("U", "up"), ("b", "bp"))
+    }
+
+
+def kernel(params, xs):
+    """The cached packed_forward over windows xs (G, B, T, d)."""
+    return packed_forward(params, lstm._project(params, xs))
+
+
 def gate_params(params, k):
-    """Group k of packed sequence-model params as the reference cell's
-    per-gate W_g/U_g/b_g dicts plus the head: views of the row blocks of
-    wp, up and bp (gates f, i, o, u) and of the head tensors."""
+    """Group k of packed sequence-model params as the per-gate W_g/U_g/b_g
+    dict that cell_oracle and reference_forward take, plus the head: views
+    of the row blocks of wp, up and bp (gates f, i, o, u) and of the head
+    tensors."""
     hidden = params["wp"].shape[2]
     group = {}
     for j, g in enumerate("fiou"):
@@ -94,82 +137,69 @@ def window_probs(model, xs):
     return predict_corridor(model, records, xs, window=len(xs))[0]
 
 
+def zero_params(hidden, input_dim):
+    """One group's packed kernel parameters, all zero."""
+    rows = 4 * hidden
+    return {"wp": np.zeros((1, rows, hidden)), "up": np.zeros((1, rows, input_dim)), "bp": np.zeros((1, rows))}
+
+
 class TestCellStep:
+    """Single steps of the packed kernel, read from its BPTT cache: Z holds
+    the squashed gates f, i, o, u, C the cells and H the hidden states."""
+
     def test_zero_params_zero_state(self):
-        params = {k: np.zeros_like(v) for k, v in random_params(np.random.default_rng(0), 4, 3).items()}
-        state, gates = lstm_cell_step(params, np.zeros(3), zero_state(4))
-        assert np.all(gates.f == 0.5) and np.all(gates.i == 0.5) and np.all(gates.o == 0.5)
-        assert np.all(gates.u == 0.0)
-        assert np.all(state.c == 0.0) and np.all(state.h == 0.0)
+        fw = kernel(zero_params(4, 3), np.zeros((1, 1, 1, 3)))
+        f, i, o, u = fw.Z[0]
+        assert np.all(f == 0.5) and np.all(i == 0.5) and np.all(o == 0.5)
+        assert np.all(u == 0.0)
+        assert np.all(fw.C == 0.0) and np.all(fw.H == 0.0)
 
     def test_zero_params_carried_cell(self):
-        params = {k: np.zeros_like(v) for k, v in random_params(np.random.default_rng(0), 1, 1).items()}
-        state, _ = lstm_cell_step(params, np.zeros(1), LstmState(h=np.zeros(1), c=np.array([2.0])))
-        assert state.c[0] == pytest.approx(1.0, abs=1e-15)
-        assert state.h[0] == pytest.approx(0.3807970779778824, abs=1e-12)
+        # two saturated steps (every gate 1, candidate 1) build c = 2; a
+        # third with zero pre-activations halves it: c = 1, h = tanh(1) / 2
+        ux = np.zeros((1, 1, 3, 4))
+        ux[0, 0, :2] = 40.0
+        fw = packed_forward(zero_params(1, 1), ux)
+        assert fw.C[:, 0, 0, 0].tolist() == [1.0, 2.0, 1.0]
+        assert fw.H[2, 0, 0, 0] == pytest.approx(0.3807970779778824, abs=1e-12)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(1)
-        for _ in range(100):
-            params = random_params(rng, 4, 3)
-            x = rng.normal(size=3)
-            h_prev = rng.normal(size=4) * 0.5
-            c_prev = rng.normal(size=4)
-            state, _ = lstm_cell_step(params, x, LstmState(h=h_prev.copy(), c=c_prev.copy()))
-            h_ref, c_ref = cell_oracle(params, list(x), list(h_prev), list(c_prev))
-            assert np.max(np.abs(state.h - h_ref)) <= 1e-12
-            assert np.max(np.abs(state.c - c_ref)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        params = random_params(np.random.default_rng(2), 4, 3)
-        with pytest.raises(ValueError, match="mismatch"):
-            lstm_cell_step(params, np.zeros(5), zero_state(4))
+        groups = [random_params(rng, 4, 3) for _ in range(2)]
+        xs = rng.normal(size=(2, 2, 26, 3))
+        worst, _ = oracle_deviation(groups, xs, kernel(pack_gates(groups), xs))
+        assert worst <= 1e-12
 
     def test_hidden_bounded(self):
         rng = np.random.default_rng(3)
-        params = random_params(rng, 6, 2)
-        state = LstmState(h=rng.uniform(-1, 1, 6), c=rng.normal(size=6) * 5)
-        for _ in range(20):
-            state, _ = lstm_cell_step(params, rng.normal(size=2) * 3, state)
-            assert np.all(np.abs(state.h) <= 1.0)
+        group = random_params(rng, 6, 2)
+        group["b_f"] += 4.0  # forget little, so the cells grow
+        fw = kernel(pack_gates([group]), rng.normal(size=(1, 3, 50, 2)) * 3)
+        assert np.max(np.abs(fw.C)) > 5.0
+        assert np.all(np.abs(fw.H) <= 1.0)
 
     def test_forget_gate_clamp(self):
         rng = np.random.default_rng(4)
-        params = random_params(rng, 5, 3)
-        params["b_f"] = np.full(5, -100.0)
-        prev = LstmState(h=rng.normal(size=5) * 0.3, c=rng.normal(size=5))
-        state, gates = lstm_cell_step(params, rng.normal(size=3), prev)
-        assert np.max(np.abs(state.c - gates.i * gates.u)) < 1e-6
+        group = random_params(rng, 5, 3)
+        group["b_f"] = np.full(5, -100.0)
+        fw = kernel(pack_gates([group]), rng.normal(size=(1, 2, 6, 3)))
+        _, i, _, u = fw.Z.transpose(1, 0, 2, 3, 4)
+        assert np.max(np.abs(fw.C - i * u)) < 1e-6
 
 
 class TestLstmForward:
     def test_single_step(self):
         rng = np.random.default_rng(5)
-        params = random_params(rng, 4, 3)
-        x = rng.normal(size=(1, 3))
-        outs, final = lstm_forward(params, x)
-        state, _ = lstm_cell_step(params, x[0], zero_state(4))
-        assert np.array_equal(outs[0], state.h)
-        assert np.array_equal(final.h, state.h)
+        group = random_params(rng, 4, 3)
+        xs = rng.normal(size=(1, 1, 1, 3))
+        fw = kernel(pack_gates([group]), xs)
+        h_ref, c_ref = cell_oracle(group, list(xs[0, 0, 0]), [0.0] * 4, [0.0] * 4)
+        assert np.max(np.abs(fw.H[0, 0, 0] - h_ref)) <= 1e-12
+        assert np.max(np.abs(fw.C[0, 0, 0] - c_ref)) <= 1e-12
 
     def test_zero_params_all_zero(self):
-        params = {k: np.zeros_like(v) for k, v in random_params(np.random.default_rng(0), 4, 3).items()}
-        outs, _ = lstm_forward(params, np.random.default_rng(6).normal(size=(7, 3)))
-        assert np.all(outs == 0.0)
-
-    def test_chaining_states_equals_one_pass(self):
-        rng = np.random.default_rng(7)
-        params = random_params(rng, 4, 3)
-        xs = rng.normal(size=(10, 3))
-        full, _ = lstm_forward(params, xs)
-        first, mid_state = lstm_forward(params, xs[:4])
-        second, _ = lstm_forward(params, xs[4:], initial=mid_state)
-        assert np.allclose(np.vstack([first, second]), full, atol=1e-14)
-
-    def test_empty_rejected(self):
-        params = random_params(np.random.default_rng(8), 4, 3)
-        with pytest.raises(ValueError, match="nonempty"):
-            lstm_forward(params, np.zeros((0, 3)))
+        fw = kernel(zero_params(4, 3), np.random.default_rng(6).normal(size=(1, 2, 7, 3)))
+        assert np.all(fw.H == 0.0)
 
     def test_packed_path_matches_cell_path(self):
         rng = np.random.default_rng(9)
@@ -180,11 +210,10 @@ class TestLstmForward:
             for key, value in group.items():
                 view[key][:] = value
         xs = rng.normal(size=(3, 2, 8, 4))  # a different pair of windows per group
-        H = packed_forward(model.params, lstm._project(model.params, xs)).H
+        H = kernel(model.params, xs).H
         for k, group in enumerate(params):
             for b in range(2):
-                plain, _ = lstm_forward(group, xs[k, b])
-                assert np.allclose(H[:, k, b], plain, atol=1e-14)
+                assert np.allclose(H[:, k, b], reference_forward(group, xs[k, b]), atol=1e-14)
 
 
 class TestSequenceForward:
@@ -363,12 +392,12 @@ class TestBpttTrain:
 
 
 def reference_window_probs(model, xs):
-    """Per-step class probabilities of one window from the cell reference
-    (lstm_forward) and a straight transcription of the head, group by group."""
+    """Per-step class probabilities of one window from the per-gate
+    reference_forward and a straight transcription of the head, group by group."""
     out = np.empty((xs.shape[0], 3))
     for k in range(len(model.params["wp"])):
         group = gate_params(model.params, k)
-        hs, _ = lstm_forward(group, xs)
+        hs = reference_forward(group, xs)
         a_mid = relu(hs @ group["mid.w"].T + group["mid.b"])
         p = sigmoid(a_mid @ group["out.w"].T + group["out.b"])
         if model.mode == "shared":

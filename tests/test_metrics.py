@@ -13,7 +13,6 @@ from safetymap.metrics import (
     metrics_report,
     warn_if_degenerate,
     weighted_avg_f,
-    weighted_avg_f_from_metrics,
 )
 
 
@@ -216,7 +215,7 @@ class TestReports:
             assert set(doc[name]) == {"precision", "recall", "f", "tp", "fp", "fn", "tn"}
         assert "avg_f" in doc
         assert doc["avg_f"] == pytest.approx(
-            weighted_avg_f_from_metrics(metrics, (10, 10, 10)), abs=1e-6
+            weighted_avg_f([m.f for m in metrics], (10, 10, 10)), abs=1e-6
         )
 
     def test_table_layout(self):
