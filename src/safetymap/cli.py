@@ -87,12 +87,10 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
         model,
         records,
         pixels,
-        cnn_mod.TrainConfig(
-            lr=config.cnn_lr,
-            batch_size=config.batch_size,
-            epochs=config.cnn_epochs,
-            seed=stage_seed(config.seed, "cnn-train"),
-        ),
+        lr=config.cnn_lr,
+        batch_size=config.batch_size,
+        epochs=config.cnn_epochs,
+        seed=stage_seed(config.seed, "cnn-train"),
     )
     cnn_mod.cnn_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
@@ -134,11 +132,9 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
         features,
         starts,
         config.window,
-        lstm.SeqTrainConfig(
-            lr=config.lstm_lr,
-            epochs=config.lstm_epochs,
-            seed=stage_seed(config.seed, "lstm-train"),
-        ),
+        lr=config.lstm_lr,
+        epochs=config.lstm_epochs,
+        seed=stage_seed(config.seed, "lstm-train"),
     )
     lstm.seq_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
@@ -197,6 +193,9 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     rows = data.read_predictions(args.predictions)
     truth_records = data.load_labels(args.truth)
     _align_to_truth(rows, truth_records, "prediction")
+    if args.baseline:  # checked before scoring, so a refused baseline warns of nothing
+        base_rows = data.read_predictions(args.baseline)
+        _align_to_truth(base_rows, truth_records, "baseline")
     predictions = np.array([row.labels for row in rows])
     truth = np.array([r.labels for r in truth_records])
     per_class = metrics.class_metrics(predictions, truth)
@@ -204,8 +203,6 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     counts = truth.sum(axis=0).tolist()
     report = metrics.metrics_report(per_class, counts)
     if args.baseline:
-        base_rows = data.read_predictions(args.baseline)
-        _align_to_truth(base_rows, truth_records, "baseline")
         run_lengths = [end - start for start, end in data._runs(truth_records)]
         rates = metrics.isolated_error_correction_rate(
             np.array([row.labels for row in base_rows]), predictions, truth, run_lengths

@@ -26,10 +26,10 @@ from .modelio import check_shapes, load_tensors, meta_int, save_tensors
 
 @dataclass(frozen=True)
 class CnnConfig:
+    feature_dim: int
     input_shape: tuple[int, int, int] = (3, 32, 32)  # channels, height, width
     stage_channels: tuple[int, ...] = (8, 16)  # conv channels; each stage ends in 2x2 pool
     kernel_size: int = 3  # stride 1, zero padding preserving extent
-    feature_dim: int = 250
 
     def flat_dim(self) -> int:
         c, h, w = self.input_shape
@@ -141,7 +141,7 @@ def _head_backward(
     """Batch-mean BCE of probs = frame_predict(params, features) against
     labels; writes the cls.w and cls.b gradients into grads and returns the
     loss and the gradient on the features."""
-    loss, _ = nn.bce_loss(probs, labels)
+    loss = nn.bce_loss(probs, labels)
     grad_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
     return loss, nn.dense_backward(features, params["cls.w"], grad_z, grads["cls.w"], grads["cls.b"])
 
@@ -198,16 +198,9 @@ def cnn_loss_and_grads(
     return loss
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 30
-    seed: int = 0
-
-
 def _train(
-    params: nn.Params, n: int, config: TrainConfig, step: Callable[[np.ndarray, nn.Params], float]
+    params: nn.Params, n: int, step: Callable[[np.ndarray, nn.Params], float], *,
+    lr: float, batch_size: int, epochs: int, seed: int,
 ) -> list[dict[str, float]]:
     """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
     examples, in place. step(batch, grads) writes the batch-mean gradient of
@@ -215,8 +208,8 @@ def _train(
     batch's mean loss. Returns one {"epoch", "train_loss"} entry per epoch."""
     if n == 0:
         raise ValueError("empty training set")
-    rng = np.random.default_rng(config.seed)
-    state = nn.adam_init(params, lr=config.lr)
+    rng = np.random.default_rng(seed)
+    state = nn.adam_init(params, lr)
     # Every step writes its gradients into these arrays, and adam_step works
     # through one tile-sized buffer. A (feature_dim, flat) weight gradient or
     # Adam buffer allocated and freed at each step would raise glibc's mmap
@@ -226,11 +219,11 @@ def _train(
     # between identical runs.
     grads = {key: np.empty_like(p) for key, p in params.items()}
     history: list[dict[str, float]] = []
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
             epoch_loss += step(batch, grads) * len(batch)
             nn.adam_step(params, grads, state)
         history.append({"epoch": float(epoch), "train_loss": epoch_loss / n})
@@ -238,25 +231,29 @@ def _train(
 
 
 def cnn_train(
-    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, config: TrainConfig
+    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, *,
+    lr: float, batch_size: int, epochs: int, seed: int,
 ) -> list[dict[str, float]]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
     image of records[i]. Returns _train's history."""
     labels = np.array([r.labels for r in records], dtype=np.float64)
     # Every step writes its float images into this one buffer, for the same
     # reason _train reuses its gradient arrays.
-    batch_images = np.empty((config.batch_size, *pixels.shape[1:]))
+    batch_images = np.empty((batch_size, *pixels.shape[1:]))
 
     def step(batch: np.ndarray, grads: nn.Params) -> float:
         images = batch_images[: len(batch)]
         np.divide(pixels[batch], 255.0, out=images)
         return cnn_loss_and_grads(model, images.transpose(0, 3, 1, 2), labels[batch], grads)
 
-    return _train(model.params, len(records), config, step)
+    return _train(
+        model.params, len(records), step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed
+    )
 
 
 def frame_train(
-    params: nn.Params, records: Sequence[ImageRecord], features: np.ndarray, config: TrainConfig
+    params: nn.Params, records: Sequence[ImageRecord], features: np.ndarray, *,
+    lr: float, batch_size: int, epochs: int, seed: int,
 ) -> list[dict[str, float]]:
     """Train the frame baseline's class head with _train, in place; features[i]
     is the (feature_dim,) vector of records[i]. Returns _train's history."""
@@ -266,7 +263,7 @@ def frame_train(
         x = features[batch]
         return _head_backward(params, x, frame_predict(params, x), labels[batch], grads)[0]
 
-    return _train(params, len(records), config, step)
+    return _train(params, len(records), step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
 def extract_features(

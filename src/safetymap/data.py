@@ -531,7 +531,16 @@ def load_pixels(
 
 
 def write_features(path: str, records: Sequence[ImageRecord], features: np.ndarray) -> None:
-    """Write features[i], the vector of records[i], as JSON-lines keyed by image_id."""
+    """Write features[i], the vector of records[i], as JSON-lines keyed by
+    image_id. A vector holding NaN or inf, which attach_features refuses, is
+    a ValueError naming the first such image, raised before the file is opened."""
+    import numpy as np
+
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: features of image {records[bad[0]].image_id} are not finite")
+    # one encoder for every row: json.dumps builds one per call for a non-default flag
+    encode = json.JSONEncoder(allow_nan=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         for r, vec in zip(records, features, strict=True):
-            fh.write(json.dumps({"image_id": r.image_id, "features": vec.tolist()}) + "\n")
+            fh.write(encode({"image_id": r.image_id, "features": vec.tolist()}) + "\n")

@@ -165,8 +165,8 @@ def streetview_request_url(
 
 
 def dumps_stable(doc: object) -> str:
-    """Serialize JSON byte-stably: sorted keys, compact separators, newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Serialize JSON byte-stably: sorted keys, compact separators, newline; no NaN or inf."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def export_prediction_geojson(

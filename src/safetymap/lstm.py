@@ -191,7 +191,7 @@ def packed_loss_and_grads(
     losses = np.empty(len(probs))
     dz_out = np.empty_like(probs)
     for k, (p, y) in enumerate(zip(probs, labels)):
-        losses[k], _ = nn.bce_loss(p, y)
+        losses[k] = nn.bce_loss(p, y)
         dz_out[k] = nn.bce_grad_from_logits(p, y)
     grads: nn.Params = {
         "out.w": _steps(dz_out).transpose(0, 2, 1) @ _steps(a_mid),
@@ -251,12 +251,7 @@ def _check_dropout(rate: float) -> None:
 
 
 def init_sequence_model(
-    mode: str,
-    input_dim: int,
-    hidden: int = 100,
-    mid_dim: int = 50,
-    dropout_rate: float = 0.2,
-    seed: int = 0,
+    mode: str, input_dim: int, hidden: int, mid_dim: int, dropout_rate: float, seed: int
 ) -> SequenceModel:
     """Glorot-uniform weights, zero biases except forget-gate bias 1.0. Each
     group draws from its own seed stream: per gate f, i, o, u its W then its
@@ -272,14 +267,6 @@ def init_sequence_model(
         for w in weights + [params["mid.w"][k], params["out.w"][k]]:
             w[...] = nn.glorot_uniform(rng, w.shape, w.shape[1], w.shape[0])
     return SequenceModel(mode, hidden, input_dim, mid_dim, dropout_rate, params)
-
-
-@dataclass(frozen=True)
-class SeqTrainConfig:
-    lr: float = 1e-3
-    epochs: int = 30
-    seed: int = 0
-    # one Adam update per sequence (batch size 1)
 
 
 def _window_view(a: np.ndarray, window: int, axis: int = 0) -> np.ndarray:
@@ -307,8 +294,10 @@ def _fit(
     targets: np.ndarray,
     starts: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    config: SeqTrainConfig,
     dropout_rate: float,
+    *,
+    lr: float,
+    epochs: int,
     val_starts: np.ndarray | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """Adam on packed params, each step taking one window per group.
@@ -321,9 +310,9 @@ def _fit(
     n = len(starts)
     batch = np.empty((len(rngs), 1) + windows.shape[1:])  # one window per group
     mask_shape = (1, windows.shape[1], params["wp"].shape[2])
-    state = nn.adam_init(params, lr=config.lr)
+    state = nn.adam_init(params, lr)
     history = []
-    for _ in range(config.epochs):
+    for _ in range(epochs):
         orders = starts[np.stack([rng.permutation(n) for rng in rngs], axis=1)]
         total = np.zeros(len(rngs))
         for idx in orders:
@@ -341,7 +330,7 @@ def _fit(
             xs = np.broadcast_to(val_windows, (len(rngs),) + val_windows.shape)
             probs = _step_probs(params, _project(params, xs))
             val_total = [
-                sum(nn.bce_loss(p, y)[0] for p, y in zip(group_probs, group_targets))
+                sum(nn.bce_loss(p, y) for p, y in zip(group_probs, group_targets))
                 for group_probs, group_targets in zip(probs, targets[:, val_starts])
             ]
             entry["val_loss"] = np.array(val_total) / len(val_starts)
@@ -355,7 +344,10 @@ def bptt_train(
     features: np.ndarray,
     starts: np.ndarray,
     window: int,
-    config: SeqTrainConfig,
+    *,
+    lr: float,
+    epochs: int,
+    seed: int,
     val_starts: np.ndarray | None = None,
 ) -> list[dict[str, float]]:
     """Train with full backpropagation-through-time on the windows of the
@@ -373,13 +365,14 @@ def bptt_train(
     if len(starts) == 0:
         raise ValueError("empty training set")
     rngs = [
-        np.random.default_rng(np.random.SeedSequence([config.seed, k]))
+        np.random.default_rng(np.random.SeedSequence([seed, k]))
         for k in range(len(model.params["wp"]))
     ]
     model.window = window
     windows, targets = _windows(model.mode, records, features, window)
     history = _fit(
-        model.params, windows, targets, starts, rngs, config, model.dropout_rate, val_starts
+        model.params, windows, targets, starts, rngs, model.dropout_rate,
+        lr=lr, epochs=epochs, val_starts=val_starts,
     )
     return [
         {"epoch": float(epoch), **{key: float(np.mean(v)) for key, v in entry.items()}}

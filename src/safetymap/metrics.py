@@ -73,11 +73,12 @@ def isolated_error_correction_rate(
     baseline: np.ndarray,
     sequence_model: np.ndarray,
     truth: np.ndarray,
-    run_lengths: Sequence[int] | None = None,
+    run_lengths: Sequence[int],
 ) -> tuple[float | None, float | None, float | None]:
     """Fraction of the baseline's isolated errors the sequence model fixes, per class.
 
-    An isolated error is a baseline misclassification whose both neighbors
+    The records fall into consecutive runs of run_lengths records each. An
+    isolated error is a baseline misclassification whose both neighbors
     (within the same run) are baseline-correct; run boundary positions are
     excluded. Classes with no isolated errors report None rather than 0.
     """
@@ -90,8 +91,6 @@ def isolated_error_correction_rate(
             f"sequence {sequence_model.shape}, truth {truth.shape}"
         )
     n = baseline.shape[0]
-    if run_lengths is None:
-        run_lengths = [n]
     if sum(run_lengths) != n:
         raise ValueError(f"run lengths sum {sum(run_lengths)} != {n} records")
     rates = []

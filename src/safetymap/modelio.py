@@ -25,8 +25,8 @@ def _check_finite(path: str, tensors: dict[str, np.ndarray]) -> None:
 
 def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named tensors plus metadata; iteration order is the declaration
-    order. A tensor holding NaN or inf is a ValueError, raised before the
-    file is opened."""
+    order. A tensor or a meta value holding NaN or inf is a ValueError,
+    raised before the file is opened."""
     _check_finite(path, tensors)
     header = {
         "format": FORMAT_NAME,
@@ -34,8 +34,9 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in tensors.items()],
         "meta": meta or {},
     }
+    line = json.dumps(header, sort_keys=True, allow_nan=False).encode("utf-8") + b"\n"
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        fh.write(line)
         for v in tensors.values():
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 

@@ -1,6 +1,6 @@
 """From-scratch differentiable building blocks on float64 numpy arrays:
 dense, 2-D convolution, max pooling, activations, inverted dropout, binary
-cross-entropy, Adam, and a central-difference gradient checker.
+cross-entropy, and Adam.
 
 All backward passes are hand-derived; no autodiff anywhere.
 """
@@ -226,15 +226,12 @@ def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) 
 # --- binary cross-entropy ---
 
 
-def bce_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean BCE over all elements plus the gradient w.r.t. the probabilities."""
+def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean BCE over all elements, probabilities clamped away from 0 and 1."""
     if probs.shape != labels.shape:
         raise ValueError(f"shape mismatch: probs {probs.shape} vs labels {labels.shape}")
     p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    n = p.size
-    loss = float(-np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)) / n)
-    grad = (p - labels) / (p * (1.0 - p)) / n
-    return loss, grad
+    return float(-np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)) / p.size)
 
 
 def bce_grad_from_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -264,13 +261,13 @@ class AdamState:
 
     m: Params
     v: Params
+    lr: float
     t: int = 0
-    lr: float = 1e-3
     # work buffer for one tile of any tensor
     scratch: np.ndarray = field(default_factory=lambda: np.empty(ADAM_TILE), repr=False)
 
 
-def adam_init(params: Params, lr: float = 1e-3) -> AdamState:
+def adam_init(params: Params, lr: float) -> AdamState:
     return AdamState(
         m={k: np.zeros_like(p) for k, p in params.items()},
         v={k: np.zeros_like(p) for k, p in params.items()},
@@ -320,39 +317,6 @@ def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
             scratch *= state.lr / bias1
             p_t -= scratch
     return params
-
-
-# --- gradient checking ---
-
-
-def grad_check(loss_and_grads, params: Params, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    loss_and_grads(params) must return (scalar loss, grads dict) and be
-    deterministic (dropout disabled). The relative error per coordinate is
-    |g_a - g_fd| / max(1e-8, |g_a| + |g_fd|).
-    """
-    _, analytic = loss_and_grads(params)
-    worst = 0.0
-    for key, p in params.items():
-        ga = analytic[key]
-        if ga.shape != p.shape:
-            raise ValueError(f"{key}: analytic grad shape {ga.shape} != param {p.shape}")
-        flat = p.reshape(-1)
-        ga_flat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            loss_plus, _ = loss_and_grads(params)
-            flat[i] = orig - h
-            loss_minus, _ = loss_and_grads(params)
-            flat[i] = orig
-            fd = (loss_plus - loss_minus) / (2.0 * h)
-            if not (np.isfinite(fd) and np.isfinite(ga_flat[i])):
-                raise ValueError(f"non-finite gradient at {key}[{i}]")
-            err = abs(ga_flat[i] - fd) / max(1e-8, abs(ga_flat[i]) + abs(fd))
-            worst = max(worst, err)
-    return worst
 
 
 # --- initialization ---

@@ -1,4 +1,5 @@
-"""Shared fixtures, dataset builders, and the acceptance-summary hook."""
+"""Shared fixtures, dataset builders, the finite-difference gradient check,
+and the acceptance-summary hook."""
 
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import safetymap
-from safetymap.cnn import TrainConfig, frame_predict, frame_train, init_frame_classifier
+from safetymap.cnn import frame_predict, frame_train, init_frame_classifier
+from safetymap.config import PipelineConfig
 from safetymap.data import ImageRecord, SynthConfig, build_sequences, synth_corridor
 from safetymap.geo import LatLon
-from safetymap.lstm import SeqTrainConfig, bptt_train, init_sequence_model, predict_corridor
+from safetymap.lstm import SequenceModel, bptt_train, init_sequence_model, predict_corridor
 from safetymap.metrics import (
     class_metrics,
     isolated_error_correction_rate,
@@ -51,6 +53,53 @@ finally:
     print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "safetymap"))))
 sys.exit(code)
 """
+
+
+def grad_check(loss_and_grads, params: dict[str, np.ndarray], h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    loss_and_grads(params) must return (scalar loss, grads dict) and be
+    deterministic (dropout disabled). The relative error per coordinate is
+    |g_a - g_fd| / max(1e-8, |g_a| + |g_fd|).
+    """
+    _, analytic = loss_and_grads(params)
+    worst = 0.0
+    for key, p in params.items():
+        ga = analytic[key]
+        if ga.shape != p.shape:
+            raise ValueError(f"{key}: analytic grad shape {ga.shape} != param {p.shape}")
+        flat = p.reshape(-1)
+        ga_flat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            loss_plus, _ = loss_and_grads(params)
+            flat[i] = orig - h
+            loss_minus, _ = loss_and_grads(params)
+            flat[i] = orig
+            fd = (loss_plus - loss_minus) / (2.0 * h)
+            if not (np.isfinite(fd) and np.isfinite(ga_flat[i])):
+                raise ValueError(f"non-finite gradient at {key}[{i}]")
+            err = abs(ga_flat[i] - fd) / max(1e-8, abs(ga_flat[i]) + abs(fd))
+            worst = max(worst, err)
+    return worst
+
+
+DEFAULTS = PipelineConfig()
+
+
+def sequence_model(
+    mode: str,
+    input_dim: int,
+    *,
+    hidden: int = DEFAULTS.hidden,
+    mid_dim: int = DEFAULTS.mid_dim,
+    dropout_rate: float = DEFAULTS.dropout,
+    seed: int,
+) -> SequenceModel:
+    """init_sequence_model, taking the pipeline's defaults for the sizes and
+    dropout rate a test leaves out."""
+    return init_sequence_model(mode, input_dim, hidden, mid_dim, dropout_rate, seed)
 
 
 class CliProcess(NamedTuple):
@@ -172,23 +221,16 @@ def corridor_experiments():
 
         frame = init_frame_classifier(config.feature_dim, seed=seed)
         frame_train(
-            frame,
-            train_records,
-            train_features,
-            TrainConfig(lr=1e-2, batch_size=32, epochs=30, seed=seed),
+            frame, train_records, train_features, lr=1e-2, batch_size=32, epochs=30, seed=seed
         )
         frame_labels = frame_predict(frame, test_features) > 0.5
 
         starts = build_sequences(train_records, CORRIDOR_WINDOW, CORRIDOR_TRAIN_STRIDE)
-        train_config = SeqTrainConfig(lr=1e-3, epochs=CORRIDOR_EPOCHS, seed=seed)
-        shared = init_sequence_model(
-            "shared", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed
-        )
-        bptt_train(shared, train_records, train_features, starts, CORRIDOR_WINDOW, train_config)
-        separate = init_sequence_model(
-            "separate", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed
-        )
-        bptt_train(separate, train_records, train_features, starts, CORRIDOR_WINDOW, train_config)
+        train_config = dict(lr=1e-3, epochs=CORRIDOR_EPOCHS, seed=seed)
+        shared = sequence_model("shared", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed)
+        bptt_train(shared, train_records, train_features, starts, CORRIDOR_WINDOW, **train_config)
+        separate = sequence_model("separate", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed)
+        bptt_train(separate, train_records, train_features, starts, CORRIDOR_WINDOW, **train_config)
 
         _, shared_labels = predict_corridor(shared, test_records, test_features, CORRIDOR_WINDOW)
         _, separate_labels = predict_corridor(
@@ -204,8 +246,9 @@ def corridor_experiments():
                 "frame_avg_f": avg_f(frame_labels),
                 "shared_avg_f": avg_f(shared_labels),
                 "separate_avg_f": avg_f(separate_labels),
+                # a synthetic corridor is one run
                 "correction_rates": isolated_error_correction_rate(
-                    frame_labels, shared_labels, truth
+                    frame_labels, shared_labels, truth, [len(truth)]
                 ),
             }
         )

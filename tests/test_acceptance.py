@@ -14,25 +14,28 @@ import pytest
 from conftest import (
     CORRIDOR_SEEDS,
     enumerate_windows,
+    grad_check,
     mark_acceptance_started,
     record_acceptance,
+    sequence_model,
 )
 
 from safetymap.cli import main as cli_main
 from safetymap.data import ImageRecord, build_sequences
 from safetymap.geo import EARTH_RADIUS_M, LatLon, RoadEdge, haversine_m, sample_points
-from safetymap.lstm import _project, init_sequence_model, packed_forward
+from safetymap.lstm import _project, packed_forward
 from safetymap.metrics import weighted_avg_f
 from safetymap.nn import (
+    bce_grad_from_logits,
     bce_loss,
     conv2d_backward,
     conv2d_backward_input,
     conv2d_forward,
     dense_backward,
     dense_forward,
-    grad_check,
     maxpool2d_backward,
     maxpool2d_forward,
+    sigmoid,
 )
 from test_lstm import oracle_deviation, pack_gates, random_params, summed_loss
 
@@ -124,13 +127,14 @@ class TestCriterion3Gradients:
 
         worst["maxpool2d"] = grad_check(pool_fn, {"x": rng.normal(size=(2, 6, 6))})
 
+        # the fused sigmoid-BCE gradient in the logits, as training runs it
         bce_labels = (rng.random(10) < 0.5).astype(np.float64)
 
         def bce_fn(params):
-            loss, grad = bce_loss(params["p"], bce_labels)
-            return loss, {"p": grad}
+            p = sigmoid(params["z"])
+            return bce_loss(p, bce_labels), {"z": bce_grad_from_logits(p, bce_labels)}
 
-        worst["bce"] = grad_check(bce_fn, {"p": rng.uniform(0.05, 0.95, size=10)})
+        worst["bce"] = grad_check(bce_fn, {"z": rng.uniform(-3.0, 3.0, size=10)})
 
         from safetymap.cnn import CnnConfig, cnn_loss_and_grads, init_cnn
 
@@ -147,14 +151,14 @@ class TestCriterion3Gradients:
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)
 
-        seq_model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=33)
+        seq_model = sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=33)
         xs = rng.normal(size=(1, 1, 5, 3))
         seq_labels = (rng.random((1, 1, 5, 3)) < 0.5).astype(np.float64)
         worst["lstm"] = grad_check(summed_loss(xs, seq_labels), seq_model.params)
 
         # separate mode on the same window: the three class stacks in one
         # kernel call (G=3), stack k against label column k
-        sep_model = init_sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=33)
+        sep_model = sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=33)
         sep_xs = np.broadcast_to(xs, (3, 1, 5, 3))
         sep_labels = np.moveaxis(seq_labels[0], -1, 0)[..., None]
         worst["lstm-separate"] = grad_check(summed_loss(sep_xs, sep_labels), sep_model.params)

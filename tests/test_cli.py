@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_pixel_records, run_cli_process, write_ppm
+from conftest import make_pixel_records, run_cli_process, sequence_model, write_ppm
 from test_lstm import gate_params
 
 from safetymap import lstm
@@ -526,19 +526,19 @@ class TestSynthPipeline:
             (short, "149 baseline rows vs 150"),
             (rekeyed, "baseline/truth key mismatch at (corridor, 150)"),
         ):
-            # evaluate scores the predictions, with no mcb, before it reads the baseline
-            with pytest.warns(UserWarning, match="class mcb: zero denominator"):
-                code = run_cli(
-                    "evaluate",
-                    "--predictions",
-                    str(predictions),
-                    "--truth",
-                    str(labels),
-                    "--baseline",
-                    str(baseline),
-                    "--out",
-                    str(tmp_path / "m.json"),
-                )
+            # the baseline is refused before scoring, so the predictions' missing
+            # mcb class raises no warning (the UserWarning filter would fail it)
+            code = run_cli(
+                "evaluate",
+                "--predictions",
+                str(predictions),
+                "--truth",
+                str(labels),
+                "--baseline",
+                str(baseline),
+                "--out",
+                str(tmp_path / "m.json"),
+            )
             assert code == 5
             assert message in capsys.readouterr().err
 
@@ -774,7 +774,7 @@ class TestBlasThreads:
         labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
         base = ["--config", str(cfg)]
         assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
-        model = lstm.init_sequence_model("separate", input_dim=250, seed=6)
+        model = sequence_model("separate", input_dim=250, seed=6)
         model.window = 50
         lstm.seq_save(model, str(tmp_path / "model.bin"))
         outputs = []
@@ -1056,6 +1056,29 @@ class TestPixelCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model}: tensor ")
         assert err.endswith(" holds 1 non-finite values\n")
+        assert not out.exists()
+
+    def test_extract_features_huge_weights_exit_5(self, tmp_path, capsys):
+        # finite weights whose features overflow to inf: the writer refuses
+        # the vectors that train-lstm's reader would refuse
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
+        assert self._train(tmp_path, labels, manifest, cfg) == 0
+        model = tmp_path / "cnn.bin"
+        tensors, meta = load_tensors(str(model))
+        for key in ("conv1.k", "feat.w"):
+            tensors[key] = np.full_like(tensors[key], 1e307)
+        save_tensors(str(model), tensors, meta)
+        out = tmp_path / "features.jsonl"
+        capsys.readouterr()
+        # the overflow is this input's point; whether a BLAS product reports
+        # it as a RuntimeWarning can depend on its thread count
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(
+                "--config", str(cfg), "extract-features", "--labels", str(labels),
+                "--manifest", str(manifest), "--model", str(model), "--out", str(out),
+            )
+        assert code == 5
+        assert capsys.readouterr().err.startswith(f"error: {out}: features of image px-")
         assert not out.exists()
 
     def test_train_cnn_and_extract(self, tmp_path):

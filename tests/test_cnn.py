@@ -7,12 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import make_pixel_records
+from conftest import grad_check, make_pixel_records
 
 from safetymap import nn
 from safetymap.cnn import (
     CnnConfig,
-    TrainConfig,
     _conv_forward,
     _forward,
     cnn_forward,
@@ -27,7 +26,6 @@ from safetymap.cnn import (
     init_frame_classifier,
 )
 from safetymap.modelio import load_tensors, save_tensors
-from safetymap.nn import grad_check
 
 SMALL = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4)
 DESK = CnnConfig(input_shape=(3, 32, 32), stage_channels=(4, 8), feature_dim=16)
@@ -179,9 +177,7 @@ class TestCnnTrain:
         rng = np.random.default_rng(0)
         records, pixels = make_pixel_records(200, rng)
         model = init_cnn(DESK, seed=1)
-        history = cnn_train(
-            model, records, pixels, TrainConfig(lr=1e-3, batch_size=32, epochs=30, seed=2)
-        )
+        history = cnn_train(model, records, pixels, lr=1e-3, batch_size=32, epochs=30, seed=2)
         assert history[-1]["train_loss"] < 0.1
 
     def test_batch_size_one_also_converges(self):
@@ -190,9 +186,7 @@ class TestCnnTrain:
         model = init_cnn(DESK, seed=1)
         # batch-1 Adam at lr 1e-3 has transient loss spikes (epoch 8 on this
         # data reads 0.17 between 0.08 and 0.04), so read the loss after 10
-        history = cnn_train(
-            model, records, pixels, TrainConfig(lr=1e-3, batch_size=1, epochs=10, seed=2)
-        )
+        history = cnn_train(model, records, pixels, lr=1e-3, batch_size=1, epochs=10, seed=2)
         assert history[-1]["train_loss"] < 0.1
 
     def test_zero_epochs_unchanged(self):
@@ -200,7 +194,7 @@ class TestCnnTrain:
         records, pixels = make_pixel_records(4, rng, height=8, width=8)
         model = init_cnn(SMALL, seed=3)
         before = copy.deepcopy(model.params)
-        history = cnn_train(model, records, pixels, TrainConfig(epochs=0))
+        history = cnn_train(model, records, pixels, lr=1e-3, batch_size=32, epochs=0, seed=0)
         assert history == []
         for k in before:
             assert np.array_equal(model.params[k], before[k])
@@ -208,9 +202,9 @@ class TestCnnTrain:
     def test_same_seed_same_history(self):
         rng = np.random.default_rng(2)
         records, pixels = make_pixel_records(12, rng, height=8, width=8)
-        cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=3, seed=11)
-        h1 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, cfg)
-        h2 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, cfg)
+        cfg = dict(lr=1e-3, batch_size=4, epochs=3, seed=11)
+        h1 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, **cfg)
+        h2 = cnn_train(init_cnn(SMALL, seed=5), records, pixels, **cfg)
         assert h1 == h2
 
     def test_matches_fresh_arrays_per_step(self):
@@ -220,18 +214,20 @@ class TestCnnTrain:
         rng = np.random.default_rng(3)
         records, pixels = make_pixel_records(10, rng, height=8, width=8)
         config = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2, 3), feature_dim=4)
-        cfg = TrainConfig(lr=1e-2, batch_size=4, epochs=2, seed=12)
+        lr, batch_size, epochs, seed = 1e-2, 4, 2, 12
         model = init_cnn(config, seed=6)
-        history = cnn_train(model, records, pixels, cfg)
+        history = cnn_train(
+            model, records, pixels, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed
+        )
 
         want = init_cnn(config, seed=6)
         labels = np.array([r.labels for r in records], dtype=np.float64)
-        order_rng = np.random.default_rng(cfg.seed)
-        state = nn.adam_init(want.params, lr=cfg.lr)
-        for epoch in range(cfg.epochs):
+        order_rng = np.random.default_rng(seed)
+        state = nn.adam_init(want.params, lr=lr)
+        for epoch in range(epochs):
             order = order_rng.permutation(10)
-            for start in range(0, 10, cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
+            for start in range(0, 10, batch_size):
+                batch = order[start : start + batch_size]
                 images = pixels[batch].transpose(0, 3, 1, 2) / 255.0
                 _, grads = loss_and_grads(want, images, labels[batch])
                 nn.adam_step(want.params, grads, state)
@@ -251,7 +247,7 @@ class TestCnnTrain:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            cnn_train(model, records, pixels, TrainConfig(batch_size=8, epochs=1, seed=9))
+            cnn_train(model, records, pixels, lr=1e-3, batch_size=8, epochs=1, seed=9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,7 +256,8 @@ class TestCnnTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             cnn_train(
-                init_cnn(SMALL, seed=0), [], np.empty((0, 8, 8, 3), np.uint8), TrainConfig(epochs=1)
+                init_cnn(SMALL, seed=0), [], np.empty((0, 8, 8, 3), np.uint8),
+                lr=1e-3, batch_size=32, epochs=1, seed=0,
             )
 
 
@@ -369,9 +366,7 @@ class TestFrameClassifier:
         rng = np.random.default_rng(12)
         records, feats = self._separable_records(300, rng)
         model = init_frame_classifier(8, seed=13)
-        frame_train(
-            model, records, feats, TrainConfig(lr=1e-2, batch_size=32, epochs=30, seed=14)
-        )
+        frame_train(model, records, feats, lr=1e-2, batch_size=32, epochs=30, seed=14)
         labels = np.array([r.labels for r in records])
         preds = frame_predict(model, feats) > 0.5
         assert (preds == labels).mean() > 0.97
@@ -379,7 +374,7 @@ class TestFrameClassifier:
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         records, feats = self._separable_records(50, rng)
-        cfg = TrainConfig(lr=1e-2, batch_size=8, epochs=3, seed=16)
+        cfg = dict(lr=1e-2, batch_size=8, epochs=3, seed=16)
         m1 = init_frame_classifier(8, seed=17)
         m2 = init_frame_classifier(8, seed=17)
-        assert frame_train(m1, records, feats, cfg) == frame_train(m2, records, feats, cfg)
+        assert frame_train(m1, records, feats, **cfg) == frame_train(m2, records, feats, **cfg)

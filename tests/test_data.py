@@ -272,6 +272,17 @@ class TestAttachFeatures:
         with pytest.raises(ValueError):
             write_features(str(tmp_path / "features.jsonl"), records, np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_features_refuses_non_finite_before_opening(self, tmp_path, bad):
+        records = [make_record("e1", i) for i in range(3)]
+        features = np.zeros((3, 4))
+        features[1:, 2] = bad
+        path = tmp_path / "features.jsonl"
+        with pytest.raises(ValueError) as info:
+            write_features(str(path), records, features)
+        assert str(info.value) == f"{path}: features of image e1-1 are not finite"
+        assert not path.exists()
+
     def test_features_round_trip(self, tmp_path):
         records = [make_record("e1", i) for i in range(4)]
         features = np.random.default_rng(0).normal(size=(4, 8))

@@ -15,6 +15,7 @@ from safetymap.geo import (
     LatLon,
     RoadEdge,
     bearing_deg,
+    dumps_stable,
     export_prediction_geojson,
     haversine_m,
     heading_at,
@@ -313,6 +314,12 @@ class TestExportGeojson:
         )
         reserialized = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
         assert reserialized == text
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_writer_refuses_non_finite(self, bad):
+        # NaN and Infinity tokens are not JSON, and strict readers refuse them
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_stable({"p": bad})
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -4,10 +4,12 @@ corridor prediction."""
 from __future__ import annotations
 
 import copy
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import grad_check, sequence_model
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,7 +18,6 @@ from safetymap.geo import LatLon
 from safetymap.data import ImageRecord
 from safetymap import lstm
 from safetymap.lstm import (
-    SeqTrainConfig,
     bptt_train,
     init_sequence_model,
     packed_forward,
@@ -25,7 +26,7 @@ from safetymap.lstm import (
     seq_load,
     seq_save,
 )
-from safetymap.nn import dropout_mask, glorot_uniform, grad_check, relu, sigmoid
+from safetymap.nn import dropout_mask, glorot_uniform, relu, sigmoid
 
 
 def cell_oracle(params, x, h_prev, c_prev):
@@ -203,7 +204,7 @@ class TestLstmForward:
 
     def test_packed_path_matches_cell_path(self):
         rng = np.random.default_rng(9)
-        model = init_sequence_model("separate", input_dim=4, hidden=5, seed=9)
+        model = sequence_model("separate", input_dim=4, hidden=5, seed=9)
         params = [random_params(rng, 5, 4) for _ in range(3)]
         for k, group in enumerate(params):
             view = gate_params(model.params, k)
@@ -218,14 +219,14 @@ class TestLstmForward:
 
 class TestSequenceForward:
     def test_zero_model_all_half(self):
-        model = init_sequence_model("shared", input_dim=4, hidden=5, mid_dim=6, seed=0)
+        model = sequence_model("shared", input_dim=4, hidden=5, mid_dim=6, seed=0)
         for value in model.params.values():
             value[...] = 0.0
         probs = window_probs(model, np.random.default_rng(0).normal(size=(7, 4)))
         assert np.all(probs == 0.5)
 
     def test_separate_zero_models_all_half(self):
-        model = init_sequence_model("separate", input_dim=4, hidden=5, mid_dim=6, seed=0)
+        model = sequence_model("separate", input_dim=4, hidden=5, mid_dim=6, seed=0)
         for value in model.params.values():
             value[...] = 0.0
         probs = window_probs(model, np.random.default_rng(1).normal(size=(7, 4)))
@@ -233,7 +234,7 @@ class TestSequenceForward:
         assert np.all(probs == 0.5)
 
     def test_inference_deterministic(self):
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=2)
+        model = sequence_model("shared", input_dim=4, hidden=5, seed=2)
         xs = np.random.default_rng(3).normal(size=(6, 4))
         assert np.array_equal(window_probs(model, xs), window_probs(model, xs))
 
@@ -264,7 +265,7 @@ class TestInit:
     @pytest.mark.parametrize("mode", ["shared", "separate"])
     @pytest.mark.parametrize("input_dim, hidden, mid_dim", [(16, 100, 50), (250, 12, 7), (3, 4, 5)])
     def test_matches_per_gate_draws(self, mode, input_dim, hidden, mid_dim):
-        model = init_sequence_model(mode, input_dim, hidden=hidden, mid_dim=mid_dim, seed=42)
+        model = init_sequence_model(mode, input_dim, hidden, mid_dim, 0.2, 42)
         expected = per_gate_init(mode, input_dim, hidden, mid_dim, seed=42)
         assert len(model.params["wp"]) == len(expected)
         for k, group in enumerate(expected):
@@ -288,7 +289,7 @@ def summed_loss(xs, labels, masks=None):
 class TestGradients:
     def test_full_stack_gradient_check(self):
         rng = np.random.default_rng(10)
-        model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=11)
+        model = sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=11)
         xs = rng.normal(size=(1, 1, 5, 3))
         labels = (rng.random((1, 1, 5, 3)) < 0.5).astype(np.float64)
         assert grad_check(summed_loss(xs, labels), model.params) < 1e-4
@@ -296,7 +297,7 @@ class TestGradients:
     def test_single_output_stack_gradient_check(self):
         # separate mode: three 1-output stacks, two windows each, fixed dropout masks
         rng = np.random.default_rng(12)
-        model = init_sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=13)
+        model = sequence_model("separate", input_dim=3, hidden=4, mid_dim=5, seed=13)
         xs = rng.normal(size=(3, 2, 5, 3))
         labels = (rng.random((3, 2, 5, 1)) < 0.5).astype(np.float64)
         masks = dropout_mask(rng, (3, 2, 5, 4), 0.2)
@@ -314,16 +315,15 @@ def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
 class TestBpttTrain:
     def test_corridor_training_loss(self):
         records, features, starts = corridor_sequences(2000, seed=0)
-        model = init_sequence_model("shared", input_dim=16, hidden=32, seed=1)
-        cfg = SeqTrainConfig(lr=1e-3, epochs=30, seed=2)
-        history = bptt_train(model, records, features, starts, 50, cfg)
+        model = sequence_model("shared", input_dim=16, hidden=32, seed=1)
+        history = bptt_train(model, records, features, starts, 50, lr=1e-3, epochs=30, seed=2)
         assert history[-1]["train_loss"] < 0.15
 
     def test_zero_epochs_unchanged(self):
         records, features, starts = corridor_sequences(200, seed=3, window=20)
-        model = init_sequence_model("shared", input_dim=16, hidden=8, seed=4)
+        model = sequence_model("shared", input_dim=16, hidden=8, seed=4)
         before = copy.deepcopy(model.params)
-        history = bptt_train(model, records, features, starts, 20, SeqTrainConfig(epochs=0))
+        history = bptt_train(model, records, features, starts, 20, lr=1e-3, epochs=0, seed=0)
         assert history == []
         for key, value in before.items():
             assert np.array_equal(model.params[key], value)
@@ -332,27 +332,27 @@ class TestBpttTrain:
         records, features, starts = corridor_sequences(200, seed=5, window=20)
 
         def run(seed):
-            model = init_sequence_model("shared", input_dim=16, hidden=8, seed=6)
-            cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=seed)
-            return bptt_train(model, records, features, starts, 20, cfg)
+            model = sequence_model("shared", input_dim=16, hidden=8, seed=6)
+            return bptt_train(model, records, features, starts, 20, lr=1e-3, epochs=2, seed=seed)
 
         assert run(7) == run(7)
         assert run(7) != run(8)
 
     def test_validation_history(self):
         records, features, starts = corridor_sequences(150, seed=9, window=20)
-        model = init_sequence_model("shared", input_dim=16, hidden=8, seed=10)
-        cfg = SeqTrainConfig(lr=1e-3, epochs=2)
+        model = sequence_model("shared", input_dim=16, hidden=8, seed=10)
         history = bptt_train(
-            model, records, features, starts[:5], 20, cfg, val_starts=starts[5:]
+            model, records, features, starts[:5], 20, lr=1e-3, epochs=2, seed=0,
+            val_starts=starts[5:],
         )
         assert all("val_loss" in h for h in history)
 
     def test_empty_rejected(self):
-        model = init_sequence_model("shared", input_dim=16, hidden=8, seed=0)
+        model = sequence_model("shared", input_dim=16, hidden=8, seed=0)
         with pytest.raises(ValueError, match="empty"):
             bptt_train(
-                model, [], np.empty((0, 16)), np.array([], dtype=np.intp), 20, SeqTrainConfig(epochs=1)
+                model, [], np.empty((0, 16)), np.array([], dtype=np.intp), 20,
+                lr=1e-3, epochs=1, seed=0,
             )
 
     def test_separate_class_isolated_from_other_labels(self):
@@ -367,26 +367,29 @@ class TestBpttTrain:
             permuted.append(replace(r, labels=(bool(rng.random() < 0.5), mcb, bool(rng.random() < 0.5))))
         starts = build_sequences(records, 20, 10)
         assert np.array_equal(build_sequences(permuted, 20, 10), starts)
-        cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=13)
-        model_a = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
-        model_b = init_sequence_model("separate", input_dim=16, hidden=8, seed=14)
-        bptt_train(model_a, records, features, starts, 20, cfg)
-        bptt_train(model_b, permuted, features, starts, 20, cfg)
+        cfg = dict(lr=1e-3, epochs=2, seed=13)
+        model_a = sequence_model("separate", input_dim=16, hidden=8, seed=14)
+        model_b = sequence_model("separate", input_dim=16, hidden=8, seed=14)
+        bptt_train(model_a, records, features, starts, 20, **cfg)
+        bptt_train(model_b, permuted, features, starts, 20, **cfg)
         mcb = 1  # separate mode's groups follow CLASS_NAMES
         for key, value in model_a.params.items():
             assert np.array_equal(value[mcb], model_b.params[key][mcb]), key
 
     def test_separate_lockstep_matches_each_stack_alone(self):
         records, features, starts = corridor_sequences(150, seed=15, window=20, stride=5)
-        cfg = SeqTrainConfig(lr=1e-3, epochs=2, seed=16)
-        model = init_sequence_model("separate", input_dim=16, hidden=8, seed=17)
+        seed = 16
+        model = sequence_model("separate", input_dim=16, hidden=8, seed=17)
         initial = {key: value.copy() for key, value in model.params.items()}
-        bptt_train(model, records, features, starts, 20, cfg)
+        bptt_train(model, records, features, starts, 20, lr=1e-3, epochs=2, seed=seed)
         windows, targets = lstm._windows("separate", records, features, 20)
         for k in range(3):
             alone = {key: value[k : k + 1].copy() for key, value in initial.items()}
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, k]))
-            lstm._fit(alone, windows, targets[k : k + 1], starts, [rng], cfg, model.dropout_rate)
+            rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+            lstm._fit(
+                alone, windows, targets[k : k + 1], starts, [rng], model.dropout_rate,
+                lr=1e-3, epochs=2,
+            )
             for key, value in alone.items():
                 assert np.array_equal(value[0], model.params[key][k]), (k, key)
 
@@ -443,7 +446,7 @@ class TestPredictCorridor:
     def test_single_window_is_identity(self):
         rng = np.random.default_rng(15)
         records, feats = feature_records(6, rng)
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=16)
+        model = sequence_model("shared", input_dim=4, hidden=5, seed=16)
         probs, labels = predict_corridor(model, records, feats, window=6)
         direct = reference_window_probs(model, feats)
         assert np.max(np.abs(probs - direct)) <= 1e-12
@@ -452,7 +455,7 @@ class TestPredictCorridor:
     def test_window_plus_one_averages(self):
         rng = np.random.default_rng(17)
         records, feats = feature_records(7, rng)
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=18)
+        model = sequence_model("shared", input_dim=4, hidden=5, seed=18)
         w0 = window_probs(model, feats[:6])
         w1 = window_probs(model, feats[1:])
         expected = np.zeros((7, 3))
@@ -465,7 +468,7 @@ class TestPredictCorridor:
     def test_short_run_truncated_fallback(self):
         rng = np.random.default_rng(19)
         records, feats = feature_records(4, rng)
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=20)
+        model = sequence_model("shared", input_dim=4, hidden=5, seed=20)
         probs, _ = predict_corridor(model, records, feats, window=10)
         direct = window_probs(model, feats)
         assert np.allclose(probs, direct, atol=1e-14)
@@ -473,7 +476,7 @@ class TestPredictCorridor:
     def test_constant_model_aggregation_exact(self):
         rng = np.random.default_rng(21)
         records, feats = feature_records(12, rng)
-        model = init_sequence_model("shared", input_dim=4, hidden=5, seed=22)
+        model = sequence_model("shared", input_dim=4, hidden=5, seed=22)
         for value in model.params.values():
             value[...] = 0.0
         probs, labels = predict_corridor(model, records, feats, window=5)
@@ -492,7 +495,7 @@ class TestPredictCorridor:
             ]
         )
         for mode in ("shared", "separate"):
-            model = init_sequence_model(mode, input_dim=4, hidden=5, seed=24)
+            model = sequence_model(mode, input_dim=4, hidden=5, seed=24)
             probs, labels = predict_corridor(model, records, feats, window=6)
             assert probs.shape == (61, 3)
             assert np.all((probs >= 0.0) & (probs <= 1.0))
@@ -523,7 +526,7 @@ class TestPredictCorridor:
             parts.append(feature_records(length, rng, edge=f"e{edge}", start=seq, dim=3))
             seq += length
         records, feats = join_runs(parts)
-        model = init_sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=window)
+        model = sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=window)
         probs, labels = predict_corridor(model, records, feats, window)
         bounds = np.cumsum([0] + [length for length, _ in runs])
         expected = np.concatenate(
@@ -538,7 +541,7 @@ class TestPredictCorridor:
         # full chunk, one window over, and two chunks plus one
         rng = np.random.default_rng(n_windows)
         records, feats = feature_records(n_windows + 2, rng, dim=3)
-        model = init_sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=n_windows)
+        model = sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=n_windows)
         probs, labels = predict_corridor(model, records, feats, window=3)
         expected = reference_corridor_probs(model, feats, window=3)
         assert np.max(np.abs(probs - expected)) <= 1e-12
@@ -563,7 +566,7 @@ class TestPredictCorridor:
         monkeypatch.setattr(lstm, "packed_forward", spy_forward)
         rng = np.random.default_rng(29)
         records, feats = feature_records(300, rng)
-        model = init_sequence_model(mode, input_dim=4, hidden=5, seed=30)
+        model = sequence_model(mode, input_dim=4, hidden=5, seed=30)
         predict_corridor(model, records, feats, window)
         assert len(projected) == len(stepped) > 1
         chunk = 128 // len(model.params["wp"])
@@ -580,7 +583,7 @@ class TestPredictCorridor:
 class TestSerialization:
     @pytest.mark.parametrize("mode", ["shared", "separate"])
     def test_round_trip(self, tmp_path, mode):
-        model = init_sequence_model(mode, input_dim=4, hidden=5, mid_dim=6, seed=27)
+        model = sequence_model(mode, input_dim=4, hidden=5, mid_dim=6, seed=27)
         path = tmp_path / "seq.bin"
         seq_save(model, str(path), seed=27)
         loaded = seq_load(str(path))
@@ -593,16 +596,16 @@ class TestSerialization:
 
     def test_round_trip_keeps_training_window(self, tmp_path):
         records, features, starts = corridor_sequences(60, seed=31, window=7)
-        model = init_sequence_model("shared", input_dim=16, hidden=4, mid_dim=5, seed=31)
+        model = sequence_model("shared", input_dim=16, hidden=4, mid_dim=5, seed=31)
         assert model.window is None
-        bptt_train(model, records, features, starts[:2], 7, SeqTrainConfig(epochs=1))
+        bptt_train(model, records, features, starts[:2], 7, lr=1e-3, epochs=1, seed=0)
         assert model.window == 7
         path = tmp_path / "seq.bin"
         seq_save(model, str(path))
         assert seq_load(str(path)).window == 7
 
     def test_mode_header(self, tmp_path):
-        model = init_sequence_model("separate", input_dim=4, hidden=5, seed=29)
+        model = sequence_model("separate", input_dim=4, hidden=5, seed=29)
         path = tmp_path / "seq.bin"
         seq_save(model, str(path))
         from safetymap.modelio import load_tensors
@@ -613,14 +616,19 @@ class TestSerialization:
 
     def _resave(self, tmp_path, mode, edit):
         """Save a model, let edit(tensors, meta) alter what was written, and
-        write the result back; returns the path."""
+        write the result back; returns the path. The meta goes in with
+        json.dumps's defaults, so an edit may put NaN in it, as a writer
+        other than save_tensors could."""
         from safetymap.modelio import load_tensors, save_tensors
 
         path = tmp_path / "seq.bin"
-        seq_save(init_sequence_model(mode, input_dim=4, hidden=5, mid_dim=6, seed=30), str(path))
+        seq_save(sequence_model(mode, input_dim=4, hidden=5, mid_dim=6, seed=30), str(path))
         tensors, meta = load_tensors(str(path))
         edit(tensors, meta)
-        save_tensors(str(path), tensors, meta)
+        save_tensors(str(path), tensors)
+        header, data = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(header), "meta": meta}
+        path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + data)
         return str(path)
 
     @pytest.mark.parametrize("mode", ["shared", "separate"])

@@ -147,20 +147,20 @@ class TestIsolatedErrorCorrection:
         baseline = truth.copy()
         baseline[1, 0] = True  # wrong in the middle, correct neighbors
         seq = truth.copy()
-        rates = isolated_error_correction_rate(baseline, seq, truth)
+        rates = isolated_error_correction_rate(baseline, seq, truth, run_lengths=[3])
         assert rates[0] == 1.0
         assert rates[1] is None and rates[2] is None
 
     def test_no_isolated_errors_is_none(self):
         truth = np.zeros((5, 3), dtype=bool)
-        rates = isolated_error_correction_rate(truth, truth, truth)
+        rates = isolated_error_correction_rate(truth, truth, truth, run_lengths=[5])
         assert rates == (None, None, None)
 
     def test_adjacent_errors_not_isolated(self):
         truth = np.zeros((5, 3), dtype=bool)
         baseline = truth.copy()
         baseline[1, 0] = baseline[2, 0] = True  # two-wide error
-        rates = isolated_error_correction_rate(baseline, truth, truth)
+        rates = isolated_error_correction_rate(baseline, truth, truth, run_lengths=[5])
         assert rates[0] is None
 
     def test_run_boundaries_excluded(self):
@@ -192,6 +192,7 @@ class TestIsolatedErrorCorrection:
                 np.zeros((3, 3), dtype=bool),
                 np.zeros((4, 3), dtype=bool),
                 np.zeros((3, 3), dtype=bool),
+                run_lengths=[3],
             )
 
     def test_run_length_sum_checked(self):

@@ -1,4 +1,5 @@
-"""Tests for the from-scratch layers, loss, optimizer, and gradient checker."""
+"""Tests for the from-scratch layers, loss, optimizer, and the tests'
+gradient checker."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import grad_check
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,6 +21,7 @@ from safetymap.nn import (
     _im2col,
     adam_init,
     adam_step,
+    bce_grad_from_logits,
     bce_loss,
     conv2d_backward,
     conv2d_backward_input,
@@ -27,7 +30,6 @@ from safetymap.nn import (
     dense_forward,
     dropout_mask,
     glorot_uniform,
-    grad_check,
     maxpool2d_backward,
     maxpool2d_forward,
     relu,
@@ -340,26 +342,25 @@ class TestDropout:
 
 class TestBce:
     def test_analytic_points(self):
-        loss, _ = bce_loss(np.array([0.5]), np.array([1.0]))
+        loss = bce_loss(np.array([0.5]), np.array([1.0]))
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
-        loss, _ = bce_loss(np.array([0.9]), np.array([0.0]))
+        loss = bce_loss(np.array([0.9]), np.array([0.0]))
         assert loss == pytest.approx(-math.log(0.1), rel=1e-12)
 
     def test_gradient_vs_finite_differences(self):
+        # the gradient training runs: of bce_loss(sigmoid(z)) in the logits z
         rng = np.random.default_rng(8)
 
         def loss_and_grads(params):
-            loss, grad = bce_loss(params["p"], labels)
-            return loss, {"p": grad}
+            p = sigmoid(params["z"])
+            return bce_loss(p, labels), {"z": bce_grad_from_logits(p, labels)}
 
         labels = (rng.random(12) < 0.5).astype(np.float64)
-        params = {"p": rng.uniform(0.05, 0.95, size=12)}
+        params = {"z": rng.uniform(-3.0, 3.0, size=12)}
         assert grad_check(loss_and_grads, params) < 1e-6
 
     def test_extreme_probs_bounded(self):
-        loss, grad = bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert np.isfinite(loss)
-        assert np.all(np.isfinite(grad))
+        assert np.isfinite(bce_loss(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -458,8 +459,7 @@ class TestAdam:
         losses = []
         for _ in range(100):
             p = sigmoid(x @ params["w"] + params["b"][0])
-            loss, _ = bce_loss(p, y)
-            losses.append(loss)
+            losses.append(bce_loss(p, y))
             grad_logit = (p - y) / y.size
             grads = {"w": x.T @ grad_logit, "b": np.array([grad_logit.sum()])}
             adam_step(params, grads, state)
@@ -468,14 +468,14 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         params = {"w": np.zeros(3)}
-        state = adam_init(params)
+        state = adam_init(params, lr=1e-3)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.zeros(4)}, state)
 
     def test_non_contiguous_param_rejected(self):
         # the update writes through a flat view, which a strided array has not
         params = {"w": np.zeros((3, 4)).T}
-        state = adam_init(params)
+        state = adam_init(params, lr=1e-3)
         with pytest.raises(ValueError, match="w: parameter array is not C-contiguous"):
             adam_step(params, {"w": np.ones((4, 3))}, state)
 
@@ -496,10 +496,8 @@ class TestGradCheck:
         def loss_and_grads(params):
             z = dense_forward(x, params["w"], params["b"])
             p = sigmoid(z)
-            loss, grad_p = bce_loss(p, labels)
-            grad_z = grad_p * p * (1.0 - p)
-            _, gw, gb = dense_grads(x, params["w"], grad_z)
-            return loss, {"w": gw, "b": gb}
+            _, gw, gb = dense_grads(x, params["w"], bce_grad_from_logits(p, labels))
+            return bce_loss(p, labels), {"w": gw, "b": gb}
 
         params = {
             "w": glorot_uniform(rng, (4, 5), 5, 4),
@@ -596,6 +594,13 @@ class TestModelContainer:
         with pytest.raises(ValueError) as info:
             save_tensors(str(path), {"b": np.ones(3), "w": w})
         assert str(info.value) == f"{path}: tensor 'w' holds 1 non-finite values"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_save_rejects_non_finite_meta_before_opening(self, tmp_path, bad):
+        path = tmp_path / "model.bin"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_tensors(str(path), {"w": np.zeros(3)}, {"dropout_rate": bad})
         assert not path.exists()
 
     def test_load_rejects_non_finite(self, tmp_path):

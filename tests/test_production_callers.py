@@ -14,7 +14,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Public names kept without a production caller, each for a stated reason.
 ALLOWED = {
-    "grad_check": "criterion 3's finite-difference gradient check, named in the README",
     "init_frame_classifier": "the frame baseline, which waits for a train-frame command",
     "frame_train": "the frame baseline, which waits for a train-frame command",
 }
