@@ -8,16 +8,28 @@ Each command imports the modules it runs (cnn, lstm, metrics, numpy) when it
 runs, so the geometry and table commands (sample, url-gen, export-map) start
 without loading numpy.
 
+`main` pins BLAS (OpenBLAS, OpenMP, MKL) to one thread before any command
+loads numpy, so every command writes the same bytes whatever thread count
+the environment asks for. A BLAS split of some GEMMs changes their last
+bits with the thread count, and a second BLAS thread gains nothing on this
+program's shapes. Separate-mode train-lstm instead trains its class stacks
+in parallel, one process per usable CPU (see `lstm.bptt_train`). A caller
+that loaded numpy before calling `main` keeps its BLAS pool, and its
+train-lstm trains in one process.
+
 Exit codes: 0 success, 2 usage or config error, 3 missing input file,
 4 input file violates its schema, 5 validation or dimension error,
-1 unexpected failure.
+1 unexpected failure, 143 ended by SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
+import signal
 import sys
+import threading
 from dataclasses import asdict, replace
 
 from . import CLASS_NAMES, data, geo
@@ -29,6 +41,15 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_SCHEMA = 4
 EXIT_VALIDATION = 5
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where fork or affinity is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _log_run(command: str, config: PipelineConfig) -> None:
@@ -135,6 +156,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
         lr=config.lstm_lr,
         epochs=config.lstm_epochs,
         seed=stage_seed(config.seed, "lstm-train"),
+        workers=args.workers,
     )
     lstm.seq_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
@@ -326,14 +348,36 @@ def _write_history(path: str, history: list[dict[str, float]]) -> None:
     )
 
 
+def _terminate(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # BLAS reads these when numpy loads. A caller that loaded numpy first
+    # keeps its pool, which may run threads, so its train-lstm does not fork.
+    workers = 1 if "numpy" in sys.modules else _usable_cpus()
+    os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.workers = workers
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # SIGTERM unwinds as SystemExit, through the `finally` that ends and
+    # reaps train-lstm's workers
+    in_main_thread = threading.current_thread() is threading.main_thread()
+    if in_main_thread:
+        previous = signal.signal(signal.SIGTERM, _terminate)
+    try:
+        return _run(args)
+    finally:
+        if in_main_thread:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+
+
+def _run(args) -> int:
     try:
         config = load_config(args.config, {"seed": args.seed})
         _log_run(args.command, config)

@@ -10,6 +10,14 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+from safetymap.cli import BLAS_THREAD_VARS, _usable_cpus
+
+# The test process runs BLAS as the CLI does, at one thread. The count is
+# read when numpy loads, which nothing (pytest, hypothesis, the CLI module)
+# has done yet.
+assert "numpy" not in sys.modules, "numpy was loaded before tests/conftest.py"
+os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,6 +34,9 @@ from safetymap.metrics import (
     weighted_avg_f,
 )
 
+# what train-lstm passes to bptt_train: one process per usable CPU
+WORKERS = _usable_cpus()
+
 
 # Property tests draw a fixed example sequence (derandomize) and keep no
 # example database, so every rerun checks the same cases.
@@ -41,16 +52,23 @@ settings.load_profile("safetymap")
 
 
 # Runs cli.main(argv) and then prints, as the last line of stdout, the names
-# of the numpy and package modules the process loaded.
+# of the numpy and package modules the process loaded and whether it has a
+# child process left, running or unreaped.
 _CLI_PROCESS = """
-import json, sys
+import json, os, sys
 from safetymap import cli
 try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --help and argparse usage errors
     code = exc.code
 finally:
-    print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "safetymap"))))
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        children_left = True
+    except ChildProcessError:
+        children_left = False
+    modules = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "safetymap"))
+    print(json.dumps({"modules": modules, "children_left": children_left}))
 sys.exit(code)
 """
 
@@ -106,20 +124,29 @@ class CliProcess(NamedTuple):
     code: int
     modules: frozenset[str]  # numpy and safetymap modules loaded
     stderr: str
+    children_left: bool  # a child process still running or unreaped at exit
+
+
+def process_env(threads: str = "1") -> dict[str, str]:
+    """This environment with this package's source first on PYTHONPATH and
+    `threads` OpenBLAS and OpenMP threads, for a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(safetymap.__file__).resolve().parents[1])}
+    env.update({key: threads for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    return env
 
 
 def run_cli_process(*argv: str, threads: str = "1", timeout: float = 120.0) -> CliProcess:
-    """Run `cli.main(argv)` in a fresh interpreter, with this package's source
-    first on PYTHONPATH and `threads` OpenBLAS and OpenMP threads."""
-    env = {**os.environ, "PYTHONPATH": str(Path(safetymap.__file__).resolve().parents[1])}
-    env.update({key: threads for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")})
+    """Run `cli.main(argv)` in a fresh interpreter (see `process_env`)."""
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_PROCESS, *argv],
-        env=env, capture_output=True, text=True, timeout=timeout,
+        env=process_env(threads), capture_output=True, text=True, timeout=timeout,
     )
-    modules = (proc.stdout.splitlines() or [""])[-1]
-    assert modules.startswith("["), f"no module list; stderr:\n{proc.stderr}"
-    return CliProcess(proc.returncode, frozenset(json.loads(modules)), proc.stderr)
+    report = (proc.stdout.splitlines() or [""])[-1]
+    assert report.startswith("{"), f"no module list; stderr:\n{proc.stderr}"
+    report = json.loads(report)
+    return CliProcess(
+        proc.returncode, frozenset(report["modules"]), proc.stderr, report["children_left"]
+    )
 
 
 def quantise(pixels: np.ndarray) -> np.ndarray:
@@ -226,7 +253,7 @@ def corridor_experiments():
         frame_labels = frame_predict(frame, test_features) > 0.5
 
         starts = build_sequences(train_records, CORRIDOR_WINDOW, CORRIDOR_TRAIN_STRIDE)
-        train_config = dict(lr=1e-3, epochs=CORRIDOR_EPOCHS, seed=seed)
+        train_config = dict(lr=1e-3, epochs=CORRIDOR_EPOCHS, seed=seed, workers=WORKERS)
         shared = sequence_model("shared", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed)
         bptt_train(shared, train_records, train_features, starts, CORRIDOR_WINDOW, **train_config)
         separate = sequence_model("separate", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed)

@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_pixel_records, run_cli_process, sequence_model, write_ppm
+from conftest import (
+    WORKERS,
+    make_pixel_records,
+    process_env,
+    run_cli_process,
+    sequence_model,
+    write_ppm,
+)
 from test_lstm import gate_params
 
 from safetymap import lstm
@@ -68,11 +80,14 @@ def write_network(tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018)), *more
     return str(path)
 
 
-def write_pixel_inputs(tmp_path):
-    """Twelve 8 x 8 labelled PPM images, their manifest and a one-epoch CNN
-    config, in tmp_path: returns the label, manifest and config paths."""
+def write_pixel_inputs(
+    tmp_path, n=12, size=8, config="feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\n"
+):
+    """n size x size labelled PPM images, their manifest and a CNN config
+    (by default one epoch), in tmp_path: returns the label, manifest and
+    config paths."""
     rng = np.random.default_rng(0)
-    records, pixels = make_pixel_records(12, rng, height=8, width=8)
+    records, pixels = make_pixel_records(n, rng, height=size, width=size)
     labels = tmp_path / "labels.csv"
     write_labels(str(labels), records)
     manifest = tmp_path / "manifest.csv"
@@ -83,7 +98,7 @@ def write_pixel_inputs(tmp_path):
         rows.append(f"{r.image_id},{ppm.name}")
     manifest.write_text("\n".join(rows) + "\n")
     cfg = tmp_path / "cnn.cfg"
-    cfg.write_text("feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\nseed = 3\n")
+    cfg.write_text(config + "seed = 3\n")
     return labels, manifest, cfg
 
 
@@ -684,6 +699,23 @@ class TestSynthPipeline:
         doc = json.loads(report.read_text())
         assert 0.0 <= doc["avg_f"] <= 1.0
 
+    def test_verbose_separate_training_logs_its_split(self, tmp_path, tiny_config):
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        base = ["--config", tiny_config]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        run = run_cli_process(
+            *base, "-v", "train-lstm", "--labels", str(labels), "--features", str(features),
+            "--mode", "separate", "--model-out", str(tmp_path / "model.bin"),
+        )
+        assert run.code == 0, run.stderr
+        assert not run.children_left
+        split = {
+            1: "groups [0, 1, 2] here, none in 0 workers",
+            2: "groups [0, 1] here, [2] in 1 worker",
+            3: "groups [0] here, [1], [2] in 2 workers",
+        }[min(WORKERS, 3)]
+        assert f"INFO safetymap.lstm: separate model: {split}\n" in run.stderr
+
     def test_per_gate_layout_rejected(self, tmp_path, tiny_config, capsys):
         # the container layout before the packed one: one W/U/b tensor per
         # gate and the head, per group, named shared/W_f ... shared/out.b
@@ -718,23 +750,56 @@ class TestSynthPipeline:
         assert f"error: {model}: tensor 'wp' holds 1 non-finite values\n" == capsys.readouterr().err
         assert not out.exists()
 
-    def test_diverging_training_exit_5(self, tmp_path, tiny_config, capsys):
+    @staticmethod
+    def _diverging_run(tmp_path, mode):
+        """A train-lstm argv whose learning rate overflows the weights, and
+        its model and loss paths."""
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY_CONFIG + "lstm_lr = 1e300\n")
         labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
         base = ["--config", str(cfg)]
         assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
         model, losses = tmp_path / "model.bin", tmp_path / "losses.csv"
+        argv = [
+            *base, "train-lstm", "--labels", str(labels), "--features", str(features),
+            "--mode", mode, "--model-out", str(model), "--loss-out", str(losses),
+        ]
+        return argv, model, losses
+
+    def test_diverging_training_exit_5(self, tmp_path, capsys):
+        argv, model, losses = self._diverging_run(tmp_path, "shared")
         capsys.readouterr()
         with pytest.warns(RuntimeWarning) as warned:
-            code = run_cli(
-                *base, "train-lstm", "--labels", str(labels), "--features", str(features),
-                "--model-out", str(model), "--loss-out", str(losses),
-            )
+            code = run_cli(*argv)
         assert any("overflow" in str(w.message) for w in warned)
         assert code == 5
         assert f"error: {model}: tensor 'wp' holds " in capsys.readouterr().err
         assert not model.exists() and not losses.exists()
+
+    def test_diverging_separate_training_exit_5_leaves_no_worker(self, tmp_path):
+        # in a fresh interpreter train-lstm forks: with more than one CPU,
+        # the last class stack diverges in a worker
+        argv, model, losses = self._diverging_run(tmp_path, "separate")
+        run = run_cli_process(*argv)
+        assert run.code == 5
+        assert "RuntimeWarning: overflow" in run.stderr
+        assert f"error: {model}: tensor 'wp' holds " in run.stderr
+        assert not model.exists() and not losses.exists()
+        assert not run.children_left
+
+    def test_in_process_separate_training_forks_nothing(self, tmp_path, tiny_config, monkeypatch):
+        # this process loaded numpy before main, so its BLAS pool may run threads
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        base = ["--config", tiny_config]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        assert run_cli(
+            *base, "train-lstm", "--labels", str(labels), "--features", str(features),
+            "--mode", "separate", "--model-out", str(tmp_path / "model.bin"),
+        ) == 0
 
     @pytest.mark.parametrize(
         "text, message",
@@ -765,28 +830,157 @@ class TestSynthPipeline:
         assert code == 2
 
 
+# Runs cli.main(argv) with train-lstm's class stacks split over two
+# processes, printing each forked worker's pid as it starts.
+_REPORTING_FORK_PROCESS = """
+import os, sys
+from safetymap import cli
+fork = os.fork
+def reporting_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = reporting_fork
+cli._usable_cpus = lambda: 2
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether pid is a live process and not a zombie, from Linux's /proc."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="a worker dies with its parent through prctl"
+)
+@pytest.mark.parametrize(
+    "signum, code", [(signal.SIGTERM, 128 + signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL)]
+)
+def test_killed_separate_training_leaves_no_worker(tmp_path, signum, code):
+    # SIGTERM unwinds the command, which kills and reaps its worker; on
+    # SIGKILL the kernel kills the worker with its parent
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", "lstm_epochs = 100000"))
+    labels, features, model = tmp_path / "labels.csv", tmp_path / "features.jsonl", tmp_path / "m"
+    base = ["--config", str(cfg)]
+    assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+    stderr = tmp_path / "stderr"
+    with open(stderr, "w") as err:  # a file, not a pipe a surviving worker would hold open
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _REPORTING_FORK_PROCESS, *base, "train-lstm", "--labels",
+             str(labels), "--features", str(features), "--mode", "separate", "--model-out",
+             str(model)],
+            env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
+        )
+    worker = None
+    try:
+        worker = int(proc.stdout.readline())
+        time.sleep(0.3)  # both processes are training
+        proc.send_signal(signum)
+        assert proc.wait(timeout=60) == code, stderr.read_text()
+        deadline = time.monotonic() + 10
+        while running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(worker)
+        assert not model.exists()
+    finally:
+        if worker is not None and running(worker):
+            os.kill(worker, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+
+
+# Loads a corridor and a sequence model and prints the sha256 of the
+# predict_corridor probabilities, in a process that never calls cli.main.
+_PREDICT_PROCESS = """
+import hashlib, sys
+from safetymap import data, lstm
+model = lstm.seq_load(sys.argv[3])
+records = data.load_labels(sys.argv[1])
+features = data.attach_features(records, sys.argv[2], model.input_dim)
+probs, _ = lstm.predict_corridor(model, records, features, model.window)
+print(hashlib.sha256(probs.tobytes()).hexdigest())
+"""
+
+
 class TestBlasThreads:
-    def test_predict_independent_of_blas_thread_count(self, tmp_path):
-        # a separate-mode model at paper width, whose projection and
-        # recurrence GEMMs a BLAS may split differently per thread count
+    """The CLI pins BLAS to one thread, so each command writes the same bytes
+    whatever thread count its environment asks for. Without the pin, a BLAS
+    split of the dense layer's GEMM and of the LSTM's `up` gradient changes
+    their last bits with the count. Counts above 2 are not tested."""
+
+    @staticmethod
+    def outputs_at_one_and_two_threads(tmp_path, *argv, out_flag="--out"):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            run = run_cli_process(*argv, out_flag, str(out), threads=threads)
+            assert run.code == 0, run.stderr
+            assert not run.children_left
+            outputs.append(out.read_bytes())
+        return outputs
+
+    @staticmethod
+    def wide_corridor(tmp_path, n_points):
         cfg = tmp_path / "wide.cfg"
-        cfg.write_text("n_points = 300\nfeature_dim = 250\nwindow = 50\nseed = 5\n")
+        cfg.write_text(
+            f"n_points = {n_points}\nfeature_dim = 250\nwindow = 50\nlstm_epochs = 1\nseed = 5\n"
+        )
         labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
         base = ["--config", str(cfg)]
         assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        return base, ["--labels", str(labels), "--features", str(features)]
+
+    def test_predict_independent_of_blas_thread_count(self, tmp_path):
+        # in-process, where nothing pins BLAS: a separate-mode model at paper
+        # width, whose projection and recurrence GEMMs a BLAS may split
+        # differently per thread count
+        _, (_, labels, _, features) = self.wide_corridor(tmp_path, n_points=300)
         model = sequence_model("separate", input_dim=250, seed=6)
         model.window = 50
         lstm.seq_save(model, str(tmp_path / "model.bin"))
-        outputs = []
+        digests = []
         for threads in ("1", "2"):
-            out = tmp_path / f"predictions-{threads}.csv"
-            run = run_cli_process(
-                *base, "predict", "--labels", str(labels), "--features", str(features),
-                "--model", str(tmp_path / "model.bin"), "--out", str(out), threads=threads,
+            proc = subprocess.run(
+                [sys.executable, "-c", _PREDICT_PROCESS, labels, features, str(tmp_path / "model.bin")],
+                env=process_env(threads), capture_output=True, text=True, timeout=120,
             )
-            assert run.code == 0, run.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    def test_train_lstm_independent_of_blas_thread_count(self, tmp_path, mode):
+        base, inputs = self.wide_corridor(tmp_path, n_points=120)
+        first, second = self.outputs_at_one_and_two_threads(
+            tmp_path, *base, "train-lstm", *inputs, "--mode", mode, out_flag="--model-out",
+        )
+        assert first == second
+
+    def test_pixel_commands_independent_of_blas_thread_count(self, tmp_path):
+        # 64 x 64 images give a (32, 4096)·(4096, 250) dense GEMM
+        labels, manifest, cfg = write_pixel_inputs(
+            tmp_path, n=32, size=64, config="feature_dim = 250\ncnn_epochs = 1\nbatch_size = 32\n"
+        )
+        base, inputs = ["--config", str(cfg)], ["--labels", str(labels), "--manifest", str(manifest)]
+        first, second = self.outputs_at_one_and_two_threads(
+            tmp_path, *base, "train-cnn", *inputs, out_flag="--model-out",
+        )
+        assert first == second
+        model = tmp_path / "cnn.bin"
+        model.write_bytes(first)
+        first, second = self.outputs_at_one_and_two_threads(
+            tmp_path, *base, "extract-features", *inputs, "--model", str(model),
+        )
+        assert first == second
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,12 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
-from conftest import grad_check, sequence_model
+from conftest import WORKERS, grad_check, sequence_model
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -316,7 +318,9 @@ class TestBpttTrain:
     def test_corridor_training_loss(self):
         records, features, starts = corridor_sequences(2000, seed=0)
         model = sequence_model("shared", input_dim=16, hidden=32, seed=1)
-        history = bptt_train(model, records, features, starts, 50, lr=1e-3, epochs=30, seed=2)
+        history = bptt_train(
+            model, records, features, starts, 50, lr=1e-3, epochs=30, seed=2, workers=WORKERS
+        )
         assert history[-1]["train_loss"] < 0.15
 
     def test_zero_epochs_unchanged(self):
@@ -392,6 +396,74 @@ class TestBpttTrain:
             )
             for key, value in alone.items():
                 assert np.array_equal(value[0], model.params[key][k]), (k, key)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkers:
+    """bptt_train's `workers`: contiguous parts of the groups, part 0 trained
+    here and each other part in a forked child."""
+
+    def train(self, mode="separate", **kw):
+        records, features, starts = corridor_sequences(150, seed=21, window=20, stride=5)
+        model = sequence_model(mode, input_dim=16, hidden=8, dropout_rate=0.2, seed=22)
+        history = bptt_train(
+            model, records, features, starts[:12], 20, lr=1e-3, epochs=2, seed=23,
+            val_starts=starts[12:], **kw,
+        )
+        return model, history
+
+    def test_split_changes_no_bit(self):
+        model, history = self.train(workers=1)
+        assert all("val_loss" in entry for entry in history)
+        for workers in (2, 3, 5):
+            split, split_history = self.train(workers=workers)
+            assert_no_child_left()
+            assert split_history == history, workers
+            for key, value in model.params.items():
+                assert np.array_equal(split.params[key], value), (workers, key)
+
+    @pytest.mark.parametrize("mode, workers", [("shared", 4), ("separate", 1)])
+    def test_one_part_forks_nothing(self, monkeypatch, mode, workers):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.train(mode, workers=workers)
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_exception_reaches_caller(self, monkeypatch, where):
+        parent, fit = os.getpid(), lstm._fit
+
+        def failing_fit(*args, **kw):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ValueError(f"fit failed in the {where}")
+            return fit(*args, **kw)
+
+        monkeypatch.setattr(lstm, "_fit", failing_fit)
+        with pytest.raises(ValueError, match=f"^fit failed in the {where}$"):
+            self.train(workers=2)
+        assert_no_child_left()
+
+    def test_child_warning_reaches_caller(self, monkeypatch):
+        parent, fit = os.getpid(), lstm._fit
+
+        def warning_fit(*args, **kw):
+            if os.getpid() != parent:
+                warnings.warn("from a worker", RuntimeWarning)
+            return fit(*args, **kw)
+
+        monkeypatch.setattr(lstm, "_fit", warning_fit)
+        with pytest.warns(RuntimeWarning, match="^from a worker$"):
+            self.train(workers=3)
+        assert_no_child_left()
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            self.train(workers=0)
 
 
 def reference_window_probs(model, xs):
