@@ -68,6 +68,10 @@ def cmd_sample(args, config: PipelineConfig) -> int:
 
 
 def cmd_url_gen(args, config: PipelineConfig) -> int:
+    if not args.key:
+        raise ValueError("API key must be non-empty")
+    if args.size <= 0:
+        raise ValueError(f"image size must be positive, got {args.size}")
     points = data.read_samples(args.samples)
     with open(args.out, "w", encoding="utf-8") as fh:
         for p in points:
@@ -78,14 +82,7 @@ def cmd_url_gen(args, config: PipelineConfig) -> int:
 
 
 def cmd_synth(args, config: PipelineConfig) -> int:
-    synth_config = data.SynthConfig(
-        n_points=config.n_points,
-        feature_dim=config.feature_dim,
-        corrupt_rate=config.corrupt_rate,
-        noise_sigma=config.noise_sigma,
-        interval_m=config.interval_m,
-    )
-    records, features = data.synth_corridor(synth_config, stage_seed(config.seed, "synth"))
+    records, features = data.synth_corridor(config, stage_seed(config.seed, "synth"))
     data.write_labels(args.out, records)
     data.write_features(args.features_out, records, features)
     log.info("wrote %d synthetic records to %s / %s", len(records), args.out, args.features_out)
@@ -241,11 +238,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 
 def cmd_export_map(args, config: PipelineConfig) -> int:
     rows = data.read_predictions(args.predictions)
-    doc = geo.export_prediction_geojson(
-        [(r.edge_id, r.seq_index, r.location) for r in rows],
-        [r.probs for r in rows],
-        [r.labels for r in rows],
-    )
+    doc = geo.export_prediction_geojson(rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     log.info("wrote prediction map with %d points to %s", len(rows), args.out)

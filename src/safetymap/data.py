@@ -30,6 +30,8 @@ from .geo import EARTH_RADIUS_M, LatLon, SamplePoint, _check_point
 if TYPE_CHECKING:
     import numpy as np
 
+    from .config import PipelineConfig
+
 
 @dataclass(frozen=True)
 class ImageRecord:
@@ -160,14 +162,21 @@ def write_labels(path: str, records: Sequence[ImageRecord]) -> None:
     write_table(path, LABEL_COLUMNS, rows)
 
 
+def _heading(value: str) -> float:
+    heading = float(value)
+    if not 0.0 <= heading < 360.0:
+        raise ValueError(f"heading {heading} outside [0, 360)")
+    return heading
+
+
 def _sample_row(f: list[str]) -> SamplePoint:
-    return SamplePoint(f[0], _seq_index(f[1]), float(f[2]), _point(f[3], f[4]), float(f[5]))
+    return SamplePoint(f[0], _seq_index(f[1]), float(f[2]), _point(f[3], f[4]), _heading(f[5]))
 
 
 def read_samples(path: str) -> list[SamplePoint]:
     """Read a samples CSV; a negative or non-integer seq_index, a non-numeric
-    chainage or heading, or an invalid lat/lon is a SchemaError naming the
-    line. The heading's range is checked where it is used."""
+    chainage, a heading that is not a number in [0, 360) (NaN included) or an
+    invalid lat/lon is a SchemaError naming the line."""
     return list(read_table(path, SAMPLE_COLUMNS, _sample_row).values())
 
 
@@ -297,65 +306,29 @@ def _runs(records: Sequence[ImageRecord]) -> list[tuple[int, int]]:
     return runs if records else []
 
 
-def build_sequences(
-    records: Sequence[ImageRecord], window: int, stride: int = 1
-) -> np.ndarray:
+def build_sequences(records: Sequence[ImageRecord], window: int, stride: int) -> np.ndarray:
     """Start indices into records of the windows slid over every gapless run,
     at offsets 0, stride, 2*stride, ... within the run; runs shorter than the
-    window yield nothing. Only the records' keys are read."""
+    window yield nothing. Only the records' keys are read.
+
+    The records are sorted by (edge_id, seq_index), as load_labels returns
+    them, and window and stride are at least 1, as config validation holds
+    them."""
     import numpy as np
 
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    ordered = sorted(records, key=lambda r: (r.edge_id, r.seq_index))
-    if list(ordered) != list(records):
-        raise ValueError("records must be sorted by (edge_id, seq_index)")
     starts = [s for start, end in _runs(records) for s in range(start, end - window + 1, stride)]
     return np.array(starts, dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """Configuration for the synthetic corridor generator.
-
-    Per-class label runs follow alternating geometric on/off lengths (in
-    points) matching real spatial scales: long rumble-strip runs, short
-    metal-crash-barrier runs, medium concrete-barrier runs.
-    """
-
-    n_points: int = 2000
-    feature_dim: int = 16
-    mean_run_on: tuple[float, float, float] = (160.0, 12.0, 80.0)  # rs, mcb, cb
-    mean_run_off: tuple[float, float, float] = (40.0, 30.0, 120.0)
-    # distance between class-conditional feature means; the short-run class
-    # (mcb) defaults to a smaller margin, making it genuinely harder per frame
-    separation: float | tuple[float, float, float] = (2.0, 1.2, 2.0)
-    noise_sigma: float = 0.7
-    corrupt_rate: float = 0.05
-    interval_m: float = 20.0
-    edge_id: str = "corridor"
-    origin: LatLon = LatLon(33.5, -86.5)
-
-    def separations(self) -> np.ndarray:
-        import numpy as np
-
-        return np.broadcast_to(np.asarray(self.separation, dtype=np.float64), (3,))
-
-    def validate(self) -> None:
-        import numpy as np
-
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.feature_dim < 3:
-            raise ValueError("feature_dim must be >= 3")
-        if not (0.0 <= self.corrupt_rate < 1.0):
-            raise ValueError("corrupt_rate must be in [0, 1)")
-        if min(self.mean_run_on) <= 0 or min(self.mean_run_off) <= 0:
-            raise ValueError("mean run lengths must be positive")
-        if np.min(self.separations()) <= 0 or self.noise_sigma <= 0:
-            raise ValueError("separation and noise_sigma must be positive")
+# The synthetic corridor's per-class label runs follow alternating geometric
+# on/off lengths (in points) matching real spatial scales: long rumble-strip
+# runs, short metal-crash-barrier runs, medium concrete-barrier runs.
+SYNTH_MEAN_RUN_ON = (160.0, 12.0, 80.0)  # rs, mcb, cb
+SYNTH_MEAN_RUN_OFF = (40.0, 30.0, 120.0)
+# distance between class-conditional feature means; the short-run class
+# (mcb) has a smaller margin, making it genuinely harder per frame
+SYNTH_SEPARATION = (2.0, 1.2, 2.0)
+SYNTH_ORIGIN = LatLon(33.5, -86.5)
 
 
 def _run_length_labels(rng: np.random.Generator, n: int, mean_on: float, mean_off: float) -> np.ndarray:
@@ -375,34 +348,35 @@ def _run_length_labels(rng: np.random.Generator, n: int, mean_on: float, mean_of
     return labels
 
 
-def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], np.ndarray]:
-    """Generate a labeled synthetic corridor: its records and their (n,
-    feature_dim) feature vectors, row i for records[i].
+def synth_corridor(config: PipelineConfig, seed: int) -> tuple[list[ImageRecord], np.ndarray]:
+    """Generate a labeled synthetic corridor of config.n_points records,
+    config.interval_m apart, and their (n, feature_dim) feature vectors, row
+    i for records[i]. The config's values are valid, as
+    PipelineConfig.validate checks them.
 
     Feature coordinates 0..2 are informative for (rs, mcb, cb): their mean is
     +separation/2 when the label is on and -separation/2 when off, plus
-    Gaussian noise. Remaining coordinates are pure noise. A corrupt_rate
-    fraction of records (chosen non-adjacent so frame-level errors stay
-    isolated) gets label-uninformative features: the informative coordinates
+    Gaussian noise of sd noise_sigma. Remaining coordinates are pure noise.
+    A corrupt_rate fraction of records (chosen non-adjacent so frame-level
+    errors stay isolated) gets label-uninformative features: the informative coordinates
     are redrawn under coin-flip labels, emulating occlusion. Labels are never
     corrupted. Deterministic given the seed.
     """
     import numpy as np
 
-    config.validate()
     rng = np.random.default_rng(seed)
     n, dim = config.n_points, config.feature_dim
 
     labels = np.stack(
         [
-            _run_length_labels(rng, n, config.mean_run_on[k], config.mean_run_off[k])
+            _run_length_labels(rng, n, SYNTH_MEAN_RUN_ON[k], SYNTH_MEAN_RUN_OFF[k])
             for k in range(3)
         ],
         axis=1,
     )
 
     features = rng.normal(0.0, 1.0, size=(n, dim))
-    half = config.separations() / 2.0
+    half = np.array(SYNTH_SEPARATION) / 2.0
     informative = np.where(labels, half, -half) + rng.normal(0.0, config.noise_sigma, size=(n, 3))
     features[:, :3] = informative
 
@@ -423,7 +397,7 @@ def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], n
         )
         features[pos, 3:] = rng.normal(0.0, 1.0, size=dim - 3)
 
-    lat0, lon0 = config.origin
+    lat0, lon0 = SYNTH_ORIGIN
     meters_per_deg_lon = EARTH_RADIUS_M * math.cos(math.radians(lat0)) * math.pi / 180.0
     records = []
     for i in range(n):
@@ -431,7 +405,7 @@ def synth_corridor(config: SynthConfig, seed: int) -> tuple[list[ImageRecord], n
         records.append(
             ImageRecord(
                 image_id=f"syn-{i:05d}",
-                edge_id=config.edge_id,
+                edge_id="corridor",
                 seq_index=i,
                 location=LatLon(lat0, lon),
                 labels=(bool(labels[i, 0]), bool(labels[i, 1]), bool(labels[i, 2])),

@@ -6,10 +6,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 from urllib.parse import quote
 
 from . import SchemaError
+
+if TYPE_CHECKING:
+    from .data import PredictionRow
 
 EARTH_RADIUS_M = 6_371_008.8  # mean Earth radius
 
@@ -123,10 +126,9 @@ def sample_points(edges: Iterable[RoadEdge], interval_m: float) -> list[SamplePo
     Edges are sampled independently in their stored vertex order; output is
     ordered by edge then chainage, seq_index restarting at 0 per edge. The
     far endpoint is emitted only when the edge length is an exact multiple
-    of the interval. Each point carries the bearing of its segment.
+    of the interval. Each point carries the bearing of its segment. The
+    interval is positive, as config validation holds it.
     """
-    if interval_m <= 0:
-        raise ValueError(f"interval_m must be > 0, got {interval_m}")
     out: list[SamplePoint] = []
     for edge in edges:
         # epsilon guards against float rounding when length is an exact multiple
@@ -141,18 +143,13 @@ def sample_points(edges: Iterable[RoadEdge], interval_m: float) -> list[SamplePo
 def streetview_request_url(
     location: LatLon, heading_deg: float, size_px: int, key: str
 ) -> str:
-    """Build a deterministic streetview image request URL (no I/O performed).
+    """Build a deterministic streetview image request URL (no I/O performed)
+    from a valid location, a heading in [0, 360), a positive size and a
+    non-empty key, as read_samples and url-gen check them.
 
     Coordinates are embedded to 6 decimal places; all values are
     percent-encoded except the lat,lon comma.
     """
-    if not key:
-        raise ValueError("API key must be non-empty")
-    if not (0.0 <= heading_deg < 360.0):
-        raise ValueError(f"heading {heading_deg} outside [0, 360)")
-    if size_px <= 0:
-        raise ValueError(f"image size must be positive, got {size_px}")
-    _check_point(location)
     loc = f"{location.lat:.6f},{location.lon:.6f}"
     params = [
         ("size", f"{size_px}x{size_px}"),
@@ -169,27 +166,14 @@ def dumps_stable(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def export_prediction_geojson(
-    points: Sequence[tuple[str, int, LatLon]],
-    probabilities: Sequence[Sequence[float]],
-    labels: Sequence[Sequence[bool]],
-) -> str:
-    """Render per-point class probabilities and labels as a GeoJSON
-    FeatureCollection.
-
-    points holds (edge_id, seq_index, location) per point, and probabilities
-    and labels its (rs, mcb, cb) probabilities and labels, as a predictions
-    file records them; the labels are drawn as given, not re-thresholded.
-    The document is byte-stable given identical input.
+def export_prediction_geojson(rows: Sequence[PredictionRow]) -> str:
+    """Render the rows of a predictions file, each point's class
+    probabilities and labels, as a GeoJSON FeatureCollection; the labels
+    are drawn as given, not re-thresholded. The document is byte-stable
+    given identical input.
     """
-    if not len(points) == len(probabilities) == len(labels):
-        raise ValueError(
-            f"length mismatch: {len(points)} points vs {len(probabilities)} probability rows"
-            f" vs {len(labels)} label rows"
-        )
     features = []
-    for (edge_id, seq_index, location), probs, (rs, mcb, cb) in zip(points, probabilities, labels):
-        p_rs, p_mcb, p_cb = (float(p) for p in probs)
+    for edge_id, seq_index, location, (p_rs, p_mcb, p_cb), (rs, mcb, cb) in rows:
         features.append(
             {
                 "type": "Feature",

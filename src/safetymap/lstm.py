@@ -437,19 +437,18 @@ def bptt_train(
     stream split from the master seed, and ends where training it alone
     would. The history averages the groups' losses.
 
-    With `workers` > 1, the groups are split into min(G, workers) contiguous
-    parts, trained at once: part 0 in this process, each other part in one
-    forked child (see `_split`). Each group still ends where training it
-    alone would, so the split changes no bit. Shared mode has one group and
-    never forks. A fork copies only the calling thread, so call with
-    `workers` > 1 only while this process runs no other thread, a BLAS
-    pool of more than one thread included: set `OPENBLAS_NUM_THREADS` and
-    `OMP_NUM_THREADS` to 1 before numpy loads, as `cli.main` does.
+    `workers` is at least 1. With more, the groups are split into
+    min(G, workers) contiguous parts, trained at once: part 0 in this
+    process, each other part in one forked child (see `_split`). Each group
+    still ends where training it alone would, so the split changes no bit.
+    Shared mode has one group and never forks. A fork copies only the
+    calling thread, so call with `workers` > 1 only while this process runs
+    no other thread, a BLAS pool of more than one thread included: set
+    `OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` to 1 before numpy loads,
+    as `cli.main` does.
     """
     if len(starts) == 0:
         raise ValueError("empty training set")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     params = model.params
     groups = len(params["wp"])
     rngs = [
@@ -496,7 +495,7 @@ def predict_corridor(
     records: Sequence[ImageRecord],
     features: np.ndarray,
     window: int,
-    threshold: float = 0.5,
+    threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-image class probabilities and labels over the contiguous runs of
     records, features[i] being the vector of records[i].

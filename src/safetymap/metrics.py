@@ -35,15 +35,10 @@ class ClassMetrics:
 
 
 def class_metrics(predictions: np.ndarray, truth: np.ndarray) -> tuple[ClassMetrics, ClassMetrics, ClassMetrics]:
-    """Tally confusion counts independently per class from (n, 3) boolean arrays."""
+    """Tally confusion counts independently per class from two (n, 3)
+    boolean arrays whose rows are aligned."""
     predictions = np.asarray(predictions, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
-    if predictions.shape != truth.shape:
-        raise ValueError(
-            f"length mismatch: predictions {predictions.shape} vs truth {truth.shape}"
-        )
-    if predictions.ndim != 2 or predictions.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) label arrays, got {predictions.shape}")
     out = []
     for k, name in enumerate(CLASS_NAMES):
         p, t = predictions[:, k], truth[:, k]
@@ -61,8 +56,6 @@ def class_metrics(predictions: np.ndarray, truth: np.ndarray) -> tuple[ClassMetr
 
 def weighted_avg_f(f_scores: Sequence[float], counts: Sequence[int]) -> float:
     """Average the three per-class F-scores weighted by ground-truth positive counts."""
-    if len(f_scores) != 3 or len(counts) != 3:
-        raise ValueError("expected three F-scores and three counts")
     total = sum(counts)
     if total <= 0:
         raise ValueError("all class counts are zero")
@@ -77,22 +70,15 @@ def isolated_error_correction_rate(
 ) -> tuple[float | None, float | None, float | None]:
     """Fraction of the baseline's isolated errors the sequence model fixes, per class.
 
-    The records fall into consecutive runs of run_lengths records each. An
-    isolated error is a baseline misclassification whose both neighbors
-    (within the same run) are baseline-correct; run boundary positions are
-    excluded. Classes with no isolated errors report None rather than 0.
+    The three (n, 3) arrays are row-aligned, and the records fall into
+    consecutive runs of run_lengths records each, summing to n. An isolated
+    error is a baseline misclassification whose both neighbors (within the
+    same run) are baseline-correct; run boundary positions are excluded.
+    Classes with no isolated errors report None rather than 0.
     """
     baseline = np.asarray(baseline, dtype=bool)
     sequence_model = np.asarray(sequence_model, dtype=bool)
     truth = np.asarray(truth, dtype=bool)
-    if not (baseline.shape == sequence_model.shape == truth.shape):
-        raise ValueError(
-            f"length mismatch: baseline {baseline.shape}, "
-            f"sequence {sequence_model.shape}, truth {truth.shape}"
-        )
-    n = baseline.shape[0]
-    if sum(run_lengths) != n:
-        raise ValueError(f"run lengths sum {sum(run_lengths)} != {n} records")
     rates = []
     for k in range(3):
         base_ok = baseline[:, k] == truth[:, k]

@@ -45,11 +45,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """y = x @ W.T + b for a batch of input rows x of shape (N, in)."""
-    if x.ndim != 2 or weights.shape != (bias.shape[0], x.shape[1]):
-        raise ValueError(
-            f"dense shapes inconsistent: W {weights.shape}, x {x.shape}, b {bias.shape}"
-        )
+    """y = x @ W.T + b for input rows x (N, in), W (out, in) and b (out,)."""
     return x @ weights.T + bias
 
 
@@ -63,8 +59,6 @@ def dense_backward(
     """Given the upstream gradient on the (N, out) output, write d_W and d_b,
     each summed over the N rows, into grad_weights and grad_bias; returns
     d_x. Training passes the same arrays at every step."""
-    if grad_out.shape != (x.shape[0], weights.shape[0]):
-        raise ValueError(f"grad shape {grad_out.shape} mismatches x {x.shape}, W {weights.shape}")
     np.matmul(grad_out.T, x, out=grad_weights)
     np.sum(grad_out, axis=0, out=grad_bias)
     return grad_out @ weights
@@ -96,12 +90,8 @@ def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
 def conv2d_forward(
     x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, padding: int = 0
 ) -> np.ndarray:
-    """Convolve a C x H x W input with K kernels of shape C x kh x kw, stride 1."""
-    k, c, kh, kw = kernels.shape
-    if x.shape[0] != c:
-        raise ValueError(f"input channels {x.shape[0]} != kernel channels {c}")
-    if bias.shape != (k,):
-        raise ValueError(f"bias shape {bias.shape} != ({k},)")
+    """Convolve a C x H x W input with K kernels (K, C, kh, kw) and bias (K,), stride 1."""
+    k, _, kh, kw = kernels.shape
     h_out = _conv_output_extent(x.shape[1], kh, padding)
     w_out = _conv_output_extent(x.shape[2], kw, padding)
     cols = _im2col(x, kh, kw, padding)
@@ -217,9 +207,7 @@ def maxpool2d_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) -> np.ndarray:
-    """Keep mask pre-scaled by 1/(1-rate), so inference needs no rescaling."""
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    """Keep mask pre-scaled by 1/(1-rate) for rate in [0, 1), so inference needs no rescaling."""
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -227,9 +215,7 @@ def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: float) 
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean BCE over all elements, probabilities clamped away from 0 and 1."""
-    if probs.shape != labels.shape:
-        raise ValueError(f"shape mismatch: probs {probs.shape} vs labels {labels.shape}")
+    """Mean BCE over all elements of same-shape arrays, probs clamped away from 0 and 1."""
     p = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     return float(-np.sum(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)) / p.size)
 

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, settings
 import safetymap
 from safetymap.cnn import frame_predict, frame_train, init_frame_classifier
 from safetymap.config import PipelineConfig
-from safetymap.data import ImageRecord, SynthConfig, build_sequences, synth_corridor
+from safetymap.data import ImageRecord, build_sequences, synth_corridor
 from safetymap.geo import LatLon
 from safetymap.lstm import SequenceModel, bptt_train, init_sequence_model, predict_corridor
 from safetymap.metrics import (
@@ -238,7 +238,7 @@ def corridor_experiments():
     Constants were frozen after one calibration run; each experiment trains
     on one 2000-point corridor and evaluates on an independent one.
     """
-    config = SynthConfig()
+    config = PipelineConfig()
     results = []
     for seed in CORRIDOR_SEEDS:
         train_records, train_features = synth_corridor(config, seed=1000 + seed)
@@ -259,10 +259,9 @@ def corridor_experiments():
         separate = sequence_model("separate", config.feature_dim, hidden=CORRIDOR_HIDDEN, seed=seed)
         bptt_train(separate, train_records, train_features, starts, CORRIDOR_WINDOW, **train_config)
 
-        _, shared_labels = predict_corridor(shared, test_records, test_features, CORRIDOR_WINDOW)
-        _, separate_labels = predict_corridor(
-            separate, test_records, test_features, CORRIDOR_WINDOW
-        )
+        predict = dict(window=CORRIDOR_WINDOW, threshold=DEFAULTS.threshold)
+        _, shared_labels = predict_corridor(shared, test_records, test_features, **predict)
+        _, separate_labels = predict_corridor(separate, test_records, test_features, **predict)
 
         def avg_f(labels):
             return weighted_avg_f([m.f for m in class_metrics(labels, truth)], counts)

@@ -189,35 +189,88 @@ class TestGeoCommands:
         assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", str(urls)) == 0
         assert all("heading=0&" in line for line in urls.read_text().splitlines())
 
-    def test_url_gen_rejects_heading_360(self, tmp_path):
-        samples = tmp_path / "samples.csv"
-        samples.write_text(
-            "edge_id,seq_index,chainage_m,lat,lon,heading_deg\nseg-1,0,0.000,33.0,-87.0,360.00\n"
-        )
-        out = str(tmp_path / "urls.txt")
-        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", out) == 5
-
     @pytest.mark.parametrize(
-        "row, message",
+        "rows, flags, code, message",
         [
             pytest.param(
                 "seg-1,0,0.000,abc,-87.0,10.00",
-                "line 2: could not convert string to float: 'abc'",
+                (),
+                4,
+                "{samples}: line 2: could not convert string to float: 'abc'",
                 id="lat-text",
             ),
-            pytest.param("seg-1,0,0.000,33.0,-87.0", "line 2: expected 6 fields, got 5", id="short"),
             pytest.param(
-                "seg-1,0,0.000,33.0,-87.0,10.00,x", "line 2: expected 6 fields, got 7", id="long"
+                "seg-1,0,0.000,33.0,-87.0",
+                (),
+                4,
+                "{samples}: line 2: expected 6 fields, got 5",
+                id="short",
+            ),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00,x",
+                (),
+                4,
+                "{samples}: line 2: expected 6 fields, got 7",
+                id="long",
+            ),
+            # a heading is range-checked as the file is read, before any URL is written
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00\nseg-1,1,20.000,33.0,-87.0,360.00",
+                (),
+                4,
+                "{samples}: line 3: heading 360.0 outside [0, 360)",
+                id="heading-360",
+            ),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,-0.01",
+                (),
+                4,
+                "{samples}: line 2: heading -0.01 outside [0, 360)",
+                id="heading-negative",
+            ),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,nan",
+                (),
+                4,
+                "{samples}: line 2: heading nan outside [0, 360)",
+                id="heading-nan",
+            ),
+            # the flags are refused before the samples are read, rows or none
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00",
+                ("--key", ""),
+                5,
+                "error: API key must be non-empty",
+                id="empty-key",
+            ),
+            pytest.param(
+                "", ("--key", ""), 5, "error: API key must be non-empty", id="empty-key-no-rows"
+            ),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00",
+                ("--size", "0"),
+                5,
+                "error: image size must be positive, got 0",
+                id="size-0",
+            ),
+            pytest.param(
+                "",
+                ("--size", "0"),
+                5,
+                "error: image size must be positive, got 0",
+                id="size-0-no-rows",
             ),
         ],
     )
-    def test_url_gen_bad_row_exit_4(self, tmp_path, capsys, row, message):
+    def test_url_gen_bad_row_exit_4(self, tmp_path, capsys, rows, flags, code, message):
+        """A bad samples row exits 4 and a bad --key or --size exits 5; neither writes --out."""
         samples = tmp_path / "samples.csv"
-        samples.write_text(f"edge_id,seq_index,chainage_m,lat,lon,heading_deg\n{row}\n")
+        samples.write_text(f"edge_id,seq_index,chainage_m,lat,lon,heading_deg\n{rows}\n")
         out = tmp_path / "urls.txt"
         capsys.readouterr()
-        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", str(out)) == 4
-        assert f"{samples}: {message}" in capsys.readouterr().err
+        argv = ("url-gen", "--samples", str(samples), "--key", "K", "--out", str(out), *flags)
+        assert run_cli(*argv) == code
+        assert message.format(samples=samples) in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -906,7 +959,7 @@ from safetymap import data, lstm
 model = lstm.seq_load(sys.argv[3])
 records = data.load_labels(sys.argv[1])
 features = data.attach_features(records, sys.argv[2], model.input_dim)
-probs, _ = lstm.predict_corridor(model, records, features, model.window)
+probs, _ = lstm.predict_corridor(model, records, features, model.window, 0.5)
 print(hashlib.sha256(probs.tobytes()).hexdigest())
 """
 

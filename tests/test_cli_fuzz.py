@@ -1,0 +1,201 @@
+"""Byte-level fuzz of every CLI input: each input kind is mutated and fed to
+every command that reads it, in process through `cli.main`. A command must
+refuse what it cannot use with its documented exit code (2 usage or config,
+3 missing file, 4 schema, 5 validation), never exit 1, and whatever it
+writes on exit 0 must pass that output's own reader."""
+
+from __future__ import annotations
+
+import json
+import shutil
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import write_ppm
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from safetymap import cnn, data, lstm
+from safetymap.cli import main
+
+CONFIG = """
+n_points = 16
+feature_dim = 3
+window = 4
+hidden = 2
+mid_dim = 2
+lstm_epochs = 1
+cnn_epochs = 1
+batch_size = 8
+interval_m = 5000
+seed = 1
+"""
+IMAGE_SIZE = 4  # two 2x2 pooling stages leave one pixel
+
+# The input kinds: the file each is read from, and every command that reads it.
+READERS = {
+    "labels": ("labels.csv", ("train-cnn", "extract-features", "train-lstm", "predict", "evaluate")),
+    "features": ("features.jsonl", ("train-lstm", "predict")),
+    "sequence model": ("model.bin", ("predict",)),
+    "predictions": ("predictions.csv", ("evaluate", "export-map")),
+    "network": ("network.geojson", ("sample",)),
+    "samples": ("samples.csv", ("url-gen",)),
+    "config": ("pipeline.cfg", ("predict", "url-gen")),  # commands its values cannot slow down
+    "manifest": ("manifest.csv", ("train-cnn", "extract-features")),
+    "cnn model": ("cnn.bin", ("extract-features",)),
+    "ppm": ("image.ppm", ("train-cnn", "extract-features")),
+}
+
+# Each command's arguments, which read the inputs by their file names and
+# write OUT; FILES are the names that stand for paths.
+OUT = "out"
+FILES = {name for name, _ in READERS.values()} | {OUT}
+COMMANDS = {
+    "train-cnn": ("--labels", "labels.csv", "--manifest", "manifest.csv", "--model-out", OUT),
+    "extract-features": (
+        "--labels", "labels.csv", "--manifest", "manifest.csv", "--model", "cnn.bin", "--out", OUT,
+    ),
+    "train-lstm": ("--labels", "labels.csv", "--features", "features.jsonl", "--model-out", OUT),
+    "predict": (
+        "--labels", "labels.csv", "--features", "features.jsonl", "--model", "model.bin",
+        "--out", OUT,
+    ),
+    "evaluate": (
+        "--predictions", "predictions.csv", "--truth", "labels.csv", "--baseline",
+        "predictions.csv", "--out", OUT,
+    ),
+    "export-map": ("--predictions", "predictions.csv", "--out", OUT),
+    "sample": ("--network", "network.geojson", "--out", OUT),
+    "url-gen": ("--samples", "samples.csv", "--key", "K", "--out", OUT),
+}
+
+
+def strict_json(path: Path) -> object:
+    """A JSON document that holds no NaN or Infinity token."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+def check_output(command: str, work: Path) -> None:
+    """Read a command's output back with the reader of its kind."""
+    out = str(work / OUT)
+    if command == "train-cnn":
+        cnn.cnn_load(out)
+    elif command == "extract-features":
+        model = cnn.cnn_load(str(work / "cnn.bin"))
+        records = data.load_labels(str(work / "labels.csv"))
+        data.attach_features(records, out, model.config.feature_dim)
+    elif command == "train-lstm":
+        lstm.seq_load(out)
+    elif command == "predict":
+        data.read_predictions(out)
+    elif command in ("evaluate", "export-map"):
+        strict_json(work / OUT)
+    elif command == "sample":
+        data.read_samples(out)
+    else:  # url-gen
+        lines = (work / OUT).read_text(encoding="utf-8").splitlines()
+        assert all(line.startswith("https://maps.googleapis.com/") for line in lines)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> Path:
+    """One file of every input kind, each made by the command that writes it."""
+    base = tmp_path_factory.mktemp("fuzz")
+
+    def run(command: str, *argv: str, out: str) -> None:
+        """Run a command of COMMANDS, its output written to base/out."""
+        argv = [str(base / (out if arg == OUT else arg)) if arg in FILES else arg for arg in argv]
+        assert main(["--config", str(base / "pipeline.cfg"), command, *argv]) == 0
+
+    (base / "pipeline.cfg").write_text(CONFIG)
+    run("synth", "--out", "labels.csv", "--features-out", OUT, out="features.jsonl")
+    run("train-lstm", *COMMANDS["train-lstm"], out="model.bin")
+    run("predict", *COMMANDS["predict"], out="predictions.csv")
+    network = {
+        "type": "FeatureCollection",
+        "features": [
+            {
+                "type": "Feature",
+                "geometry": {"type": "LineString", "coordinates": [[-87.0, 33.0], [-87.1, 33.1]]},
+                "properties": {"id": "seg-1"},
+            }
+        ],
+    }
+    (base / "network.geojson").write_text(json.dumps(network))
+    run("sample", *COMMANDS["sample"], out="samples.csv")
+    rng = np.random.default_rng(0)
+    write_ppm(str(base / "image.ppm"), rng.random((IMAGE_SIZE, IMAGE_SIZE, 3)))
+    image_ids = [r.image_id for r in data.load_labels(str(base / "labels.csv"))]
+    (base / "manifest.csv").write_text(
+        "image_id,path\n" + "".join(f"{image_id},image.ppm\n" for image_id in image_ids)
+    )
+    run("train-cnn", *COMMANDS["train-cnn"], out="cnn.bin")
+    return base
+
+
+# A mutation is a list of operations on the file's bytes, each at a position
+# given as a fraction of the file's length (an int counts from its end). A
+# token is inserted, or written over the bytes there, a number of times.
+TOKENS = (b"nan", b"1e400", b"null", b"\xff", b"-1", b"0", b",", b"\n")
+_at = st.floats(0.0, 1.0)
+_op = st.one_of(
+    st.tuples(st.just("flip"), _at, st.integers(0, 7)),
+    st.tuples(st.just("truncate"), _at),
+    st.tuples(st.just("duplicate"), _at, st.integers(1, 64)),
+    st.tuples(st.just("delete"), _at, st.integers(1, 64)),
+    st.tuples(st.sampled_from(("insert", "put")), _at, st.sampled_from(TOKENS), st.integers(1, 3)),
+)
+
+
+def mutate(blob: bytes, mutation: list[tuple]) -> bytes:
+    for op, where, *arg in mutation:
+        at = len(blob) + where if isinstance(where, int) else int(where * len(blob))
+        at = min(max(at, 0), len(blob))
+        if op == "flip" and at < len(blob):
+            blob = blob[:at] + bytes([blob[at] ^ (1 << arg[0])]) + blob[at + 1 :]
+        elif op == "truncate":
+            blob = blob[:at]
+        elif op == "duplicate":
+            blob = blob[: at + arg[0]] + blob[at:]
+        elif op == "delete":
+            blob = blob[:at] + blob[at + arg[0] :]
+        elif op == "insert":
+            blob = blob[:at] + arg[0] * arg[1] + blob[at:]
+        elif op == "put":
+            blob = blob[:at] + arg[0] * arg[1] + blob[at + len(arg[0] * arg[1]) :]
+    return blob
+
+
+# Finite but huge CNN weights: every tensor from conv1.k on (conv1.k, conv1.b,
+# feat.w, feat.b, cls.w, cls.b, the end of the file) set to 1e307. The
+# features overflow to inf, which extract-features must refuse to write.
+_HUGE_VALUES = 16 * 8 * 3 * 3 + 16 + 3 * 16 + 3 + 3 * 3 + 3
+HUGE_WEIGHTS = [("put", -8 * _HUGE_VALUES, np.array(1e307, "<f8").tobytes(), _HUGE_VALUES)]
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(sorted(READERS)), mutation=st.lists(_op, min_size=1, max_size=3))
+@example(kind="cnn model", mutation=HUGE_WEIGHTS)
+def test_mutated_input_exits_with_a_documented_code(inputs, kind, mutation):
+    name, commands = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for path in inputs.iterdir():
+            shutil.copyfile(path, work / path.name)
+        (work / name).write_bytes(mutate((inputs / name).read_bytes(), mutation))
+        for command in commands:
+            argv = [str(work / arg) if arg in FILES else arg for arg in COMMANDS[command]]
+            # a mutated input may overflow or leave a class degenerate; the
+            # command's exit code and output are what is checked here
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                code = main(["--config", str(work / "pipeline.cfg"), command, *argv])
+            assert code in (0, 2, 3, 4, 5), (command, code)
+            if code == 0:
+                check_output(command, work)

@@ -15,7 +15,8 @@ from conftest import WORKERS, grad_check, sequence_model
 from hypothesis import given
 from hypothesis import strategies as st
 
-from safetymap.data import SynthConfig, build_sequences, synth_corridor
+from safetymap.config import PipelineConfig
+from safetymap.data import build_sequences, synth_corridor
 from safetymap.geo import LatLon
 from safetymap.data import ImageRecord
 from safetymap import lstm
@@ -137,7 +138,7 @@ def window_probs(model, xs):
     """Per-step class probabilities (steps, 3) of one window xs (steps, d):
     corridor prediction over a run that is exactly that window."""
     records, _ = feature_records(len(xs), np.random.default_rng(0), dim=xs.shape[1])
-    return predict_corridor(model, records, xs, window=len(xs))[0]
+    return predict_corridor(model, records, xs, window=len(xs), threshold=0.5)[0]
 
 
 def zero_params(hidden, input_dim):
@@ -306,11 +307,10 @@ class TestGradients:
         assert grad_check(summed_loss(xs, labels, masks), model.params) < 1e-4
 
 
-def corridor_sequences(n_points, seed, window=50, stride=10, **cfg_kw):
+def corridor_sequences(n_points, seed, window=50, stride=10):
     """A synthetic corridor's records and features, and the start indices of
     its training windows."""
-    cfg = SynthConfig(n_points=n_points, **cfg_kw)
-    records, features = synth_corridor(cfg, seed)
+    records, features = synth_corridor(PipelineConfig(n_points=n_points), seed)
     return records, features, build_sequences(records, window, stride)
 
 
@@ -461,10 +461,6 @@ class TestWorkers:
             self.train(workers=3)
         assert_no_child_left()
 
-    def test_workers_below_one_rejected(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            self.train(workers=0)
-
 
 def reference_window_probs(model, xs):
     """Per-step class probabilities of one window from the per-gate
@@ -519,7 +515,7 @@ class TestPredictCorridor:
         rng = np.random.default_rng(15)
         records, feats = feature_records(6, rng)
         model = sequence_model("shared", input_dim=4, hidden=5, seed=16)
-        probs, labels = predict_corridor(model, records, feats, window=6)
+        probs, labels = predict_corridor(model, records, feats, window=6, threshold=0.5)
         direct = reference_window_probs(model, feats)
         assert np.max(np.abs(probs - direct)) <= 1e-12
         assert np.array_equal(labels, probs > 0.5)
@@ -534,14 +530,14 @@ class TestPredictCorridor:
         expected[0] = w0[0]
         expected[6] = w1[5]
         expected[1:6] = (w0[1:] + w1[:5]) / 2.0
-        probs, _ = predict_corridor(model, records, feats, window=6)
+        probs, _ = predict_corridor(model, records, feats, window=6, threshold=0.5)
         assert np.allclose(probs, expected, atol=1e-12)
 
     def test_short_run_truncated_fallback(self):
         rng = np.random.default_rng(19)
         records, feats = feature_records(4, rng)
         model = sequence_model("shared", input_dim=4, hidden=5, seed=20)
-        probs, _ = predict_corridor(model, records, feats, window=10)
+        probs, _ = predict_corridor(model, records, feats, window=10, threshold=0.5)
         direct = window_probs(model, feats)
         assert np.allclose(probs, direct, atol=1e-14)
 
@@ -551,7 +547,7 @@ class TestPredictCorridor:
         model = sequence_model("shared", input_dim=4, hidden=5, seed=22)
         for value in model.params.values():
             value[...] = 0.0
-        probs, labels = predict_corridor(model, records, feats, window=5)
+        probs, labels = predict_corridor(model, records, feats, window=5, threshold=0.5)
         assert np.all(probs == 0.5)
         assert not labels.any()  # exactly at threshold means absent
 
@@ -568,7 +564,7 @@ class TestPredictCorridor:
         )
         for mode in ("shared", "separate"):
             model = sequence_model(mode, input_dim=4, hidden=5, seed=24)
-            probs, labels = predict_corridor(model, records, feats, window=6)
+            probs, labels = predict_corridor(model, records, feats, window=6, threshold=0.5)
             assert probs.shape == (61, 3)
             assert np.all((probs >= 0.0) & (probs <= 1.0))
             expected = np.concatenate(
@@ -599,7 +595,7 @@ class TestPredictCorridor:
             seq += length
         records, feats = join_runs(parts)
         model = sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=window)
-        probs, labels = predict_corridor(model, records, feats, window)
+        probs, labels = predict_corridor(model, records, feats, window, threshold=0.5)
         bounds = np.cumsum([0] + [length for length, _ in runs])
         expected = np.concatenate(
             [reference_corridor_probs(model, feats[a:b], window) for a, b in zip(bounds, bounds[1:])]
@@ -614,7 +610,7 @@ class TestPredictCorridor:
         rng = np.random.default_rng(n_windows)
         records, feats = feature_records(n_windows + 2, rng, dim=3)
         model = sequence_model("shared", input_dim=3, hidden=4, mid_dim=5, seed=n_windows)
-        probs, labels = predict_corridor(model, records, feats, window=3)
+        probs, labels = predict_corridor(model, records, feats, window=3, threshold=0.5)
         expected = reference_corridor_probs(model, feats, window=3)
         assert np.max(np.abs(probs - expected)) <= 1e-12
         assert np.array_equal(labels, probs > 0.5)
@@ -639,7 +635,7 @@ class TestPredictCorridor:
         rng = np.random.default_rng(29)
         records, feats = feature_records(300, rng)
         model = sequence_model(mode, input_dim=4, hidden=5, seed=30)
-        predict_corridor(model, records, feats, window)
+        predict_corridor(model, records, feats, window, threshold=0.5)
         assert len(projected) == len(stepped) > 1
         chunk = 128 // len(model.params["wp"])
         times = np.zeros(len(feats), dtype=int)

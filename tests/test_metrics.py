@@ -70,10 +70,6 @@ class TestClassMetrics:
         perm = rng.permutation(30)
         assert class_metrics(pred, truth) == class_metrics(pred[perm], truth[perm])
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            class_metrics(np.zeros((3, 3), dtype=bool), np.zeros((4, 3), dtype=bool))
-
 
 class TestWeightedAvgF:
     def test_published_oxford_fixture(self):
@@ -185,20 +181,6 @@ class TestIsolatedErrorCorrection:
         got = isolated_error_correction_rate(baseline, seq, truth, run_lengths)
         want = enumeration_oracle(baseline.tolist(), seq.tolist(), truth.tolist(), run_lengths)
         assert got == want
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            isolated_error_correction_rate(
-                np.zeros((3, 3), dtype=bool),
-                np.zeros((4, 3), dtype=bool),
-                np.zeros((3, 3), dtype=bool),
-                run_lengths=[3],
-            )
-
-    def test_run_length_sum_checked(self):
-        z = np.zeros((5, 3), dtype=bool)
-        with pytest.raises(ValueError, match="run lengths"):
-            isolated_error_correction_rate(z, z, z, run_lengths=[2, 2])
 
 
 class TestReports:
