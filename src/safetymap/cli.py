@@ -12,10 +12,10 @@ without loading numpy.
 loads numpy, so every command writes the same bytes whatever thread count
 the environment asks for. A BLAS split of some GEMMs changes their last
 bits with the thread count, and a second BLAS thread gains nothing on this
-program's shapes. Separate-mode train-lstm instead trains its class stacks
-in parallel, one process per usable CPU (see `lstm.bptt_train`). A caller
-that loaded numpy before calling `main` keeps its BLAS pool, and its
-train-lstm trains in one process.
+program's shapes. Separate-mode train-lstm, train-cnn and extract-features
+split their work over processes instead, one per usable CPU (see `fork`).
+A caller that loaded numpy before calling `main` keeps its BLAS pool, and
+its commands run in one process.
 
 Exit codes: 0 success, 2 usage or config error, 3 missing input file,
 4 input file violates its schema, 5 validation or dimension error,
@@ -109,6 +109,7 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
         batch_size=config.batch_size,
         epochs=config.cnn_epochs,
         seed=stage_seed(config.seed, "cnn-train"),
+        workers=args.workers,
     )
     cnn_mod.cnn_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
@@ -124,7 +125,9 @@ def cmd_extract_features(args, config: PipelineConfig) -> int:
     model = cnn_mod.cnn_load(args.model)
     records = data.load_labels(args.labels)
     pixels = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
-    features = cnn_mod.extract_features(model, records, pixels, config.batch_size)
+    features = cnn_mod.extract_features(
+        model, records, pixels, config.batch_size, workers=args.workers
+    )
     data.write_features(args.out, records, features)
     log.info("wrote %d feature vectors to %s", len(records), args.out)
     return 0
@@ -347,7 +350,7 @@ def _terminate(signum: int, frame) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     # BLAS reads these when numpy loads. A caller that loaded numpy first
-    # keeps its pool, which may run threads, so its train-lstm does not fork.
+    # keeps its pool, which may run threads, so its commands do not fork.
     workers = 1 if "numpy" in sys.modules else _usable_cpus()
     os.environ.update({var: "1" for var in BLAS_THREAD_VARS})
     parser = build_parser()
@@ -359,7 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     # SIGTERM unwinds as SystemExit, through the `finally` that ends and
-    # reaps train-lstm's workers
+    # reaps a command's workers
     in_main_thread = threading.current_thread() is threading.main_thread()
     if in_main_thread:
         previous = signal.signal(signal.SIGTERM, _terminate)

@@ -13,15 +13,19 @@ belonging to records[i].
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import CLASS_NAMES, nn
+from . import CLASS_NAMES, fork, nn
 from .data import ImageRecord
 from .modelio import check_shapes, load_tensors, meta_int, save_tensors
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -98,22 +102,22 @@ def _conv_forward(model: CnnModel, image: np.ndarray, out: np.ndarray) -> list:
     return stages
 
 
-def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray, grads: nn.Params) -> None:
+def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray) -> nn.Params:
     """Backpropagate one image's flat pooled-output gradient through its
-    stages, adding the kernel and bias gradients into grads. The gradient
-    on the image itself is never formed."""
+    stages; returns its kernel and bias gradients by name. The gradient on
+    the image itself is never formed."""
     pad = model.config.kernel_size // 2
+    grads = {}
     grad = grad.reshape(stages[-1][2].shape)
     for s in reversed(range(len(stages))):
         x, idx, pooled = stages[s]
         kernels = model.params[f"conv{s}.k"]
         # the ReLU passes gradient only where the pooled maximum is positive
         grad_z = nn.maxpool2d_backward(idx, grad * nn.relu_grad(pooled))
-        grad_k, grad_b = nn.conv2d_backward(x, kernels, grad_z, pad)
-        grads[f"conv{s}.k"] += grad_k
-        grads[f"conv{s}.b"] += grad_b
+        grads[f"conv{s}.k"], grads[f"conv{s}.b"] = nn.conv2d_backward(x, kernels, grad_z, pad)
         if s > 0:
             grad = nn.conv2d_backward_input(kernels, grad_z, pad)
+    return grads
 
 
 # --- the class head: the CNN's last layer, and alone the frame baseline ---
@@ -146,56 +150,78 @@ def _head_backward(
     return loss, nn.dense_backward(features, params["cls.w"], grad_z, grads["cls.w"], grads["cls.b"])
 
 
-def _forward(
-    model: CnnModel, images: np.ndarray, keep_stages: bool = True
-) -> tuple[list, dict[str, np.ndarray]]:
+def _conv_rows(
+    model: CnnModel, images: np.ndarray, flat: np.ndarray, keep_stages: bool = True
+) -> list:
     """Conv stages image by image, each writing its pooled output into its
-    row of the (N, flat) dense input, then the dense head on those rows as
-    one GEMM per layer. Each image's stage records, which only the backward
-    pass reads, are returned with keep_stages and otherwise dropped as soon
-    as the image's row is written."""
+    row of flat, the (N, flat_dim) input of the dense head, from row 0 on.
+    Each image's stage records, which only the backward pass reads, are
+    returned with keep_stages and otherwise dropped once its row is written."""
     if images.ndim != 4 or images.shape[1:] != model.config.input_shape:
         raise ValueError(
             f"image batch shape {images.shape} != (N, *{model.config.input_shape})"
         )
-    flat = np.empty((len(images), model.config.flat_dim()))
     stages = []
     for image, row in zip(images, flat):
         record = _conv_forward(model, image, row)
         if keep_stages:
             stages.append(record)
-    feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
-    features = nn.relu(feat_z)
-    probs = frame_predict(model.params, features)
-    return stages, {"flat": flat, "feat_z": feat_z, "features": features, "probs": probs}
+    return stages
 
 
 def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Class probabilities (N, 3) and nonnegative feature vectors (N,
     feature_dim) for an (N, C, H, W) batch of images; no image's stage
     records outlive its conv stages."""
-    _, head = _forward(model, images, keep_stages=False)
-    return head["probs"], head["features"]
+    flat = np.empty((len(images), model.config.flat_dim()))
+    _conv_rows(model, images, flat, keep_stages=False)
+    features = nn.relu(nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"]))
+    return frame_predict(model.params, features), features
 
 
 def cnn_loss_and_grads(
-    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Params
+    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Params,
+    workers: Sequence[fork.Worker] = (),
 ) -> float:
-    """Batch-mean BCE over the three outputs of N images; the batch-mean
-    gradient of every parameter is written into grads, which holds one array
-    of the parameter's shape per name."""
-    stages, head = _forward(model, images)
-    loss, grad_feat = _head_backward(model.params, head["features"], head["probs"], labels, grads)
-    grad_feat_z = grad_feat * nn.relu_grad(head["feat_z"])
+    """Batch-mean BCE over the three outputs of the N images of labels (N,
+    3); the batch-mean gradient of every parameter is written into grads,
+    which holds one array of the parameter's shape per name. images are the
+    batch's first images, all N without workers. Each of `workers`, sent the
+    next contiguous slice (see cnn_train), answers with its dense-input rows
+    and then, sent their gradients, with each image's conv gradients, which
+    are summed in image order from zero as this process's are."""
+    flat = np.empty((len(labels), model.config.flat_dim()))
+    stages = _conv_rows(model, images, flat)
+    bounds = [len(stages)]
+    for worker in workers:
+        rows = worker.receive()
+        flat[bounds[-1] : bounds[-1] + len(rows)] = rows
+        bounds.append(bounds[-1] + len(rows))
+    feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
+    features = nn.relu(feat_z)
+    probs = frame_predict(model.params, features)
+    loss, grad_feat = _head_backward(model.params, features, probs, labels, grads)
+    grad_feat_z = grad_feat * nn.relu_grad(feat_z)
     grad_flat = nn.dense_backward(
-        head["flat"], model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
+        flat, model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
     )
-    for s in range(len(model.config.stage_channels)):
-        grads[f"conv{s}.k"].fill(0.0)
-        grads[f"conv{s}.b"].fill(0.0)
-    for st, g in zip(stages, grad_flat):
-        _conv_backward(model, st, g, grads)
+    for worker, rows in zip(workers, np.split(grad_flat, bounds)[1:]):
+        worker.send(rows)
+    image_grads = [_conv_backward(model, st, g) for st, g in zip(stages, grad_flat)]
+    for worker in workers:
+        image_grads += worker.receive()
+    for key in image_grads[0]:
+        grads[key].fill(0.0)
+        for image in image_grads:
+            grads[key] += image[key]
     return loss
+
+
+def _images(pixels: np.ndarray, buffer: np.ndarray, batch: Sequence[int]) -> np.ndarray:
+    """The (N, C, H, W) float images pixels[batch] / 255, held in buffer."""
+    out = buffer[: len(batch)]
+    np.divide(pixels[batch], 255.0, out=out)
+    return out.transpose(0, 3, 1, 2)
 
 
 def _train(
@@ -232,23 +258,47 @@ def _train(
 
 def cnn_train(
     model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, *,
-    lr: float, batch_size: int, epochs: int, seed: int,
+    lr: float, batch_size: int, epochs: int, seed: int, workers: int = 1,
 ) -> list[dict[str, float]]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
-    image of records[i]. Returns _train's history."""
+    image of records[i]. Returns _train's history.
+
+    With `workers` above 1, each batch is split into min(workers,
+    batch_size) contiguous slices, the first here and each other in a worker
+    forked before training (see `fork`), sent the step's conv parameters and
+    its slice's indices into the pixels it inherited (see cnn_loss_and_grads).
+    """
     labels = np.array([r.labels for r in records], dtype=np.float64)
     # Every step writes its float images into this one buffer, for the same
     # reason _train reuses its gradient arrays.
     batch_images = np.empty((batch_size, *pixels.shape[1:]))
+    images = functools.partial(_images, pixels, batch_images)
+    stages: list = []
 
-    def step(batch: np.ndarray, grads: nn.Params) -> float:
-        images = batch_images[: len(batch)]
-        np.divide(pixels[batch], 255.0, out=images)
-        return cnn_loss_and_grads(model, images.transpose(0, 3, 1, 2), labels[batch], grads)
+    def serve(message: tuple | np.ndarray) -> np.ndarray | list[nn.Params]:
+        # in a worker: its slice's conv stages, forward, then backward
+        if not isinstance(message, tuple):
+            return [_conv_backward(model, st, g) for st, g in zip(stages, message)]
+        conv, batch = message
+        model.params.update(conv)
+        flat = np.empty((len(batch), model.config.flat_dim()))
+        stages[:] = _conv_rows(model, images(batch), flat)
+        return flat
 
-    return _train(
-        model.params, len(records), step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed
-    )
+    processes = min(workers, batch_size)
+    sizes = [str(len(p)) for p in np.array_split(range(batch_size), processes)]
+    log.info("images per batch of %d: %s", batch_size, fork.plan(sizes))
+    with fork.workers(serve, processes - 1) as pool:
+
+        def step(batch: np.ndarray, grads: nn.Params) -> float:
+            parts = np.array_split(batch, processes)
+            conv = {key: p for key, p in model.params.items() if key.startswith("conv")}
+            for worker, part in zip(pool, parts[1:]):
+                worker.send((conv, part))
+            return cnn_loss_and_grads(model, images(parts[0]), labels[batch], grads, pool)
+
+        n = len(records)
+        return _train(model.params, n, step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
 def frame_train(
@@ -267,22 +317,32 @@ def frame_train(
 
 
 def extract_features(
-    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, batch_size: int
+    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, batch_size: int,
+    *, workers: int = 1,
 ) -> np.ndarray:
     """The (n, feature_dim) CNN feature vectors of the images pixels (n, H,
     W, 3), row i for records[i], batch_size images per forward call.
     Batches are cut from the records sorted by image_id, so a record's
     features do not depend on the input order (a GEMM row's last bits can
-    depend on its position in the batch)."""
+    depend on its position in the batch). With `workers` above 1, the
+    batches are split into at most that many contiguous runs, the first here
+    and each other in a forked child (see `fork.split`); no batch boundary
+    moves, so the split changes no bit."""
     order = sorted(range(len(records)), key=lambda i: records[i].image_id)
-    out = np.empty((len(records), model.config.feature_dim))
+    batches = [order[start : start + batch_size] for start in range(0, len(order), batch_size)]
+    parts = np.array_split(range(len(batches)), max(1, min(workers, len(batches))))
+    runs = [[batches[i] for i in part] for part in parts]
+    log.info("batches of %d: %s", batch_size, fork.plan([str(len(run)) for run in runs]))
     # one float image buffer for every batch, as in cnn_train
     batch_images = np.empty((min(batch_size, len(records)), *pixels.shape[1:]))
-    for start in range(0, len(order), batch_size):
-        batch = order[start : start + batch_size]
-        images = batch_images[: len(batch)]
-        np.divide(pixels[batch], 255.0, out=images)
-        out[batch] = cnn_forward(model, images.transpose(0, 3, 1, 2))[1]
+
+    def features(run: list[list[int]]) -> list[np.ndarray]:
+        return [cnn_forward(model, _images(pixels, batch_images, batch))[1] for batch in run]
+
+    out = np.empty((len(records), model.config.feature_dim))
+    for run, rows in zip(runs, fork.split(features, runs)):
+        for batch, row in zip(run, rows):
+            out[batch] = row
     return out
 
 

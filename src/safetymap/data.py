@@ -51,6 +51,7 @@ LABEL_COLUMNS = RECORD_COLUMNS + CLASS_NAMES
 PREDICTION_COLUMNS = RECORD_COLUMNS + tuple(f"p_{name}" for name in CLASS_NAMES) + CLASS_NAMES
 SAMPLE_COLUMNS = ("edge_id", "seq_index", "chainage_m", "lat", "lon", "heading_deg")
 MANIFEST_COLUMNS = ("image_id", "path")
+_KEY = "(edge_id, seq_index)"  # unique in the labels and in the samples
 
 Row = TypeVar("Row")
 
@@ -134,6 +135,19 @@ def _record_fields(r: ImageRecord) -> tuple[object, ...]:
     return r.image_id, r.edge_id, r.seq_index, f"{r.location.lat:.6f}", f"{r.location.lon:.6f}"
 
 
+def _refuse_repeats(path: str, rows: dict[int, Row], keys: Callable[[Row], dict]) -> None:
+    """A SchemaError at the first row holding a {name: key} of keys(row)
+    that an earlier row holds, naming both lines."""
+    first_line: dict[tuple[str, object], int] = {}
+    for line, r in rows.items():
+        for name, key in keys(r).items():
+            first = first_line.setdefault((name, key), line)
+            if first != line:
+                raise SchemaError(
+                    f"{path}: line {line}: duplicate {name} {key!r}, first seen on line {first}"
+                )
+
+
 def load_labels(path: str) -> list[ImageRecord]:
     """Read the label CSV; returns records sorted by (edge_id, seq_index).
 
@@ -143,16 +157,7 @@ def load_labels(path: str) -> list[ImageRecord]:
     latitude or longitude that is non-finite or outside [-90, 90] / [-180, 180].
     """
     rows = read_table(path, LABEL_COLUMNS, _label_row)
-    first_line: dict[tuple[str, object], int] = {}
-    for line, r in rows.items():
-        for name, key in (
-            ("image_id", r.image_id), ("(edge_id, seq_index)", (r.edge_id, r.seq_index))
-        ):
-            first = first_line.setdefault((name, key), line)
-            if first != line:
-                raise SchemaError(
-                    f"{path}: line {line}: duplicate {name} {key!r}, first seen on line {first}"
-                )
+    _refuse_repeats(path, rows, lambda r: {"image_id": r.image_id, _KEY: (r.edge_id, r.seq_index)})
     return sorted(rows.values(), key=lambda r: (r.edge_id, r.seq_index))
 
 
@@ -162,22 +167,26 @@ def write_labels(path: str, records: Sequence[ImageRecord]) -> None:
     write_table(path, LABEL_COLUMNS, rows)
 
 
-def _heading(value: str) -> float:
-    heading = float(value)
-    if not 0.0 <= heading < 360.0:
-        raise ValueError(f"heading {heading} outside [0, 360)")
-    return heading
+def _below(name: str, value: str, bound: float) -> float:
+    number = float(value)
+    if not 0.0 <= number < bound:
+        raise ValueError(f"{name} {number} outside [0, {bound:g})")
+    return number
 
 
 def _sample_row(f: list[str]) -> SamplePoint:
-    return SamplePoint(f[0], _seq_index(f[1]), float(f[2]), _point(f[3], f[4]), _heading(f[5]))
+    seq, chainage = _seq_index(f[1]), _below("chainage_m", f[2], math.inf)
+    return SamplePoint(f[0], seq, chainage, _point(f[3], f[4]), _below("heading", f[5], 360.0))
 
 
 def read_samples(path: str) -> list[SamplePoint]:
-    """Read a samples CSV; a negative or non-integer seq_index, a non-numeric
-    chainage, a heading that is not a number in [0, 360) (NaN included) or an
-    invalid lat/lon is a SchemaError naming the line."""
-    return list(read_table(path, SAMPLE_COLUMNS, _sample_row).values())
+    """Read a samples CSV; a negative or non-integer seq_index, a chainage
+    that is not a finite number >= 0, a heading that is not a number in
+    [0, 360) (NaN included), an invalid lat/lon or a repeated (edge_id,
+    seq_index) key is a SchemaError naming the line."""
+    rows = read_table(path, SAMPLE_COLUMNS, _sample_row)
+    _refuse_repeats(path, rows, lambda r: {_KEY: (r.edge_id, r.seq_index)})
+    return list(rows.values())
 
 
 def write_samples(path: str, points: Sequence[SamplePoint]) -> None:

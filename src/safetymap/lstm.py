@@ -28,25 +28,17 @@ through `_window_view`, a strided (n - T + 1, T, k) view of the corridor's
 
 from __future__ import annotations
 
-import ctypes
 import logging
-import os
-import pickle
-import signal
-import sys
-import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import CLASS_NAMES, nn
+from . import CLASS_NAMES, fork, nn
 from .data import ImageRecord, _runs
 from .modelio import check_shapes, load_tensors, meta_float, meta_int, save_tensors
 
 log = logging.getLogger(__name__)
-
-_PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
 # --- the packed kernel: G groups x B windows x T steps ---
 
@@ -348,70 +340,6 @@ def _fit(
     return history
 
 
-def _end_with_parent(parent: int) -> None:
-    """In a forked child: have the kernel SIGKILL it when its parent dies
-    (Linux), and exit now if the parent died before that took hold."""
-    if sys.platform.startswith("linux"):
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _split(fn: Callable, parts: Sequence) -> list:
-    """[fn(part) for part in parts], all at once: parts[0] in this process and
-    each other part in one forked child, which pickles back its result or its
-    exception through a pipe, with the warnings it recorded under the filters
-    it inherited. Re-emits those warnings and raises the first exception in
-    part order. If this process's own part raises (SIGTERM included, as the
-    CLI turns it into SystemExit), the children are killed, as their parts
-    are of no use then; a child also dies with a killed parent. Every child
-    has exited and been reaped when this returns or raises."""
-    parent = os.getpid()
-    children = []
-    try:
-        for part in parts[1:]:
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: report through the pipe, never return
-                try:
-                    _end_with_parent(parent)
-                    os.close(read)
-                    with warnings.catch_warnings(record=True) as caught:
-                        try:
-                            outcome = (True, fn(part))
-                        except BaseException as exc:
-                            outcome = (False, exc)
-                    shown = [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
-                    with os.fdopen(write, "wb") as fh:
-                        fh.write(pickle.dumps((outcome, shown)))
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        results = [fn(parts[0])]
-        # read before waitpid: a child blocks on a full pipe
-        payloads = [fh.read() for _, fh in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.waitpid(pid, 0)
-    failures = []
-    for payload in payloads:
-        if not payload:
-            raise RuntimeError("a worker process exited without a result")
-        (ok, value), shown = pickle.loads(payload)
-        for message, category, filename, lineno in shown:
-            warnings.warn_explicit(message, category, filename, lineno)
-        (results if ok else failures).append(value)
-    if failures:
-        raise failures[0]
-    return results
-
-
 def bptt_train(
     model: SequenceModel,
     records: Sequence[ImageRecord],
@@ -439,13 +367,10 @@ def bptt_train(
 
     `workers` is at least 1. With more, the groups are split into
     min(G, workers) contiguous parts, trained at once: part 0 in this
-    process, each other part in one forked child (see `_split`). Each group
-    still ends where training it alone would, so the split changes no bit.
-    Shared mode has one group and never forks. A fork copies only the
-    calling thread, so call with `workers` > 1 only while this process runs
-    no other thread, a BLAS pool of more than one thread included: set
-    `OPENBLAS_NUM_THREADS` and `OMP_NUM_THREADS` to 1 before numpy loads,
-    as `cli.main` does.
+    process, each other part in one forked child (see `fork.split`). Each
+    group still ends where training it alone would, so the split changes no
+    bit. Shared mode has one group and never forks. Call with `workers` > 1
+    only while this process runs no other thread (see `fork`).
     """
     if len(starts) == 0:
         raise ValueError("empty training set")
@@ -460,12 +385,7 @@ def bptt_train(
     split = [p.tolist() for p in np.array_split(np.arange(groups), min(groups, workers))]
     parts = [slice(p[0], p[-1] + 1) for p in split]
     if groups > 1:
-        others = ", ".join(map(str, split[1:])) or "none"
-        plural = "" if len(split) == 2 else "s"
-        log.info(
-            "%s model: groups %s here, %s in %d worker%s",
-            model.mode, split[0], others, len(split) - 1, plural,
-        )
+        log.info("%s model: groups %s", model.mode, fork.plan([str(p) for p in split]))
 
     def fit(part: slice) -> tuple[nn.Params, list[dict[str, np.ndarray]]]:
         # a slice of the leading axis is a contiguous view, trained in place
@@ -476,7 +396,7 @@ def bptt_train(
         )
         return own, history
 
-    fitted = _split(fit, parts)
+    fitted = fork.split(fit, parts)
     for part, (own, _) in zip(parts[1:], fitted[1:]):  # part 0 trained in place
         for key, value in own.items():
             params[key][part] = value

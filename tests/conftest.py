@@ -73,6 +73,12 @@ sys.exit(code)
 """
 
 
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def grad_check(loss_and_grads, params: dict[str, np.ndarray], h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 

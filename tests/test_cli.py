@@ -235,6 +235,43 @@ class TestGeoCommands:
                 "{samples}: line 2: heading nan outside [0, 360)",
                 id="heading-nan",
             ),
+            pytest.param(
+                "seg-1,0,nan,33.0,-87.0,10.00",
+                (),
+                4,
+                "{samples}: line 2: chainage_m nan outside [0, inf)",
+                id="chainage-nan",
+            ),
+            pytest.param(
+                "seg-1,0,-inf,33.0,-87.0,10.00",
+                (),
+                4,
+                "{samples}: line 2: chainage_m -inf outside [0, inf)",
+                id="chainage-minus-inf",
+            ),
+            pytest.param(
+                "seg-1,0,inf,33.0,-87.0,10.00",
+                (),
+                4,
+                "{samples}: line 2: chainage_m inf outside [0, inf)",
+                id="chainage-inf",
+            ),
+            pytest.param(
+                "seg-2,0,-5.000,33.0,-87.0,10.00",
+                (),
+                4,
+                "{samples}: line 2: chainage_m -5.0 outside [0, inf)",
+                id="chainage-negative",
+            ),
+            pytest.param(
+                "seg-1,0,0.000,33.0,-87.0,10.00\nseg-2,0,0.000,33.0,-87.0,10.00\n\n"
+                "seg-1,0,20.000,33.0002,-87.0,10.00",
+                (),
+                4,
+                "{samples}: line 5: duplicate (edge_id, seq_index) ('seg-1', 0), "
+                "first seen on line 2",
+                id="duplicate-key",
+            ),
             # the flags are refused before the samples are read, rows or none
             pytest.param(
                 "seg-1,0,0.000,33.0,-87.0,10.00",
@@ -883,8 +920,8 @@ class TestSynthPipeline:
         assert code == 2
 
 
-# Runs cli.main(argv) with train-lstm's class stacks split over two
-# processes, printing each forked worker's pid as it starts.
+# Runs cli.main(argv) with a command's work split over two processes,
+# printing each forked worker's pid as it starts.
 _REPORTING_FORK_PROCESS = """
 import os, sys
 from safetymap import cli
@@ -913,23 +950,32 @@ def running(pid: int) -> bool:
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="a worker dies with its parent through prctl"
 )
+@pytest.mark.parametrize("command", ["train-lstm", "train-cnn"])
 @pytest.mark.parametrize(
     "signum, code", [(signal.SIGTERM, 128 + signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL)]
 )
-def test_killed_separate_training_leaves_no_worker(tmp_path, signum, code):
+def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
     # SIGTERM unwinds the command, which kills and reaps its worker; on
     # SIGKILL the kernel kills the worker with its parent
-    cfg = tmp_path / "long.cfg"
-    cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", "lstm_epochs = 100000"))
-    labels, features, model = tmp_path / "labels.csv", tmp_path / "features.jsonl", tmp_path / "m"
-    base = ["--config", str(cfg)]
-    assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+    model = tmp_path / "m"
+    if command == "train-lstm":  # separate mode, whose class stacks split
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", "lstm_epochs = 100000"))
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        assert run_cli(
+            "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        inputs = ["--features", str(features), "--mode", "separate"]
+    else:
+        labels, manifest, cfg = write_pixel_inputs(
+            tmp_path, config="feature_dim = 8\ncnn_epochs = 100000\nbatch_size = 4\n"
+        )
+        inputs = ["--manifest", str(manifest)]
     stderr = tmp_path / "stderr"
     with open(stderr, "w") as err:  # a file, not a pipe a surviving worker would hold open
         proc = subprocess.Popen(
-            [sys.executable, "-c", _REPORTING_FORK_PROCESS, *base, "train-lstm", "--labels",
-             str(labels), "--features", str(features), "--mode", "separate", "--model-out",
-             str(model)],
+            [sys.executable, "-c", _REPORTING_FORK_PROCESS, "--config", str(cfg), command,
+             "--labels", str(labels), *inputs, "--model-out", str(model)],
             env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
         )
     worker = None
@@ -1221,6 +1267,15 @@ class TestFeatureFileBoundary:
         assert not out.exists()
 
 
+# Runs cli.main(argv[2:]) as if argv[1] CPUs were usable.
+_CPUS_PROCESS = """
+import sys
+from safetymap import cli
+cli._usable_cpus = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 class TestPixelCommands:
     def test_truncated_ppm_exit_4(self, tmp_path, capsys):
         labels, manifest, cfg = write_pixel_inputs(tmp_path)
@@ -1327,6 +1382,43 @@ class TestPixelCommands:
         assert code == 5
         assert capsys.readouterr().err.startswith(f"error: {out}: features of image px-")
         assert not out.exists()
+
+    def test_in_process_pixel_commands_fork_nothing(self, tmp_path, monkeypatch):
+        # this process loaded numpy before main, so its BLAS pool may run threads
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
+        assert self._train(tmp_path, labels, manifest, cfg) == 0
+        assert run_cli(
+            "--config", str(cfg), "extract-features", "--labels", str(labels),
+            "--manifest", str(manifest), "--model", str(tmp_path / "cnn.bin"),
+            "--out", str(tmp_path / "features.jsonl"),
+        ) == 0
+
+    @pytest.mark.parametrize(
+        "cpus, training, extraction",
+        [
+            pytest.param(1, "4 here, none in 0 workers", "3 here, none in 0 workers", id="one-cpu"),
+            pytest.param(2, "2 here, 2 in 1 worker", "2 here, 1 in 1 worker", id="two-cpus"),
+        ],
+    )
+    def test_verbose_pixel_commands_log_their_split(self, tmp_path, cpus, training, extraction):
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)  # 12 images, batches of 4
+        model = tmp_path / "cnn.bin"
+        for command, flags, split in (
+            ("train-cnn", ["--model-out", str(model)], f"images per batch of 4: {training}"),
+            ("extract-features", ["--model", str(model), "--out", str(tmp_path / "f.jsonl")],
+             f"batches of 4: {extraction}"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", _CPUS_PROCESS, str(cpus), "--config", str(cfg), "-v",
+                 command, "--labels", str(labels), "--manifest", str(manifest), *flags],
+                env=process_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert f"INFO safetymap.cnn: {split}\n" in proc.stderr
 
     def test_train_cnn_and_extract(self, tmp_path):
         labels, manifest, cfg = write_pixel_inputs(tmp_path)

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import copy
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from conftest import grad_check, make_pixel_records
+from conftest import assert_no_child_left, grad_check, make_pixel_records
 
-from safetymap import nn
+from safetymap import cnn, nn
 from safetymap.cnn import (
     CnnConfig,
     _conv_forward,
-    _forward,
+    _conv_rows,
     cnn_forward,
     cnn_load,
     cnn_loss_and_grads,
@@ -71,8 +73,9 @@ class TestCnnForward:
 
     def test_pooled_outputs_are_rows_of_the_dense_input(self):
         model = init_cnn(DESK, seed=4)
-        stages, head = _forward(model, np.random.default_rng(6).random((3, 3, 32, 32)))
-        for row, image_stages in zip(head["flat"], stages):
+        flat = np.empty((3, DESK.flat_dim()))
+        stages = _conv_rows(model, np.random.default_rng(6).random((3, 3, 32, 32)), flat)
+        for row, image_stages in zip(flat, stages):
             pooled = image_stages[-1][2]
             assert np.shares_memory(pooled, row)
             assert np.array_equal(pooled.reshape(-1), row)
@@ -110,7 +113,14 @@ class TestCnnForward:
             finally:
                 tracemalloc.stop()
 
-        (stages, head), training_peak = traced(_forward)
+        def training_forward(model, images):
+            flat = np.empty((len(images), DESK.flat_dim()))
+            stages = _conv_rows(model, images, flat)
+            feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
+            features = nn.relu(feat_z)
+            return stages, {"features": features, "probs": frame_predict(model.params, features)}
+
+        (stages, head), training_peak = traced(training_forward)
         (probs, features), peak = traced(cnn_forward)
         # the last stage's pooled output is a view of the dense input
         record_bytes = sum(
@@ -300,6 +310,85 @@ class TestExtractFeatures:
         for image, row in zip(pixels, out):
             _, features = cnn_forward(model, image.transpose(2, 0, 1)[None] / 255.0)
             assert relative_error(row, features[0]) <= 1e-12
+
+
+class TestWorkers:
+    """cnn_train's and extract_features' `workers`: each batch's images, or
+    the run of batches, split into contiguous slices, the first here and
+    each other in a forked worker."""
+
+    # at 8 x 8 the conv gradients' sum gave the same bits in any image order
+    CONFIG = CnnConfig(input_shape=(3, 16, 16), stage_channels=(2, 3), feature_dim=4)
+
+    def inputs(self):
+        # 10 images: batches of 4, 4 and 2 in training, of 3, 3, 3 and 1 in extraction
+        records, pixels = make_pixel_records(10, np.random.default_rng(31), height=16, width=16)
+        return init_cnn(self.CONFIG, seed=32), records, pixels
+
+    def train(self, **kw):
+        model, records, pixels = self.inputs()
+        history = cnn_train(model, records, pixels, lr=1e-2, batch_size=4, epochs=2, seed=33, **kw)
+        return model, history
+
+    def extract(self, **kw):
+        return extract_features(*self.inputs(), batch_size=3, **kw)
+
+    def test_training_split_changes_no_bit(self):
+        model, history = self.train()
+        for workers in (2, 3, 5):  # 5: more processes than a batch has images
+            split, split_history = self.train(workers=workers)
+            assert_no_child_left()
+            assert split_history == history, workers
+            for key, value in model.params.items():
+                assert np.array_equal(split.params[key], value), (workers, key)
+
+    def test_extraction_split_changes_no_bit(self):
+        features = self.extract()
+        for workers in (2, 3, 5):  # 5: more processes than there are batches
+            assert self.extract(workers=workers).tobytes() == features.tobytes(), workers
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("run", ["train", "extract"])
+    def test_one_process_forks_nothing(self, monkeypatch, run):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        getattr(self, run)(workers=1)
+        if run == "train":  # one image a batch leaves no image to split
+            model, records, pixels = self.inputs()
+            cnn_train(model, records, pixels, lr=1e-2, batch_size=1, epochs=1, seed=33, workers=3)
+
+    @pytest.mark.parametrize("run", ["train", "extract"])
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_exception_reaches_caller(self, monkeypatch, run, where):
+        parent, conv_forward = os.getpid(), cnn._conv_forward
+        calls = []
+
+        def failing_conv_forward(model, image, out):
+            calls.append(image)
+            if (os.getpid() == parent) == (where == "caller") and len(calls) == 2:
+                raise ValueError(f"conv failed in the {where}")
+            return conv_forward(model, image, out)
+
+        monkeypatch.setattr(cnn, "_conv_forward", failing_conv_forward)
+        with pytest.raises(ValueError, match=f"^conv failed in the {where}$"):
+            getattr(self, run)(workers=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("run", ["train", "extract"])
+    def test_worker_warning_reaches_caller(self, monkeypatch, run):
+        parent, conv_forward = os.getpid(), cnn._conv_forward
+
+        def warning_conv_forward(model, image, out):
+            if os.getpid() != parent:
+                warnings.warn("from a worker", RuntimeWarning)
+            return conv_forward(model, image, out)
+
+        monkeypatch.setattr(cnn, "_conv_forward", warning_conv_forward)
+        with pytest.warns(RuntimeWarning, match="^from a worker$"):
+            getattr(self, run)(workers=2)
+        assert_no_child_left()
 
 
 class TestCnnSerialization:

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import WORKERS, grad_check, sequence_model
+from conftest import WORKERS, assert_no_child_left, grad_check, sequence_model
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -396,11 +396,6 @@ class TestBpttTrain:
             )
             for key, value in alone.items():
                 assert np.array_equal(value[0], model.params[key][k]), (k, key)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkers:
