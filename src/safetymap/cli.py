@@ -12,8 +12,8 @@ without loading numpy.
 loads numpy, so every command writes the same bytes whatever thread count
 the environment asks for. A BLAS split of some GEMMs changes their last
 bits with the thread count, and a second BLAS thread gains nothing on this
-program's shapes. Separate-mode train-lstm, train-cnn and extract-features
-split their work over processes instead, one per usable CPU (see `fork`).
+program's shapes. train-lstm, predict, train-cnn and extract-features split
+their work over processes instead, one per usable CPU (see `fork`).
 A caller that loaded numpy before calling `main` keeps its BLAS pool, and
 its commands run in one process.
 
@@ -137,7 +137,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     from . import lstm
 
     records = data.load_labels(args.labels)
-    features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
+    features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
     starts = data.build_sequences(records, config.window, config.stride)
     model = lstm.init_sequence_model(
         args.mode,
@@ -175,7 +175,7 @@ def cmd_predict(args, config: PipelineConfig) -> int:
     from . import lstm
 
     records = data.load_labels(args.labels)
-    features = data.attach_features(records, args.features, expected_dim=config.feature_dim)
+    features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
     model = lstm.seq_load(args.model)
     if model.window != config.window:
         raise ValueError(
@@ -186,7 +186,9 @@ def cmd_predict(args, config: PipelineConfig) -> int:
             f"{args.model} was trained with input_dim {model.input_dim}, "
             f"config feature_dim is {config.feature_dim}"
         )
-    probs, labels = lstm.predict_corridor(model, records, features, config.window, config.threshold)
+    probs, labels = lstm.predict_corridor(
+        model, records, features, config.window, config.threshold, workers=args.workers
+    )
     data.write_predictions(args.out, records, probs, labels)
     log.info("wrote %d predictions to %s", len(records), args.out)
     return 0

@@ -1,9 +1,9 @@
 """Dataset handling: the CSV tables (labels, samples, predictions, image
-manifests) behind one checked reader and one writer, feature file ingestion,
-sliding-window sequence construction, synthetic corridor generation, and
-PPM pixel image reading. The loaders are the validation boundary:
-malformed, out-of-range or non-finite input raises SchemaError naming its
-file and line.
+manifests) behind one checked reader and one writer, feature file ingestion
+(in several processes, see `fork`), sliding-window sequence construction,
+synthetic corridor generation, and PPM pixel image reading. The loaders are
+the validation boundary: malformed, out-of-range or non-finite input raises
+SchemaError naming its file and line.
 
 A record is a key, a location and three labels. Each payload travels as
 the one array its loader returns, aligned with the records: row i of the
@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import math
+import mmap
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
@@ -241,7 +243,9 @@ def write_predictions(
     write_table(path, PREDICTION_COLUMNS, rows)
 
 
-def attach_features(records: Sequence[ImageRecord], path: str, expected_dim: int) -> np.ndarray:
+def attach_features(
+    records: Sequence[ImageRecord], path: str, expected_dim: int, *, workers: int = 1
+) -> np.ndarray:
     """Read a JSON-lines file keyed by image_id into an (n, d) float64
     array whose row i is the vector of records[i].
 
@@ -250,54 +254,108 @@ def attach_features(records: Sequence[ImageRecord], path: str, expected_dim: int
     must match a record and name it once, and every vector must have
     expected_dim entries. A line that breaks this is a SchemaError naming the
     path and the line; bytes that are not UTF-8 are a SchemaError naming the
-    path.
+    path. Lines end as in text mode, at \\n, \\r\\n or a lone \\r.
+
+    With `workers` > 1 the file is cut at line starts into at most that many
+    byte ranges, parsed at once, the first here and each other one in a
+    forked child (see `fork.split`), into one array in shared memory. Their
+    (image_id, line) pairs and first errors merge in file order, so the array
+    and the error are those of one process. Fork only while this process
+    runs no other thread (see `fork`).
     """
     import numpy as np
 
+    from . import fork
+
     rows = {r.image_id: i for i, r in enumerate(records)}
-    first_line: dict[str, int] = {}
-    features = np.empty((len(records), expected_dim))
-    line_no = 0
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict) or not {"image_id", "features"} <= obj.keys():
-                    raise ValueError("expected an object with image_id and features")
-                image_id = obj["image_id"]
-                if not isinstance(image_id, str):
-                    raise ValueError(f"image_id must be a string, got {image_id!r}")
-                if image_id not in rows:
-                    raise ValueError(f"unknown image_id {image_id!r}")
-                if image_id in first_line:
-                    raise ValueError(
-                        f"duplicate image_id {image_id!r}, first seen on line {first_line[image_id]}"
-                    )
-                values = obj["features"]
-                vec = np.asarray(values, dtype=np.float64)
-                if vec.ndim != 1:
-                    raise ValueError("features must be a flat list")
-                if vec.shape[0] != expected_dim:
-                    raise ValueError(f"feature dimension {vec.shape[0]} != expected {expected_dim}")
-                if not set(map(type, values)) <= {int, float}:  # asarray reads "1.5" and true
-                    bad = next(v for v in values if type(v) not in (int, float))
-                    raise ValueError(f"feature values must be numbers, got {bad!r}")
-                if not np.isfinite(vec).all():
-                    raise ValueError("non-finite feature value")
-                first_line[image_id] = line_no
-                features[rows[image_id]] = vec
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{path}: not UTF-8: {exc}") from exc
-        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-            # bad JSON, a non-numeric value, an integer too large for a float, deep nesting
-            raise SchemaError(f"{path}: line {line_no}: {exc}") from exc
+    # anonymous mmap memory stays shared with forked children
+    shared = mmap.mmap(-1, max(1, len(records) * expected_dim * 8))
+    features = np.ndarray((len(records), expected_dim), buffer=shared)
+    size = os.path.getsize(path)  # 0 for a pipe, which is one range, read once
+    cuts = [0]
+    if workers > 1 and os.path.isfile(path):
+        with open(path, "rb") as fh:
+            for k in range(1, workers):
+                fh.seek(max(cuts[-1], size * k // workers - 1))
+                fh.readline()  # to the next line start
+                if cuts[-1] < fh.tell() < size:
+                    cuts.append(fh.tell())
+    ranges = list(zip(cuts, cuts[1:] + [size]))
+    logging.getLogger(__name__).info("%s: bytes %s", path, fork.plan(["%d-%d" % r for r in ranges]))
+
+    def parse(byte_range: tuple[int, int]) -> tuple[list[tuple[str, int]], int, Exception | None]:
+        """A range's (image_id, line) pairs, from line 1 in the range, its
+        line count and its error, on its last line."""
+        start, end = byte_range
+        pairs, line_no = [], 0
+        with open(path, "rb") as fh:
+            if start:
+                fh.seek(start)
+            for chunk in fh:  # a binary line ends at \n only
+                for raw in chunk.splitlines():  # also at a lone \r, as text mode
+                    line_no += 1
+                    try:
+                        entry = _feature_entry(raw, rows)
+                        if entry:  # the merge finds a repeat before a bad vector
+                            pairs.append((entry[0], line_no))
+                            features[rows[entry[0]]] = _feature_vector(entry[1], expected_dim)
+                    except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+                        # bad UTF-8 or JSON, a non-number, an int too big for a float, deep nesting
+                        return pairs, line_no, exc
+                start += len(chunk)
+                if start == end:
+                    break
+        return pairs, line_no, None
+
+    first_line, offset = {}, 0  # offset: the lines of the ranges before this one
+    for pairs, count, error in fork.split(parse, ranges):
+        for image_id, line_no in pairs:
+            if image_id in first_line:
+                raise SchemaError(
+                    f"{path}: line {offset + line_no}: duplicate image_id {image_id!r}, "
+                    f"first seen on line {first_line[image_id]}"
+                )
+            first_line[image_id] = offset + line_no
+        if error:
+            at = "not UTF-8" if isinstance(error, UnicodeDecodeError) else f"line {offset + count}"
+            raise SchemaError(f"{path}: {at}: {error}") from error
+        offset += count
     missing = sorted(rows.keys() - first_line.keys())
     if missing:
         raise SchemaError(f"{path}: no features for {len(missing)} record(s): {missing}")
     return features
+
+
+def _feature_entry(raw: bytes, rows: dict[str, int]) -> tuple[str, object] | None:
+    """A feature line's image_id, one of rows, and its values; None if blank."""
+    line = raw.decode("utf-8").strip()
+    if not line:
+        return None
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or not {"image_id", "features"} <= obj.keys():
+        raise ValueError("expected an object with image_id and features")
+    image_id = obj["image_id"]
+    if not isinstance(image_id, str):
+        raise ValueError(f"image_id must be a string, got {image_id!r}")
+    if image_id not in rows:
+        raise ValueError(f"unknown image_id {image_id!r}")
+    return image_id, obj["features"]
+
+
+def _feature_vector(values: object, expected_dim: int) -> np.ndarray:
+    import numpy as np
+
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError("features must be a flat list")
+    if vec.shape[0] != expected_dim:
+        raise ValueError(f"feature dimension {vec.shape[0]} != expected {expected_dim}")
+    if not set(map(type, values)) <= {int, float}:  # asarray reads "1.5" and true
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"feature values must be numbers, got {bad!r}")
+    if not np.isfinite(vec).all():
+        raise ValueError("non-finite feature value")
+    return vec
 
 
 def _runs(records: Sequence[ImageRecord]) -> list[tuple[int, int]]:

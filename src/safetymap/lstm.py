@@ -416,6 +416,8 @@ def predict_corridor(
     features: np.ndarray,
     window: int,
     threshold: float,
+    *,
+    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-image class probabilities and labels over the contiguous runs of
     records, features[i] being the vector of records[i].
@@ -425,27 +427,59 @@ def predict_corridor(
     run shorter than the window is one window of its own length. The label
     rule is strictly-above-threshold. Each chunk of windows projects its
     feature rows once and steps a window view of that projection.
+
+    With `workers` > 1 the chunks, in image order, run in at most that many
+    contiguous parts at once, the first here and each other one in a forked
+    child (see `fork.split`). A part returns the sums of the images it is
+    first to touch, and the window probabilities of its chunks that reach an
+    earlier part's, added after that part's sums: no bit changes. Fork only
+    while this process runs no other thread.
     """
     params = model.params
     groups = len(params["wp"])
     probs = np.zeros((len(records), len(CLASS_NAMES)))
-    chunk = 128 // groups  # bounds the working set at 128 group-windows
+    counts = np.empty((len(records), 1))  # windows per image
+    size = 128 // groups  # bounds a chunk's working set at 128 group-windows
+    chunks = []  # (lo, hi, w): the windows of w steps over images lo..hi-1
     for start, end in _runs(records):
         n = end - start
         w = min(window, n)
-        sums = probs[start:end]
-        for first in range(0, n - w + 1, chunk):
-            rows = features[start + first : start + min(first + chunk + w - 1, n)]
+        pos = np.arange(n)
+        counts[start:end, 0] = np.minimum(np.minimum(pos + 1, n - pos), min(w, n - w + 1))
+        chunks += [(lo, min(lo + size + w - 1, end), w) for lo in range(start, end - w + 1, size)]
+    count = max(1, min(workers, len(chunks)))
+    cuts = [len(chunks) * k // count for k in range(count + 1)]
+    parts = [chunks[a:b] for a, b in zip(cuts, cuts[1:])]
+    log.info("%d chunks: %s", len(chunks), fork.plan([str(len(part)) for part in parts]))
+    # part k is the first to touch images bounds[k] .. bounds[k + 1] - 1
+    bounds = [0] + [part[-1][1] for part in parts[:-1]] + [len(records)]
+
+    def run(k: int) -> tuple[list[np.ndarray], np.ndarray]:
+        leading = []
+        for lo, hi, w in parts[k]:
+            rows = features[lo:hi]
             ux = _project(params, np.broadcast_to(rows, (groups,) + rows.shape))
             # (B, T, 3): the shared stack's columns, or class k's stack as column k
             window_probs = np.concatenate(_step_probs(params, _window_view(ux, w, axis=1)), axis=-1)
-            # image first + j + t gets step t of window first + j; taking t
-            # downwards adds each image's windows in start order
-            for t in range(w - 1, -1, -1):
-                sums[first + t : first + t + len(window_probs)] += window_probs[:, t]
-        pos = np.arange(n)
-        sums /= np.minimum(np.minimum(pos + 1, n - pos), min(w, n - w + 1))[:, None]
+            _add_windows(probs[lo:hi], window_probs)
+            if lo < bounds[k]:
+                leading.append(window_probs)
+        return leading, probs[bounds[k] : bounds[k + 1]]
+
+    for k, (leading, sums) in enumerate(fork.split(run, range(count))):
+        for (lo, _, _), window_probs in zip(parts[k], leading):
+            _add_windows(probs[lo : bounds[k]], window_probs)
+        probs[bounds[k] : bounds[k + 1]] = sums
+    probs /= counts
     return probs, probs > threshold
+
+
+def _add_windows(sums: np.ndarray, window_probs: np.ndarray) -> None:
+    """Add step t of window j of window_probs (B, T, 3) to sums[j + t], where
+    sums has a row; taking t downwards adds each row's windows in start order."""
+    for t in range(window_probs.shape[1] - 1, -1, -1):
+        target = sums[t : t + len(window_probs)]
+        target += window_probs[: len(target), t]
 
 
 def seq_save(model: SequenceModel, path: str, seed: int | None = None) -> None:

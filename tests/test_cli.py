@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -360,6 +361,33 @@ class TestGeoCommands:
         capsys.readouterr()
         assert run_cli("sample", "--network", network, "--out", str(samples)) == 5
         assert "edge 'seg-2' has zero length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ids", [("seg-1", "seg-1"), (1, "1")], ids=["same", "number-and-text"])
+    def test_repeated_edge_id_exit_4(self, tmp_path, capsys, ids):
+        # the loader keys edges by str(id), so the number 1 and the text "1" collide
+        edges = ((-87.0, 33.0), (-87.0, 33.0018)), ((-86.0, 33.0), (-86.0, 33.0018))
+        network = Path(write_network(tmp_path, *edges))
+        doc = json.loads(network.read_text())
+        for feature, edge_id in zip(doc["features"], ids):
+            feature["properties"]["id"] = edge_id
+        network.write_text(json.dumps(doc))
+        samples = tmp_path / "samples.csv"
+        capsys.readouterr()
+        assert run_cli("sample", "--network", str(network), "--out", str(samples)) == 4
+        message = f"error: {network}: feature 1 repeats the id {str(ids[1])!r} of feature 0\n"
+        assert capsys.readouterr().err == message
+        assert not samples.exists()
+
+    def test_antimeridian_edge_samples_the_short_way(self, tmp_path):
+        # 92.7 m due east across the antimeridian: five points 20 m apart, not
+        # five spread round the globe
+        network = write_network(tmp_path, ((179.9995, 33.5), (-179.9995, 33.5)))
+        samples, urls = tmp_path / "samples.csv", tmp_path / "urls.txt"
+        assert run_cli("sample", "--network", network, "--out", str(samples)) == 0
+        rows = [line.split(",") for line in samples.read_text().splitlines()[1:]]
+        lons = [float(row[4]) for row in rows]
+        assert lons == [179.9995, 179.999716, 179.999931, -179.999853, -179.999637]
+        assert run_cli("url-gen", "--samples", str(samples), "--key", "K", "--out", str(urls)) == 0
 
     def test_missing_network_exits_3(self, tmp_path):
         assert run_cli("sample", "--network", str(tmp_path / "nope.geojson"), "--out", "x") == 3
@@ -891,6 +919,40 @@ class TestSynthPipeline:
             "--mode", "separate", "--model-out", str(tmp_path / "model.bin"),
         ) == 0
 
+    def test_in_process_predict_forks_nothing(self, tmp_path, tiny_config, monkeypatch):
+        # this process loaded numpy before main, so its BLAS pool may run threads
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
+        model = tmp_path / "model.bin"
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_cli(
+            "--config", tiny_config, "predict", "--labels", str(labels), "--features",
+            str(features), "--model", str(model), "--out", str(tmp_path / "p.csv"),
+        ) == 0
+
+    def test_verbose_predict_logs_both_splits(self, tmp_path, tiny_config):
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
+        model = tmp_path / "model.bin"
+        size = features.stat().st_size
+        # 150 images at window 20: 131 windows in 4 separate-mode chunks of 42
+        for cpus, parse, chunks in (
+            (1, f"bytes 0-{size} here, none in 0 workers", "4 chunks: 4 here, none in 0 workers"),
+            (2, r"bytes 0-(\d+) here, \1-" f"{size} in 1 worker", "4 chunks: 2 here, 2 in 1 worker"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", _CPUS_PROCESS, str(cpus), "--config", tiny_config, "-v",
+                 "predict", "--labels", str(labels), "--features", str(features),
+                 "--model", str(model), "--out", str(tmp_path / "p.csv")],
+                env=process_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert re.search(f"^INFO safetymap.data: {re.escape(str(features))}: {parse}$",
+                             proc.stderr, re.MULTILINE), proc.stderr
+            assert f"INFO safetymap.lstm: {chunks}\n" in proc.stderr
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -950,14 +1012,15 @@ def running(pid: int) -> bool:
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="a worker dies with its parent through prctl"
 )
-@pytest.mark.parametrize("command", ["train-lstm", "train-cnn"])
+@pytest.mark.parametrize("command", ["train-lstm", "train-cnn", "predict"])
 @pytest.mark.parametrize(
     "signum, code", [(signal.SIGTERM, 128 + signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL)]
 )
 def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
-    # SIGTERM unwinds the command, which kills and reaps its worker; on
-    # SIGKILL the kernel kills the worker with its parent
-    model = tmp_path / "m"
+    # SIGTERM unwinds the command, which kills and reaps its workers; on
+    # SIGKILL the kernel kills the workers with their parent
+    out = tmp_path / "out"
+    forks = 2  # train-lstm and predict fork to read their features, then to run
     if command == "train-lstm":  # separate mode, whose class stacks split
         cfg = tmp_path / "long.cfg"
         cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", "lstm_epochs = 100000"))
@@ -965,32 +1028,51 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
         assert run_cli(
             "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
         ) == 0
-        inputs = ["--features", str(features), "--mode", "separate"]
+        inputs = ["--features", str(features), "--mode", "separate", "--model-out", str(out)]
+    elif command == "predict":  # separate mode on 40 000 images, about 1 s a process
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY_CONFIG)
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        model = tmp_path / "model.bin"
+        assert run_cli(
+            "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        assert run_cli(
+            "--config", str(cfg), "train-lstm", "--labels", str(labels), "--features",
+            str(features), "--mode", "separate", "--model-out", str(model),
+        ) == 0
+        cfg.write_text(TINY_CONFIG.replace("n_points = 150", "n_points = 40000"))
+        assert run_cli(
+            "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        inputs = ["--features", str(features), "--model", str(model), "--out", str(out)]
     else:
         labels, manifest, cfg = write_pixel_inputs(
             tmp_path, config="feature_dim = 8\ncnn_epochs = 100000\nbatch_size = 4\n"
         )
-        inputs = ["--manifest", str(manifest)]
+        inputs = ["--manifest", str(manifest), "--model-out", str(out)]
+        forks = 1
     stderr = tmp_path / "stderr"
     with open(stderr, "w") as err:  # a file, not a pipe a surviving worker would hold open
         proc = subprocess.Popen(
             [sys.executable, "-c", _REPORTING_FORK_PROCESS, "--config", str(cfg), command,
-             "--labels", str(labels), *inputs, "--model-out", str(model)],
+             "--labels", str(labels), *inputs],
             env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
         )
-    worker = None
+    workers = []
     try:
-        worker = int(proc.stdout.readline())
-        time.sleep(0.3)  # both processes are training
+        for _ in range(forks):  # the last one works until the signal
+            workers.append(int(proc.stdout.readline()))
+        time.sleep(0.3)  # both processes are at work
         proc.send_signal(signum)
         assert proc.wait(timeout=60) == code, stderr.read_text()
         deadline = time.monotonic() + 10
-        while running(worker) and time.monotonic() < deadline:
+        while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert not running(worker)
-        assert not model.exists()
+        assert not any(map(running, workers))
+        assert not out.exists()
     finally:
-        if worker is not None and running(worker):
+        for worker in filter(running, workers):
             os.kill(worker, signal.SIGKILL)
         proc.kill()
         proc.wait()

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
-from conftest import enumerate_windows, write_ppm
+from conftest import assert_no_child_left, enumerate_windows, write_ppm
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -292,19 +293,181 @@ class TestAttachFeatures:
         assert np.array_equal(attach_features(records, str(path), 8), features)
 
 
+def cut(blob: bytes) -> int:
+    """Where two workers cut a feature file: at the first line start (just
+    after a line feed) at or after the middle."""
+    return blob.index(b"\n", len(blob) // 2 - 1) + 1
+
+
+def padded(lines: list[str], endings: list[str], placed) -> bytes:
+    """The file of lines and their endings, with spaces (which JSON allows)
+    before the first line or after the last until placed(blob) holds: each
+    space moves the middle half a byte through the lines."""
+    text = "".join(line + end for line, end in zip(lines, endings))
+    for pad in range(len(text)):
+        for blob in (" " * pad + text, text + " " * pad):
+            if placed(blob.encode()):
+                return blob.encode()
+    raise AssertionError("no padding places the cut")
+
+
+class TestAttachFeaturesWorkers:
+    """attach_features' `workers`: byte ranges starting at line starts, range
+    0 parsed here and each other range in a forked child. Arrays and errors
+    are those of one process."""
+
+    RECORDS = [make_record("e1", i) for i in range(20)]
+
+    def lines(self) -> list[str]:
+        rng = np.random.default_rng(9)
+        return [
+            json.dumps({"image_id": r.image_id, "features": rng.normal(size=3).tolist()})
+            for r in self.RECORDS
+        ]
+
+    def attach(self, path, workers):
+        """The array, or the SchemaError's message, at `workers`."""
+        try:
+            out = attach_features(self.RECORDS, str(path), 3, workers=workers)
+        except SchemaError as exc:
+            out = str(exc)
+        assert_no_child_left()
+        return out
+
+    def outcome(self, path, blob):
+        """The outcome at one worker, checked equal at two and three."""
+        path.write_bytes(blob)
+        one = self.attach(path, 1)
+        for workers in (2, 3):
+            other = self.attach(path, workers)
+            assert type(other) is type(one), workers
+            assert (other == one) if isinstance(one, str) else np.array_equal(other, one)
+        return one
+
+    @staticmethod
+    def text_line(path, marker: str) -> int:
+        """The number text mode gives the first line holding marker."""
+        with open(path, encoding="utf-8") as fh:
+            return next(n for n, line in enumerate(fh, start=1) if marker in line)
+
+    def test_same_array_at_every_count(self, tmp_path):
+        lines = self.lines()
+        out = self.outcome(tmp_path / "f.jsonl", "".join(x + "\n" for x in lines).encode())
+        assert out.tolist() == [json.loads(x)["features"] for x in lines]
+
+    def test_bad_line_in_last_part(self, tmp_path):
+        lines = self.lines()
+        lines[17] = '{"image_id": "e1-17", "features": [1.0, 2.0]}'
+        blob = "".join(x + "\n" for x in lines).encode()
+        assert cut(blob) < blob.index(b'"e1-17"')
+        path = tmp_path / "f.jsonl"
+        assert self.outcome(path, blob) == f"{path}: line 18: feature dimension 2 != expected 3"
+
+    @pytest.mark.parametrize("repeat_ok", [True, False], ids=["repeat", "repeat-bad-vector"])
+    def test_repeat_across_parts_before_a_later_bad_line(self, tmp_path, repeat_ok):
+        # a repeat is found before its vector is checked, as in one process
+        lines = self.lines()
+        lines[15] = lines[2] if repeat_ok else '{"image_id": "e1-2", "features": [1.0]}'
+        lines[18] = "{"
+        blob = "".join(x + "\n" for x in lines).encode()
+        assert blob.index(b'"e1-2"') < cut(blob) < blob.rindex(b'"e1-2"')
+        path = tmp_path / "f.jsonl"
+        expected = f"{path}: line 16: duplicate image_id 'e1-2', first seen on line 3"
+        assert self.outcome(path, blob) == expected
+
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "bad-line-after"])
+    def test_blank_lines_at_the_cut(self, tmp_path, bad):
+        lines = self.lines()
+        if bad:
+            lines[16] = '{"image_id": "e1-16", "features": [1.0, "x", 2.0]}'
+        lines = lines[:10] + ["", "   ", "", "\t", ""] + lines[10:]
+        blank = lambda line: not line.strip()  # noqa: E731
+        blob = padded(
+            lines, ["\n"] * len(lines),
+            lambda b: blank(b[: cut(b)].splitlines()[-1]) and blank(b[cut(b) :].splitlines()[0]),
+        )
+        path = tmp_path / "f.jsonl"
+        out = self.outcome(path, blob)
+        if bad:
+            line = self.text_line(path, '"x"')
+            assert out == f"{path}: line {line}: could not convert string to float: 'x'"
+        else:
+            assert out.shape == (20, 3)
+
+    def test_text_mode_line_ends(self, tmp_path):
+        # \r\n, lone \r and \n each end a line; the middle falls between a
+        # \r and its \n, and the cut goes after the pair
+        lines = self.lines()
+        lines[18] = '{"image_id": "e1-18", "features": [1.0, 2.0, 1e999]}'
+        endings = ["\r\n", "\r", "\n"] * 7
+        blob = padded(lines, endings, lambda b: b[len(b) // 2 - 1 : len(b) // 2 + 1] == b"\r\n")
+        path = tmp_path / "f.jsonl"
+        assert self.outcome(path, blob) == (
+            f"{path}: line {self.text_line(path, '1e999')}: non-finite feature value"
+        )
+        assert self.text_line(path, "1e999") == 19
+
+    def test_lone_cr_file_is_one_range(self, tmp_path):
+        lines = self.lines()
+        out = self.outcome(tmp_path / "f.jsonl", "".join(x + "\r" for x in lines).encode())
+        assert out.tolist() == [json.loads(x)["features"] for x in lines]
+
+    def test_non_utf8_in_last_part(self, tmp_path):
+        lines = self.lines()
+        blob = "".join(x + "\n" for x in lines).encode()
+        at = blob.index(b'"e1-18"') + 3
+        blob = blob[:at] + b"\xff" + blob[at:]
+        assert cut(blob) < at
+        path = tmp_path / "f.jsonl"
+        assert self.outcome(path, blob).startswith(f"{path}: not UTF-8: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="reads a pipe through /dev/fd")
+    def test_pipe_is_read_once_as_one_range(self, tmp_path):
+        # a pipe cannot seek: as from a shell's <(...), it is parsed in one range
+        lines = self.lines()
+        blob = "".join(x + "\n" for x in lines).encode()
+        (tmp_path / "f.jsonl").write_bytes(blob)
+        read, write = os.pipe()
+        try:
+            os.write(write, blob)
+            os.close(write)
+            out = attach_features(self.RECORDS, f"/dev/fd/{read}", 3, workers=2)
+        finally:
+            os.close(read)
+        assert np.array_equal(out, self.attach(tmp_path / "f.jsonl", 1))
+
+    @pytest.mark.parametrize(
+        "blob, n", [(b"", 0), (b"\n", 0), (b'{"image_id": "e1-0", "features": [1, 2, 3]}', 1)]
+    )
+    def test_file_smaller_than_the_part_count(self, tmp_path, blob, n):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(blob)
+        for workers in (1, 2, 5):
+            out = attach_features(self.RECORDS[:n], str(path), 3, workers=workers)
+            assert_no_child_left()
+            assert out.tolist() == [[1.0, 2.0, 3.0]] * n
+
+
 class TestFeatureFileFuzz:
-    """attach_features returns a finite (n, d) array or raises SchemaError, whatever the bytes."""
+    """attach_features returns a finite (n, d) array or raises SchemaError,
+    whatever the bytes, and the same array or error at two workers."""
 
     RECORDS = [make_record("e1", i) for i in range(3)]
 
     def _attach(self, path):
-        try:
-            out = attach_features(self.RECORDS, str(path), 2)
-        except SchemaError:
-            return None
-        assert out.ndim == 2 and len(out) == len(self.RECORDS)
-        assert np.isfinite(out).all()
-        return out
+        outcomes = []
+        for workers in (1, 2):
+            try:
+                out = attach_features(self.RECORDS, str(path), 2, workers=workers)
+            except SchemaError as exc:
+                outcomes.append(str(exc))
+                continue
+            assert out.ndim == 2 and len(out) == len(self.RECORDS)
+            assert np.isfinite(out).all()
+            outcomes.append(out.tobytes())
+        assert_no_child_left()
+        assert outcomes[1] == outcomes[0]
+        return None if isinstance(outcomes[0], str) else outcomes[0]
 
     def test_valid_file_cut_at_every_length(self, tmp_path):
         path = tmp_path / "features.jsonl"

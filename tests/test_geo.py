@@ -197,6 +197,16 @@ class TestSamplePoints:
                 d = haversine_m(a.location, b.location)
                 assert abs(d - 20.0) <= 0.2, f"spacing {d} deviates >1% from 20 m"
 
+    @pytest.mark.parametrize("lon0, lon1", [(179.9995, -179.9995), (-179.9995, 179.9995)])
+    def test_antimeridian_crossing_keeps_the_spacing(self, lon0, lon1):
+        # the edge runs 92.7 m the short way over the antimeridian, east or west
+        edge = RoadEdge(id="a", polyline=(LatLon(33.5, lon0), LatLon(33.5, lon1)))
+        sampled = sample_points([edge], 20.0)
+        assert len(sampled) == 5
+        assert all(-180.0 <= p.location.lon <= 180.0 for p in sampled)
+        for a, b in zip(sampled, sampled[1:]):
+            assert abs(haversine_m(a.location, b.location) - 20.0) <= 0.2
+
     def test_chainage_end_is_last_vertex(self):
         e = meridian_edge("e", 100.0, vertices=4)
         assert next(_walk(e, [e.length_m]))[0] == e.polyline[-1]

@@ -19,7 +19,7 @@ from safetymap.config import PipelineConfig
 from safetymap.data import build_sequences, synth_corridor
 from safetymap.geo import LatLon
 from safetymap.data import ImageRecord
-from safetymap import lstm
+from safetymap import fork, lstm
 from safetymap.lstm import (
     bptt_train,
     init_sequence_model,
@@ -641,6 +641,61 @@ class TestPredictCorridor:
             times[np.flatnonzero(np.isin(feats[:, 0], rows[:, 0]))] += 1
         assert times.min() >= 1
         assert times.max() <= math.ceil((chunk + window - 1) / chunk)
+
+
+class TestPredictWorkers:
+    """predict_corridor's `workers`: contiguous parts of the chunk list, part
+    0 run here and each other part in a forked child."""
+
+    # runs of 20 (shorter than the window), 400, 130 and 45 images at window
+    # 50: 6 shared-mode chunks of up to 128 windows, 13 separate-mode ones of 42
+    RUNS = (20, 400, 130, 45)
+    WINDOW = 50
+
+    def corridor(self):
+        rng = np.random.default_rng(41)
+        return join_runs(
+            [feature_records(n, rng, edge=f"e{k}", dim=3) for k, n in enumerate(self.RUNS)]
+        )
+
+    def predict(self, mode, workers):
+        records, feats = self.corridor()
+        model = sequence_model(mode, input_dim=3, hidden=4, mid_dim=5, seed=42)
+        return predict_corridor(model, records, feats, self.WINDOW, 0.5, workers=workers)
+
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    def test_split_changes_no_bit(self, mode):
+        # at 2 and 3 workers separate mode cuts the 400-image run inside the
+        # 49 images its two leading chunks reach back over; at 20 workers, more
+        # than the chunks, every part is one chunk, shorter than that reach
+        probs, labels = self.predict(mode, workers=1)
+        for workers in (2, 3, 5, 20):
+            split, split_labels = self.predict(mode, workers=workers)
+            assert_no_child_left()
+            assert np.array_equal(split, probs), (mode, workers)
+            assert np.array_equal(split_labels, labels), (mode, workers)
+
+    @pytest.mark.parametrize("mode, leading", [("shared", [1]), ("separate", [2])])
+    def test_only_boundary_chunks_cross_the_pipe(self, monkeypatch, mode, leading):
+        # a worker returns its own images' sums and the window probabilities
+        # of the chunks that reach back into the part before it, no more
+        split, results = fork.split, []
+
+        def recording_split(fn, parts):
+            results.extend(split(fn, parts))
+            return results
+
+        monkeypatch.setattr(fork, "split", recording_split)
+        self.predict(mode, workers=2)
+        assert [len(chunks) for chunks, _ in results] == [0] + leading
+        assert sum(len(sums) for _, sums in results) == sum(self.RUNS)
+
+    def test_one_part_forks_nothing(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.predict("separate", workers=1)
 
 
 class TestSerialization:
