@@ -114,7 +114,7 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
     cnn_mod.cnn_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
         _write_history(args.loss_out, history)
-    final = history[-1]["train_loss"] if history else float("nan")
+    final = history[-1] if history else float("nan")
     log.info("trained cnn for %d epochs, final loss %.4f", config.cnn_epochs, final)
     return 0
 
@@ -161,7 +161,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     lstm.seq_save(model, args.model_out, seed=config.seed)
     if args.loss_out:
         _write_history(args.loss_out, history)
-    final = history[-1]["train_loss"] if history else float("nan")
+    final = history[-1] if history else float("nan")
     log.info(
         "trained %s sequence model on %d windows, final loss %.4f",
         args.mode,
@@ -331,18 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_history(path: str, history: list[dict[str, float]]) -> None:
+def _write_history(path: str, history: list[float]) -> None:
     data.write_table(
-        path,
-        ("epoch", "train_loss", "val_loss"),
-        (
-            (
-                int(entry["epoch"]),
-                f"{entry['train_loss']:.6f}",
-                f"{entry['val_loss']:.6f}" if "val_loss" in entry else "",
-            )
-            for entry in history
-        ),
+        path, ("epoch", "train_loss"), ((epoch, f"{loss:.6f}") for epoch, loss in enumerate(history))
     )
 
 

@@ -169,14 +169,13 @@ def _conv_rows(
     return stages
 
 
-def cnn_forward(model: CnnModel, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Class probabilities (N, 3) and nonnegative feature vectors (N,
-    feature_dim) for an (N, C, H, W) batch of images; no image's stage
-    records outlive its conv stages."""
+def cnn_forward(model: CnnModel, images: np.ndarray) -> np.ndarray:
+    """Nonnegative feature vectors (N, feature_dim) for an (N, C, H, W) batch
+    of images; no image's stage records outlive its conv stages. The class
+    probabilities are frame_predict(model.params, features)."""
     flat = np.empty((len(images), model.config.flat_dim()))
     _conv_rows(model, images, flat, keep_stages=False)
-    features = nn.relu(nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"]))
-    return frame_predict(model.params, features), features
+    return nn.relu(nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"]))
 
 
 def cnn_loss_and_grads(
@@ -227,11 +226,11 @@ def _images(pixels: np.ndarray, buffer: np.ndarray, batch: Sequence[int]) -> np.
 def _train(
     params: nn.Params, n: int, step: Callable[[np.ndarray, nn.Params], float], *,
     lr: float, batch_size: int, epochs: int, seed: int,
-) -> list[dict[str, float]]:
+) -> list[float]:
     """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
     examples, in place. step(batch, grads) writes the batch-mean gradient of
     every parameter for the example indices batch into grads and returns the
-    batch's mean loss. Returns one {"epoch", "train_loss"} entry per epoch."""
+    batch's mean loss. Returns each epoch's mean training loss."""
     if n == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
@@ -244,22 +243,22 @@ def _train(
     # process's allocation layout, and peak RSS would differ by tens of MB
     # between identical runs.
     grads = {key: np.empty_like(p) for key, p in params.items()}
-    history: list[dict[str, float]] = []
-    for epoch in range(epochs):
+    history = []
+    for _ in range(epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             epoch_loss += step(batch, grads) * len(batch)
             nn.adam_step(params, grads, state)
-        history.append({"epoch": float(epoch), "train_loss": epoch_loss / n})
+        history.append(epoch_loss / n)
     return history
 
 
 def cnn_train(
     model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, *,
     lr: float, batch_size: int, epochs: int, seed: int, workers: int = 1,
-) -> list[dict[str, float]]:
+) -> list[float]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
     image of records[i]. Returns _train's history.
 
@@ -304,7 +303,7 @@ def cnn_train(
 def frame_train(
     params: nn.Params, records: Sequence[ImageRecord], features: np.ndarray, *,
     lr: float, batch_size: int, epochs: int, seed: int,
-) -> list[dict[str, float]]:
+) -> list[float]:
     """Train the frame baseline's class head with _train, in place; features[i]
     is the (feature_dim,) vector of records[i]. Returns _train's history."""
     labels = np.array([r.labels for r in records], dtype=np.float64)
@@ -337,7 +336,7 @@ def extract_features(
     batch_images = np.empty((min(batch_size, len(records)), *pixels.shape[1:]))
 
     def features(run: list[list[int]]) -> list[np.ndarray]:
-        return [cnn_forward(model, _images(pixels, batch_images, batch))[1] for batch in run]
+        return [cnn_forward(model, _images(pixels, batch_images, batch)) for batch in run]
 
     out = np.empty((len(records), model.config.feature_dim))
     for run, rows in zip(runs, fork.split(features, runs)):

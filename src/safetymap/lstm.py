@@ -172,13 +172,6 @@ def _head_forward(
     return d, z_mid, a_mid, nn.sigmoid(z_out)
 
 
-def _step_probs(params: nn.Params, ux: np.ndarray) -> np.ndarray:
-    """Per-step probabilities (G, B, T, o) of projected windows ux (G, B, T, 4H),
-    keeping no BPTT cache."""
-    hs = packed_forward(params, ux, cache=False).H.transpose(1, 2, 0, 3)
-    return _head_forward(params, hs, None)[3]
-
-
 def packed_loss_and_grads(
     params: nn.Params, xs: np.ndarray, labels: np.ndarray, masks: np.ndarray | None = None
 ) -> tuple[np.ndarray, nn.Params]:
@@ -247,11 +240,6 @@ def _param_shapes(
     }
 
 
-def _check_dropout(rate: float) -> None:
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-
-
 def init_sequence_model(
     mode: str, input_dim: int, hidden: int, mid_dim: int, dropout_rate: float, seed: int
 ) -> SequenceModel:
@@ -259,7 +247,6 @@ def init_sequence_model(
     group draws from its own seed stream: per gate f, i, o, u its W then its
     U, then the head's mid.w and out.w. A weight (out, in) has fan-in in."""
     shapes = _param_shapes(mode, input_dim, hidden, mid_dim)
-    _check_dropout(dropout_rate)
     params = {key: np.zeros(shape) for key, shape in shapes.items()}
     params["bp"][:, :hidden] = 1.0  # the forget gate's rows
     gate_rows = [slice(j * hidden, (j + 1) * hidden) for j in range(4)]
@@ -300,23 +287,22 @@ def _fit(
     *,
     lr: float,
     epochs: int,
-    val_starts: np.ndarray | None = None,
-) -> list[dict[str, np.ndarray]]:
+) -> np.ndarray:
     """Adam on packed params, each step taking one window per group.
 
     The training windows are windows[starts]; group k trains on targets[k]
     and draws its shuffle order and dropout masks from rngs[k], in the order
-    that training it alone would. Returns each epoch's per-group mean losses.
+    that training it alone would. Returns each epoch's per-group mean
+    losses, (epochs, G).
     """
     groups = np.arange(len(rngs))
     n = len(starts)
     batch = np.empty((len(rngs), 1) + windows.shape[1:])  # one window per group
     mask_shape = (1, windows.shape[1], params["wp"].shape[2])
     state = nn.adam_init(params, lr)
-    history = []
-    for _ in range(epochs):
+    history = np.zeros((epochs, len(rngs)))
+    for total in history:
         orders = starts[np.stack([rng.permutation(n) for rng in rngs], axis=1)]
-        total = np.zeros(len(rngs))
         for idx in orders:
             masks = None
             if dropout_rate > 0.0:
@@ -326,17 +312,7 @@ def _fit(
             losses, grads = packed_loss_and_grads(params, batch, targets[groups, idx, None], masks)
             total += losses
             nn.adam_step(params, grads, state)
-        entry = {"train_loss": total / n}
-        if val_starts is not None and len(val_starts) > 0:
-            val_windows = windows[val_starts]
-            xs = np.broadcast_to(val_windows, (len(rngs),) + val_windows.shape)
-            probs = _step_probs(params, _project(params, xs))
-            val_total = [
-                sum(nn.bce_loss(p, y) for p, y in zip(group_probs, group_targets))
-                for group_probs, group_targets in zip(probs, targets[:, val_starts])
-            ]
-            entry["val_loss"] = np.array(val_total) / len(val_starts)
-        history.append(entry)
+        total /= n
     return history
 
 
@@ -350,15 +326,13 @@ def bptt_train(
     lr: float,
     epochs: int,
     seed: int,
-    val_starts: np.ndarray | None = None,
     workers: int = 1,
-) -> list[dict[str, float]]:
+) -> list[float]:
     """Train with full backpropagation-through-time on the windows of the
     given length starting at `starts` (indices into records and features,
     as from `data.build_sequences`), one Adam update per window, shuffling per
     epoch with the seeded RNG; in place, recording the window in
-    model.window. Windows at `val_starts`, if any, give a validation loss
-    per epoch.
+    model.window. Returns each epoch's mean training loss.
 
     Separate mode steps the three class stacks together but keeps them
     independent: each trains on its own label column with its own RNG
@@ -387,12 +361,12 @@ def bptt_train(
     if groups > 1:
         log.info("%s model: groups %s", model.mode, fork.plan([str(p) for p in split]))
 
-    def fit(part: slice) -> tuple[nn.Params, list[dict[str, np.ndarray]]]:
+    def fit(part: slice) -> tuple[nn.Params, np.ndarray]:
         # a slice of the leading axis is a contiguous view, trained in place
         own = {key: value[part] for key, value in params.items()}
         history = _fit(
             own, windows, targets[part], starts, rngs[part], model.dropout_rate,
-            lr=lr, epochs=epochs, val_starts=val_starts,
+            lr=lr, epochs=epochs,
         )
         return own, history
 
@@ -400,14 +374,9 @@ def bptt_train(
     for part, (own, _) in zip(parts[1:], fitted[1:]):  # part 0 trained in place
         for key, value in own.items():
             params[key][part] = value
-    history = [  # each epoch's per-group losses, in group order
-        {key: np.concatenate([h[epoch][key] for _, h in fitted]) for key in entry}
-        for epoch, entry in enumerate(fitted[0][1])
-    ]
-    return [
-        {"epoch": float(epoch), **{key: float(np.mean(v)) for key, v in entry.items()}}
-        for epoch, entry in enumerate(history)
-    ]
+    # each epoch's per-group losses, in group order
+    history = np.concatenate([h for _, h in fitted], axis=1)
+    return [float(np.mean(row)) for row in history]
 
 
 def predict_corridor(
@@ -459,8 +428,10 @@ def predict_corridor(
         for lo, hi, w in parts[k]:
             rows = features[lo:hi]
             ux = _project(params, np.broadcast_to(rows, (groups,) + rows.shape))
+            hs = packed_forward(params, _window_view(ux, w, axis=1), cache=False).H
             # (B, T, 3): the shared stack's columns, or class k's stack as column k
-            window_probs = np.concatenate(_step_probs(params, _window_view(ux, w, axis=1)), axis=-1)
+            window_probs = np.concatenate(_head_forward(params, hs.transpose(1, 2, 0, 3), None)[3], axis=-1)
+            del hs  # else the (T, G, B, H) hidden states stay resident through the next chunk
             _add_windows(probs[lo:hi], window_probs)
             if lo < bounds[k]:
                 leading.append(window_probs)
@@ -513,7 +484,8 @@ def seq_load(path: str) -> SequenceModel:
             # an untrained model is saved with no window
             window=None if meta["window"] is None else meta_int("window", meta["window"]),
         )
-        _check_dropout(model.dropout_rate)
+        if not (0.0 <= model.dropout_rate < 1.0):
+            raise ValueError(f"dropout rate must be in [0, 1), got {model.dropout_rate}")
         want = _param_shapes(model.mode, model.input_dim, model.hidden, model.mid_dim)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: incomplete sequence-model meta: {exc!r}") from exc

@@ -103,6 +103,16 @@ def write_pixel_inputs(
     return labels, manifest, cfg
 
 
+def assert_loss_table(path: Path, epochs: int) -> None:
+    """A --loss-out table: its header, then one row per epoch, numbered from
+    0, holding that epoch's finite mean training loss."""
+    header, *rows = path.read_text().splitlines()
+    assert header == "epoch,train_loss"
+    cells = [row.split(",") for row in rows]
+    assert [epoch for epoch, _ in cells] == [str(epoch) for epoch in range(epochs)]
+    assert all(np.isfinite(float(loss)) for _, loss in cells)
+
+
 class TestConfig:
     def test_defaults(self):
         config = PipelineConfig()
@@ -577,6 +587,22 @@ class TestSynthPipeline:
         map_doc = json.loads(geojson.read_text())
         assert map_doc["type"] == "FeatureCollection"
         assert len(map_doc["features"]) == 150
+
+    @pytest.mark.parametrize("epochs", [2, 0])
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    def test_loss_out_one_row_per_epoch(self, tmp_path, mode, epochs):
+        cfg = tmp_path / "pipeline.cfg"
+        cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", f"lstm_epochs = {epochs}"))
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        losses = tmp_path / "losses.csv"
+        base = ["--config", str(cfg)]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+        code = run_cli(
+            *base, "train-lstm", "--labels", str(labels), "--features", str(features),
+            "--mode", mode, "--model-out", str(tmp_path / "model.bin"), "--loss-out", str(losses),
+        )
+        assert code == 0
+        assert_loss_table(losses, epochs)
 
     def test_deterministic_outputs(self, tmp_path, tiny_config):
         run_a = tmp_path / "run-a"
@@ -1503,7 +1529,9 @@ class TestPixelCommands:
             assert f"INFO safetymap.cnn: {split}\n" in proc.stderr
 
     def test_train_cnn_and_extract(self, tmp_path):
-        labels, manifest, cfg = write_pixel_inputs(tmp_path)
+        labels, manifest, cfg = write_pixel_inputs(
+            tmp_path, config="feature_dim = 8\ncnn_epochs = 2\nbatch_size = 4\n"
+        )
 
         model = tmp_path / "cnn.bin"
         losses = tmp_path / "losses.csv"
@@ -1521,7 +1549,7 @@ class TestPixelCommands:
             str(losses),
         )
         assert code == 0
-        assert losses.read_text().splitlines()[0] == "epoch,train_loss,val_loss"
+        assert_loss_table(losses, 2)
 
         features = tmp_path / "features.jsonl"
         code = run_cli(

@@ -49,26 +49,25 @@ class TestCnnForward:
         model = init_cnn(SMALL, seed=0)
         for k in model.params:
             model.params[k][:] = 0.0
-        probs, features = cnn_forward(model, np.random.default_rng(0).random((2, 3, 8, 8)))
-        assert probs.tolist() == [[0.5, 0.5, 0.5]] * 2
+        features = cnn_forward(model, np.random.default_rng(0).random((2, 3, 8, 8)))
+        assert frame_predict(model.params, features).tolist() == [[0.5, 0.5, 0.5]] * 2
         assert np.all(features == 0.0)
 
     def test_probs_in_open_interval(self):
         model = init_cnn(SMALL, seed=1)
         rng = np.random.default_rng(2)
-        probs, _ = cnn_forward(model, rng.random((5, 3, 8, 8)))
+        probs = frame_predict(model.params, cnn_forward(model, rng.random((5, 3, 8, 8))))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_deterministic_given_seed(self):
         images = np.random.default_rng(3).random((2, 3, 8, 8))
         a = cnn_forward(init_cnn(SMALL, seed=5), images)
         b = cnn_forward(init_cnn(SMALL, seed=5), images)
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
+        assert np.array_equal(a, b)
 
     def test_features_nonnegative(self):
         model = init_cnn(SMALL, seed=4)
-        _, features = cnn_forward(model, np.random.default_rng(5).random((3, 3, 8, 8)))
+        features = cnn_forward(model, np.random.default_rng(5).random((3, 3, 8, 8)))
         assert np.all(features >= 0.0)
 
     def test_pooled_outputs_are_rows_of_the_dense_input(self):
@@ -117,11 +116,10 @@ class TestCnnForward:
             flat = np.empty((len(images), DESK.flat_dim()))
             stages = _conv_rows(model, images, flat)
             feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
-            features = nn.relu(feat_z)
-            return stages, {"features": features, "probs": frame_predict(model.params, features)}
+            return stages, nn.relu(feat_z)
 
-        (stages, head), training_peak = traced(training_forward)
-        (probs, features), peak = traced(cnn_forward)
+        (stages, want), training_peak = traced(training_forward)
+        features, peak = traced(cnn_forward)
         # the last stage's pooled output is a view of the dense input
         record_bytes = sum(
             idx.nbytes + (pooled.nbytes if s < len(image_stages) - 1 else 0)
@@ -129,8 +127,7 @@ class TestCnnForward:
             for s, (_, idx, pooled) in enumerate(image_stages)
         )
         assert training_peak - peak > 0.9 * record_bytes
-        assert probs.tobytes() == head["probs"].tobytes()
-        assert features.tobytes() == head["features"].tobytes()
+        assert features.tobytes() == want.tobytes()
 
     def test_shape_mismatch(self):
         model = init_cnn(SMALL, seed=0)
@@ -188,7 +185,7 @@ class TestCnnTrain:
         records, pixels = make_pixel_records(200, rng)
         model = init_cnn(DESK, seed=1)
         history = cnn_train(model, records, pixels, lr=1e-3, batch_size=32, epochs=30, seed=2)
-        assert history[-1]["train_loss"] < 0.1
+        assert history[-1] < 0.1
 
     def test_batch_size_one_also_converges(self):
         rng = np.random.default_rng(0)
@@ -197,7 +194,7 @@ class TestCnnTrain:
         # batch-1 Adam at lr 1e-3 has transient loss spikes (epoch 8 on this
         # data reads 0.17 between 0.08 and 0.04), so read the loss after 10
         history = cnn_train(model, records, pixels, lr=1e-3, batch_size=1, epochs=10, seed=2)
-        assert history[-1]["train_loss"] < 0.1
+        assert history[-1] < 0.1
 
     def test_zero_epochs_unchanged(self):
         rng = np.random.default_rng(1)
@@ -299,7 +296,7 @@ class TestExtractFeatures:
         order = sorted(range(7), key=lambda i: records[i].image_id)
         for start in range(0, 7, 3):
             batch = order[start : start + 3]
-            _, want = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)
+            want = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)
             assert out[batch].tobytes() == want.tobytes()
 
     def test_matches_single_forward(self):
@@ -308,7 +305,7 @@ class TestExtractFeatures:
         model = init_cnn(SMALL, seed=9)
         out = extract_features(model, records, pixels, batch_size=2)
         for image, row in zip(pixels, out):
-            _, features = cnn_forward(model, image.transpose(2, 0, 1)[None] / 255.0)
+            features = cnn_forward(model, image.transpose(2, 0, 1)[None] / 255.0)
             assert relative_error(row, features[0]) <= 1e-12
 
 
@@ -399,9 +396,9 @@ class TestCnnSerialization:
         loaded = cnn_load(str(path))
         assert loaded.config == model.config
         image = np.random.default_rng(11).random((1, 3, 8, 8))
-        a = cnn_forward(model, image)
-        b = cnn_forward(loaded, image)
-        assert np.array_equal(a[0], b[0])
+        a = frame_predict(model.params, cnn_forward(model, image))
+        b = frame_predict(loaded.params, cnn_forward(loaded, image))
+        assert np.array_equal(a, b)
 
     def _resave(self, tmp_path, edit):
         """Save a SMALL model, let edit(tensors, meta) alter what was written,

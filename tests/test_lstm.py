@@ -321,7 +321,7 @@ class TestBpttTrain:
         history = bptt_train(
             model, records, features, starts, 50, lr=1e-3, epochs=30, seed=2, workers=WORKERS
         )
-        assert history[-1]["train_loss"] < 0.15
+        assert history[-1] < 0.15
 
     def test_zero_epochs_unchanged(self):
         records, features, starts = corridor_sequences(200, seed=3, window=20)
@@ -341,15 +341,6 @@ class TestBpttTrain:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
-
-    def test_validation_history(self):
-        records, features, starts = corridor_sequences(150, seed=9, window=20)
-        model = sequence_model("shared", input_dim=16, hidden=8, seed=10)
-        history = bptt_train(
-            model, records, features, starts[:5], 20, lr=1e-3, epochs=2, seed=0,
-            val_starts=starts[5:],
-        )
-        assert all("val_loss" in h for h in history)
 
     def test_empty_rejected(self):
         model = sequence_model("shared", input_dim=16, hidden=8, seed=0)
@@ -406,14 +397,12 @@ class TestWorkers:
         records, features, starts = corridor_sequences(150, seed=21, window=20, stride=5)
         model = sequence_model(mode, input_dim=16, hidden=8, dropout_rate=0.2, seed=22)
         history = bptt_train(
-            model, records, features, starts[:12], 20, lr=1e-3, epochs=2, seed=23,
-            val_starts=starts[12:], **kw,
+            model, records, features, starts[:12], 20, lr=1e-3, epochs=2, seed=23, **kw
         )
         return model, history
 
     def test_split_changes_no_bit(self):
         model, history = self.train(workers=1)
-        assert all("val_loss" in entry for entry in history)
         for workers in (2, 3, 5):
             split, split_history = self.train(workers=workers)
             assert_no_child_left()

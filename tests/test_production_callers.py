@@ -1,6 +1,8 @@
 """Every public top-level function and class in the package has a caller in
-the package or the benchmark harness, so code that only tests reach does not
-live in src/. Read with ast alone: nothing here imports the package."""
+the package or the benchmark harness, and every keyword-only parameter of a
+public function is passed by name in one of their calls, so code that only
+tests reach does not live in src/. Read with ast alone: nothing here imports
+the package."""
 
 from __future__ import annotations
 
@@ -19,15 +21,20 @@ ALLOWED = {
 }
 
 
-def public_definitions() -> dict[str, str]:
-    """{name: module file} of every public top-level function and class."""
-    found = {}
+def public_nodes() -> list[tuple[str, ast.stmt]]:
+    """(module file, definition) of every public top-level function and class."""
+    found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             if is_def and not node.name.startswith("_"):
-                found[node.name] = path.name
+                found.append((path.name, node))
     return found
+
+
+def public_definitions() -> dict[str, str]:
+    """{name: module file} of every public top-level function and class."""
+    return {node.name: module for module, node in public_nodes()}
 
 
 def wrapped_names() -> set[str]:
@@ -60,6 +67,22 @@ def referenced_names() -> set[str]:
     return names
 
 
+def keywords_passed() -> dict[str, set[str]]:
+    """{called name: every keyword that some call of it in src/ or
+    perfbench/ passes by name}, a call naming its function as a bare name
+    or as an attribute."""
+    passed: dict[str, set[str]] = {}
+    for directory in CALLER_DIRS:
+        for path in sorted(directory.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.setdefault(name, set()).update(kw.arg for kw in node.keywords if kw.arg)
+    return passed
+
+
 def test_every_public_definition_has_a_production_caller():
     used = referenced_names()
     orphans = [
@@ -74,3 +97,15 @@ def test_allowlist_names_real_orphans():
     definitions, used = public_definitions(), referenced_names()
     assert sorted(name for name in ALLOWED if name not in definitions) == []
     assert sorted(name for name in ALLOWED if name in used) == []
+
+
+def test_every_keyword_only_parameter_is_passed_by_a_production_call():
+    passed = keywords_passed()
+    unpassed = [
+        f"{module}: {node.name} {arg.arg}"
+        for module, node in public_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in ALLOWED
+        for arg in node.args.kwonlyargs
+        if arg.arg not in passed.get(node.name, set())
+    ]
+    assert unpassed == []
