@@ -174,8 +174,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
 def cmd_predict(args, config: PipelineConfig) -> int:
     from . import lstm
 
-    records = data.load_labels(args.labels)
-    features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
+    # the model is read and checked first: parsing the features takes longer
     model = lstm.seq_load(args.model)
     if model.window != config.window:
         raise ValueError(
@@ -186,6 +185,8 @@ def cmd_predict(args, config: PipelineConfig) -> int:
             f"{args.model} was trained with input_dim {model.input_dim}, "
             f"config feature_dim is {config.feature_dim}"
         )
+    records = data.load_labels(args.labels)
+    features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
     probs, labels = lstm.predict_corridor(
         model, records, features, config.window, config.threshold, workers=args.workers
     )

@@ -197,10 +197,10 @@ def cnn_loss_and_grads(
         flat[bounds[-1] : bounds[-1] + len(rows)] = rows
         bounds.append(bounds[-1] + len(rows))
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
-    features = nn.relu(feat_z)
+    features = nn.relu(feat_z, out=feat_z)
     probs = frame_predict(model.params, features)
     loss, grad_feat = _head_backward(model.params, features, probs, labels, grads)
-    grad_feat_z = grad_feat * nn.relu_grad(feat_z)
+    grad_feat_z = grad_feat * nn.relu_grad(features)
     grad_flat = nn.dense_backward(
         flat, model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
     )

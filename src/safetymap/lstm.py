@@ -17,7 +17,10 @@ The kernel takes projected inputs: `_project` forms U x + b for every
 feature row as one GEMM per group, outside the recurrence. Training projects
 its windows' rows; prediction projects each chunk's consecutive rows once
 and steps a window view of that projection, so a feature row is projected
-once per chunk it falls in, not once per window containing it.
+once per chunk it falls in, not once per window containing it. It then runs
+the head over slices of `HEAD_SLICE` windows, so a chunk holds its hidden
+states and one slice's head activations, not head activations for the whole
+chunk.
 
 Training and prediction take a corridor as its records (keys, labels)
 next to the (n, d) feature array its loader returns, row i belonging to
@@ -163,13 +166,19 @@ def _steps(a: np.ndarray) -> np.ndarray:
 
 def _head_forward(
     params: nn.Params, hs: np.ndarray, masks: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dropout -> dense -> ReLU -> dense -> sigmoid over hidden states (G, B, T, H)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dropout -> dense -> ReLU -> dense -> sigmoid over hidden states (G, B, T, H).
+
+    Returns the dropped-out states, the mid layer's activations and the
+    probabilities. The mid layer takes its bias and ReLU in place, so it
+    allocates one (G, B, T, mid) array; its ReLU mask is read back from the
+    activations (see `nn.relu_grad`)."""
     d = hs * masks if masks is not None else hs
-    z_mid = d @ params["mid.w"].transpose(0, 2, 1)[:, None] + params["mid.b"][:, None, None]
-    a_mid = nn.relu(z_mid)
+    a_mid = d @ params["mid.w"].transpose(0, 2, 1)[:, None]
+    a_mid += params["mid.b"][:, None, None]
+    nn.relu(a_mid, out=a_mid)
     z_out = a_mid @ params["out.w"].transpose(0, 2, 1)[:, None] + params["out.b"][:, None, None]
-    return d, z_mid, a_mid, nn.sigmoid(z_out)
+    return d, a_mid, nn.sigmoid(z_out)
 
 
 def packed_loss_and_grads(
@@ -182,7 +191,7 @@ def packed_loss_and_grads(
     like params; group k's loss depends on group k's slices only.
     """
     fw = packed_forward(params, _project(params, xs))
-    d, z_mid, a_mid, probs = _head_forward(params, fw.H.transpose(1, 2, 0, 3), masks)
+    d, a_mid, probs = _head_forward(params, fw.H.transpose(1, 2, 0, 3), masks)
     losses = np.empty(len(probs))
     dz_out = np.empty_like(probs)
     for k, (p, y) in enumerate(zip(probs, labels)):
@@ -192,7 +201,7 @@ def packed_loss_and_grads(
         "out.w": _steps(dz_out).transpose(0, 2, 1) @ _steps(a_mid),
         "out.b": _steps(dz_out).sum(axis=1),
     }
-    dz_mid = (dz_out @ params["out.w"][:, None]) * nn.relu_grad(z_mid)
+    dz_mid = (dz_out @ params["out.w"][:, None]) * nn.relu_grad(a_mid)
     grads["mid.w"] = _steps(dz_mid).transpose(0, 2, 1) @ _steps(d)
     grads["mid.b"] = _steps(dz_mid).sum(axis=1)
     grad_h = dz_mid @ params["mid.w"][:, None]
@@ -379,6 +388,17 @@ def bptt_train(
     return [float(np.mean(row)) for row in history]
 
 
+# Windows per call of the head in predict_corridor. A chunk's hidden states
+# are its one chunk-sized array; the head's (G, slice, T, mid) activations stay
+# a fraction of them. numpy's stacked matmul runs one GEMM per (group, window),
+# so the slice changes no product and no bit. At 400 images, hidden 100, mid 50
+# and window 50, predict_corridor's traced peak read 1.41x one chunk's hidden
+# states in shared mode and 1.44x in separate mode at slices of 4 to 16
+# windows, 1.42x / 1.60x at 32 and 1.79x / 1.74x over whole chunks; its time
+# did not move beyond noise (2-vCPU host, one BLAS thread).
+HEAD_SLICE = 16
+
+
 def predict_corridor(
     model: SequenceModel,
     records: Sequence[ImageRecord],
@@ -395,7 +415,8 @@ def predict_corridor(
     every stride-1 window containing it, summed in window start order; a
     run shorter than the window is one window of its own length. The label
     rule is strictly-above-threshold. Each chunk of windows projects its
-    feature rows once and steps a window view of that projection.
+    feature rows once, steps a window view of that projection, and runs the
+    head over slices of HEAD_SLICE windows of its hidden states.
 
     With `workers` > 1 the chunks, in image order, run in at most that many
     contiguous parts at once, the first here and each other one in a forked
@@ -429,8 +450,13 @@ def predict_corridor(
             rows = features[lo:hi]
             ux = _project(params, np.broadcast_to(rows, (groups,) + rows.shape))
             hs = packed_forward(params, _window_view(ux, w, axis=1), cache=False).H
+            hs = hs.transpose(1, 2, 0, 3)  # (G, B, T, H)
             # (B, T, 3): the shared stack's columns, or class k's stack as column k
-            window_probs = np.concatenate(_head_forward(params, hs.transpose(1, 2, 0, 3), None)[3], axis=-1)
+            window_probs = np.empty(hs.shape[1:3] + (len(CLASS_NAMES),))
+            for a in range(0, len(window_probs), HEAD_SLICE):
+                part = slice(a, a + HEAD_SLICE)
+                sliced = _head_forward(params, hs[:, part], None)[2]  # (G, b, T, o)
+                window_probs[part] = np.concatenate(sliced, axis=-1)
             del hs  # else the (T, G, B, H) hidden states stay resident through the next chunk
             _add_windows(probs[lo:hi], window_probs)
             if lo < bounds[k]:

@@ -27,7 +27,10 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative w.r.t. the pre-activation input (0 at the kink)."""
+    """Derivative of relu w.r.t. its input (0 at the kink), given that input z
+    or the output relu(z): max(0, z) > 0 holds exactly when z > 0 does, for
+    every float64 z, signed zeros, NaNs and infinities included. So a caller
+    may rectify in place and keep only the output."""
     return (x > 0.0).astype(np.float64)
 
 

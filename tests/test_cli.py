@@ -813,6 +813,26 @@ class TestSynthPipeline:
         assert f"{model} was trained with window 20, config window is 10" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_predict_checks_model_before_features(self, tmp_path, tiny_config, capsys):
+        # a model of another window, with a feature file that would fail its
+        # parse (exit 4): the model is refused first
+        labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
+        other = tmp_path / "window10.cfg"
+        other.write_text(TINY_CONFIG.replace("window = 20", "window = 10"))
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(features.read_bytes() + b"{not json\n")
+        out = tmp_path / "p.csv"
+        model = str(tmp_path / "model.bin")
+        capsys.readouterr()
+        code = run_cli(
+            "--config", str(other), "predict", "--labels", str(labels),
+            "--features", str(broken), "--model", model, "--out", str(out),
+        )
+        assert code == 5
+        message = f"{model} was trained with window 20, config window is 10"
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_predict_with_model_of_other_width_exit_5(self, tmp_path, tiny_config, capsys):
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
         wide = tmp_path / "wide.cfg"

@@ -7,6 +7,7 @@ import copy
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -630,6 +631,66 @@ class TestPredictCorridor:
             times[np.flatnonzero(np.isin(feats[:, 0], rows[:, 0]))] += 1
         assert times.min() >= 1
         assert times.max() <= math.ceil((chunk + window - 1) / chunk)
+
+
+def whole_chunk_corridor_probs(model, feats, window):
+    """predict_corridor's probabilities for one run of images, from the same
+    chunks of windows with the head over each whole chunk at once: the oracle
+    for its head slices."""
+    params = model.params
+    groups = len(params["wp"])
+    size = 128 // groups
+    n = len(feats)
+    w = min(window, n)
+    sums = np.zeros((n, 3))
+    for lo in range(0, n - w + 1, size):
+        rows = feats[lo : lo + size + w - 1]
+        ux = lstm._project(params, np.broadcast_to(rows, (groups,) + rows.shape))
+        hs = packed_forward(params, lstm._window_view(ux, w, axis=1), cache=False).H
+        probs = lstm._head_forward(params, hs.transpose(1, 2, 0, 3), None)[2]
+        lstm._add_windows(sums[lo : lo + len(rows)], np.concatenate(probs, axis=-1))
+    pos = np.arange(n)
+    counts = np.minimum(np.minimum(pos + 1, n - pos), min(w, n - w + 1))
+    return sums / counts[:, None]
+
+
+class TestPredictHeadSlices:
+    """predict_corridor runs the window head over slices of at most
+    HEAD_SLICE windows of a chunk."""
+
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    @pytest.mark.parametrize("n_windows", [1, 15, 16, 17, 127, 128, 129])
+    def test_same_bits_as_whole_chunk_head(self, mode, n_windows):
+        # runs of this many windows: slice counts either side of HEAD_SLICE,
+        # and shared mode's 128-window chunk either side of full; separate
+        # mode's chunks are 42 windows, three slices with a short last one
+        assert lstm.HEAD_SLICE == 16
+        window = 5
+        rng = np.random.default_rng(n_windows)
+        records, feats = feature_records(n_windows + window - 1, rng, dim=3)
+        model = sequence_model(mode, input_dim=3, hidden=6, mid_dim=5, seed=n_windows)
+        probs, _ = predict_corridor(model, records, feats, window, threshold=0.5)
+        assert probs.tobytes() == whole_chunk_corridor_probs(model, feats, window).tobytes()
+
+    @pytest.mark.parametrize("mode", ["shared", "separate"])
+    def test_memory_peak_below_1_6_chunk_hidden_states(self, mode):
+        # a chunk's (T, G, B, H) hidden states are its one large array: the
+        # head's activations for a whole chunk, two more arrays half their
+        # size, took the peak to 2.23-2.26 of them
+        window, hidden = 50, 100
+        rng = np.random.default_rng(11)
+        records, feats = feature_records(400, rng, dim=16)
+        model = sequence_model(mode, input_dim=16, hidden=hidden, mid_dim=50, seed=12)
+        groups = len(model.params["wp"])
+        hidden_bytes = window * groups * (128 // groups) * hidden * 8
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            predict_corridor(model, records, feats, window, threshold=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1.6 * hidden_bytes
 
 
 class TestPredictWorkers:

@@ -201,6 +201,18 @@ def scatter_maxpool2d_backward(idx, grad_out):
 
 # a NaN with the sign bit set and a payload other than the default quiet NaN's
 NEG_PAYLOAD_NAN = float(np.array(0xFFF8_0000_0000_0005, dtype=np.uint64).view(np.float64))
+# float64 bit patterns: +-0, +-inf, quiet and signalling NaNs with payloads
+# of either sign, the extreme subnormals and normals of either sign
+RELU_EDGE_BITS = [
+    0x0000_0000_0000_0000, 0x8000_0000_0000_0000,
+    0x7FF0_0000_0000_0000, 0xFFF0_0000_0000_0000,
+    0x7FF8_0000_0000_0000, 0x7FF8_0000_0000_0001, 0xFFF8_0000_0000_0005,
+    0x7FF0_0000_0000_0001, 0xFFF7_FFFF_FFFF_FFFF,
+    0x0000_0000_0000_0001, 0x000F_FFFF_FFFF_FFFF,
+    0x8000_0000_0000_0001, 0x800F_FFFF_FFFF_FFFF,
+    0x0010_0000_0000_0000, 0x8010_0000_0000_0000,
+    0x7FEF_FFFF_FFFF_FFFF, 0xFFEF_FFFF_FFFF_FFFF,
+]
 
 # C x 2h x 2w inputs; the few repeated values make ties and signed zeros common
 POOL_INPUTS = st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
@@ -299,6 +311,20 @@ class TestActivations:
         got = relu(x, out=x)
         assert got is x
         assert got.tobytes() == want.tobytes()
+
+    @given(
+        hnp.arrays(
+            np.uint64,
+            st.integers(0, 40),
+            elements=st.one_of(
+                st.sampled_from(RELU_EDGE_BITS),
+                st.integers(0, 2**64 - 1),
+            ),
+        )
+    )
+    def test_grad_of_output_matches_grad_of_input_bitwise(self, bits):
+        z = bits.view(np.float64)
+        assert relu_grad(relu(z)).tobytes() == relu_grad(z).tobytes()
 
     def test_zero_points(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
