@@ -5,8 +5,8 @@ synthetic corridors, train the frame CNN, extract features, train the
 sequence model, predict, evaluate, and export prediction maps as GeoJSON.
 
 Each command imports the modules it runs (cnn, lstm, metrics, numpy) when it
-runs, so the geometry and table commands (sample, url-gen, export-map) start
-without loading numpy.
+runs, so the geometry and table commands (sample, url-gen, evaluate,
+export-map) start without loading numpy.
 
 `main` pins BLAS (OpenBLAS, OpenMP, MKL) to one thread before any command
 loads numpy, so every command writes the same bytes whatever thread count
@@ -211,8 +211,6 @@ def _align_to_truth(
 
 
 def cmd_evaluate(args, config: PipelineConfig) -> int:
-    import numpy as np
-
     from . import metrics
 
     rows = data.read_predictions(args.predictions)
@@ -221,16 +219,16 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
     if args.baseline:  # checked before scoring, so a refused baseline warns of nothing
         base_rows = data.read_predictions(args.baseline)
         _align_to_truth(base_rows, truth_records, "baseline")
-    predictions = np.array([row.labels for row in rows])
-    truth = np.array([r.labels for r in truth_records])
+    predictions = [row.labels for row in rows]
+    truth = [r.labels for r in truth_records]
     per_class = metrics.class_metrics(predictions, truth)
     metrics.warn_if_degenerate(per_class)
-    counts = truth.sum(axis=0).tolist()
+    counts = [m.tp + m.fn for m in per_class]  # each class's positives in truth
     report = metrics.metrics_report(per_class, counts)
     if args.baseline:
         run_lengths = [end - start for start, end in data._runs(truth_records)]
         rates = metrics.isolated_error_correction_rate(
-            np.array([row.labels for row in base_rows]), predictions, truth, run_lengths
+            [row.labels for row in base_rows], predictions, truth, run_lengths
         )
         report["isolated_error_correction"] = {
             name: rate for name, rate in zip(CLASS_NAMES, rates)

@@ -140,14 +140,18 @@ def frame_predict(params: nn.Params, features: np.ndarray) -> np.ndarray:
 
 def _head_backward(
     params: nn.Params, features: np.ndarray, probs: np.ndarray, labels: np.ndarray,
-    grads: nn.Params,
+    grads: nn.Grads,
 ) -> tuple[float, np.ndarray]:
     """Batch-mean BCE of probs = frame_predict(params, features) against
-    labels; writes the cls.w and cls.b gradients into grads and returns the
-    loss and the gradient on the features."""
+    labels; stores the cls.w gradient (a factor pair, see nn.dense_backward)
+    and writes the cls.b gradient in grads, and returns the loss and the
+    gradient on the features."""
     loss = nn.bce_loss(probs, labels)
     grad_z = nn.bce_grad_from_logits(probs, labels)  # sigmoid+BCE fused
-    return loss, nn.dense_backward(features, params["cls.w"], grad_z, grads["cls.w"], grads["cls.b"])
+    grad_features, grads["cls.w"] = nn.dense_backward(
+        features, params["cls.w"], grad_z, grads["cls.b"]
+    )
+    return loss, grad_features
 
 
 def _conv_rows(
@@ -179,12 +183,15 @@ def cnn_forward(model: CnnModel, images: np.ndarray) -> np.ndarray:
 
 
 def cnn_loss_and_grads(
-    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Params,
+    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Grads,
     workers: Sequence[fork.Worker] = (),
 ) -> float:
     """Batch-mean BCE over the three outputs of the N images of labels (N,
-    3); the batch-mean gradient of every parameter is written into grads,
-    which holds one array of the parameter's shape per name. images are the
+    3); the batch-mean gradient of every parameter is stored in grads. The
+    dense weights' (feat.w, cls.w) are stored as factor pairs (see
+    nn.dense_backward), so the (feature_dim, flat_dim) gradient of feat.w is
+    never formed here; every other one is written into the array of its
+    parameter's shape that grads holds under its name. images are the
     batch's first images, all N without workers. Each of `workers`, sent the
     next contiguous slice (see cnn_train), answers with its dense-input rows
     and then, sent their gradients, with each image's conv gradients, which
@@ -201,8 +208,8 @@ def cnn_loss_and_grads(
     probs = frame_predict(model.params, features)
     loss, grad_feat = _head_backward(model.params, features, probs, labels, grads)
     grad_feat_z = grad_feat * nn.relu_grad(features)
-    grad_flat = nn.dense_backward(
-        flat, model.params["feat.w"], grad_feat_z, grads["feat.w"], grads["feat.b"]
+    grad_flat, grads["feat.w"] = nn.dense_backward(
+        flat, model.params["feat.w"], grad_feat_z, grads["feat.b"]
     )
     for worker, rows in zip(workers, np.split(grad_flat, bounds)[1:]):
         worker.send(rows)
@@ -224,25 +231,30 @@ def _images(pixels: np.ndarray, buffer: np.ndarray, batch: Sequence[int]) -> np.
 
 
 def _train(
-    params: nn.Params, n: int, step: Callable[[np.ndarray, nn.Params], float], *,
+    params: nn.Params, n: int, step: Callable[[np.ndarray, nn.Grads], float], *,
     lr: float, batch_size: int, epochs: int, seed: int,
 ) -> list[float]:
     """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
-    examples, in place. step(batch, grads) writes the batch-mean gradient of
-    every parameter for the example indices batch into grads and returns the
-    batch's mean loss. Returns each epoch's mean training loss."""
+    examples, in place. step(batch, grads) stores the batch-mean gradient of
+    every parameter for the example indices batch in grads (a dense weight's,
+    named *.w, as its factor pair; every other one written into the array
+    grads holds) and returns the batch's mean loss. Returns each epoch's
+    mean training loss."""
     if n == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
     state = nn.adam_init(params, lr)
-    # Every step writes its gradients into these arrays, and adam_step works
-    # through one tile-sized buffer. A (feature_dim, flat) weight gradient or
-    # Adam buffer allocated and freed at each step would raise glibc's mmap
-    # threshold (128 KB at start) to its size; every smaller allocation of a
-    # step would then come from a heap whose resident size depends on the
-    # process's allocation layout, and peak RSS would differ by tens of MB
-    # between identical runs.
-    grads = {key: np.empty_like(p) for key, p in params.items()}
+    # Every step writes its array gradients into these arrays, and adam_step
+    # works through one tile-sized and one row-block-sized buffer, so no
+    # (feature_dim, flat) gradient is ever stored. A buffer of that size
+    # allocated and freed at each step would raise glibc's mmap threshold
+    # (128 KB at start) to its size; every smaller allocation of a step would
+    # then come from a heap whose resident size depends on the process's
+    # allocation layout, and peak RSS would differ by tens of MB between
+    # identical runs.
+    grads: nn.Grads = {
+        key: np.empty_like(p) for key, p in params.items() if not key.endswith(".w")
+    }
     history = []
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -289,7 +301,7 @@ def cnn_train(
     log.info("images per batch of %d: %s", batch_size, fork.plan(sizes))
     with fork.workers(serve, processes - 1) as pool:
 
-        def step(batch: np.ndarray, grads: nn.Params) -> float:
+        def step(batch: np.ndarray, grads: nn.Grads) -> float:
             parts = np.array_split(batch, processes)
             conv = {key: p for key, p in model.params.items() if key.startswith("conv")}
             for worker, part in zip(pool, parts[1:]):
@@ -308,7 +320,7 @@ def frame_train(
     is the (feature_dim,) vector of records[i]. Returns _train's history."""
     labels = np.array([r.labels for r in records], dtype=np.float64)
 
-    def step(batch: np.ndarray, grads: nn.Params) -> float:
+    def step(batch: np.ndarray, grads: nn.Grads) -> float:
         x = features[batch]
         return _head_backward(params, x, frame_predict(params, x), labels[batch], grads)[0]
 

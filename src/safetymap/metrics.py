@@ -7,9 +7,10 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import CLASS_NAMES
+
+# n rows of three labels, each read as bool: tuples, lists or an (n, 3) array
+LabelRows = Sequence[Sequence[bool]]
 
 
 @dataclass(frozen=True)
@@ -34,24 +35,17 @@ class ClassMetrics:
         return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def class_metrics(predictions: np.ndarray, truth: np.ndarray) -> tuple[ClassMetrics, ClassMetrics, ClassMetrics]:
-    """Tally confusion counts independently per class from two (n, 3)
-    boolean arrays whose rows are aligned."""
-    predictions = np.asarray(predictions, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    out = []
-    for k, name in enumerate(CLASS_NAMES):
-        p, t = predictions[:, k], truth[:, k]
-        out.append(
-            ClassMetrics(
-                name=name,
-                tp=int(np.sum(p & t)),
-                fp=int(np.sum(p & ~t)),
-                fn=int(np.sum(~p & t)),
-                tn=int(np.sum(~p & ~t)),
-            )
-        )
-    return tuple(out)  # type: ignore[return-value]
+def class_metrics(
+    predictions: LabelRows, truth: LabelRows
+) -> tuple[ClassMetrics, ClassMetrics, ClassMetrics]:
+    """Tally confusion counts independently per class from two row-aligned
+    label tables."""
+    tallies = [[0, 0, 0, 0] for _ in CLASS_NAMES]  # tp, fp, fn, tn
+    for predicted, true in zip(predictions, truth, strict=True):
+        for k, tally in enumerate(tallies):
+            tally[2 * (not predicted[k]) + (not true[k])] += 1
+    out = tuple(ClassMetrics(name, *tally) for name, tally in zip(CLASS_NAMES, tallies))
+    return out  # type: ignore[return-value]
 
 
 def weighted_avg_f(f_scores: Sequence[float], counts: Sequence[int]) -> float:
@@ -63,26 +57,23 @@ def weighted_avg_f(f_scores: Sequence[float], counts: Sequence[int]) -> float:
 
 
 def isolated_error_correction_rate(
-    baseline: np.ndarray,
-    sequence_model: np.ndarray,
-    truth: np.ndarray,
+    baseline: LabelRows,
+    sequence_model: LabelRows,
+    truth: LabelRows,
     run_lengths: Sequence[int],
 ) -> tuple[float | None, float | None, float | None]:
     """Fraction of the baseline's isolated errors the sequence model fixes, per class.
 
-    The three (n, 3) arrays are row-aligned, and the records fall into
-    consecutive runs of run_lengths records each, summing to n. An isolated
-    error is a baseline misclassification whose both neighbors (within the
-    same run) are baseline-correct; run boundary positions are excluded.
-    Classes with no isolated errors report None rather than 0.
+    The three label tables of n rows are row-aligned, and the records fall
+    into consecutive runs of run_lengths records each, summing to n. An
+    isolated error is a baseline misclassification whose both neighbors
+    (within the same run) are baseline-correct; run boundary positions are
+    excluded. Classes with no isolated errors report None rather than 0.
     """
-    baseline = np.asarray(baseline, dtype=bool)
-    sequence_model = np.asarray(sequence_model, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
     rates = []
-    for k in range(3):
-        base_ok = baseline[:, k] == truth[:, k]
-        seq_ok = sequence_model[:, k] == truth[:, k]
+    for k in range(len(CLASS_NAMES)):
+        base_ok = [bool(b[k]) == bool(t[k]) for b, t in zip(baseline, truth, strict=True)]
+        seq_ok = [bool(s[k]) == bool(t[k]) for s, t in zip(sequence_model, truth, strict=True)]
         isolated = 0
         corrected = 0
         start = 0
@@ -90,7 +81,7 @@ def isolated_error_correction_rate(
             for t in range(start + 1, start + length - 1):
                 if not base_ok[t] and base_ok[t - 1] and base_ok[t + 1]:
                     isolated += 1
-                    corrected += int(seq_ok[t])
+                    corrected += seq_ok[t]
             start += length
         rates.append(corrected / isolated if isolated else None)
     return tuple(rates)  # type: ignore[return-value]

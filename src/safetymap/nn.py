@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Params = dict[str, np.ndarray]
+# A dense weight's gradient as its factor pair (grad_out, x), meaning grad_out.T @ x
+DenseGrad = tuple[np.ndarray, np.ndarray]
+Grads = dict[str, np.ndarray | DenseGrad]
 
 BCE_CLAMP = 1e-12
 
@@ -53,18 +56,14 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def dense_backward(
-    x: np.ndarray,
-    weights: np.ndarray,
-    grad_out: np.ndarray,
-    grad_weights: np.ndarray,
-    grad_bias: np.ndarray,
-) -> np.ndarray:
-    """Given the upstream gradient on the (N, out) output, write d_W and d_b,
-    each summed over the N rows, into grad_weights and grad_bias; returns
-    d_x. Training passes the same arrays at every step."""
-    np.matmul(grad_out.T, x, out=grad_weights)
+    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, grad_bias: np.ndarray
+) -> tuple[np.ndarray, DenseGrad]:
+    """Given the upstream gradient on the (N, out) output, write d_b, summed
+    over the N rows, into grad_bias; returns d_x and d_W. d_W is the factor
+    pair (grad_out, x), meaning grad_out.T @ x, which adam_step forms a block
+    of rows at a time, so no whole weight gradient is ever stored."""
     np.sum(grad_out, axis=0, out=grad_bias)
-    return grad_out @ weights
+    return grad_out @ weights, (grad_out, x)
 
 
 # --- 2-D convolution (cross-correlation with zero padding) ---
@@ -243,6 +242,15 @@ ADAM_EPS = 1e-8
 # against 75 ms untiled; one thread of a 2-vCPU Haswell host).
 ADAM_TILE = 1 << 15
 
+# Elements per row block in which adam_step forms a dense weight's gradient
+# from its factor pair. Each block's GEMM reads all of x again, so small
+# blocks cost time: a step on a 250 x 16384 weight at batch 32 took 47-48 ms
+# with the whole gradient formed first, and 44-46, 46-48, 50-52, 58-59 and
+# 80-84 ms in blocks of 2^19 down to 2^15 elements (32 down to 2 rows; one
+# thread of a 2-vCPU Haswell host). pixel-cnn's train-cnn peaked at
+# 174.4-174.6, 174.6-175.1 and 177.3-177.6 MB at 2^17, 2^18 and 2^19.
+ADAM_BLOCK = 1 << 18
+
 
 @dataclass
 class AdamState:
@@ -254,6 +262,8 @@ class AdamState:
     t: int = 0
     # work buffer for one tile of any tensor
     scratch: np.ndarray = field(default_factory=lambda: np.empty(ADAM_TILE), repr=False)
+    # one row block of a dense weight's gradient, grown to the largest block
+    block: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
 
 def adam_init(params: Params, lr: float) -> AdamState:
@@ -264,47 +274,87 @@ def adam_init(params: Params, lr: float) -> AdamState:
     )
 
 
-def adam_step(params: Params, grads: Params, state: AdamState) -> Params:
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Consecutive row ranges of a (rows, cols) weight, each of
+    max(2, ADAM_BLOCK // cols) rows, a one-row remainder joining the block
+    before it. No block but a one-row weight's has one row: a one-row
+    product takes a BLAS matrix-vector path whose last bits differ from
+    those of the same row in the whole product."""
+    size = max(2, ADAM_BLOCK // cols)
+    starts = list(range(0, rows, size))
+    if len(starts) > 1 and rows - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], rows])]
+
+
+def _adam_tiles(
+    p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, state: AdamState,
+    bias1: float, bias2: float,
+) -> None:
+    """The Adam update of one C-contiguous tensor or row block from its
+    gradient g, in tiles of ADAM_TILE elements through state.scratch."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    p_flat, g_flat, m_flat, v_flat = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+    for start in range(0, p.size, ADAM_TILE):
+        tile = slice(start, start + ADAM_TILE)
+        p_t, g_t, m_t, v_t = p_flat[tile], g_flat[tile], m_flat[tile], v_flat[tile]
+        scratch = state.scratch[: len(p_t)]
+        m_t *= b1
+        np.multiply(g_t, 1.0 - b1, out=scratch)
+        m_t += scratch
+        v_t *= b2
+        np.multiply(g_t, g_t, out=scratch)
+        scratch *= 1.0 - b2
+        v_t += scratch
+        # denominator sqrt(v_hat) + eps, then the bias-corrected step
+        np.divide(v_t, bias2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m_t, scratch, out=scratch)
+        scratch *= state.lr / bias1
+        p_t -= scratch
+
+
+def adam_step(params: Params, grads: Grads, state: AdamState) -> Params:
     """One bias-corrected Adam update, applied in place; returns params.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m/(1-b1^t),
     v_hat = v/(1-b2^t). The update is elementwise, so it runs over each
     tensor's flat view in tiles of ADAM_TILE elements through the state's
-    one tile-sized scratch, allocating nothing; every element gets the same
-    operations in the same order as a whole-tensor update, so the same bits.
+    one tile-sized scratch; every element gets the same operations in the
+    same order as a whole-tensor update, so the same bits.
+
+    A gradient is an array of its parameter's shape or, for a dense weight,
+    the factor pair (grad_out, x) of grad_out.T @ x (see dense_backward).
+    A pair's gradient is formed a block of whole rows at a time (see
+    _row_blocks) into the state's one block buffer, and each block is
+    updated before the next is formed: the same bits as the whole product,
+    without storing it.
     """
     if set(params) != set(grads):
         raise ValueError(f"param/grad keys differ: {sorted(set(params) ^ set(grads))}")
     state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    bias1 = 1.0 - b1**state.t
-    bias2 = 1.0 - b2**state.t
+    bias1 = 1.0 - ADAM_BETA1**state.t
+    bias2 = 1.0 - ADAM_BETA2**state.t
     for key, p in params.items():
-        g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"{key}: grad shape {g.shape} != param shape {p.shape}")
+        g, m, v = grads[key], state.m[key], state.v[key]
+        pair = isinstance(g, tuple)
+        shape = (g[0].shape[1], g[1].shape[1]) if pair else g.shape
+        if shape != p.shape:
+            raise ValueError(f"{key}: grad shape {shape} != param shape {p.shape}")
         if not p.flags.c_contiguous:  # reshape would copy, and the update would be lost
             raise ValueError(f"{key}: parameter array is not C-contiguous")
-        p_flat, g_flat = p.reshape(-1), g.reshape(-1)
-        m_flat, v_flat = state.m[key].reshape(-1), state.v[key].reshape(-1)
-        for start in range(0, p.size, ADAM_TILE):
-            tile = slice(start, start + ADAM_TILE)
-            p_t, g_t, m, v = p_flat[tile], g_flat[tile], m_flat[tile], v_flat[tile]
-            scratch = state.scratch[: len(p_t)]
-            m *= b1
-            np.multiply(g_t, 1.0 - b1, out=scratch)
-            m += scratch
-            v *= b2
-            np.multiply(g_t, g_t, out=scratch)
-            scratch *= 1.0 - b2
-            v += scratch
-            # denominator sqrt(v_hat) + eps, then the bias-corrected step
-            np.divide(v, bias2, out=scratch)
-            np.sqrt(scratch, out=scratch)
-            scratch += ADAM_EPS
-            np.divide(m, scratch, out=scratch)
-            scratch *= state.lr / bias1
-            p_t -= scratch
+        if not pair:
+            _adam_tiles(p, g, m, v, state, bias1, bias2)
+            continue
+        grad_out, x = g
+        for rows in _row_blocks(*p.shape):
+            size = (rows.stop - rows.start) * p.shape[1]
+            if state.block.size < size:
+                state.block = np.empty(size)
+            block = state.block[:size].reshape(-1, p.shape[1])
+            np.matmul(grad_out[:, rows].T, x, out=block)
+            _adam_tiles(p[rows], block, m[rows], v[rows], state, bias1, bias2)
     return params
 
 

@@ -52,8 +52,9 @@ settings.load_profile("safetymap")
 
 
 # Runs cli.main(argv) and then prints, as the last line of stdout, the names
-# of the numpy and package modules the process loaded and whether it has a
-# child process left, running or unreaped.
+# of the numpy and package modules the process loaded, whether it has a
+# child process left, running or unreaped, and its peak resident size
+# (VmHWM, Linux only).
 _CLI_PROCESS = """
 import json, os, sys
 from safetymap import cli
@@ -68,7 +69,12 @@ finally:
     except ChildProcessError:
         children_left = False
     modules = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "safetymap"))
-    print(json.dumps({"modules": modules, "children_left": children_left}))
+    try:
+        with open("/proc/self/status") as fh:
+            peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:  # no procfs
+        peak_kb = None
+    print(json.dumps({"modules": modules, "children_left": children_left, "peak_kb": peak_kb}))
 sys.exit(code)
 """
 
@@ -79,14 +85,23 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def materialize(grads: dict) -> dict[str, np.ndarray]:
+    """grads with each dense weight's factor pair (grad_out, x) formed as
+    the array np.matmul(grad_out.T, x) it stands for (see nn.dense_backward)."""
+    return {
+        key: np.matmul(g[0].T, g[1]) if isinstance(g, tuple) else g for key, g in grads.items()
+    }
+
+
 def grad_check(loss_and_grads, params: dict[str, np.ndarray], h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_and_grads(params) must return (scalar loss, grads dict) and be
-    deterministic (dropout disabled). The relative error per coordinate is
+    deterministic (dropout disabled); a dense weight's gradient may be its
+    factor pair. The relative error per coordinate is
     |g_a - g_fd| / max(1e-8, |g_a| + |g_fd|).
     """
-    _, analytic = loss_and_grads(params)
+    analytic = materialize(loss_and_grads(params)[1])
     worst = 0.0
     for key, p in params.items():
         ga = analytic[key]
@@ -131,6 +146,7 @@ class CliProcess(NamedTuple):
     modules: frozenset[str]  # numpy and safetymap modules loaded
     stderr: str
     children_left: bool  # a child process still running or unreaped at exit
+    peak_kb: int | None  # the command process's peak resident size (VmHWM), None off Linux
 
 
 def process_env(threads: str = "1") -> dict[str, str]:
@@ -151,7 +167,8 @@ def run_cli_process(*argv: str, threads: str = "1", timeout: float = 120.0) -> C
     assert report.startswith("{"), f"no module list; stderr:\n{proc.stderr}"
     report = json.loads(report)
     return CliProcess(
-        proc.returncode, frozenset(report["modules"]), proc.stderr, report["children_left"]
+        proc.returncode, frozenset(report["modules"]), proc.stderr, report["children_left"],
+        report["peak_kb"],
     )
 
 

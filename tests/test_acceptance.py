@@ -93,8 +93,8 @@ class TestCriterion3Gradients:
 
         def dense_fn(params):
             y = dense_forward(params["x"], params["w"], params["b"])
-            gw, gb = np.empty_like(params["w"]), np.empty_like(params["b"])
-            gx = dense_backward(params["x"], params["w"], coeff, gw, gb)
+            gb = np.empty_like(params["b"])
+            gx, gw = dense_backward(params["x"], params["w"], coeff, gb)
             return float(np.sum(coeff * y)), {"x": gx, "w": gw, "b": gb}
 
         worst["dense"] = grad_check(

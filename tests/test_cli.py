@@ -26,6 +26,7 @@ from test_lstm import gate_params
 
 from safetymap import lstm
 from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build_parser, main
+from safetymap.cnn import CnnConfig
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
 from safetymap.data import PREDICTION_COLUMNS, ImageRecord, write_labels, write_predictions
 from safetymap.geo import LatLon, RoadEdge, heading_at
@@ -1268,7 +1269,7 @@ NOT_LOADED = {
     "export-map": {"numpy"},
     "train-lstm": {"safetymap.cnn"},
     "predict": {"safetymap.cnn"},
-    "evaluate": {"safetymap.cnn"},
+    "evaluate": {"numpy", "safetymap.cnn"},
     "train-cnn": {"safetymap.lstm", "safetymap.metrics"},
     "extract-features": {"safetymap.lstm", "safetymap.metrics"},
 }
@@ -1405,6 +1406,30 @@ sys.exit(cli.main(sys.argv[2:]))
 
 
 class TestPixelCommands:
+    def test_train_cnn_peak_below_three_and_a_half_feature_weight_copies(self, tmp_path):
+        # The command process holds feat.w and Adam's two moments, three
+        # copies, and one row block of its gradient; a whole gradient would
+        # make four. VmHWM counts what tracemalloc cannot see (allocator
+        # pages, the heap's layout), so compare two runs that differ only in
+        # feature_dim.
+        peaks = {}
+        for dim in (16, 4096):
+            run_dir = tmp_path / str(dim)
+            run_dir.mkdir()
+            config = f"feature_dim = {dim}\ncnn_epochs = 1\nbatch_size = 8\n"
+            labels, manifest, cfg = write_pixel_inputs(run_dir, n=16, size=32, config=config)
+            run = run_cli_process(
+                "--config", str(cfg), "train-cnn", "--labels", str(labels),
+                "--manifest", str(manifest), "--model-out", str(run_dir / "cnn.bin"),
+            )
+            assert run.code == 0, run.stderr
+            if run.peak_kb is None:
+                pytest.skip("no /proc/self/status to read VmHWM from")
+            peaks[dim] = run.peak_kb * 1024
+        feat_w = (4096, CnnConfig(feature_dim=4096, input_shape=(3, 32, 32)).flat_dim())
+        copy_bytes = 8 * feat_w[0] * feat_w[1]
+        assert peaks[4096] - peaks[16] < 3.5 * copy_bytes
+
     def test_truncated_ppm_exit_4(self, tmp_path, capsys):
         labels, manifest, cfg = write_pixel_inputs(tmp_path)
         ppm = tmp_path / "px-0003.ppm"

@@ -16,9 +16,11 @@ from safetymap.modelio import load_tensors, save_tensors
 from safetymap.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     ADAM_TILE,
     _im2col,
+    _row_blocks,
     adam_init,
     adam_step,
     bce_grad_from_logits,
@@ -39,9 +41,11 @@ from safetymap.nn import (
 
 
 def dense_grads(x, weights, grad_out):
-    """dense_backward into fresh arrays: (d_x, d_W, d_b)."""
-    grad_weights, grad_bias = np.empty_like(weights), np.empty(weights.shape[0])
-    return dense_backward(x, weights, grad_out, grad_weights, grad_bias), grad_weights, grad_bias
+    """dense_backward into a fresh bias gradient, with d_W materialized:
+    (d_x, d_W, d_b)."""
+    grad_bias = np.empty(weights.shape[0])
+    grad_x, (g, x) = dense_backward(x, weights, grad_out, grad_bias)
+    return grad_x, np.matmul(g.T, x), grad_bias
 
 
 def naive_conv2d(x, kernels, bias, padding=0):
@@ -106,10 +110,11 @@ class TestDense:
     def test_backward_overwrites_callers_arrays(self):
         rng = np.random.default_rng(2)
         x, w, g = rng.normal(size=(6, 5)), rng.normal(size=(4, 5)), rng.normal(size=(6, 4))
-        gw, gb = np.full((4, 5), np.nan), np.full(4, np.nan)
-        # bit for bit the allocating expressions, whatever the arrays held
-        assert np.array_equal(dense_backward(x, w, g, gw, gb), g @ w)
-        assert np.array_equal(gw, g.T @ x) and np.array_equal(gb, g.sum(axis=0))
+        gb = np.full(4, np.nan)
+        # bit for bit the allocating expressions, whatever the array held
+        grad_x, (grad_out, x_kept) = dense_backward(x, w, g, gb)
+        assert np.array_equal(grad_x, g @ w) and np.array_equal(gb, g.sum(axis=0))
+        assert grad_out is g and x_kept is x
 
 
 class TestConv2d:
@@ -481,12 +486,64 @@ class TestAdam:
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.zeros(4)}, state)
 
+    def test_pair_shape_mismatch(self):
+        params = {"w": np.zeros((3, 5))}
+        state = adam_init(params, lr=1e-3)
+        with pytest.raises(ValueError, match=r"w: grad shape \(4, 5\) != param shape \(3, 5\)"):
+            adam_step(params, {"w": (np.ones((2, 4)), np.ones((2, 5)))}, state)
+        assert params["w"].tolist() == np.zeros((3, 5)).tolist()
+
     def test_non_contiguous_param_rejected(self):
         # the update writes through a flat view, which a strided array has not
         params = {"w": np.zeros((3, 4)).T}
         state = adam_init(params, lr=1e-3)
         with pytest.raises(ValueError, match="w: parameter array is not C-contiguous"):
             adam_step(params, {"w": np.ones((4, 3))}, state)
+
+
+# column counts giving 2 rows a block (the floor), 4 rows and thousands of rows
+PAIR_COLS = [ADAM_BLOCK // 2 + 1, ADAM_BLOCK // 4, 50]
+
+
+class TestAdamFactorPairs:
+    """adam_step on a dense weight's factor pair (grad_out, x), which it
+    forms a block of rows at a time, against adam_step on the whole
+    gradient np.matmul(grad_out.T, x)."""
+
+    @pytest.mark.parametrize("cols", PAIR_COLS)
+    @pytest.mark.parametrize("batch", [1, 2, 31, 32])
+    def test_pair_matches_whole_gradient_bitwise(self, cols, batch):
+        per_block = max(2, ADAM_BLOCK // cols)
+        k = 2
+        # out dims 1-3, and a whole number k of blocks, one row short and one over
+        outs = sorted({1, 2, 3, k * per_block - 1, k * per_block, k * per_block + 1})
+        rng = np.random.default_rng(cols + batch)
+        start = {f"w{out}": rng.normal(size=(out, cols)) for out in outs}
+        params = {key: p.copy() for key, p in start.items()}
+        want = {key: p.copy() for key, p in start.items()}
+        state, want_state = adam_init(params, lr=0.01), adam_init(want, lr=0.01)
+        for t in range(3):
+            pairs = {
+                key: (rng.normal(scale=10.0**t, size=(batch, p.shape[0])),
+                      rng.normal(size=(batch, cols)))
+                for key, p in start.items()
+            }
+            adam_step(params, pairs, state)
+            adam_step(want, {key: np.matmul(g.T, x) for key, (g, x) in pairs.items()}, want_state)
+            assert state.block.size <= (per_block + 1) * cols
+            for key in start:
+                assert params[key].tobytes() == want[key].tobytes(), (key, t)
+                assert state.m[key].tobytes() == want_state.m[key].tobytes(), (key, t)
+                assert state.v[key].tobytes() == want_state.v[key].tobytes(), (key, t)
+
+    @given(rows=st.integers(0, 40), cols=st.sampled_from([1, 3, ADAM_BLOCK // 5, ADAM_BLOCK]))
+    def test_row_blocks_cover_rows_without_one_row_blocks(self, rows, cols):
+        blocks = _row_blocks(rows, cols)
+        per_block = max(2, ADAM_BLOCK // cols)
+        assert [r for b in blocks for r in range(b.start, b.stop)] == list(range(rows))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(per_block <= size <= per_block + 1 for size in sizes[:-1])
+        assert all(size >= 2 for size in sizes) or sizes == [1]
 
 
 class TestGradCheck:
