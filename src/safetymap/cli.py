@@ -2,7 +2,8 @@
 
 Commands cover the full flow: sample points along a road network, generate
 synthetic corridors, train the frame CNN, extract features, train the
-sequence model, predict, evaluate, and export prediction maps as GeoJSON.
+sequence model, predict (with it, or with the CNN as the frame baseline),
+evaluate, and export prediction maps as GeoJSON.
 
 Each command imports the modules it runs (cnn, lstm, metrics, numpy) when it
 runs, so the geometry and table commands (sample, url-gen, evaluate,
@@ -18,13 +19,14 @@ A caller that loaded numpy before calling `main` keeps its BLAS pool, and
 its commands run in one process.
 
 Exit codes: 0 success, 2 usage or config error, 3 missing input file,
-4 input file violates its schema, 5 validation or dimension error,
-1 unexpected failure, 143 ended by SIGTERM.
+4 input file violates its schema, 5 validation or dimension error (out of
+memory included), 1 unexpected failure, 143 ended by SIGTERM.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import signal
@@ -172,24 +174,39 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
 
 
 def cmd_predict(args, config: PipelineConfig) -> int:
-    from . import lstm
+    from .modelio import container_kind
 
-    # the model is read and checked first: parsing the features takes longer
-    model = lstm.seq_load(args.model)
-    if model.window != config.window:
+    # the model is read and checked first: parsing the features takes longer.
+    # A CNN's class head labels each image alone: the frame baseline.
+    frames = container_kind(args.model) == "cnn"
+    if frames:
+        from . import cnn
+
+        model = cnn.cnn_load(args.model)
+        input_dim = model.config.feature_dim
+    else:
+        from . import lstm
+
+        model = lstm.seq_load(args.model)
+        input_dim = model.input_dim
+        if model.window != config.window:
+            raise ValueError(
+                f"{args.model} was trained with window {model.window}, config window is {config.window}"
+            )
+    if input_dim != config.feature_dim:
         raise ValueError(
-            f"{args.model} was trained with window {model.window}, config window is {config.window}"
-        )
-    if model.input_dim != config.feature_dim:
-        raise ValueError(
-            f"{args.model} was trained with input_dim {model.input_dim}, "
+            f"{args.model} was trained with input_dim {input_dim}, "
             f"config feature_dim is {config.feature_dim}"
         )
     records = data.load_labels(args.labels)
     features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
-    probs, labels = lstm.predict_corridor(
-        model, records, features, config.window, config.threshold, workers=args.workers
-    )
+    if frames:
+        probs = cnn.frame_predict(model.params, features)
+        labels = probs > config.threshold
+    else:
+        probs, labels = lstm.predict_corridor(
+            model, records, features, config.window, config.threshold, workers=args.workers
+        )
     data.write_predictions(args.out, records, probs, labels)
     log.info("wrote %d predictions to %s", len(records), args.out)
     return 0
@@ -308,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="predict per-image labels over corridors")
     p.add_argument("--labels", required=True, help="label CSV (geometry and ordering)")
     p.add_argument("--features", required=True, help="feature JSON-lines")
-    p.add_argument("--model", required=True, help="trained sequence model")
+    p.add_argument("--model", required=True, help="sequence model, or CNN for frame-baseline labels")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=cmd_predict)
 
@@ -317,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="ground-truth label CSV")
     p.add_argument("--out", required=True, help="output metrics JSON")
     p.add_argument(
-        "--baseline",
-        help="optional frame-level predictions CSV; adds isolated-error correction rates",
+        "--baseline", help="frame predictions CSV (predict on a CNN); adds isolated-error correction"
     )
     p.set_defaults(func=cmd_evaluate)
 
@@ -381,9 +397,11 @@ def _run(args) -> int:
         code = EXIT_USAGE if message.startswith("config:") else EXIT_VALIDATION
         print(f"error: {message}", file=sys.stderr)
         return code
-    except Exception as exc:  # pragma: no cover - unexpected
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # out of memory for the config's sizes, else unexpected
+        oom = isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM
+        sizes = "; the config's feature_dim, hidden, mid_dim, window and batch_size size the arrays"
+        print(f"error: {type(exc).__name__}: {exc}{sizes if oom else ''}", file=sys.stderr)
+        return EXIT_VALIDATION if oom else 1
 
 
 if __name__ == "__main__":

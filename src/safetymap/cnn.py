@@ -1,14 +1,13 @@
 """Frame-level classification: a small from-scratch CNN over pixel grids
-(conv/relu/pool stages, a ReLU feature head, a 3-way sigmoid class head),
-whose class head trained alone on precomputed features is the frame baseline.
+(conv/relu/pool stages, a ReLU feature head, a 3-way sigmoid class head).
 
 Each image maps to a feature vector (post-ReLU, so nonnegative) and three
-independent class probabilities; the feature vectors feed the sequence
-model downstream. Training (one seeded mini-batch Adam loop for both) and
-extraction take the records (labels and image_id order) next to the payload
-array their loader returns: the (n, H, W, 3) uint8 pixels of
-`data.load_pixels` or the (n, d) features of `data.attach_features`, row i
-belonging to records[i].
+independent class probabilities. The feature vectors feed the sequence
+model downstream; the class head over them, `frame_predict`, is the frame
+baseline, each image classified alone. Training (one seeded mini-batch Adam
+loop) and extraction take the records (labels and image_id order) next to
+the (n, H, W, 3) uint8 pixels of `data.load_pixels`, row i belonging to
+records[i].
 """
 
 from __future__ import annotations
@@ -120,16 +119,7 @@ def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray) -> nn.Params
     return grads
 
 
-# --- the class head: the CNN's last layer, and alone the frame baseline ---
-
-
-def init_frame_classifier(feature_dim: int, seed: int) -> nn.Params:
-    """The frame baseline: a class head {"cls.w", "cls.b"} over
-    precomputed (n, feature_dim) feature vectors, Glorot-uniform weights and
-    zero biases."""
-    rng = np.random.default_rng(seed)
-    n = len(CLASS_NAMES)
-    return {"cls.w": nn.glorot_uniform(rng, (n, feature_dim), feature_dim, n), "cls.b": np.zeros(n)}
+# --- the class head: the CNN's last layer; over extracted features, the frame baseline ---
 
 
 def frame_predict(params: nn.Params, features: np.ndarray) -> np.ndarray:
@@ -310,21 +300,6 @@ def cnn_train(
 
         n = len(records)
         return _train(model.params, n, step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
-
-
-def frame_train(
-    params: nn.Params, records: Sequence[ImageRecord], features: np.ndarray, *,
-    lr: float, batch_size: int, epochs: int, seed: int,
-) -> list[float]:
-    """Train the frame baseline's class head with _train, in place; features[i]
-    is the (feature_dim,) vector of records[i]. Returns _train's history."""
-    labels = np.array([r.labels for r in records], dtype=np.float64)
-
-    def step(batch: np.ndarray, grads: nn.Grads) -> float:
-        x = features[batch]
-        return _head_backward(params, x, frame_predict(params, x), labels[batch], grads)[0]
-
-    return _train(params, len(records), step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
 def extract_features(

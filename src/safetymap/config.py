@@ -106,8 +106,6 @@ STAGE_IDS = {
     "cnn-train": 3,
     "lstm-init": 4,
     "lstm-train": 5,
-    "frame-init": 6,
-    "frame-train": 7,
 }
 
 

@@ -235,7 +235,13 @@ def write_predictions(
     path: str, records: Sequence[ImageRecord], probs: np.ndarray, labels: np.ndarray
 ) -> None:
     """Write one predictions row per record: its key and location, its class
-    probabilities to 6 decimals and its thresholded labels."""
+    probabilities to 6 decimals and its thresholded labels. A NaN probability
+    (from overflowing weights) is a ValueError naming the first such image."""
+    import numpy as np
+
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: probabilities of image {records[bad[0]].image_id} are not finite")
     rows = (
         (*_record_fields(r), *(f"{x:.6f}" for x in p), *map(int, lab))
         for r, p, lab in zip(records, probs, labels)
@@ -268,9 +274,6 @@ def attach_features(
     from . import fork
 
     rows = {r.image_id: i for i, r in enumerate(records)}
-    # anonymous mmap memory stays shared with forked children
-    shared = mmap.mmap(-1, max(1, len(records) * expected_dim * 8))
-    features = np.ndarray((len(records), expected_dim), buffer=shared)
     size = os.path.getsize(path)  # 0 for a pipe, which is one range, read once
     cuts = [0]
     if workers > 1 and os.path.isfile(path):
@@ -283,9 +286,10 @@ def attach_features(
     ranges = list(zip(cuts, cuts[1:] + [size]))
     logging.getLogger(__name__).info("%s: bytes %s", path, fork.plan(["%d-%d" % r for r in ranges]))
 
-    def parse(byte_range: tuple[int, int]) -> tuple[list[tuple[str, int]], int, Exception | None]:
+    def parse(byte_range: tuple[int, int], first: bool = False) -> tuple[list, int, Exception | None]:
         """A range's (image_id, line) pairs, from line 1 in the range, its
-        line count and its error, on its last line."""
+        line count and its error, on its last line; with first, up to its
+        first vector, checked and not stored."""
         start, end = byte_range
         pairs, line_no = [], 0
         with open(path, "rb") as fh:
@@ -298,7 +302,10 @@ def attach_features(
                         entry = _feature_entry(raw, rows)
                         if entry:  # the merge finds a repeat before a bad vector
                             pairs.append((entry[0], line_no))
-                            features[rows[entry[0]]] = _feature_vector(entry[1], expected_dim)
+                            vector = _feature_vector(entry[1], expected_dim)
+                            if first:
+                                return pairs, line_no, None
+                            features[rows[entry[0]]] = vector
                     except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                         # bad UTF-8 or JSON, a non-number, an int too big for a float, deep nesting
                         return pairs, line_no, exc
@@ -307,8 +314,16 @@ def attach_features(
                     break
         return pairs, line_no, None
 
+    # A regular file's first vector is checked before the config sizes the
+    # array; if it fails, the merge below reports it as the whole parse would.
+    results = [parse((0, size), first=True)] if os.path.isfile(path) else []
+    if not (results and results[0][2]):
+        # anonymous mmap memory stays shared with forked children
+        shared = mmap.mmap(-1, max(1, len(records) * expected_dim * 8))
+        features = np.ndarray((len(records), expected_dim), buffer=shared)
+        results = fork.split(parse, ranges)
     first_line, offset = {}, 0  # offset: the lines of the ranges before this one
-    for pairs, count, error in fork.split(parse, ranges):
+    for pairs, count, error in results:
         for image_id, line_no in pairs:
             if image_id in first_line:
                 raise SchemaError(

@@ -89,6 +89,15 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, meta
 
 
+def container_kind(path: str) -> object:
+    """The meta kind path's header line declares, or None where it declares none."""
+    with open(path, "rb") as fh:
+        try:
+            return json.loads(fh.readline())["meta"]["kind"]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            return None
+
+
 def meta_int(key: str, value: object) -> int:
     """value when the header holds it as a JSON integer; a bool, float,
     string or any other value is a ValueError naming key."""

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
+from safetymap import cli
 from safetymap.cli import BLAS_THREAD_VARS, _usable_cpus
 
 # The test process runs BLAS as the CLI does, at one thread. The count is
@@ -23,7 +25,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import safetymap
-from safetymap.cnn import frame_predict, frame_train, init_frame_classifier
+from safetymap import CLASS_NAMES, nn
+from safetymap.cnn import _head_backward, _train, frame_predict
 from safetymap.config import PipelineConfig
 from safetymap.data import ImageRecord, build_sequences, synth_corridor
 from safetymap.geo import LatLon
@@ -157,11 +160,21 @@ def process_env(threads: str = "1") -> dict[str, str]:
     return env
 
 
-def run_cli_process(*argv: str, threads: str = "1", timeout: float = 120.0) -> CliProcess:
-    """Run `cli.main(argv)` in a fresh interpreter (see `process_env`)."""
+def run_cli_process(
+    *argv: str, threads: str = "1", timeout: float = 120.0, stdin: str | None = None,
+    address_space: int | None = None,
+) -> CliProcess:
+    """Run `cli.main(argv)` in a fresh interpreter (see `process_env`),
+    given stdin through a pipe, and with an address_space limit in bytes
+    (RLIMIT_AS) on the interpreter and the workers it forks."""
+
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_PROCESS, *argv],
+        [sys.executable, "-c", _CLI_PROCESS, *argv], input=stdin,
         env=process_env(threads), capture_output=True, text=True, timeout=timeout,
+        preexec_fn=limit if address_space else None,
     )
     report = (proc.stdout.splitlines() or [""])[-1]
     assert report.startswith("{"), f"no module list; stderr:\n{proc.stderr}"
@@ -170,6 +183,29 @@ def run_cli_process(*argv: str, threads: str = "1", timeout: float = 120.0) -> C
         proc.returncode, frozenset(report["modules"]), proc.stderr, report["children_left"],
         report["peak_kb"],
     )
+
+
+PIPELINE_OUTPUTS = (
+    "labels.csv", "features.jsonl", "model.bin", "predictions.csv", "metrics.json", "map.geojson"
+)
+
+
+def run_synth_pipeline(work: Path, config: str, mode: str = "shared") -> dict[str, Path]:
+    """synth, train-lstm, predict, evaluate and export-map through
+    `cli.main` in work, each expected to exit 0: each output's path by its
+    name in PIPELINE_OUTPUTS."""
+    p = {name: work / name for name in PIPELINE_OUTPUTS}
+    corridor = ["--labels", str(p["labels.csv"]), "--features", str(p["features.jsonl"])]
+    for argv in (
+        ["synth", "--out", str(p["labels.csv"]), "--features-out", str(p["features.jsonl"])],
+        ["train-lstm", *corridor, "--mode", mode, "--model-out", str(p["model.bin"])],
+        ["predict", *corridor, "--model", str(p["model.bin"]), "--out", str(p["predictions.csv"])],
+        ["evaluate", "--predictions", str(p["predictions.csv"]), "--truth", str(p["labels.csv"]),
+         "--out", str(p["metrics.json"])],
+        ["export-map", "--predictions", str(p["predictions.csv"]), "--out", str(p["map.geojson"])],
+    ):
+        assert cli.main(["--config", config, *argv]) == 0, argv
+    return p
 
 
 def quantise(pixels: np.ndarray) -> np.ndarray:
@@ -269,10 +305,17 @@ def corridor_experiments():
         truth = np.array([r.labels for r in test_records])
         counts = truth.sum(axis=0).tolist()
 
-        frame = init_frame_classifier(config.feature_dim, seed=seed)
-        frame_train(
-            frame, train_records, train_features, lr=1e-2, batch_size=32, epochs=30, seed=seed
-        )
+        # the frame baseline: the CNN's class head trained alone on the features
+        d, n = config.feature_dim, len(CLASS_NAMES)
+        rng = np.random.default_rng(seed)
+        frame = {"cls.w": nn.glorot_uniform(rng, (n, d), d, n), "cls.b": np.zeros(n)}
+        train_truth = np.array([r.labels for r in train_records], dtype=np.float64)
+
+        def frame_step(batch, grads):
+            x = train_features[batch]
+            return _head_backward(frame, x, frame_predict(frame, x), train_truth[batch], grads)[0]
+
+        _train(frame, len(train_records), frame_step, lr=1e-2, batch_size=32, epochs=30, seed=seed)
         frame_labels = frame_predict(frame, test_features) > 0.5
 
         starts = build_sequences(train_records, CORRIDOR_WINDOW, CORRIDOR_TRAIN_STRIDE)

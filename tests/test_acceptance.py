@@ -17,10 +17,10 @@ from conftest import (
     grad_check,
     mark_acceptance_started,
     record_acceptance,
+    run_synth_pipeline,
     sequence_model,
 )
 
-from safetymap.cli import main as cli_main
 from safetymap.data import ImageRecord, build_sequences
 from safetymap.geo import EARTH_RADIUS_M, LatLon, RoadEdge, haversine_m, sample_points
 from safetymap.lstm import _project, packed_forward
@@ -271,79 +271,16 @@ seed = 1234
 
 
 class TestCriterion8Determinism:
-    def _pipeline(self, workdir, config_path):
-        labels = workdir / "labels.csv"
-        features = workdir / "features.jsonl"
-        model = workdir / "model.bin"
-        predictions = workdir / "predictions.csv"
-        report = workdir / "metrics.json"
-        geojson = workdir / "map.geojson"
-        base = ["--config", config_path]
-        assert cli_main(base + ["synth", "--out", str(labels), "--features-out", str(features)]) == 0
-        assert (
-            cli_main(
-                base
-                + [
-                    "train-lstm",
-                    "--labels",
-                    str(labels),
-                    "--features",
-                    str(features),
-                    "--model-out",
-                    str(model),
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(
-                base
-                + [
-                    "predict",
-                    "--labels",
-                    str(labels),
-                    "--features",
-                    str(features),
-                    "--model",
-                    str(model),
-                    "--out",
-                    str(predictions),
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(
-                base
-                + [
-                    "evaluate",
-                    "--predictions",
-                    str(predictions),
-                    "--truth",
-                    str(labels),
-                    "--out",
-                    str(report),
-                ]
-            )
-            == 0
-        )
-        assert (
-            cli_main(base + ["export-map", "--predictions", str(predictions), "--out", str(geojson)])
-            == 0
-        )
-        return report.read_bytes(), geojson.read_bytes()
-
     def test_two_runs_byte_identical(self, tmp_path):
         config_path = tmp_path / "pipeline.cfg"
         config_path.write_text(ACCEPTANCE_PIPELINE_CONFIG)
-        run_a = tmp_path / "a"
-        run_b = tmp_path / "b"
-        run_a.mkdir()
-        run_b.mkdir()
-        metrics_a, geojson_a = self._pipeline(run_a, str(config_path))
-        metrics_b, geojson_b = self._pipeline(run_b, str(config_path))
-        assert metrics_a == metrics_b
-        assert geojson_a == geojson_b
+        runs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            outputs = run_synth_pipeline(tmp_path / run, str(config_path))
+            runs.append({name: path.read_bytes() for name, path in outputs.items()})
+        assert runs[0] == runs[1]
+        metrics_a, geojson_a = runs[0]["metrics.json"], runs[0]["map.geojson"]
         doc = json.loads(metrics_a)
         assert "avg_f" in doc
         record_acceptance(8, f"metrics {len(metrics_a)} bytes, map {len(geojson_a)} bytes")

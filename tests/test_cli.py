@@ -19,6 +19,7 @@ from conftest import (
     make_pixel_records,
     process_env,
     run_cli_process,
+    run_synth_pipeline,
     sequence_model,
     write_ppm,
 )
@@ -26,10 +27,19 @@ from test_lstm import gate_params
 
 from safetymap import lstm
 from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build_parser, main
-from safetymap.cnn import CnnConfig
+from safetymap.cnn import CnnConfig, cnn_load, frame_predict
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
-from safetymap.data import PREDICTION_COLUMNS, ImageRecord, write_labels, write_predictions
+from safetymap.data import (
+    PREDICTION_COLUMNS,
+    ImageRecord,
+    attach_features,
+    load_labels,
+    read_predictions,
+    write_labels,
+    write_predictions,
+)
 from safetymap.geo import LatLon, RoadEdge, heading_at
+from safetymap.metrics import class_metrics, weighted_avg_f
 from safetymap.modelio import load_tensors, save_tensors
 
 TINY_CONFIG = """
@@ -515,67 +525,12 @@ class TestPredictionsBoundary:
 
 class TestSynthPipeline:
     def _run_pipeline(self, tmp_path, tiny_config, mode="shared"):
-        labels = tmp_path / "labels.csv"
-        features = tmp_path / "features.jsonl"
-        model = tmp_path / "model.bin"
-        predictions = tmp_path / "predictions.csv"
-        report = tmp_path / "metrics.json"
-        geojson = tmp_path / "map.geojson"
-        base = ["--config", tiny_config]
-        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
-        assert (
-            run_cli(
-                *base,
-                "train-lstm",
-                "--labels",
-                str(labels),
-                "--features",
-                str(features),
-                "--mode",
-                mode,
-                "--model-out",
-                str(model),
-            )
-            == 0
-        )
-        assert (
-            run_cli(
-                *base,
-                "predict",
-                "--labels",
-                str(labels),
-                "--features",
-                str(features),
-                "--model",
-                str(model),
-                "--out",
-                str(predictions),
-            )
-            == 0
-        )
         # the 150-point corridor holds 7 mcb images and the two-epoch model
         # predicts none, so mcb precision has a zero denominator
         with pytest.warns(UserWarning, match="class mcb: zero denominator"):
-            assert (
-                run_cli(
-                    *base,
-                    "evaluate",
-                    "--predictions",
-                    str(predictions),
-                    "--truth",
-                    str(labels),
-                    "--out",
-                    str(report),
-                )
-                == 0
-            )
-        assert (
-            run_cli(
-                *base, "export-map", "--predictions", str(predictions), "--out", str(geojson)
-            )
-            == 0
-        )
-        return labels, features, predictions, report, geojson
+            p = run_synth_pipeline(tmp_path, tiny_config, mode)
+        names = ("labels.csv", "features.jsonl", "predictions.csv", "metrics.json", "map.geojson")
+        return tuple(p[name] for name in names)
 
     def test_smoke_produces_metrics(self, tmp_path, tiny_config, capsys):
         *_, report, geojson = self._run_pipeline(tmp_path, tiny_config)
@@ -858,6 +813,32 @@ class TestSynthPipeline:
         message = f"{model} was trained with input_dim 16, config feature_dim is 8"
         assert f"error: {message}\n" == capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            pytest.param(
+                b'{"format": "safetymap-model", "version": 1, "tensors": [], '
+                b'"meta": {"kind": "frame"}}\n',
+                "not a sequence model (kind='frame')", id="frame-kind",
+            ),
+            pytest.param(b'{"meta": {"kind": "cnn"\n', "invalid model header", id="bad-json"),
+            pytest.param(b'["cnn"]\n', "not a safetymap-model container", id="not-header"),
+        ],
+    )
+    def test_predict_on_other_container_gets_sequence_message(
+        self, tmp_path, tiny_config, capsys, header, message
+    ):
+        # predict reads a CNN only where the header is a JSON object of kind cnn
+        model = tmp_path / "model.bin"
+        model.write_bytes(header)
+        code = run_cli(
+            "--config", tiny_config, "predict", "--labels", str(tmp_path / "missing.csv"),
+            "--features", str(tmp_path / "missing.jsonl"), "--model", str(model),
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert code == 5
+        assert capsys.readouterr().err.startswith(f"error: {model}: {message}")
 
     def test_separate_mode(self, tmp_path, tiny_config):
         *_, report, _ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
@@ -1253,6 +1234,9 @@ def command_argv(command: str, p: dict[str, str], out: str) -> list[str]:
                        "--features", p["features.jsonl"], "--model-out", out],
         "predict": [*tiny, "predict", "--labels", p["labels.csv"], "--features",
                     p["features.jsonl"], "--model", p["model.bin"], "--out", out],
+        # the CNN's class head over the corridor's features, as wide as its own
+        "predict on a cnn": [*tiny, "predict", "--labels", p["labels.csv"], "--features",
+                             p["features.jsonl"], "--model", p["cnn.bin"], "--out", out],
         "evaluate": [*tiny, "evaluate", "--predictions", p["predictions.csv"],
                      "--truth", p["labels.csv"], "--out", out],
         "train-cnn": [*cnn, "train-cnn", "--labels", p["pixels"], "--manifest", p["manifest"],
@@ -1269,6 +1253,7 @@ NOT_LOADED = {
     "export-map": {"numpy"},
     "train-lstm": {"safetymap.cnn"},
     "predict": {"safetymap.cnn"},
+    "predict on a cnn": {"safetymap.lstm"},
     "evaluate": {"numpy", "safetymap.cnn"},
     "train-cnn": {"safetymap.lstm", "safetymap.metrics"},
     "extract-features": {"safetymap.lstm", "safetymap.metrics"},
@@ -1394,6 +1379,63 @@ class TestFeatureFileBoundary:
         assert code == 4
         assert f"error: {features}: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigSizes:
+    """A size key that the input contradicts exits 4, and one whose arrays
+    cannot be allocated exits 5 naming the size keys, never 1. Each command
+    runs under a 2 GiB address-space limit, so no case can take the host's
+    memory."""
+
+    LIMIT = 2 << 30
+    OUT_OF_MEMORY = "; the config's feature_dim, hidden, mid_dim, window and batch_size size the"
+
+    @pytest.mark.parametrize(
+        "setting, piped, code, message",
+        [
+            pytest.param("feature_dim = 17", False, 4,
+                         "f.jsonl: line 1: feature dimension 16 != expected 17", id="dim-17"),
+            # a regular file's first line is read before the array is sized
+            pytest.param("feature_dim = 100000000", False, 4,
+                         "f.jsonl: line 1: feature dimension 16 != expected 100000000", id="dim-1e8"),
+            # a pipe cannot be read twice, so its array is sized first
+            pytest.param("feature_dim = 100000000", True, 5, "error: OSError: [Errno 12] ",
+                         id="dim-1e8-piped"),
+            pytest.param("hidden = 1000000", False, 5,
+                         "error: MemoryError: Unable to allocate 29.1 TiB", id="hidden-1e6"),
+        ],
+    )
+    def test_train_lstm(self, tmp_path, setting, piped, code, message):
+        # a 200-record corridor whose feature file is 16 wide
+        labels, features, cfg = tmp_path / "labels.csv", tmp_path / "f.jsonl", tmp_path / "c.cfg"
+        cfg.write_text("n_points = 200\nlstm_epochs = 1\n")
+        assert run_cli(
+            "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        cfg.write_text(cfg.read_text() + setting + "\n")
+        model = tmp_path / "model.bin"
+        run = run_cli_process(
+            "--config", str(cfg), "train-lstm", "--labels", str(labels),
+            "--features", "/dev/stdin" if piped else str(features), "--model-out", str(model),
+            stdin=features.read_text() if piped else None, address_space=self.LIMIT,
+        )
+        assert run.code == code, run.stderr
+        assert message in run.stderr
+        assert (self.OUT_OF_MEMORY in run.stderr) == (code == 5)
+        assert not model.exists()
+
+    def test_train_cnn_at_huge_feature_dim_exit_5(self, tmp_path):
+        config = "feature_dim = 1000000000\ncnn_epochs = 1\nbatch_size = 4\n"
+        labels, manifest, cfg = write_pixel_inputs(tmp_path, config=config)
+        model = tmp_path / "cnn.bin"
+        run = run_cli_process(
+            "--config", str(cfg), "train-cnn", "--labels", str(labels),
+            "--manifest", str(manifest), "--model-out", str(model), address_space=self.LIMIT,
+        )
+        assert run.code == 5, run.stderr
+        assert "error: MemoryError: " in run.stderr
+        assert self.OUT_OF_MEMORY in run.stderr
+        assert not model.exists()
 
 
 # Runs cli.main(argv[2:]) as if argv[1] CPUs were usable.
@@ -1573,44 +1615,81 @@ class TestPixelCommands:
             assert proc.returncode == 0, proc.stderr
             assert f"INFO safetymap.cnn: {split}\n" in proc.stderr
 
-    def test_train_cnn_and_extract(self, tmp_path):
-        labels, manifest, cfg = write_pixel_inputs(
-            tmp_path, config="feature_dim = 8\ncnn_epochs = 2\nbatch_size = 4\n"
-        )
-
-        model = tmp_path / "cnn.bin"
-        losses = tmp_path / "losses.csv"
+    def test_predict_on_cnn_of_other_width_exit_5(self, tmp_path, capsys):
+        # the CNN's width is checked before the labels or features are read
+        labels, manifest, cfg = write_pixel_inputs(tmp_path)
+        assert self._train(tmp_path, labels, manifest, cfg) == 0
+        wide = tmp_path / "wide.cfg"
+        wide.write_text("feature_dim = 16\n")
+        model, out = tmp_path / "cnn.bin", tmp_path / "frames.csv"
+        capsys.readouterr()
         code = run_cli(
-            "--config",
-            str(cfg),
-            "train-cnn",
-            "--labels",
-            str(labels),
-            "--manifest",
-            str(manifest),
-            "--model-out",
-            str(model),
-            "--loss-out",
-            str(losses),
+            "--config", str(wide), "predict", "--labels", str(tmp_path / "missing.csv"),
+            "--features", str(tmp_path / "missing.jsonl"), "--model", str(model),
+            "--out", str(out),
         )
-        assert code == 0
-        assert_loss_table(losses, 2)
+        assert code == 5
+        message = f"{model} was trained with input_dim 8, config feature_dim is 16"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
-        features = tmp_path / "features.jsonl"
-        code = run_cli(
-            "--config",
-            str(cfg),
-            "extract-features",
-            "--labels",
-            str(labels),
-            "--manifest",
-            str(manifest),
-            "--model",
-            str(model),
-            "--out",
-            str(features),
-        )
-        assert code == 0
-        entries = [json.loads(line) for line in features.read_text().splitlines()]
-        assert len(entries) == 12
-        assert all(len(e["features"]) == 8 for e in entries)
+
+class TestPixelChain:
+    """The paper's chain on pixels, each command in a fresh interpreter as a
+    user runs it, its splits forked: train-cnn, extract-features, predict on
+    the CNN (the frame baseline), train-lstm, predict, evaluate --baseline
+    and export-map."""
+
+    CONFIG = (
+        "feature_dim = 8\ncnn_epochs = 2\nbatch_size = 4\n"
+        "window = 4\nhidden = 8\nmid_dim = 8\nlstm_epochs = 2\n"
+    )
+    OUTPUTS = (
+        "cnn.bin", "losses.csv", "features.jsonl", "frames.csv", "model.bin", "predictions.csv",
+        "metrics.json", "map.geojson",
+    )
+
+    def run_chain(self, work: Path, labels: Path, manifest: Path, cfg: Path) -> dict[str, bytes]:
+        work.mkdir()
+        out = {name: str(work / name) for name in self.OUTPUTS}
+        images = ["--labels", str(labels), "--manifest", str(manifest)]
+        corridor = ["--labels", str(labels), "--features", out["features.jsonl"]]
+        for argv in (
+            ["train-cnn", *images, "--model-out", out["cnn.bin"], "--loss-out", out["losses.csv"]],
+            ["extract-features", *images, "--model", out["cnn.bin"], "--out", out["features.jsonl"]],
+            ["predict", *corridor, "--model", out["cnn.bin"], "--out", out["frames.csv"]],
+            ["train-lstm", *corridor, "--model-out", out["model.bin"]],
+            ["predict", *corridor, "--model", out["model.bin"], "--out", out["predictions.csv"]],
+            ["evaluate", "--predictions", out["predictions.csv"], "--truth", str(labels),
+             "--baseline", out["frames.csv"], "--out", out["metrics.json"]],
+            ["export-map", "--predictions", out["predictions.csv"], "--out", out["map.geojson"]],
+        ):
+            run = run_cli_process("--config", str(cfg), *argv)
+            assert run.code == 0, (argv[0], run.stderr)
+        return {name: Path(path).read_bytes() for name, path in out.items()}
+
+    def test_chain_is_byte_identical_and_its_baseline_is_the_cnn(self, tmp_path):
+        labels, manifest, cfg = write_pixel_inputs(tmp_path, n=24, config=self.CONFIG)
+        first = self.run_chain(tmp_path / "a", labels, manifest, cfg)
+        second = self.run_chain(tmp_path / "b", labels, manifest, cfg)
+        assert [name for name in self.OUTPUTS if first[name] != second[name]] == []
+        assert_loss_table(tmp_path / "a" / "losses.csv", 2)
+        entries = [json.loads(line) for line in first["features.jsonl"].splitlines()]
+        assert [len(e["features"]) for e in entries] == [8] * 24
+
+        # the frame predictions are the CNN's class head over its own features
+        records = load_labels(str(labels))
+        features = attach_features(records, str(tmp_path / "a" / "features.jsonl"), 8)
+        probs = frame_predict(cnn_load(str(tmp_path / "a" / "cnn.bin")).params, features)
+        rows = read_predictions(str(tmp_path / "a" / "frames.csv"))
+        # the CSV rounds to 6 decimals; the 1e-12 covers parsing them back
+        assert np.abs(np.array([row.probs for row in rows]) - probs).max() <= 5e-7 + 1e-12
+        assert [list(row.labels) for row in rows] == (probs > 0.5).tolist()
+
+        truth = [r.labels for r in records]
+        counts = np.sum(truth, axis=0).tolist()
+        per_class = class_metrics([row.labels for row in rows], truth)
+        frame_f = weighted_avg_f([m.f for m in per_class], counts)
+        lstm_f = json.loads(first["metrics.json"])["avg_f"]
+        print(f"pixel chain: LSTM Avg.F {lstm_f:.4f}, frame {frame_f:.4f}, "
+              f"gap {lstm_f - frame_f:+.4f}")

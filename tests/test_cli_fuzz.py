@@ -45,12 +45,13 @@ READERS = {
     "samples": ("samples.csv", ("url-gen",)),
     "config": ("pipeline.cfg", ("predict", "url-gen")),  # commands its values cannot slow down
     "manifest": ("manifest.csv", ("train-cnn", "extract-features")),
-    "cnn model": ("cnn.bin", ("extract-features",)),
+    "cnn model": ("cnn.bin", ("extract-features", "predict on a cnn")),
     "ppm": ("image.ppm", ("train-cnn", "extract-features")),
 }
 
 # Each command's arguments, which read the inputs by their file names and
-# write OUT; FILES are the names that stand for paths.
+# write OUT; FILES are the names that stand for paths. A name's first word
+# is its command.
 OUT = "out"
 FILES = {name for name, _ in READERS.values()} | {OUT}
 COMMANDS = {
@@ -61,6 +62,10 @@ COMMANDS = {
     "train-lstm": ("--labels", "labels.csv", "--features", "features.jsonl", "--model-out", OUT),
     "predict": (
         "--labels", "labels.csv", "--features", "features.jsonl", "--model", "model.bin",
+        "--out", OUT,
+    ),
+    "predict on a cnn": (
+        "--labels", "labels.csv", "--features", "features.jsonl", "--model", "cnn.bin",
         "--out", OUT,
     ),
     "evaluate": (
@@ -92,7 +97,7 @@ def check_output(command: str, work: Path) -> None:
         data.attach_features(records, out, model.config.feature_dim)
     elif command == "train-lstm":
         lstm.seq_load(out)
-    elif command == "predict":
+    elif command.startswith("predict"):
         data.read_predictions(out)
     elif command in ("evaluate", "export-map"):
         strict_json(work / OUT)
@@ -195,7 +200,7 @@ def test_mutated_input_exits_with_a_documented_code(inputs, kind, mutation):
             # command's exit code and output are what is checked here
             with warnings.catch_warnings(), np.errstate(all="ignore"):
                 warnings.simplefilter("ignore")
-                code = main(["--config", str(work / "pipeline.cfg"), command, *argv])
+                code = main(["--config", str(work / "pipeline.cfg"), command.split()[0], *argv])
             assert code in (0, 2, 3, 4, 5), (command, code)
             if code == 0:
                 check_output(command, work)

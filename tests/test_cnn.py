@@ -1,4 +1,4 @@
-"""Tests for the tiny CNN and the frame baseline, its class head trained alone."""
+"""Tests for the tiny CNN, whose class head over its features is the frame baseline."""
 
 from __future__ import annotations
 
@@ -23,9 +23,7 @@ from safetymap.cnn import (
     cnn_train,
     extract_features,
     frame_predict,
-    frame_train,
     init_cnn,
-    init_frame_classifier,
 )
 from safetymap.modelio import load_tensors, save_tensors
 
@@ -441,30 +439,3 @@ class TestCnnSerialization:
         path = self._resave(tmp_path, lambda t, m: m.update(feature_dim=5))
         with pytest.raises(ValueError, match=r"feat.w \(4, 32\), meta implies \(5, 32\)"):
             cnn_load(path)
-
-
-class TestFrameClassifier:
-    def _separable_records(self, n, rng):
-        records, _ = make_pixel_records(n, rng, height=8, width=8)
-        feats = np.empty((n, 8))
-        for r, row in zip(records, feats):
-            row[:] = rng.normal(0.0, 0.3, size=8)
-            row[:3] = np.where(np.array(r.labels), 1.0, -1.0)
-        return records, feats
-
-    def test_trains_and_separates(self):
-        rng = np.random.default_rng(12)
-        records, feats = self._separable_records(300, rng)
-        model = init_frame_classifier(8, seed=13)
-        frame_train(model, records, feats, lr=1e-2, batch_size=32, epochs=30, seed=14)
-        labels = np.array([r.labels for r in records])
-        preds = frame_predict(model, feats) > 0.5
-        assert (preds == labels).mean() > 0.97
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(15)
-        records, feats = self._separable_records(50, rng)
-        cfg = dict(lr=1e-2, batch_size=8, epochs=3, seed=16)
-        m1 = init_frame_classifier(8, seed=17)
-        m2 = init_frame_classifier(8, seed=17)
-        assert frame_train(m1, records, feats, **cfg) == frame_train(m2, records, feats, **cfg)

@@ -285,6 +285,17 @@ class TestAttachFeatures:
         assert str(info.value) == f"{path}: features of image e1-1 are not finite"
         assert not path.exists()
 
+    def test_write_predictions_refuses_nan_before_opening(self, tmp_path):
+        # an overflowing class head's logit can be inf - inf
+        records = [make_record("e1", i) for i in range(3)]
+        probs = np.full((3, 3), 0.25)
+        probs[2, 1] = np.nan
+        path = tmp_path / "predictions.csv"
+        with pytest.raises(ValueError) as info:
+            write_predictions(str(path), records, probs, probs > 0.5)
+        assert str(info.value) == f"{path}: probabilities of image e1-2 are not finite"
+        assert not path.exists()
+
     def test_features_round_trip(self, tmp_path):
         records = [make_record("e1", i) for i in range(4)]
         features = np.random.default_rng(0).normal(size=(4, 8))

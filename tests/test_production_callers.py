@@ -14,12 +14,6 @@ PACKAGE = ROOT / "src" / "safetymap"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# Public names kept without a production caller, each for a stated reason.
-ALLOWED = {
-    "init_frame_classifier": "the frame baseline, which waits for a train-frame command",
-    "frame_train": "the frame baseline, which waits for a train-frame command",
-}
-
 
 def public_nodes() -> list[tuple[str, ast.stmt]]:
     """(module file, definition) of every public top-level function and class."""
@@ -88,15 +82,9 @@ def test_every_public_definition_has_a_production_caller():
     orphans = [
         f"{module}: {name}"
         for name, module in sorted(public_definitions().items())
-        if name not in used and name not in ALLOWED
+        if name not in used
     ]
     assert orphans == []
-
-
-def test_allowlist_names_real_orphans():
-    definitions, used = public_definitions(), referenced_names()
-    assert sorted(name for name in ALLOWED if name not in definitions) == []
-    assert sorted(name for name in ALLOWED if name in used) == []
 
 
 def test_every_keyword_only_parameter_is_passed_by_a_production_call():
@@ -104,7 +92,7 @@ def test_every_keyword_only_parameter_is_passed_by_a_production_call():
     unpassed = [
         f"{module}: {node.name} {arg.arg}"
         for module, node in public_nodes()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name not in ALLOWED
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in node.args.kwonlyargs
         if arg.arg not in passed.get(node.name, set())
     ]
