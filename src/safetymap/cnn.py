@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -174,7 +175,7 @@ def cnn_forward(model: CnnModel, images: np.ndarray) -> np.ndarray:
 
 def cnn_loss_and_grads(
     model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Grads,
-    workers: Sequence[fork.Worker] = (),
+    workers: Sequence[fork.Worker] = (), update: Callable[[nn.DenseGrad], None] | None = None,
 ) -> float:
     """Batch-mean BCE over the three outputs of the N images of labels (N,
     3); the batch-mean gradient of every parameter is stored in grads. The
@@ -184,8 +185,10 @@ def cnn_loss_and_grads(
     parameter's shape that grads holds under its name. images are the
     batch's first images, all N without workers. Each of `workers`, sent the
     next contiguous slice (see cnn_train), answers with its dense-input rows
-    and then, sent their gradients, with each image's conv gradients, which
-    are summed in image order from zero as this process's are."""
+    and then, sent their gradients and feat.w's pair, with each image's conv
+    gradients, which are summed in image order from zero as this process's
+    are. With update, feat.w's pair is passed to update(pair) before those
+    answers are awaited, not stored."""
     flat = np.empty((len(labels), model.config.flat_dim()))
     stages = _conv_rows(model, images, flat)
     bounds = [len(stages)]
@@ -198,12 +201,14 @@ def cnn_loss_and_grads(
     probs = frame_predict(model.params, features)
     loss, grad_feat = _head_backward(model.params, features, probs, labels, grads)
     grad_feat_z = grad_feat * nn.relu_grad(features)
-    grad_flat, grads["feat.w"] = nn.dense_backward(
-        flat, model.params["feat.w"], grad_feat_z, grads["feat.b"]
-    )
+    grad_flat, pair = nn.dense_backward(flat, model.params["feat.w"], grad_feat_z, grads["feat.b"])
     for worker, rows in zip(workers, np.split(grad_flat, bounds)[1:]):
-        worker.send(rows)
+        worker.send((rows, pair))
     image_grads = [_conv_backward(model, st, g) for st, g in zip(stages, grad_flat)]
+    if update is None:
+        grads["feat.w"] = pair
+    else:
+        update(pair)
     for worker in workers:
         image_grads += worker.receive()
     for key in image_grads[0]:
@@ -226,10 +231,11 @@ def _train(
 ) -> list[float]:
     """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
     examples, in place. step(batch, grads) stores the batch-mean gradient of
-    every parameter for the example indices batch in grads (a dense weight's,
-    named *.w, as its factor pair; every other one written into the array
-    grads holds) and returns the batch's mean loss. Returns each epoch's
-    mean training loss."""
+    every parameter of params for the example indices batch in grads (a
+    dense weight's, named *.w, as its factor pair; every other one written
+    into the array grads holds) and returns the batch's mean loss; a
+    parameter that step updates itself, as cnn_train's feat.w, is left out
+    of params. Returns each epoch's mean training loss."""
     if n == 0:
         raise ValueError("empty training set")
     rng = np.random.default_rng(seed)
@@ -262,44 +268,78 @@ def cnn_train(
     lr: float, batch_size: int, epochs: int, seed: int, workers: int = 1,
 ) -> list[float]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
-    image of records[i]. Returns _train's history.
+    image of records[i]. Returns _train's history. feat.w moves to shared
+    memory, and each process updates its own run of its rows with Adam
+    moments of those rows alone; _train updates the rest here.
 
     With `workers` above 1, each batch is split into min(workers,
     batch_size) contiguous slices, the first here and each other in a worker
-    forked before training (see `fork`), sent the step's conv parameters and
-    its slice's indices into the pixels it inherited (see cnn_loss_and_grads).
+    forked before training (see `fork`), sent its run of feat.w's rows once
+    and at each step the conv parameters and its slice's indices into the
+    pixels it inherited (see cnn_loss_and_grads; feat.w's pair is pickled).
     """
     labels = np.array([r.labels for r in records], dtype=np.float64)
     # Every step writes its float images into this one buffer, for the same
     # reason _train reuses its gradient arrays.
     batch_images = np.empty((batch_size, *pixels.shape[1:]))
     images = functools.partial(_images, pixels, batch_images)
+    # the private feat.w is freed before the fork, which would map its pages
+    # into every worker
+    shape = model.params["feat.w"].shape
+    feat_w = np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
+    feat_w[...] = model.params["feat.w"]
+    model.params["feat.w"] = feat_w
     stages: list = []
+    update = None  # this process's own(rows)
 
-    def serve(message: tuple | np.ndarray) -> np.ndarray | list[nn.Params]:
-        # in a worker: its slice's conv stages, forward, then backward
-        if not isinstance(message, tuple):
-            return [_conv_backward(model, st, g) for st, g in zip(stages, message)]
-        conv, batch = message
-        model.params.update(conv)
-        flat = np.empty((len(batch), model.config.flat_dim()))
-        stages[:] = _conv_rows(model, images(batch), flat)
+    def own(rows: slice) -> Callable[[nn.DenseGrad], None]:
+        # Adam on feat_w[rows] from each step's pair, the moments allocated
+        # here; the rows are whole blocks, each formed as on the whole weight
+        shard = {"w": feat_w[rows]}
+        state = nn.adam_init(shard, lr)
+        return lambda pair: nn.adam_step(shard, {"w": (pair[0][:, rows], pair[1])}, state)
+
+    def serve(message: slice | tuple) -> np.ndarray | list[nn.Params] | None:
+        # in a worker: its run of feat.w's rows, then each step its slice's
+        # conv stages forward, then its rows' update and the stages backward
+        nonlocal update
+        if isinstance(message, slice):
+            update = own(message)
+            return None
+        first, second = message
+        if isinstance(second, tuple):  # the slice's gradients, feat.w's pair
+            update(second)
+            return [_conv_backward(model, st, g) for st, g in zip(stages, first)]
+        model.params.update(first)
+        flat = np.empty((len(second), model.config.flat_dim()))
+        stages[:] = _conv_rows(model, images(second), flat)
         return flat
 
     processes = min(workers, batch_size)
     sizes = [str(len(p)) for p in np.array_split(range(batch_size), processes)]
     log.info("images per batch of %d: %s", batch_size, fork.plan(sizes))
+    # contiguous runs of the row blocks of nn.adam_step, the longer first
+    edges = [block.start for block in nn._row_blocks(*shape)] + [shape[0]]
+    cuts = np.cumsum([0] + [len(run) for run in np.array_split(edges[1:], processes)])
+    runs = [slice(edges[a], edges[b]) for a, b in zip(cuts, cuts[1:])]
+    log.info("feat.w rows: %s", fork.plan([f"{rows.start}-{rows.stop}" for rows in runs]))
     with fork.workers(serve, processes - 1) as pool:
+        for worker, rows in zip(pool, runs[1:]):
+            worker.send(rows)
+        update = own(runs[0])
+        for worker in pool:
+            worker.receive()
 
         def step(batch: np.ndarray, grads: nn.Grads) -> float:
             parts = np.array_split(batch, processes)
             conv = {key: p for key, p in model.params.items() if key.startswith("conv")}
             for worker, part in zip(pool, parts[1:]):
                 worker.send((conv, part))
-            return cnn_loss_and_grads(model, images(parts[0]), labels[batch], grads, pool)
+            return cnn_loss_and_grads(model, images(parts[0]), labels[batch], grads, pool, update)
 
+        rest = {key: p for key, p in model.params.items() if key != "feat.w"}
         n = len(records)
-        return _train(model.params, n, step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
+        return _train(rest, n, step, lr=lr, batch_size=batch_size, epochs=epochs, seed=seed)
 
 
 def extract_features(

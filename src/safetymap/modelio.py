@@ -1,14 +1,17 @@
 """Portable model container: a JSON header line (format version, tensor
 names and shapes, seed, extra metadata) followed by raw little-endian
-float64 tensor data in declaration order."""
+float64 tensor data in declaration order. Only the functions that read
+or write tensor data load numpy."""
 
 from __future__ import annotations
 
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 FORMAT_NAME = "safetymap-model"
 FORMAT_VERSION = 1
@@ -17,6 +20,8 @@ FORMAT_VERSION = 1
 def _check_finite(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Raise a ValueError naming path, the first tensor holding NaN or inf and
     how many such values it holds."""
+    import numpy as np
+
     for name, value in tensors.items():
         bad = value.size - np.count_nonzero(np.isfinite(value))
         if bad:
@@ -27,6 +32,8 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
     """Write named tensors plus metadata; iteration order is the declaration
     order. A tensor or a meta value holding NaN or inf is a ValueError,
     raised before the file is opened."""
+    import numpy as np
+
     _check_finite(path, tensors)
     header = {
         "format": FORMAT_NAME,
@@ -56,6 +63,8 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     container header, a malformed or repeated tensor entry, tensor data that
     is short or followed by extra bytes, and a tensor holding NaN or inf are
     ValueErrors naming path."""
+    import numpy as np
+
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line.endswith(b"\n"):

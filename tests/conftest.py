@@ -54,15 +54,18 @@ settings.register_profile(
 settings.load_profile("safetymap")
 
 
-# Runs cli.main(argv) and then prints, as the last line of stdout, the names
-# of the numpy and package modules the process loaded, whether it has a
-# child process left, running or unreaped, and its peak resident size
-# (VmHWM, Linux only).
+# Runs cli.main(argv[2:]), as if argv[1] CPUs were usable unless argv[1] is
+# empty, and then prints, as the last line of stdout, the names of the numpy
+# and package modules the process loaded, whether it has a child process
+# left, running or unreaped, and the peak resident sizes of the process
+# (VmHWM) and of the largest of the workers it reaped (Linux only).
 _CLI_PROCESS = """
-import json, os, sys
+import json, os, resource, sys
 from safetymap import cli
+if sys.argv[1]:
+    cli._usable_cpus = lambda: int(sys.argv[1])
 try:
-    code = cli.main(sys.argv[1:])
+    code = cli.main(sys.argv[2:])
 except SystemExit as exc:  # --help and argparse usage errors
     code = exc.code
 finally:
@@ -75,9 +78,11 @@ finally:
     try:
         with open("/proc/self/status") as fh:
             peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+        workers_peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     except OSError:  # no procfs
-        peak_kb = None
-    print(json.dumps({"modules": modules, "children_left": children_left, "peak_kb": peak_kb}))
+        peak_kb = workers_peak_kb = None
+    print(json.dumps({"modules": modules, "children_left": children_left, "peak_kb": peak_kb,
+                      "workers_peak_kb": workers_peak_kb}))
 sys.exit(code)
 """
 
@@ -150,6 +155,7 @@ class CliProcess(NamedTuple):
     stderr: str
     children_left: bool  # a child process still running or unreaped at exit
     peak_kb: int | None  # the command process's peak resident size (VmHWM), None off Linux
+    workers_peak_kb: int | None  # the largest peak (ru_maxrss) of its reaped workers, 0 if none
 
 
 def process_env(threads: str = "1") -> dict[str, str]:
@@ -162,17 +168,18 @@ def process_env(threads: str = "1") -> dict[str, str]:
 
 def run_cli_process(
     *argv: str, threads: str = "1", timeout: float = 120.0, stdin: str | None = None,
-    address_space: int | None = None,
+    address_space: int | None = None, cpus: int | None = None,
 ) -> CliProcess:
     """Run `cli.main(argv)` in a fresh interpreter (see `process_env`),
-    given stdin through a pipe, and with an address_space limit in bytes
-    (RLIMIT_AS) on the interpreter and the workers it forks."""
+    given stdin through a pipe, with an address_space limit in bytes
+    (RLIMIT_AS) on the interpreter and the workers it forks, and as if
+    `cpus` CPUs were usable."""
 
     def limit() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_PROCESS, *argv], input=stdin,
+        [sys.executable, "-c", _CLI_PROCESS, str(cpus or ""), *argv], input=stdin,
         env=process_env(threads), capture_output=True, text=True, timeout=timeout,
         preexec_fn=limit if address_space else None,
     )
@@ -181,7 +188,7 @@ def run_cli_process(
     report = json.loads(report)
     return CliProcess(
         proc.returncode, frozenset(report["modules"]), proc.stderr, report["children_left"],
-        report["peak_kb"],
+        report["peak_kb"], report["workers_peak_kb"],
     )
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_ppm
+from conftest import run_cli_process, write_ppm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -204,3 +204,34 @@ def test_mutated_input_exits_with_a_documented_code(inputs, kind, mutation):
             assert code in (0, 2, 3, 4, 5), (command, code)
             if code == 0:
                 check_output(command, work)
+
+
+SIZE_KEYS = ("feature_dim", "hidden", "mid_dim", "window", "batch_size")
+
+
+@settings(max_examples=5)
+@given(
+    sizes=st.fixed_dictionaries({key: st.integers(1, 10**12) for key in SIZE_KEYS}),
+    epochs=st.integers(0, 1),
+)
+def test_config_sizes_never_exit_1(inputs, sizes, epochs):
+    # Each command runs in a fresh interpreter under a 2 GiB address-space
+    # limit, so a size too large for memory exits 5 without taking the
+    # host's; feature_dim also sizes train-cnn's shared feat.w. train-lstm
+    # keeps the feature file's width, as any other exits 4 at its first line.
+    base = dict(line.split(" = ") for line in CONFIG.strip().splitlines())
+    base.update(lstm_epochs=epochs, cnn_epochs=epochs)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for path in inputs.iterdir():
+            shutil.copyfile(path, work / path.name)
+        for command, config in (
+            ("train-lstm", {**base, **sizes, "feature_dim": base["feature_dim"]}),
+            ("train-cnn", {**base, **sizes}),
+        ):
+            (work / "pipeline.cfg").write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+            argv = [str(work / arg) if arg in FILES else arg for arg in COMMANDS[command]]
+            run = run_cli_process(
+                "--config", str(work / "pipeline.cfg"), command, *argv, address_space=2 << 30
+            )
+            assert run.code != 1, (command, config, run.stderr)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import logging
 import os
 import tracemalloc
 import warnings
@@ -340,6 +342,39 @@ class TestWorkers:
             assert split_history == history, workers
             for key, value in model.params.items():
                 assert np.array_equal(split.params[key], value), (workers, key)
+
+    @pytest.mark.parametrize(
+        "feature_dim, runs",
+        [
+            # blocks of 2, 2 and 3 rows (a 1-row remainder joins the last)
+            pytest.param(7, ["0-7 here, none in 0 workers", "0-4 here, 4-7 in 1 worker",
+                             "0-2 here, 2-4, 4-7 in 2 workers"], id="three-blocks"),
+            # blocks of 2 and 3 rows: one of three processes owns no row
+            pytest.param(5, ["0-5 here, none in 0 workers", "0-2 here, 2-5 in 1 worker",
+                             "0-2 here, 2-5, 5-5 in 2 workers"], id="two-blocks"),
+        ],
+    )
+    def test_feature_weight_shards_change_no_bit(self, monkeypatch, caplog, feature_dim, runs):
+        # each process updates its run of feat.w's row blocks with moments of
+        # those rows alone; blocks of 2 rows at the 48 inputs of CONFIG's
+        # dense layer
+        monkeypatch.setattr(nn, "ADAM_BLOCK", 96)
+        config = dataclasses.replace(self.CONFIG, feature_dim=feature_dim)
+        records, pixels = make_pixel_records(10, np.random.default_rng(31), height=16, width=16)
+        results = []
+        for workers, plan in zip((1, 2, 3), runs):
+            model = init_cnn(config, seed=32)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="safetymap.cnn"):
+                history = cnn_train(
+                    model, records, pixels, lr=1e-2, batch_size=4, epochs=2, seed=33,
+                    workers=workers,
+                )
+            assert_no_child_left()
+            assert f"feat.w rows: {plan}" in caplog.messages
+            results.append((history, {key: p.tobytes() for key, p in model.params.items()}))
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
     def test_extraction_split_changes_no_bit(self):
         features = self.extract()
