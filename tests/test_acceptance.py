@@ -6,7 +6,6 @@ Each test registers a pass line with the terminal summary hook; run with
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 
@@ -38,7 +37,6 @@ from safetymap.nn import (
     maxpool2d_forward,
     sigmoid,
 )
-from test_cli import TINY_CONFIG
 from test_lstm import oracle_deviation, pack_gates, random_params, summed_loss
 
 pytestmark = pytest.mark.usefixtures("_acceptance_marker")
@@ -274,21 +272,14 @@ seed = 1234
 
 class TestCriterion8Determinism:
     def test_two_runs_byte_identical(self, tmp_path):
-        # at the acceptance config, and at the CLI tests' tiny one, whose
-        # two-epoch model predicts no mcb image
-        details = []
-        for name, config in (("acceptance", ACCEPTANCE_PIPELINE_CONFIG), ("tiny", TINY_CONFIG)):
-            config_path = tmp_path / f"{name}.cfg"
-            config_path.write_text(config)
-            runs = []
-            for run in ("a", "b"):
-                (tmp_path / name / run).mkdir(parents=True)
-                no_mcb = pytest.warns(UserWarning, match="class mcb: zero denominator")
-                with no_mcb if name == "tiny" else contextlib.nullcontext():
-                    outputs = run_synth_pipeline(tmp_path / name / run, str(config_path))
-                runs.append({name: path.read_bytes() for name, path in outputs.items()})
-            assert runs[0] == runs[1], name
-            metrics, geojson = runs[0]["metrics.json"], runs[0]["map.geojson"]
-            assert "avg_f" in json.loads(metrics)
-            details.append(f"{name}: metrics {len(metrics)} bytes, map {len(geojson)} bytes")
-        record_acceptance(8, "; ".join(details))
+        config_path = tmp_path / "pipeline.cfg"
+        config_path.write_text(ACCEPTANCE_PIPELINE_CONFIG)
+        runs = []
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            outputs = run_synth_pipeline(tmp_path / run, str(config_path))
+            runs.append({name: path.read_bytes() for name, path in outputs.items()})
+        assert runs[0] == runs[1]
+        metrics, geojson = runs[0]["metrics.json"], runs[0]["map.geojson"]
+        assert "avg_f" in json.loads(metrics)
+        record_acceptance(8, f"metrics {len(metrics)} bytes, map {len(geojson)} bytes")

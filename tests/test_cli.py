@@ -560,6 +560,15 @@ class TestSynthPipeline:
         assert code == 0
         assert_loss_table(losses, epochs)
 
+    def test_deterministic_outputs(self, tmp_path, tiny_config):
+        runs = []
+        for run in ("run-a", "run-b"):
+            (tmp_path / run).mkdir()
+            with pytest.warns(UserWarning, match="class mcb: zero denominator"):
+                outputs = run_synth_pipeline(tmp_path / run, tiny_config)
+            runs.append({name: path.read_bytes() for name, path in outputs.items()})
+        assert runs[0] == runs[1]
+
     def test_inputs_not_mutated(self, tmp_path, tiny_config):
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config)
         before_labels = labels.read_bytes()
