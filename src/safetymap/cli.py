@@ -141,6 +141,8 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
     records = data.load_labels(args.labels)
     features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
     starts = data.build_sequences(records, config.window, config.stride)
+    if len(starts) == 0:  # before the model, which the config may make large
+        raise ValueError("empty training set")
     model = lstm.init_sequence_model(
         args.mode,
         input_dim=config.feature_dim,
@@ -400,7 +402,8 @@ def _run(args) -> int:
     except Exception as exc:  # out of memory for the config's sizes, else unexpected
         oom = isinstance(exc, MemoryError) or getattr(exc, "errno", None) == errno.ENOMEM
         sizes = "; the config's feature_dim, hidden, mid_dim, window and batch_size size the arrays"
-        print(f"error: {type(exc).__name__}: {exc}{sizes if oom else ''}", file=sys.stderr)
+        detail = f"{str(exc) or 'out of memory'}{sizes}" if oom else exc
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_VALIDATION if oom else 1
 
 

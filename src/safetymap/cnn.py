@@ -6,13 +6,13 @@ independent class probabilities. The feature vectors feed the sequence
 model downstream; the class head over them, `frame_predict`, is the frame
 baseline, each image classified alone. Training (one seeded mini-batch Adam
 loop) and extraction take the records (labels and image_id order) next to
-the (n, H, W, 3) uint8 pixels of `data.load_pixels`, row i belonging to
-records[i].
+their pixels, item i the (H, W, 3) uint8 image of records[i], indexed by
+each process when its batch runs (`data.load_pixels` reads the file then).
+The conv stage divides each image by 255, in forward and again in backward.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import mmap
@@ -81,17 +81,24 @@ def init_cnn(config: CnnConfig, seed: int) -> CnnModel:
     return CnnModel(config=config, params=params)
 
 
+def _floats(image: np.ndarray) -> np.ndarray:
+    """The C x H x W float image, levels / 255, of an H x W x C uint8 image."""
+    return (image / 255.0).transpose(2, 0, 1)
+
+
 def _conv_forward(model: CnnModel, image: np.ndarray, out: np.ndarray) -> list:
-    """The conv, ReLU and pool stages on one C x H x W image. The last
+    """The conv, ReLU and pool stages on one H x W x C uint8 image. The last
     stage's pooled output is written into out, the image's (flat,) row of the
-    dense input. Returns, per stage, what the backward pass keeps (input,
-    argmax cache, pooled output; the last one a view of out)."""
+    dense input. Returns, per stage, what the backward pass keeps (input, the
+    uint8 image at stage 0; argmax cache; pooled output, the last one a view
+    of out)."""
     pad = model.config.kernel_size // 2
     last = len(model.config.stage_channels) - 1
     stages = []
     x = image
     for s in range(last + 1):
-        z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], pad)
+        kernels, bias = model.params[f"conv{s}.k"], model.params[f"conv{s}.b"]
+        z = nn.conv2d_forward(x if s else _floats(x), kernels, bias, pad)
         pooled, idx = nn.maxpool2d_forward(nn.relu(z, out=z))
         if s == last:
             row = out.reshape(pooled.shape)
@@ -112,6 +119,7 @@ def _conv_backward(model: CnnModel, stages: list, grad: np.ndarray) -> nn.Params
     for s in reversed(range(len(stages))):
         x, idx, pooled = stages[s]
         kernels = model.params[f"conv{s}.k"]
+        x = x if s else _floats(x)
         # the ReLU passes gradient only where the pooled maximum is positive
         grad_z = nn.maxpool2d_backward(idx, grad * nn.relu_grad(pooled))
         grads[f"conv{s}.k"], grads[f"conv{s}.b"] = nn.conv2d_backward(x, kernels, grad_z, pad)
@@ -146,27 +154,26 @@ def _head_backward(
 
 
 def _conv_rows(
-    model: CnnModel, images: np.ndarray, flat: np.ndarray, keep_stages: bool = True
+    model: CnnModel, images: Sequence[np.ndarray], flat: np.ndarray, keep_stages: bool = True
 ) -> list:
     """Conv stages image by image, each writing its pooled output into its
     row of flat, the (N, flat_dim) input of the dense head, from row 0 on.
     Each image's stage records, which only the backward pass reads, are
     returned with keep_stages and otherwise dropped once its row is written."""
-    if images.ndim != 4 or images.shape[1:] != model.config.input_shape:
-        raise ValueError(
-            f"image batch shape {images.shape} != (N, *{model.config.input_shape})"
-        )
+    c, h, w = model.config.input_shape
     stages = []
     for image, row in zip(images, flat):
+        if image.shape != (h, w, c) or image.dtype != np.uint8:
+            raise ValueError(f"image shape {image.shape} of {image.dtype} != uint8 {(h, w, c)}")
         record = _conv_forward(model, image, row)
         if keep_stages:
             stages.append(record)
     return stages
 
 
-def cnn_forward(model: CnnModel, images: np.ndarray) -> np.ndarray:
-    """Nonnegative feature vectors (N, feature_dim) for an (N, C, H, W) batch
-    of images; no image's stage records outlive its conv stages. The class
+def cnn_forward(model: CnnModel, images: Sequence[np.ndarray]) -> np.ndarray:
+    """Nonnegative feature vectors (N, feature_dim) for N H x W x C uint8
+    images; no image's stage records outlive its conv stages. The class
     probabilities are frame_predict(model.params, features)."""
     flat = np.empty((len(images), model.config.flat_dim()))
     _conv_rows(model, images, flat, keep_stages=False)
@@ -174,7 +181,7 @@ def cnn_forward(model: CnnModel, images: np.ndarray) -> np.ndarray:
 
 
 def cnn_loss_and_grads(
-    model: CnnModel, images: np.ndarray, labels: np.ndarray, grads: nn.Grads,
+    model: CnnModel, images: Sequence[np.ndarray], labels: np.ndarray, grads: nn.Grads,
     workers: Sequence[fork.Worker] = (), update: Callable[[nn.DenseGrad], None] | None = None,
 ) -> float:
     """Batch-mean BCE over the three outputs of the N images of labels (N,
@@ -183,8 +190,8 @@ def cnn_loss_and_grads(
     nn.dense_backward), so the (feature_dim, flat_dim) gradient of feat.w is
     never formed here; every other one is written into the array of its
     parameter's shape that grads holds under its name. images are the
-    batch's first images, all N without workers. Each of `workers`, sent the
-    next contiguous slice (see cnn_train), answers with its dense-input rows
+    batch's first H x W x C uint8 images, all N without workers. Each of
+    `workers`, sent the next contiguous slice (see cnn_train), answers with its dense-input rows
     and then, sent their gradients and feat.w's pair, with each image's conv
     gradients, which are summed in image order from zero as this process's
     are. With update, feat.w's pair is passed to update(pair) before those
@@ -216,13 +223,6 @@ def cnn_loss_and_grads(
         for image in image_grads:
             grads[key] += image[key]
     return loss
-
-
-def _images(pixels: np.ndarray, buffer: np.ndarray, batch: Sequence[int]) -> np.ndarray:
-    """The (N, C, H, W) float images pixels[batch] / 255, held in buffer."""
-    out = buffer[: len(batch)]
-    np.divide(pixels[batch], 255.0, out=out)
-    return out.transpose(0, 3, 1, 2)
 
 
 def _train(
@@ -264,11 +264,12 @@ def _train(
 
 
 def cnn_train(
-    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, *,
+    model: CnnModel, records: Sequence[ImageRecord], pixels: Sequence[np.ndarray], *,
     lr: float, batch_size: int, epochs: int, seed: int, workers: int = 1,
 ) -> list[float]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
-    image of records[i]. Returns _train's history. feat.w moves to shared
+    image of records[i], indexed by the process that runs its conv stages
+    when its batch runs. Returns _train's history. feat.w moves to shared
     memory, and each process updates its own run of its rows with Adam
     moments of those rows alone; _train updates the rest here.
 
@@ -279,10 +280,6 @@ def cnn_train(
     pixels it inherited (see cnn_loss_and_grads; feat.w's pair is pickled).
     """
     labels = np.array([r.labels for r in records], dtype=np.float64)
-    # Every step writes its float images into this one buffer, for the same
-    # reason _train reuses its gradient arrays.
-    batch_images = np.empty((batch_size, *pixels.shape[1:]))
-    images = functools.partial(_images, pixels, batch_images)
     # the private feat.w is freed before the fork, which would map its pages
     # into every worker
     shape = model.params["feat.w"].shape
@@ -312,11 +309,11 @@ def cnn_train(
             return [_conv_backward(model, st, g) for st, g in zip(stages, first)]
         model.params.update(first)
         flat = np.empty((len(second), model.config.flat_dim()))
-        stages[:] = _conv_rows(model, images(second), flat)
+        stages[:] = _conv_rows(model, [pixels[i] for i in second], flat)
         return flat
 
     processes = min(workers, batch_size)
-    sizes = [str(len(p)) for p in np.array_split(range(batch_size), processes)]
+    sizes = [str(len(p)) for p in np.array_split(range(min(batch_size, len(records))), processes)]
     log.info("images per batch of %d: %s", batch_size, fork.plan(sizes))
     # contiguous runs of the row blocks of nn.adam_step, the longer first
     edges = [block.start for block in nn._row_blocks(*shape)] + [shape[0]]
@@ -335,7 +332,8 @@ def cnn_train(
             conv = {key: p for key, p in model.params.items() if key.startswith("conv")}
             for worker, part in zip(pool, parts[1:]):
                 worker.send((conv, part))
-            return cnn_loss_and_grads(model, images(parts[0]), labels[batch], grads, pool, update)
+            images = [pixels[i] for i in parts[0]]
+            return cnn_loss_and_grads(model, images, labels[batch], grads, pool, update)
 
         rest = {key: p for key, p in model.params.items() if key != "feat.w"}
         n = len(records)
@@ -343,11 +341,12 @@ def cnn_train(
 
 
 def extract_features(
-    model: CnnModel, records: Sequence[ImageRecord], pixels: np.ndarray, batch_size: int,
-    *, workers: int = 1,
+    model: CnnModel, records: Sequence[ImageRecord], pixels: Sequence[np.ndarray],
+    batch_size: int, *, workers: int = 1,
 ) -> np.ndarray:
-    """The (n, feature_dim) CNN feature vectors of the images pixels (n, H,
-    W, 3), row i for records[i], batch_size images per forward call.
+    """The (n, feature_dim) CNN feature vectors of the (H, W, 3) uint8
+    images pixels, row i for pixels[i] and records[i], batch_size images per
+    forward call, each batch indexed by the process that runs it.
     Batches are cut from the records sorted by image_id, so a record's
     features do not depend on the input order (a GEMM row's last bits can
     depend on its position in the batch). With `workers` above 1, the
@@ -359,11 +358,9 @@ def extract_features(
     parts = np.array_split(range(len(batches)), max(1, min(workers, len(batches))))
     runs = [[batches[i] for i in part] for part in parts]
     log.info("batches of %d: %s", batch_size, fork.plan([str(len(run)) for run in runs]))
-    # one float image buffer for every batch, as in cnn_train
-    batch_images = np.empty((min(batch_size, len(records)), *pixels.shape[1:]))
 
     def features(run: list[list[int]]) -> list[np.ndarray]:
-        return [cnn_forward(model, _images(pixels, batch_images, batch)) for batch in run]
+        return [cnn_forward(model, [pixels[i] for i in batch]) for batch in run]
 
     out = np.empty((len(records), model.config.feature_dim))
     for run, rows in zip(runs, fork.split(features, runs)):

@@ -5,11 +5,12 @@ synthetic corridor generation, and PPM pixel image reading. The loaders are
 the validation boundary: malformed, out-of-range or non-finite input raises
 SchemaError naming its file and line.
 
-A record is a key, a location and three labels. Each payload travels as
-the one array its loader returns, aligned with the records: row i of the
-(n, d) features of `attach_features` or `synth_corridor` and of the (n, H,
-W, 3) pixels of `load_pixels` belongs to records[i]. A window is one
-integer, its start index into the records and so into those arrays.
+A record is a key, a location and three labels. Each payload travels
+aligned with the records: row i of the (n, d) features of `attach_features`
+or `synth_corridor`, and item i of the `PixelFiles` of `load_pixels`, which
+checks every PPM up front and reads one when it is indexed, belongs to
+records[i]. A window is one integer, its start index into the records and
+so into those arrays.
 
 The CSV tables need no numpy; each function that builds an array imports
 numpy when it runs, so a command that only reads and writes tables never
@@ -499,13 +500,10 @@ def synth_corridor(config: PipelineConfig, seed: int) -> tuple[list[ImageRecord]
 # --- pixel images (portable binary PPM, P6, maxval 255) ---
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """Read a binary PPM into a read-only H x W x 3 uint8 array; a malformed
-    header or a short pixel block is a SchemaError naming the file."""
-    import numpy as np
-
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _ppm_header(path: str, blob) -> tuple[int, int, int]:
+    """The height, width and pixel block offset of the PPM whose bytes (or
+    read-only map) blob holds; a malformed header or a short pixel block is a
+    SchemaError naming the file."""
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4 and pos < len(blob):
@@ -538,7 +536,59 @@ def read_ppm(path: str) -> np.ndarray:
     if len(blob) - pos < w * h * 3:
         got = max(len(blob) - pos, 0)
         raise SchemaError(f"{path}: pixel block truncated, {got} of {w * h * 3} bytes")
+    return h, w, pos
+
+
+def read_ppm(path: str) -> np.ndarray:
+    """Read a binary PPM into a read-only H x W x 3 uint8 array; a malformed
+    header or a short pixel block is a SchemaError naming the file."""
+    import numpy as np
+
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    h, w, pos = _ppm_header(path, blob)
     return np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(h, w, 3)
+
+
+def _ppm_extent(path: str) -> tuple[int, int]:
+    """The (height, width) of a binary PPM, checked as read_ppm checks it,
+    from its header and its size: the pixel block is mapped, never read."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
+            return _ppm_header(path, b"")[:2]
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as blob:
+            return _ppm_header(path, blob)[:2]
+
+
+def _check_extent(path: str, image_id: str, h: int, w: int, extent: tuple[int, int]) -> None:
+    if (h, w) != extent:
+        raise ValueError(
+            f"{path}: image {image_id} is {w} x {h} pixels, expected {extent[1]} x {extent[0]}"
+        )
+
+
+@dataclass(frozen=True)
+class PixelFiles:
+    """The checked images of `load_pixels`, each read from its PPM when it is
+    indexed: self[i] is the (H, W, 3) uint8 image of the i-th record, whose
+    extent is checked again. len and shape are those of the (n, H, W, 3)
+    array of them, which satisfies the same contract."""
+
+    paths: list[str]
+    image_ids: list[str]
+    extent: tuple[int, int]
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return (len(self.paths), *self.extent, 3)
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        pixels = read_ppm(self.paths[i])
+        _check_extent(self.paths[i], self.image_ids[i], *pixels.shape[:2], self.extent)
+        return pixels
 
 
 def load_pixels(
@@ -546,17 +596,15 @@ def load_pixels(
     manifest_path: str,
     extent: tuple[int, int] | None = None,
     multiple: int = 1,
-) -> np.ndarray:
-    """Read the records' images, per a manifest CSV mapping image_id -> PPM
-    path, into one (n, H, W, 3) uint8 array whose row i is records[i]'s.
+) -> PixelFiles:
+    """The records' images, per a manifest CSV mapping image_id -> PPM path,
+    as a PixelFiles whose item i is records[i]'s image.
 
     Relative paths are resolved against the manifest's directory. Every
     image must be `extent` (height, width) pixels, or the first image's
     size when extent is None, and both extents must be multiples of
     `multiple`; an image that is not is a ValueError naming it and its file.
     """
-    import numpy as np
-
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
     missing = sorted(r.image_id for r in records if r.image_id not in paths)
@@ -564,26 +612,16 @@ def load_pixels(
         raise SchemaError(
             f"{manifest_path}: manifest lacks paths for {len(missing)} record(s): {missing}"
         )
-    out = np.empty((len(records), *(extent or (0, 0)), 3), dtype=np.uint8)
-    for i, r in enumerate(records):
-        p = paths[r.image_id]
-        if not os.path.isabs(p):
-            p = os.path.join(base, p)
-        pixels = read_ppm(p)
-        h, w = pixels.shape[:2]
-        if extent is None:
-            extent = (h, w)
-            out = np.empty((len(records), h, w, 3), dtype=np.uint8)
-        if (h, w) != extent:
-            raise ValueError(
-                f"{p}: image {r.image_id} is {w} x {h} pixels, expected {extent[1]} x {extent[0]}"
-            )
+    files = [os.path.join(base, paths[r.image_id]) for r in records]
+    for p, r in zip(files, records):
+        h, w = _ppm_extent(p)
+        extent = extent or (h, w)
+        _check_extent(p, r.image_id, h, w, extent)
         if h % multiple or w % multiple:
             raise ValueError(
                 f"{p}: image {r.image_id} is {w} x {h} pixels, not a multiple of {multiple}"
             )
-        out[i] = pixels
-    return out
+    return PixelFiles(files, [r.image_id for r in records], extent or (0, 0))
 
 
 def write_features(path: str, records: Sequence[ImageRecord], features: np.ndarray) -> None:

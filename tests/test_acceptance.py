@@ -141,7 +141,9 @@ class TestCriterion3Gradients:
         cnn_model = init_cnn(
             CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4), seed=32
         )
-        images = rng.random((2, 3, 8, 8)) + 0.05
+        # uint8 levels 13-254, drawn as the same 384 floats so that the
+        # draws below do not move
+        images = (rng.random((2, 8, 8, 3)) * 242.0 + 13.0).astype(np.uint8)
         cnn_labels = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
         def cnn_fn(params):

@@ -25,7 +25,7 @@ from conftest import (
 )
 from test_lstm import gate_params
 
-from safetymap import lstm
+from safetymap import cli, lstm
 from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build_parser, main
 from safetymap.cnn import CnnConfig, cnn_load, frame_predict
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
@@ -1430,6 +1430,59 @@ class TestConfigSizes:
         assert (self.OUT_OF_MEMORY in run.stderr) == (code == 5)
         assert not model.exists()
 
+    def test_train_lstm_without_a_window_exit_5_before_its_model(self, tmp_path):
+        # no window of 765884 fits 16 records, so the model that hidden =
+        # 5089 makes large (about 830 MB of weights) is never built
+        labels, features, cfg = tmp_path / "labels.csv", tmp_path / "f.jsonl", tmp_path / "c.cfg"
+        cfg.write_text("n_points = 16\n")
+        assert run_cli(
+            "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
+        ) == 0
+        cfg.write_text("n_points = 16\nwindow = 765884\nhidden = 5089\n")
+        model = tmp_path / "model.bin"
+        run = run_cli_process(
+            "--config", str(cfg), "train-lstm", "--labels", str(labels), "--features",
+            str(features), "--model-out", str(model), address_space=self.LIMIT,
+        )
+        assert run.code == 5, run.stderr
+        assert run.stderr.endswith("error: empty training set\n")
+        assert run.peak_kb is None or run.peak_kb < 100 << 10, run.peak_kb
+        assert not model.exists()
+
+    def test_bare_memory_error_names_its_cause(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(args, config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "cmd_sample", out_of_memory)
+        capsys.readouterr()
+        code = run_cli("sample", "--network", str(tmp_path / "net.geojson"), "--out", "out.csv")
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MemoryError: out of memory{self.OUT_OF_MEMORY}")
+        assert ": ;" not in err
+
+    def test_pixel_commands_at_huge_batch_size(self, tmp_path):
+        # batch_size sizes nothing beyond the image count: both runs train
+        # and extract one batch of the 16 images
+        outputs = {}
+        for batch_size in (16, 213067559):
+            run_dir = tmp_path / str(batch_size)
+            run_dir.mkdir()
+            config = f"feature_dim = 8\ncnn_epochs = 1\nbatch_size = {batch_size}\n"
+            labels, manifest, cfg = write_pixel_inputs(run_dir, n=16, size=4, config=config)
+            model, features = run_dir / "cnn.bin", run_dir / "features.jsonl"
+            for command, flags in (
+                ("train-cnn", ["--model-out", str(model)]),
+                ("extract-features", ["--model", str(model), "--out", str(features)]),
+            ):
+                run = run_cli_process(
+                    "--config", str(cfg), command, "--labels", str(labels),
+                    "--manifest", str(manifest), *flags, address_space=self.LIMIT,
+                )
+                assert run.code == 0, (command, run.stderr)
+            outputs[batch_size] = model.read_bytes(), features.read_bytes()
+        assert outputs[213067559] == outputs[16]
+
     def test_train_cnn_at_huge_feature_dim_exit_5(self, tmp_path):
         config = "feature_dim = 1000000000\ncnn_epochs = 1\nbatch_size = 4\n"
         labels, manifest, cfg = write_pixel_inputs(tmp_path, config=config)
@@ -1478,6 +1531,45 @@ class TestPixelCommands:
         command, worker = (peaks[4096] - peaks[16]) / copy_bytes
         assert command < copies, command
         assert worker < copies, worker
+
+    @pytest.mark.parametrize("cpus", [pytest.param(1, id="one-cpu"), pytest.param(2, id="two-cpus")])
+    def test_pixel_command_peaks_do_not_grow_with_the_image_count(
+        self, tmp_path, monkeypatch, cpus
+    ):
+        # Each process reads the images of its part of a batch when that
+        # batch runs, so neither the command process nor its worker holds
+        # the image set. Compare, as above, two runs that differ only in the
+        # image count: n and 4n images, whose difference is 4.1 MB of uint8
+        # pixels; a process holding them all would grow by the whole of it.
+        # glibc's mmap threshold is held at its initial 128 KB: raised by
+        # the first freed multi-MB conv buffer, as it is by default, it lets
+        # the heap's layout move a peak by up to about 1.5 MB between two
+        # such runs (a quarter of the added bytes is 1 MB).
+        monkeypatch.setenv("MALLOC_MMAP_THRESHOLD_", str(128 << 10))
+        n, size = 28, 128
+        added = 3 * n * size * size * 3
+        config = "feature_dim = 8\ncnn_epochs = 1\nbatch_size = 8\n"
+        peaks = {}
+        for count in (n, 4 * n):
+            run_dir = tmp_path / str(count)
+            run_dir.mkdir()
+            labels, manifest, cfg = write_pixel_inputs(run_dir, n=count, size=size, config=config)
+            model = run_dir / "cnn.bin"
+            for command, flags in (
+                ("train-cnn", ["--model-out", str(model)]),
+                ("extract-features", ["--model", str(model), "--out", str(run_dir / "f.jsonl")]),
+            ):
+                run = run_cli_process(
+                    "--config", str(cfg), command, "--labels", str(labels),
+                    "--manifest", str(manifest), *flags, cpus=cpus,
+                )
+                assert run.code == 0, (command, run.stderr)
+                if run.peak_kb is None:
+                    pytest.skip("no /proc/self/status to read VmHWM from")
+                peaks[command, count] = np.array([run.peak_kb, run.workers_peak_kb]) * 1024
+        for command in ("train-cnn", "extract-features"):
+            growth = (peaks[command, 4 * n] - peaks[command, n]) / added
+            assert (growth < 0.25).all(), (command, growth)
 
     def test_truncated_ppm_exit_4(self, tmp_path, capsys):
         labels, manifest, cfg = write_pixel_inputs(tmp_path)

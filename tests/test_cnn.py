@@ -11,9 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left, grad_check, make_pixel_records, materialize
+from conftest import assert_no_child_left, grad_check, make_pixel_records, materialize, write_ppm
 
-from safetymap import cnn, nn
+from safetymap import SchemaError, cnn, nn
 from safetymap.cnn import (
     CnnConfig,
     _conv_forward,
@@ -27,6 +27,7 @@ from safetymap.cnn import (
     frame_predict,
     init_cnn,
 )
+from safetymap.data import load_pixels
 from safetymap.modelio import load_tensors, save_tensors
 
 SMALL = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4)
@@ -39,6 +40,24 @@ def loss_and_grads(model, images, labels):
     return cnn_loss_and_grads(model, images, labels, grads), grads
 
 
+def uint8_images(rng: np.random.Generator, n: int, size: int, low: int = 0) -> np.ndarray:
+    """n random size x size x 3 uint8 images of levels low to 255."""
+    return rng.integers(low, 256, (n, size, size, 3), dtype=np.uint8)
+
+
+def reference_features(model, images: np.ndarray) -> np.ndarray:
+    """cnn_forward's features from the float batch images / 255.0, divided
+    before any conv stage runs, through nn's kernels one image at a time."""
+    pad = model.config.kernel_size // 2
+    flat = []
+    for x in images.transpose(0, 3, 1, 2) / 255.0:
+        for s in range(len(model.config.stage_channels)):
+            z = nn.conv2d_forward(x, model.params[f"conv{s}.k"], model.params[f"conv{s}.b"], pad)
+            x, _ = nn.maxpool2d_forward(nn.relu(z))
+        flat.append(x.reshape(-1))
+    return nn.relu(nn.dense_forward(np.array(flat), model.params["feat.w"], model.params["feat.b"]))
+
+
 def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     """Largest absolute difference over the largest magnitude of want."""
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -49,31 +68,31 @@ class TestCnnForward:
         model = init_cnn(SMALL, seed=0)
         for k in model.params:
             model.params[k][:] = 0.0
-        features = cnn_forward(model, np.random.default_rng(0).random((2, 3, 8, 8)))
+        features = cnn_forward(model, uint8_images(np.random.default_rng(0), 2, 8))
         assert frame_predict(model.params, features).tolist() == [[0.5, 0.5, 0.5]] * 2
         assert np.all(features == 0.0)
 
     def test_probs_in_open_interval(self):
         model = init_cnn(SMALL, seed=1)
         rng = np.random.default_rng(2)
-        probs = frame_predict(model.params, cnn_forward(model, rng.random((5, 3, 8, 8))))
+        probs = frame_predict(model.params, cnn_forward(model, uint8_images(rng, 5, 8)))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
     def test_deterministic_given_seed(self):
-        images = np.random.default_rng(3).random((2, 3, 8, 8))
+        images = uint8_images(np.random.default_rng(3), 2, 8)
         a = cnn_forward(init_cnn(SMALL, seed=5), images)
         b = cnn_forward(init_cnn(SMALL, seed=5), images)
         assert np.array_equal(a, b)
 
     def test_features_nonnegative(self):
         model = init_cnn(SMALL, seed=4)
-        features = cnn_forward(model, np.random.default_rng(5).random((3, 3, 8, 8)))
+        features = cnn_forward(model, uint8_images(np.random.default_rng(5), 3, 8))
         assert np.all(features >= 0.0)
 
     def test_pooled_outputs_are_rows_of_the_dense_input(self):
         model = init_cnn(DESK, seed=4)
         flat = np.empty((3, DESK.flat_dim()))
-        stages = _conv_rows(model, np.random.default_rng(6).random((3, 3, 32, 32)), flat)
+        stages = _conv_rows(model, uint8_images(np.random.default_rng(6), 3, 32), flat)
         for row, image_stages in zip(flat, stages):
             pooled = image_stages[-1][2]
             assert np.shares_memory(pooled, row)
@@ -81,17 +100,18 @@ class TestCnnForward:
 
     def test_stage_records_match_allocating_calls_bitwise(self):
         # the conv's bias and the ReLU run in place on the GEMM output; the
-        # reference forms each with a new array
+        # reference forms each with a new array. Stage 0 keeps the uint8
+        # image, whose floats the reference divides up front.
         model = init_cnn(DESK, seed=12)
-        image = np.random.default_rng(13).random((3, 32, 32)) - 0.3
+        image = uint8_images(np.random.default_rng(13), 1, 32)[0]
         row = np.empty(DESK.flat_dim())
         stages = _conv_forward(model, image, row)
-        x = image
+        x = image.transpose(2, 0, 1) / 255.0
         for s, (got_x, got_idx, got_pooled) in enumerate(stages):
             kernels, bias = model.params[f"conv{s}.k"], model.params[f"conv{s}.b"]
             z = kernels.reshape(len(kernels), -1) @ nn._im2col(x, 3, 3, 1) + bias[:, None]
             pooled, idx = nn.maxpool2d_forward(np.maximum(0.0, z).reshape(-1, *x.shape[1:]))
-            assert got_x.tobytes() == x.tobytes()
+            assert got_x.tobytes() == (image if s == 0 else x).tobytes()
             assert got_idx.tobytes() == idx.tobytes()
             assert got_pooled.tobytes() == pooled.tobytes()
             x = pooled
@@ -101,7 +121,7 @@ class TestCnnForward:
         # the training forward keeps every image's argmax caches and pooled
         # outputs for the backward pass; cnn_forward drops each image's
         model = init_cnn(DESK, seed=14)
-        images = np.random.default_rng(15).random((64, 3, 32, 32))
+        images = uint8_images(np.random.default_rng(15), 64, 32)
 
         def traced(forward):
             tracemalloc.start()
@@ -132,16 +152,18 @@ class TestCnnForward:
     def test_shape_mismatch(self):
         model = init_cnn(SMALL, seed=0)
         with pytest.raises(ValueError, match="shape"):
-            cnn_forward(model, np.zeros((1, 3, 16, 16)))
+            cnn_forward(model, np.zeros((1, 16, 16, 3), np.uint8))
         with pytest.raises(ValueError, match="shape"):
-            cnn_forward(model, np.zeros((3, 8, 8)))
+            cnn_forward(model, np.zeros((8, 8, 3), np.uint8))
+        with pytest.raises(ValueError, match="of float64 != uint8"):
+            cnn_forward(model, np.zeros((1, 8, 8, 3)))
 
 
 class TestCnnGradients:
     def test_full_model_gradient_check(self):
         model = init_cnn(SMALL, seed=7)
         rng = np.random.default_rng(8)
-        images = rng.random((2, 3, 8, 8)) + 0.05  # jitter keeps preactivations off kinks
+        images = uint8_images(rng, 2, 8, low=13)  # jitter keeps preactivations off kinks
         labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
 
         def fn(params):
@@ -157,7 +179,7 @@ class TestCnnGradients:
             CnnConfig(input_shape=(3, 8, 8), stage_channels=(2, 3), feature_dim=4), seed=9
         )
         rng = np.random.default_rng(10)
-        images = rng.random((2, 3, 8, 8)) + 0.05
+        images = uint8_images(rng, 2, 8, low=13)
         labels = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 
         def fn(params):
@@ -169,7 +191,7 @@ class TestCnnGradients:
     def test_batch_mean_matches_single_image_calls(self):
         model = init_cnn(CnnConfig(input_shape=(3, 8, 8), stage_channels=(2, 3), feature_dim=6), 11)
         rng = np.random.default_rng(12)
-        images = rng.random((5, 3, 8, 8))
+        images = uint8_images(rng, 5, 8)
         labels = (rng.random((5, 3)) < 0.5).astype(np.float64)
         loss, grads = loss_and_grads(model, images, labels)
         grads = materialize(grads)
@@ -216,8 +238,7 @@ class TestCnnTrain:
         assert h1 == h2
 
     def test_matches_fresh_arrays_per_step(self):
-        # cnn_train reuses one image batch and one gradient array per
-        # parameter, and Adam forms the dense weights' gradients from their
+        # cnn_train reuses one gradient array per parameter, and Adam forms the dense weights' gradients from their
         # factor pairs a block of rows at a time; a step that allocates
         # every gradient anew as a whole array must give the same bits, a
         # short last batch (10 = 4 + 4 + 2) included
@@ -238,8 +259,7 @@ class TestCnnTrain:
             order = order_rng.permutation(10)
             for start in range(0, 10, batch_size):
                 batch = order[start : start + batch_size]
-                images = pixels[batch].transpose(0, 3, 1, 2) / 255.0
-                _, grads = loss_and_grads(want, images, labels[batch])
+                _, grads = loss_and_grads(want, pixels[batch], labels[batch])
                 nn.adam_step(want.params, materialize(grads), state)
         assert len(history) == 2
         for key in want.params:
@@ -291,8 +311,9 @@ class TestExtractFeatures:
             assert np.array_equal(out, want[order])
 
     def test_batches_match_allocating_division_bitwise(self):
-        # the reused float buffer holds what pixels[batch] / 255.0 would,
-        # the last, shorter batch included
+        # each conv stage divides its own image; the features are those of
+        # the batch's floats pixels[batch] / 255.0 divided up front, the
+        # last, shorter batch included
         rng = np.random.default_rng(8)
         records, pixels = make_pixel_records(7, rng, height=8, width=8)
         model = init_cnn(SMALL, seed=10)
@@ -300,7 +321,7 @@ class TestExtractFeatures:
         order = sorted(range(7), key=lambda i: records[i].image_id)
         for start in range(0, 7, 3):
             batch = order[start : start + 3]
-            want = cnn_forward(model, pixels[batch].transpose(0, 3, 1, 2) / 255.0)
+            want = reference_features(model, pixels[batch])
             assert out[batch].tobytes() == want.tobytes()
 
     def test_matches_single_forward(self):
@@ -309,7 +330,7 @@ class TestExtractFeatures:
         model = init_cnn(SMALL, seed=9)
         out = extract_features(model, records, pixels, batch_size=2)
         for image, row in zip(pixels, out):
-            features = cnn_forward(model, image.transpose(2, 0, 1)[None] / 255.0)
+            features = cnn_forward(model, image[None])
             assert relative_error(row, features[0]) <= 1e-12
 
 
@@ -425,6 +446,52 @@ class TestWorkers:
         assert_no_child_left()
 
 
+class TestImageChangedAfterCheck:
+    """load_pixels checks every file up front and each image is read when its
+    batch runs, here or in a worker: a file changed in between fails there
+    with the loader's own exception and message (the CLI's exit 4, 5 or 3,
+    never 1)."""
+
+    CONFIG = CnnConfig(input_shape=(3, 8, 8), stage_channels=(2,), feature_dim=4)
+
+    @pytest.mark.parametrize("change", ["truncated", "resized", "removed"])
+    @pytest.mark.parametrize("changed", [0, 1])  # with 2 processes, one image is read in the worker
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("run", ["train", "extract"])
+    def test_fails_at_its_batch(self, tmp_path, run, workers, changed, change):
+        records, images = make_pixel_records(2, np.random.default_rng(40), height=8, width=8)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "image_id,path\n" + "".join(f"{r.image_id},{r.image_id}.ppm\n" for r in records)
+        )
+        for r, image in zip(records, images):
+            write_ppm(str(tmp_path / f"{r.image_id}.ppm"), image)
+        pixels = load_pixels(records, str(manifest))
+        path = tmp_path / f"{records[changed].image_id}.ppm"
+        if change == "truncated":
+            path.write_bytes(path.read_bytes()[:50])
+            kind, message = SchemaError, f"{path}: pixel block truncated, 39 of 192 bytes"
+        elif change == "resized":
+            write_ppm(str(path), np.zeros((8, 12, 3), np.uint8))
+            image_id = records[changed].image_id
+            kind, message = ValueError, f"{path}: image {image_id} is 12 x 8 pixels, expected 8 x 8"
+        else:
+            path.unlink()
+            kind, message = FileNotFoundError, str(path)
+        model = init_cnn(self.CONFIG, seed=41)
+        with pytest.raises(Exception) as info:
+            if run == "train":  # one batch of both images, one in each process
+                cnn_train(
+                    model, records, pixels, lr=1e-2, batch_size=2, epochs=1, seed=42,
+                    workers=workers,
+                )
+            else:  # two batches of one image, one in each process
+                extract_features(model, records, pixels, batch_size=1, workers=workers)
+        assert type(info.value) is kind
+        assert (info.value.filename if kind is FileNotFoundError else str(info.value)) == message
+        assert_no_child_left()
+
+
 class TestCnnSerialization:
     def test_round_trip(self, tmp_path):
         model = init_cnn(SMALL, seed=10)
@@ -432,7 +499,7 @@ class TestCnnSerialization:
         cnn_save(model, str(path), seed=10)
         loaded = cnn_load(str(path))
         assert loaded.config == model.config
-        image = np.random.default_rng(11).random((1, 3, 8, 8))
+        image = uint8_images(np.random.default_rng(11), 1, 8)
         a = frame_predict(model.params, cnn_forward(model, image))
         b = frame_predict(loaded.params, cnn_forward(loaded, image))
         assert np.array_equal(a, b)

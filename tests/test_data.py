@@ -756,8 +756,9 @@ class TestPpm:
             "image_id,path\n" + "".join(f"{r.image_id},{r.image_id}.ppm\n" for r in records)
         )
         out = load_pixels(records, str(manifest))
-        assert out.shape == (2, 4, 4, 3) and out.dtype == np.uint8
-        for r, pixels in zip(records, out):
+        assert out.shape == (2, 4, 4, 3) and len(out) == 2
+        for r, pixels in zip(records, out, strict=True):
+            assert pixels.dtype == np.uint8
             assert np.array_equal(pixels, read_ppm(str(tmp_path / f"{r.image_id}.ppm")))
         assert load_pixels([], str(manifest), extent=(4, 6)).shape == (0, 4, 6, 3)
 
@@ -771,7 +772,7 @@ class TestPpm:
         )
         # row i is records[i]'s image, not the manifest's i-th
         out = load_pixels(records[::-1], str(manifest))
-        assert out[:, 0, 0, 0].tolist() == [20, 10, 0]
+        assert [out[i][0, 0, 0] for i in range(3)] == [20, 10, 0]
 
     @pytest.mark.parametrize(
         "sizes, kwargs, bad, message",
