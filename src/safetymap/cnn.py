@@ -36,13 +36,10 @@ class CnnConfig:
     kernel_size: int = 3  # stride 1, zero padding preserving extent
 
     def flat_dim(self) -> int:
-        c, h, w = self.input_shape
-        for _ in self.stage_channels:
-            h //= 2
-            w //= 2
-        if h < 1 or w < 1:
-            raise ValueError("too many pooling stages for the input extent")
-        return self.stage_channels[-1] * h * w
+        """The last stage's pooled size; extents are multiples of 2**stages (cnn_load)."""
+        _, h, w = self.input_shape
+        cell = 2 ** len(self.stage_channels)
+        return self.stage_channels[-1] * (h // cell) * (w // cell)
 
 
 @dataclass
@@ -182,20 +179,18 @@ def cnn_forward(model: CnnModel, images: Sequence[np.ndarray]) -> np.ndarray:
 
 def cnn_loss_and_grads(
     model: CnnModel, images: Sequence[np.ndarray], labels: np.ndarray, grads: nn.Grads,
-    workers: Sequence[fork.Worker] = (), update: Callable[[nn.DenseGrad], None] | None = None,
+    update: Callable[[nn.DenseGrad], None], workers: Sequence[fork.Worker] = (),
 ) -> float:
     """Batch-mean BCE over the three outputs of the N images of labels (N,
-    3); the batch-mean gradient of every parameter is stored in grads. The
-    dense weights' (feat.w, cls.w) are stored as factor pairs (see
-    nn.dense_backward), so the (feature_dim, flat_dim) gradient of feat.w is
-    never formed here; every other one is written into the array of its
-    parameter's shape that grads holds under its name. images are the
-    batch's first H x W x C uint8 images, all N without workers. Each of
-    `workers`, sent the next contiguous slice (see cnn_train), answers with its dense-input rows
-    and then, sent their gradients and feat.w's pair, with each image's conv
-    gradients, which are summed in image order from zero as this process's
-    are. With update, feat.w's pair is passed to update(pair) before those
-    answers are awaited, not stored."""
+    3). The batch-mean gradient of feat.w is passed to update as its factor
+    pair (see nn.dense_backward), never formed, before the workers' conv
+    gradients are awaited; cls.w's pair is stored in grads, and every other
+    gradient is written into the array grads holds under its name. images
+    are the batch's first H x W x C uint8 images, all N without workers.
+    Each of `workers`, sent the next contiguous slice (see cnn_train),
+    answers with its dense-input rows and then, sent their gradients and
+    feat.w's pair, with each image's conv gradients, which are summed in
+    image order from zero as this process's are."""
     flat = np.empty((len(labels), model.config.flat_dim()))
     stages = _conv_rows(model, images, flat)
     bounds = [len(stages)]
@@ -212,10 +207,7 @@ def cnn_loss_and_grads(
     for worker, rows in zip(workers, np.split(grad_flat, bounds)[1:]):
         worker.send((rows, pair))
     image_grads = [_conv_backward(model, st, g) for st, g in zip(stages, grad_flat)]
-    if update is None:
-        grads["feat.w"] = pair
-    else:
-        update(pair)
+    update(pair)
     for worker in workers:
         image_grads += worker.receive()
     for key in image_grads[0]:
@@ -229,15 +221,13 @@ def _train(
     params: nn.Params, n: int, step: Callable[[np.ndarray, nn.Grads], float], *,
     lr: float, batch_size: int, epochs: int, seed: int,
 ) -> list[float]:
-    """Minimize mean BCE with Adam over seeded shuffled mini-batches of n
-    examples, in place. step(batch, grads) stores the batch-mean gradient of
-    every parameter of params for the example indices batch in grads (a
-    dense weight's, named *.w, as its factor pair; every other one written
-    into the array grads holds) and returns the batch's mean loss; a
-    parameter that step updates itself, as cnn_train's feat.w, is left out
-    of params. Returns each epoch's mean training loss."""
-    if n == 0:
-        raise ValueError("empty training set")
+    """Minimize mean BCE with Adam over seeded shuffled mini-batches of n >= 1
+    examples (cmd_train_cnn checks), in place. step(batch, grads) stores the
+    batch-mean gradient of every parameter of params for the example indices
+    batch in grads (a dense weight's, named *.w, as its factor pair; every
+    other one written into the array grads holds) and returns the batch's
+    mean loss; a parameter that step updates itself, as cnn_train's feat.w,
+    is left out of params. Returns each epoch's mean training loss."""
     rng = np.random.default_rng(seed)
     state = nn.adam_init(params, lr)
     # Every step writes its array gradients into these arrays, and adam_step
@@ -333,7 +323,7 @@ def cnn_train(
             for worker, part in zip(pool, parts[1:]):
                 worker.send((conv, part))
             images = [pixels[i] for i in parts[0]]
-            return cnn_loss_and_grads(model, images, labels[batch], grads, pool, update)
+            return cnn_loss_and_grads(model, images, labels[batch], grads, update, pool)
 
         rest = {key: p for key, p in model.params.items() if key != "feat.w"}
         n = len(records)
@@ -382,8 +372,8 @@ def cnn_save(model: CnnModel, path: str, seed: int | None = None) -> None:
 
 
 def cnn_load(path: str) -> CnnModel:
-    """Read a model written by cnn_save, checking every tensor shape against
-    the configuration its meta declares."""
+    """Read a model written by cnn_save, checking that the kernels run the
+    architecture its meta declares and every tensor shape against it."""
     tensors, meta = load_tensors(path)
     if meta.get("kind") != "cnn":
         raise ValueError(f"{path}: not a cnn model (kind={meta.get('kind')!r})")
@@ -394,8 +384,16 @@ def cnn_load(path: str) -> CnnModel:
             kernel_size=meta_int("kernel_size", meta["kernel_size"]),
             feature_dim=meta_int("feature_dim", meta["feature_dim"]),
         )
+        (c, h, w), k, stages = config.input_shape, config.kernel_size, config.stage_channels
+        cell = 2 ** len(stages)  # each stage's 2x2 pool halves both extents
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"kernel_size {k} is not odd and positive")
+        if min(stages, default=0) < 1:
+            raise ValueError(f"stage_channels {list(stages)} is not 1+ stages of 1+ channels")
+        if c != 3 or min(h, w) < 1 or h % cell or w % cell:
+            raise ValueError(f"input_shape {[c, h, w]} is not RGB of positive multiples of {cell}")
         want = _param_shapes(config)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: incomplete or invalid cnn meta: {exc!r}") from exc
     check_shapes(path, tensors, want)
     return CnnModel(config=config, params=tensors)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import CLASS_NAMES, SchemaError
-from .geo import EARTH_RADIUS_M, LatLon, SamplePoint, _check_point
+from .geo import COORD_DECIMALS, EARTH_RADIUS_M, LatLon, SamplePoint, _check_point
 
 if TYPE_CHECKING:
     import numpy as np
@@ -134,8 +134,9 @@ def _label_row(f: list[str]) -> ImageRecord:
 
 
 def _record_fields(r: ImageRecord) -> tuple[object, ...]:
-    """A record's RECORD_COLUMNS fields, coordinates to 6 decimals."""
-    return r.image_id, r.edge_id, r.seq_index, f"{r.location.lat:.6f}", f"{r.location.lon:.6f}"
+    """A record's RECORD_COLUMNS fields, coordinates to COORD_DECIMALS decimals."""
+    lat, lon = (f"{x:.{COORD_DECIMALS}f}" for x in r.location)
+    return r.image_id, r.edge_id, r.seq_index, lat, lon
 
 
 def _refuse_repeats(path: str, rows: dict[int, Row], keys: Callable[[Row], dict]) -> None:
@@ -200,8 +201,7 @@ def write_samples(path: str, points: Sequence[SamplePoint]) -> None:
             p.edge_id,
             p.seq_index,
             f"{p.chainage_m:.3f}",
-            f"{p.location.lat:.6f}",
-            f"{p.location.lon:.6f}",
+            *(f"{x:.{COORD_DECIMALS}f}" for x in p.location),
             f"{round(p.heading_deg, 2) % 360.0:.2f}",
         )
         for p in points
@@ -501,9 +501,9 @@ def synth_corridor(config: PipelineConfig, seed: int) -> tuple[list[ImageRecord]
 
 
 def _ppm_header(path: str, blob) -> tuple[int, int, int]:
-    """The height, width and pixel block offset of the PPM whose bytes (or
-    read-only map) blob holds; a malformed header or a short pixel block is a
-    SchemaError naming the file."""
+    """The height, width and pixel block offset of the PPM whose bytes blob
+    holds; a malformed header or a short pixel block is a SchemaError naming
+    the file."""
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4 and pos < len(blob):
@@ -550,16 +550,6 @@ def read_ppm(path: str) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, count=w * h * 3, offset=pos).reshape(h, w, 3)
 
 
-def _ppm_extent(path: str) -> tuple[int, int]:
-    """The (height, width) of a binary PPM, checked as read_ppm checks it,
-    from its header and its size: the pixel block is mapped, never read."""
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:  # an empty file cannot be mapped
-            return _ppm_header(path, b"")[:2]
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as blob:
-            return _ppm_header(path, blob)[:2]
-
-
 def _check_extent(path: str, image_id: str, h: int, w: int, extent: tuple[int, int]) -> None:
     if (h, w) != extent:
         raise ValueError(
@@ -600,10 +590,11 @@ def load_pixels(
     """The records' images, per a manifest CSV mapping image_id -> PPM path,
     as a PixelFiles whose item i is records[i]'s image.
 
-    Relative paths are resolved against the manifest's directory. Every
-    image must be `extent` (height, width) pixels, or the first image's
-    size when extent is None, and both extents must be multiples of
-    `multiple`; an image that is not is a ValueError naming it and its file.
+    Relative paths are resolved against the manifest's directory. Each file
+    is checked by read_ppm, and every image must be `extent` (height,
+    width) pixels, or the first image's size when extent is None, and both
+    extents must be multiples of `multiple`; an image that is not is a
+    ValueError naming it and its file.
     """
     base = os.path.dirname(os.path.abspath(manifest_path))
     paths = dict(read_table(manifest_path, MANIFEST_COLUMNS, tuple).values())
@@ -614,7 +605,7 @@ def load_pixels(
         )
     files = [os.path.join(base, paths[r.image_id]) for r in records]
     for p, r in zip(files, records):
-        h, w = _ppm_extent(p)
+        h, w = read_ppm(p).shape[:2]
         extent = extent or (h, w)
         _check_extent(p, r.image_id, h, w, extent)
         if h % multiple or w % multiple:

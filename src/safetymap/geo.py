@@ -150,10 +150,10 @@ def streetview_request_url(
     from a valid location, a heading in [0, 360), a positive size and a
     non-empty key, as read_samples and url-gen check them.
 
-    Coordinates are embedded to 6 decimal places; all values are
-    percent-encoded except the lat,lon comma.
+    Coordinates are embedded to COORD_DECIMALS decimal places; all values
+    are percent-encoded except the lat,lon comma.
     """
-    loc = f"{location.lat:.6f},{location.lon:.6f}"
+    loc = ",".join(f"{x:.{COORD_DECIMALS}f}" for x in location)
     params = [
         ("size", f"{size_px}x{size_px}"),
         ("location", quote(loc, safe=",")),

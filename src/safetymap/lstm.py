@@ -338,10 +338,10 @@ def bptt_train(
     workers: int = 1,
 ) -> list[float]:
     """Train with full backpropagation-through-time on the windows of the
-    given length starting at `starts` (indices into records and features,
-    as from `data.build_sequences`), one Adam update per window, shuffling per
-    epoch with the seeded RNG; in place, recording the window in
-    model.window. Returns each epoch's mean training loss.
+    given length starting at `starts` (one or more indices into records and
+    features, as from `data.build_sequences`), one Adam update per window,
+    shuffling per epoch with the seeded RNG; in place, recording the window
+    in model.window. Returns each epoch's mean training loss.
 
     Separate mode steps the three class stacks together but keeps them
     independent: each trains on its own label column with its own RNG
@@ -355,8 +355,6 @@ def bptt_train(
     bit. Shared mode has one group and never forks. Call with `workers` > 1
     only while this process runs no other thread (see `fork`).
     """
-    if len(starts) == 0:
-        raise ValueError("empty training set")
     params = model.params
     groups = len(params["wp"])
     rngs = [

@@ -39,9 +39,9 @@ def class_metrics(
     predictions: LabelRows, truth: LabelRows
 ) -> tuple[ClassMetrics, ClassMetrics, ClassMetrics]:
     """Tally confusion counts independently per class from two row-aligned
-    label tables."""
+    label tables of one length (cli._align_to_truth checks it)."""
     tallies = [[0, 0, 0, 0] for _ in CLASS_NAMES]  # tp, fp, fn, tn
-    for predicted, true in zip(predictions, truth, strict=True):
+    for predicted, true in zip(predictions, truth):
         for k, tally in enumerate(tallies):
             tally[2 * (not predicted[k]) + (not true[k])] += 1
     out = tuple(ClassMetrics(name, *tally) for name, tally in zip(CLASS_NAMES, tallies))
@@ -72,8 +72,8 @@ def isolated_error_correction_rate(
     """
     rates = []
     for k in range(len(CLASS_NAMES)):
-        base_ok = [bool(b[k]) == bool(t[k]) for b, t in zip(baseline, truth, strict=True)]
-        seq_ok = [bool(s[k]) == bool(t[k]) for s, t in zip(sequence_model, truth, strict=True)]
+        base_ok = [bool(b[k]) == bool(t[k]) for b, t in zip(baseline, truth)]
+        seq_ok = [bool(s[k]) == bool(t[k]) for s, t in zip(sequence_model, truth)]
         isolated = 0
         corrected = 0
         start = 0

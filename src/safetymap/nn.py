@@ -70,10 +70,8 @@ def dense_backward(
 
 
 def _conv_output_extent(extent: int, k: int, padding: int) -> int:
-    span = extent + 2 * padding - k
-    if span < 0:
-        raise ValueError(f"kernel {k} larger than padded input {extent + 2 * padding}")
-    return span + 1
+    """A stride-1 output extent; the padded input is at least k (see cnn_load)."""
+    return extent + 2 * padding - k + 1
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, padding: int) -> np.ndarray:
@@ -161,11 +159,10 @@ def maxpool2d_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first maximal element in row-major scan order (so of -0.0 and +0.0, the
     first), and a NaN counts as the maximum, the first NaN winning with its
     sign and payload. Each window's top pair and bottom pair are decided
-    first, then the two winners against each other.
+    first, then the two winners against each other. Both of x's extents
+    are even (see cnn_load).
     """
     c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ValueError(f"maxpool2d needs even extents, got {h}x{w}")
     # win[i, j] is window slot (i, j), x[:, i::2, j::2], as a float64 copy
     win = x.reshape(c, h // 2, 2, w // 2, 2).transpose(2, 4, 0, 1, 3).astype(np.float64, order="C")
     # left and right columns; the top and bottom pairs are decided together

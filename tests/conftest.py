@@ -3,13 +3,14 @@ and the acceptance-summary hook."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from safetymap import cli
 from safetymap.cli import BLAS_THREAD_VARS, _usable_cpus
@@ -28,9 +29,12 @@ import safetymap
 from safetymap import CLASS_NAMES, nn
 from safetymap.cnn import _head_backward, _train, frame_predict
 from safetymap.config import PipelineConfig
-from safetymap.data import ImageRecord, build_sequences, synth_corridor
+from safetymap.data import (
+    ImageRecord, _run_length_labels, build_sequences, synth_corridor, write_labels,
+)
 from safetymap.geo import LatLon
 from safetymap.lstm import SequenceModel, bptt_train, init_sequence_model, predict_corridor
+from safetymap.modelio import save_tensors
 from safetymap.metrics import (
     class_metrics,
     isolated_error_correction_rate,
@@ -99,6 +103,12 @@ def materialize(grads: dict) -> dict[str, np.ndarray]:
     return {
         key: np.matmul(g[0].T, g[1]) if isinstance(g, tuple) else g for key, g in grads.items()
     }
+
+
+def store_feat_w(grads: dict) -> Callable[[tuple], None]:
+    """An update for cnn_loss_and_grads that stores feat.w's factor pair in
+    grads["feat.w"]."""
+    return lambda pair: grads.__setitem__("feat.w", pair)
 
 
 def grad_check(loss_and_grads, params: dict[str, np.ndarray], h: float = 1e-5) -> float:
@@ -255,6 +265,89 @@ def make_pixel_records(n: int, rng: np.random.Generator, height: int = 32, width
     return records, pixels
 
 
+# mean run lengths, in images, of each class's on and off runs along a pixel corridor
+PIXEL_RUN_ON = (6.0, 3.0, 5.0)  # rs, mcb, cb
+PIXEL_RUN_OFF = (3.0, 6.0, 5.0)
+
+
+def make_pixel_corridor(n: int, rng: np.random.Generator, height: int = 16, width: int = 16):
+    """A pixel corridor: n images along one or two edges (drawn), 20 m
+    apart, each edge's labels alternating geometric runs per class as
+    `synth_corridor` draws them. Label k adds a cue to colour channel k of
+    a noisy grey image, so a frame classifier errs where the noise hides
+    the cue, and the runs are what a sequence model can use. Returns the
+    records and their (n, height, width, 3) uint8 pixels."""
+    edges = np.array_split(np.arange(n), rng.integers(1, 3))
+    records = []
+    pixels = np.empty((n, height, width, 3), dtype=np.uint8)
+    for e, members in enumerate(edges):
+        labels = np.stack(
+            [_run_length_labels(rng, len(members), on, off)
+             for on, off in zip(PIXEL_RUN_ON, PIXEL_RUN_OFF)],
+            axis=1,
+        )
+        for seq, (i, row) in enumerate(zip(members, labels)):
+            img = rng.normal(0.4, 0.15, size=(height, width, 3)) + 0.2 * row
+            pixels[i] = quantise(np.clip(img, 0.0, 1.0))
+            records.append(
+                ImageRecord(
+                    image_id=f"px-{i:04d}",
+                    edge_id=f"edge-{e}",
+                    seq_index=seq,
+                    location=LatLon(33.0 + 0.01 * e, -87.0 + 2.15e-4 * seq),
+                    labels=tuple(bool(b) for b in row),
+                )
+            )
+    return records, pixels
+
+
+def write_pixel_inputs(
+    tmp_path, n=12, size=8, config="feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\n",
+    make=make_pixel_records,
+):
+    """n size x size labelled PPM images from make (make_pixel_records or
+    make_pixel_corridor, seeded), their manifest and a CNN config (by
+    default one epoch), in tmp_path: returns the label, manifest and config
+    paths."""
+    rng = np.random.default_rng(0)
+    records, pixels = make(n, rng, height=size, width=size)
+    labels = tmp_path / "labels.csv"
+    write_labels(str(labels), records)
+    manifest = tmp_path / "manifest.csv"
+    rows = ["image_id,path"]
+    for r, image in zip(records, pixels):
+        ppm = tmp_path / f"{r.image_id}.ppm"
+        write_ppm(str(ppm), image)
+        rows.append(f"{r.image_id},{ppm.name}")
+    manifest.write_text("\n".join(rows) + "\n")
+    cfg = tmp_path / "cnn.cfg"
+    cfg.write_text(config + "seed = 3\n")
+    return labels, manifest, cfg
+
+
+def write_cnn_container(path, input_shape, stage_channels, kernel_size, feature_dim) -> None:
+    """A cnn container whose meta declares this architecture, whatever its
+    values, and whose tensors have the shapes the meta implies: each stage a
+    (channels, in, k, k) kernel and its bias, each 2x2 pool flooring both
+    extents. A negative kernel extent, which no shape has, is written as 0."""
+    rng = np.random.default_rng(0)
+    (c, h, w), k = input_shape, max(kernel_size, 0)
+    tensors = {}
+    for s, out in enumerate(stage_channels):
+        tensors[f"conv{s}.k"] = rng.normal(0.0, 0.1, (out, c, k, k))
+        tensors[f"conv{s}.b"] = np.zeros(out)
+        c, h, w = out, h // 2, w // 2
+    tensors["feat.w"] = rng.normal(0.0, 0.1, (feature_dim, c * h * w))
+    tensors["feat.b"] = np.zeros(feature_dim)
+    tensors["cls.w"] = rng.normal(0.0, 0.1, (len(CLASS_NAMES), feature_dim))
+    tensors["cls.b"] = np.zeros(len(CLASS_NAMES))
+    meta = {
+        "kind": "cnn", "input_shape": list(input_shape), "stage_channels": list(stage_channels),
+        "kernel_size": kernel_size, "feature_dim": feature_dim, "seed": None,
+    }
+    save_tensors(str(path), tensors, meta)
+
+
 def enumerate_windows(records, window, stride):
     """Brute-force window oracle: scan every start, group into runs, apply stride."""
     starts_by_run = {}
@@ -352,6 +445,20 @@ def corridor_experiments():
             }
         )
     return results
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def wrapped_table() -> dict[str, tuple[str, ...]]:
+    """The WRAPPED literal of perfbench/tracer.py, {module: function names},
+    read with ast, without importing the tracer."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} defines no WRAPPED table")
 
 
 # --- acceptance reporting: one pass/fail line per criterion ---

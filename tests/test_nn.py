@@ -290,10 +290,6 @@ class TestMaxpool:
         params = {"x": rng.normal(size=(2, 6, 6))}
         assert grad_check(loss_and_grads, params) < 1e-6
 
-    def test_odd_extent_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            maxpool2d_forward(np.zeros((1, 3, 4)))
-
 
 class TestActivations:
     def test_relu_formula(self):

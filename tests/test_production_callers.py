@@ -1,18 +1,19 @@
 """Every public top-level function and class in the package has a caller in
 the package or the benchmark harness, and every keyword-only parameter of a
 public function is passed by name in one of their calls, so code that only
-tests reach does not live in src/. Read with ast alone: nothing here imports
-the package."""
+tests reach does not live in src/. Read with ast alone: this module imports
+none of the package."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+from conftest import wrapped_table
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "safetymap"
 CALLER_DIRS = (ROOT / "src", ROOT / "perfbench")
-TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def public_nodes() -> list[tuple[str, ast.stmt]]:
@@ -31,20 +32,10 @@ def public_definitions() -> dict[str, str]:
     return {node.name: module for module, node in public_nodes()}
 
 
-def wrapped_names() -> set[str]:
-    """The function names in perfbench/tracer.py's WRAPPED literal."""
-    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets
-        ):
-            return {name for names in ast.literal_eval(node.value).values() for name in names}
-    raise AssertionError(f"{TRACER} defines no WRAPPED table")
-
-
 def referenced_names() -> set[str]:
     """Every bare name and attribute read in src/ and perfbench/, leaving
     out what a top-level definition says about its own name."""
-    names = wrapped_names()
+    names = {name for names in wrapped_table().values() for name in names}
     for directory in CALLER_DIRS:
         for path in sorted(directory.rglob("*.py")):
             for top in ast.parse(path.read_text(encoding="utf-8")).body:
