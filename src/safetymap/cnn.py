@@ -179,7 +179,8 @@ def cnn_forward(model: CnnModel, images: Sequence[np.ndarray]) -> np.ndarray:
 
 def cnn_loss_and_grads(
     model: CnnModel, images: Sequence[np.ndarray], labels: np.ndarray, grads: nn.Grads,
-    update: Callable[[nn.DenseGrad], None], workers: Sequence[fork.Worker] = (),
+    update: Callable[[nn.DenseGrad], None], buffers: np.ndarray,
+    workers: Sequence[fork.Worker] = (),
 ) -> float:
     """Batch-mean BCE over the three outputs of the N images of labels (N,
     3). The batch-mean gradient of feat.w is passed to update as its factor
@@ -187,25 +188,27 @@ def cnn_loss_and_grads(
     gradients are awaited; cls.w's pair is stored in grads, and every other
     gradient is written into the array grads holds under its name. images
     are the batch's first H x W x C uint8 images, all N without workers.
-    Each of `workers`, sent the next contiguous slice (see cnn_train),
-    answers with its dense-input rows and then, sent their gradients and
-    feat.w's pair, with each image's conv gradients, which are summed in
-    image order from zero as this process's are."""
-    flat = np.empty((len(labels), model.config.flat_dim()))
+    buffers, (2, N or more, flat_dim), receives the batch's dense input in
+    buffers[0][:N] and its gradient in buffers[1][:N]; with workers they are
+    shared memory (see cnn_train). Each of `workers`, sent the next
+    contiguous slice (see cnn_train), writes its rows of the dense input
+    and answers, and then, sent the gradient on feat.w's outputs, answers
+    with each image's conv gradients, which are summed in image order from
+    zero as this process's are."""
+    flat, grad_flat = buffers[:, : len(labels)]
     stages = _conv_rows(model, images, flat)
-    bounds = [len(stages)]
     for worker in workers:
-        rows = worker.receive()
-        flat[bounds[-1] : bounds[-1] + len(rows)] = rows
-        bounds.append(bounds[-1] + len(rows))
+        worker.receive()
     feat_z = nn.dense_forward(flat, model.params["feat.w"], model.params["feat.b"])
     features = nn.relu(feat_z, out=feat_z)
     probs = frame_predict(model.params, features)
     loss, grad_feat = _head_backward(model.params, features, probs, labels, grads)
     grad_feat_z = grad_feat * nn.relu_grad(features)
-    grad_flat, pair = nn.dense_backward(flat, model.params["feat.w"], grad_feat_z, grads["feat.b"])
-    for worker, rows in zip(workers, np.split(grad_flat, bounds)[1:]):
-        worker.send((rows, pair))
+    _, pair = nn.dense_backward(
+        flat, model.params["feat.w"], grad_feat_z, grads["feat.b"], out=grad_flat
+    )
+    for worker in workers:
+        worker.send(grad_feat_z)
     image_grads = [_conv_backward(model, st, g) for st, g in zip(stages, grad_flat)]
     update(pair)
     for worker in workers:
@@ -253,30 +256,61 @@ def _train(
     return history
 
 
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 array of shape in shared anonymous memory, which forked
+    workers write and read without a copy."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
+
+
+def _feature_row_runs(shape: tuple[int, int], processes: int) -> list[slice]:
+    """Each process's contiguous run of feat.w's row blocks (those of
+    nn.adam_step), sized so that no process maps many more bytes than
+    another. The command's process maps all R rows, as its dense layer
+    reads them, plus the two moments of its own r0 rows; a worker maps its
+    r rows and their moments. R + 2 r0 = 3 r for P processes gives r0 =
+    R (4 - P) / (2 P + 1), at least 0, taken to the nearest block edge (the
+    smaller of two as near); the other blocks are cut into P - 1 runs, the
+    longer first. One process owns every row."""
+    edges = [block.start for block in nn._row_blocks(*shape)] + [shape[0]]
+    # |edge - r0| scaled by 2 P + 1, in integers; min keeps the first of a tie
+    target, scale = max(0, shape[0] * (4 - processes)), 2 * processes + 1
+    here = min(range(len(edges)), key=lambda i: abs(edges[i] * scale - target))
+    rest = np.array_split(range(here, len(edges) - 1), processes - 1) if processes > 1 else []
+    cuts = np.cumsum([0, here] + [len(run) for run in rest])
+    return [slice(edges[a], edges[b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def cnn_train(
     model: CnnModel, records: Sequence[ImageRecord], pixels: Sequence[np.ndarray], *,
     lr: float, batch_size: int, epochs: int, seed: int, workers: int = 1,
 ) -> list[float]:
     """Train the CNN with _train, in place; pixels[i] is the (H, W, 3) uint8
     image of records[i], indexed by the process that runs its conv stages
-    when its batch runs. Returns _train's history. feat.w moves to shared
-    memory, and each process updates its own run of its rows with Adam
+    when its batch runs. Returns _train's history. feat.w and the batch
+    buffers of cnn_loss_and_grads move to shared memory, and each process
+    updates its own run of feat.w's rows (see _feature_row_runs) with Adam
     moments of those rows alone; _train updates the rest here.
 
     With `workers` above 1, each batch is split into min(workers,
     batch_size) contiguous slices, the first here and each other in a worker
     forked before training (see `fork`), sent its run of feat.w's rows once
-    and at each step the conv parameters and its slice's indices into the
-    pixels it inherited (see cnn_loss_and_grads; feat.w's pair is pickled).
+    and at each step the conv parameters, its slice's indices into the
+    pixels it inherited and its first row in the buffers, then the gradient
+    on feat.w's outputs (see cnn_loss_and_grads); no array of the batch
+    crosses a pipe but that gradient.
     """
     labels = np.array([r.labels for r in records], dtype=np.float64)
     # the private feat.w is freed before the fork, which would map its pages
     # into every worker
     shape = model.params["feat.w"].shape
-    feat_w = np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
+    feat_w = _shared(shape)
     feat_w[...] = model.params["feat.w"]
     model.params["feat.w"] = feat_w
+    batch_rows = min(batch_size, len(records))
+    buffers = _shared((2, batch_rows, model.config.flat_dim()))
+    flat, grad_flat = buffers
     stages: list = []
+    mine = slice(0, 0)  # in a worker: its slice's rows in the buffers
     update = None  # this process's own(rows)
 
     def own(rows: slice) -> Callable[[nn.DenseGrad], None]:
@@ -286,29 +320,26 @@ def cnn_train(
         state = nn.adam_init(shard, lr)
         return lambda pair: nn.adam_step(shard, {"w": (pair[0][:, rows], pair[1])}, state)
 
-    def serve(message: slice | tuple) -> np.ndarray | list[nn.Params] | None:
+    def serve(message: slice | tuple | np.ndarray) -> list[nn.Params] | None:
         # in a worker: its run of feat.w's rows, then each step its slice's
         # conv stages forward, then its rows' update and the stages backward
-        nonlocal update
+        nonlocal update, mine
         if isinstance(message, slice):
             update = own(message)
-            return None
-        first, second = message
-        if isinstance(second, tuple):  # the slice's gradients, feat.w's pair
-            update(second)
-            return [_conv_backward(model, st, g) for st, g in zip(stages, first)]
-        model.params.update(first)
-        flat = np.empty((len(second), model.config.flat_dim()))
-        stages[:] = _conv_rows(model, [pixels[i] for i in second], flat)
-        return flat
+        elif isinstance(message, np.ndarray):  # the gradient on feat.w's outputs
+            update((message, flat[: len(message)]))
+            return [_conv_backward(model, st, g) for st, g in zip(stages, grad_flat[mine])]
+        else:
+            conv, part, first = message
+            model.params.update(conv)
+            mine = slice(first, first + len(part))
+            stages[:] = _conv_rows(model, [pixels[i] for i in part], flat[mine])
+        return None
 
     processes = min(workers, batch_size)
-    sizes = [str(len(p)) for p in np.array_split(range(min(batch_size, len(records))), processes)]
+    sizes = [str(len(p)) for p in np.array_split(range(batch_rows), processes)]
     log.info("images per batch of %d: %s", batch_size, fork.plan(sizes))
-    # contiguous runs of the row blocks of nn.adam_step, the longer first
-    edges = [block.start for block in nn._row_blocks(*shape)] + [shape[0]]
-    cuts = np.cumsum([0] + [len(run) for run in np.array_split(edges[1:], processes)])
-    runs = [slice(edges[a], edges[b]) for a, b in zip(cuts, cuts[1:])]
+    runs = _feature_row_runs(shape, processes)
     log.info("feat.w rows: %s", fork.plan([f"{rows.start}-{rows.stop}" for rows in runs]))
     with fork.workers(serve, processes - 1) as pool:
         for worker, rows in zip(pool, runs[1:]):
@@ -320,10 +351,12 @@ def cnn_train(
         def step(batch: np.ndarray, grads: nn.Grads) -> float:
             parts = np.array_split(batch, processes)
             conv = {key: p for key, p in model.params.items() if key.startswith("conv")}
+            first = len(parts[0])
             for worker, part in zip(pool, parts[1:]):
-                worker.send((conv, part))
+                worker.send((conv, part, first))
+                first += len(part)
             images = [pixels[i] for i in parts[0]]
-            return cnn_loss_and_grads(model, images, labels[batch], grads, update, pool)
+            return cnn_loss_and_grads(model, images, labels[batch], grads, update, buffers, pool)
 
         rest = {key: p for key, p in model.params.items() if key != "feat.w"}
         n = len(records)

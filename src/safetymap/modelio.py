@@ -15,15 +15,21 @@ if TYPE_CHECKING:
 
 FORMAT_NAME = "safetymap-model"
 FORMAT_VERSION = 1
+_SLICE = 1 << 15  # elements per slice of the finite check
 
 
 def _check_finite(path: str, tensors: dict[str, np.ndarray]) -> None:
     """Raise a ValueError naming path, the first tensor holding NaN or inf and
-    how many such values it holds."""
+    how many such values it holds, counted over slices of _SLICE elements, so
+    no tensor-sized mask is allocated."""
     import numpy as np
 
     for name, value in tensors.items():
-        bad = value.size - np.count_nonzero(np.isfinite(value))
+        flat = value.reshape(-1)
+        bad = sum(
+            len(part) - np.count_nonzero(np.isfinite(part))
+            for part in (flat[i : i + _SLICE] for i in range(0, flat.size, _SLICE))
+        )
         if bad:
             raise ValueError(f"{path}: tensor {name!r} holds {bad} non-finite values")
 
@@ -31,7 +37,8 @@ def _check_finite(path: str, tensors: dict[str, np.ndarray]) -> None:
 def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
     """Write named tensors plus metadata; iteration order is the declaration
     order. A tensor or a meta value holding NaN or inf is a ValueError,
-    raised before the file is opened."""
+    raised before the file is opened. A C-contiguous float64 tensor is
+    written from its own buffer, without a copy."""
     import numpy as np
 
     _check_finite(path, tensors)
@@ -45,7 +52,7 @@ def save_tensors(path: str, tensors: dict[str, np.ndarray], meta: dict | None = 
     with open(path, "wb") as fh:
         fh.write(line)
         for v in tensors.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(v, dtype="<f8").data)
 
 
 def _is_entry(entry: object) -> bool:
@@ -62,7 +69,7 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a container back into (tensors, meta). A header that is not a
     container header, a malformed or repeated tensor entry, tensor data that
     is short or followed by extra bytes, and a tensor holding NaN or inf are
-    ValueErrors naming path."""
+    ValueErrors naming path. Each tensor is read straight into its array."""
     import numpy as np
 
     with open(path, "rb") as fh:
@@ -87,10 +94,10 @@ def load_tensors(path: str) -> tuple[dict[str, np.ndarray], dict]:
                 raise ValueError(f"{path}: malformed or repeated tensor entry {i}: {entry!r}")
             shape = tuple(entry["shape"])
             nbytes = math.prod(shape) * 8
-            if nbytes > left:
+            # allocated only once the file is known to hold its bytes
+            if nbytes > left or fh.readinto(tensor := np.empty(shape, dtype="<f8")) != nbytes:
                 raise ValueError(f"{path}: truncated tensor {entry['name']!r}")
-            raw = fh.read(nbytes)
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            tensors[entry["name"]] = tensor
             left -= nbytes
     if left:
         raise ValueError(f"{path}: {left} bytes after the last tensor")

@@ -56,14 +56,16 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def dense_backward(
-    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, grad_bias: np.ndarray
+    x: np.ndarray, weights: np.ndarray, grad_out: np.ndarray, grad_bias: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, DenseGrad]:
     """Given the upstream gradient on the (N, out) output, write d_b, summed
-    over the N rows, into grad_bias; returns d_x and d_W. d_W is the factor
-    pair (grad_out, x), meaning grad_out.T @ x, which adam_step forms a block
-    of rows at a time, so no whole weight gradient is ever stored."""
+    over the N rows, into grad_bias; returns d_x, written into out when given,
+    and d_W. d_W is the factor pair (grad_out, x), meaning grad_out.T @ x,
+    which adam_step forms a block of rows at a time, so no whole weight
+    gradient is ever stored."""
     np.sum(grad_out, axis=0, out=grad_bias)
-    return grad_out @ weights, (grad_out, x)
+    return np.matmul(grad_out, weights, out=out), (grad_out, x)
 
 
 # --- 2-D convolution (cross-correlation with zero padding) ---

@@ -150,7 +150,10 @@ class TestCriterion3Gradients:
         def cnn_fn(params):
             cnn_model.params = params
             grads = {key: np.empty_like(p) for key, p in params.items()}
-            loss = cnn_loss_and_grads(cnn_model, images, cnn_labels, grads, store_feat_w(grads))
+            buffers = np.empty((2, len(images), cnn_model.config.flat_dim()))
+            loss = cnn_loss_and_grads(
+                cnn_model, images, cnn_labels, grads, store_feat_w(grads), buffers
+            )
             return loss, grads
 
         worst["cnn"] = grad_check(cnn_fn, cnn_model.params)

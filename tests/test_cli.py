@@ -29,7 +29,7 @@ from test_lstm import gate_params
 
 from safetymap import cli, lstm
 from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build_parser, main
-from safetymap.cnn import CnnConfig, cnn_load, frame_predict
+from safetymap.cnn import CnnConfig, cnn_load, cnn_save, frame_predict, init_cnn
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
 from safetymap.data import (
     PREDICTION_COLUMNS,
@@ -1479,28 +1479,29 @@ class TestConfigSizes:
 
 
 class TestPixelCommands:
-    @pytest.mark.parametrize(
-        "cpus, copies",
-        [pytest.param(1, 3.5, id="one-cpu"), pytest.param(2, 2.5, id="two-cpus")],
-    )
-    def test_train_cnn_peaks_below_feature_weight_copies(self, tmp_path, cpus, copies):
-        # One process holds feat.w and Adam's two moments, three copies, and
-        # one row block of its gradient; a whole gradient would make four.
-        # With two, feat.w is shared and each process holds the moments of
-        # its half of the rows, so neither the command process nor its
-        # worker reaches 2.5 copies; whole moments in either would cross
-        # that bound. VmHWM counts what tracemalloc cannot see (allocator
-        # pages, the heap's layout), so compare two runs that differ only in
-        # feature_dim.
+    @staticmethod
+    def feature_weight_copies(tmp_path, cpus: int, command: str) -> np.ndarray:
+        """How many copies of a 4096 x 1024 feat.w the peaks of command's
+        process and of its worker grow by from feature_dim 16 to 4096, on 16
+        images of 32² at batch 8. VmHWM counts what tracemalloc cannot see
+        (allocator pages, the heap's layout), so the two runs differ only in
+        feature_dim. extract-features reads a model written here."""
         peaks = {}
         for dim in (16, 4096):
             run_dir = tmp_path / str(dim)
             run_dir.mkdir()
             config = f"feature_dim = {dim}\ncnn_epochs = 1\nbatch_size = 8\n"
             labels, manifest, cfg = write_pixel_inputs(run_dir, n=16, size=32, config=config)
+            model = run_dir / "cnn.bin"
+            if command == "train-cnn":
+                flags = ["--model-out", str(model)]
+            else:
+                arch = CnnConfig(feature_dim=dim, input_shape=(3, 32, 32))
+                cnn_save(init_cnn(arch, seed=0), str(model))
+                flags = ["--model", str(model), "--out", str(run_dir / "f.jsonl")]
             run = run_cli_process(
-                "--config", str(cfg), "train-cnn", "--labels", str(labels),
-                "--manifest", str(manifest), "--model-out", str(run_dir / "cnn.bin"), cpus=cpus,
+                "--config", str(cfg), command, "--labels", str(labels),
+                "--manifest", str(manifest), *flags, cpus=cpus,
             )
             assert run.code == 0, run.stderr
             if run.peak_kb is None:
@@ -1508,10 +1509,33 @@ class TestPixelCommands:
             assert (run.workers_peak_kb > 0) == (cpus > 1)
             peaks[dim] = np.array([run.peak_kb, run.workers_peak_kb]) * 1024
         feat_w = (4096, CnnConfig(feature_dim=4096, input_shape=(3, 32, 32)).flat_dim())
-        copy_bytes = 8 * feat_w[0] * feat_w[1]
-        command, worker = (peaks[4096] - peaks[16]) / copy_bytes
+        return (peaks[4096] - peaks[16]) / (8 * feat_w[0] * feat_w[1])
+
+    @pytest.mark.parametrize(
+        "cpus, copies",
+        [pytest.param(1, 3.5, id="one-cpu"), pytest.param(2, 2.1, id="two-cpus")],
+    )
+    def test_train_cnn_peaks_below_feature_weight_copies(self, tmp_path, cpus, copies):
+        # One process holds feat.w and Adam's two moments, three copies, and
+        # one row block of its gradient; a whole gradient would make four.
+        # With two, feat.w is shared: the command's process maps all of it
+        # and the moments of its rows 0-1536 (1.75 copies), the worker rows
+        # 1536-4096 and their moments (1.875 copies), so neither reaches 2.1
+        # copies. An even split of the rows (2 copies in the command's
+        # process), or a copy of feat.w as the model is saved, would cross
+        # that bound.
+        command, worker = self.feature_weight_copies(tmp_path, cpus, command="train-cnn")
         assert command < copies, command
         assert worker < copies, worker
+
+    @pytest.mark.parametrize("cpus", [pytest.param(1, id="one-cpu"), pytest.param(2, id="two-cpus")])
+    def test_extract_features_peaks_below_feature_weight_copies(self, tmp_path, cpus):
+        # The model's tensors are read straight into their arrays, so each
+        # process maps one copy of feat.w, the worker the pages it inherited;
+        # reading each tensor through a bytes object and a copy made two.
+        command, worker = self.feature_weight_copies(tmp_path, cpus, command="extract-features")
+        assert command < 1.5, command
+        assert worker < 1.5, worker
 
     @pytest.mark.parametrize("cpus", [pytest.param(1, id="one-cpu"), pytest.param(2, id="two-cpus")])
     def test_pixel_command_peaks_do_not_grow_with_the_image_count(

@@ -3,7 +3,8 @@ every command that reads it, in process through `cli.main`. A command must
 refuse what it cannot use with its documented exit code (2 usage or config,
 3 missing file, 4 schema, 5 validation), never exit 1, and whatever it
 writes on exit 0 must pass that output's own reader. Two inputs are also
-drawn whole rather than as bytes: CNN architectures, and road networks."""
+drawn whole rather than as bytes: CNN architectures, and road networks;
+and label tables are drawn whole and run through the sequence chain."""
 
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 from safetymap import cnn, data, geo, lstm
 from safetymap.cli import main
 from safetymap.config import PipelineConfig
-from safetymap.geo import EARTH_RADIUS_M
+from safetymap.geo import EARTH_RADIUS_M, LatLon
 
 CONFIG = """
 n_points = 16
@@ -358,3 +359,73 @@ def test_drawn_road_networks_sample_and_make_urls(edges):
         for a, b in zip(points, points[1:]):
             if a.edge_id == b.edge_id:
                 assert abs(geo.haversine_m(a.location, b.location) - interval) <= 0.01 * interval
+
+
+# Label tables built from their parts: one to three edges of a small
+# alphabet, each one to three runs of consecutive seq_index values with a
+# gap after each, runs of 1-6 points against CONFIG's window of 4, three
+# labels a point, rows in any order. Keys are unique by construction.
+WINDOW = 4
+
+
+@st.composite
+def label_tables(draw) -> tuple[list[data.ImageRecord], int]:
+    """The drawn records, in file order, and their longest run."""
+    records, longest = [], 0
+    edges = draw(st.lists(st.sampled_from(("a", "b", "1", "edge 2")), min_size=1, max_size=3, unique=True))
+    for e, edge_id in enumerate(edges):
+        seq = draw(st.integers(0, 2))
+        for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
+            longest = max(longest, length)
+            for seq in range(seq, seq + length):
+                bits = draw(st.integers(0, 7))
+                records.append(data.ImageRecord(
+                    f"{edge_id}-{seq}", edge_id, seq, LatLon(33.0 + 1e-4 * seq, -87.0 + 0.01 * e),
+                    tuple(bool(bits >> k & 1) for k in range(3)),
+                ))
+            seq += 1 + draw(st.integers(1, 3))
+    return draw(st.permutations(records)), longest
+
+
+@settings(max_examples=50)
+@given(table=label_tables())
+def test_drawn_label_tables_run_the_sequence_chain(inputs, table):
+    # train-lstm finds a window only in a run of 4 or more points, and exits
+    # 5 (empty training set) otherwise; predict then reads the fuzz's own
+    # model, so short runs reach its truncated-window fallback. Each exit-0
+    # output passes its reader and the next command; no exit is other than
+    # the one the table implies.
+    records, longest = table
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        p = {name: str(work / name) for name in (
+            "labels.csv", "features.jsonl", "model.bin", "predictions.csv", "metrics.json", "map.geojson"
+        )}
+        data.write_labels(p["labels.csv"], records)
+        features = np.random.default_rng(len(records)).normal(size=(len(records), 3))
+        data.write_features(p["features.jsonl"], records, features)
+
+        def run(*argv: str) -> int:
+            with warnings.catch_warnings():  # a drawn table may leave a class degenerate
+                warnings.filterwarnings("ignore", message="class .*: zero denominator")
+                return main(["--config", str(inputs / "pipeline.cfg"), *argv])
+
+        corridor = ("--labels", p["labels.csv"], "--features", p["features.jsonl"])
+        trained = run("train-lstm", *corridor, "--model-out", p["model.bin"])
+        assert trained == (0 if longest >= WINDOW else 5)
+        model = p["model.bin"] if trained == 0 else str(inputs / "model.bin")
+        lstm.seq_load(model)
+        assert run("predict", *corridor, "--model", model, "--out", p["predictions.csv"]) == 0
+        rows = data.read_predictions(p["predictions.csv"])
+        keys = sorted((r.edge_id, r.seq_index) for r in records)
+        assert [(r.edge_id, r.seq_index) for r in rows] == keys
+        # the count-weighted F needs a positive of some class (else exit 5)
+        scored = run(
+            "evaluate", "--predictions", p["predictions.csv"], "--truth", p["labels.csv"],
+            "--baseline", p["predictions.csv"], "--out", p["metrics.json"],
+        )
+        assert scored == (0 if any(any(r.labels) for r in records) else 5)
+        if scored == 0:
+            strict_json(Path(p["metrics.json"]))
+        assert run("export-map", "--predictions", p["predictions.csv"], "--out", p["map.geojson"]) == 0
+        strict_json(Path(p["map.geojson"]))

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import logging
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -37,10 +38,11 @@ DESK = CnnConfig(input_shape=(3, 32, 32), stage_channels=(4, 8), feature_dim=16)
 
 
 def loss_and_grads(model, images, labels):
-    """cnn_loss_and_grads into fresh gradient arrays, feat.w's factor pair
-    stored under its name: (loss, grads)."""
+    """cnn_loss_and_grads into fresh gradient arrays and batch buffers,
+    feat.w's factor pair stored under its name: (loss, grads)."""
     grads = {key: np.empty_like(p) for key, p in model.params.items()}
-    return cnn_loss_and_grads(model, images, labels, grads, store_feat_w(grads)), grads
+    buffers = np.empty((2, len(labels), model.config.flat_dim()))
+    return cnn_loss_and_grads(model, images, labels, grads, store_feat_w(grads), buffers), grads
 
 
 def uint8_images(rng: np.random.Generator, n: int, size: int, low: int = 0) -> np.ndarray:
@@ -363,18 +365,22 @@ class TestWorkers:
     @pytest.mark.parametrize(
         "feature_dim, runs",
         [
-            # blocks of 2, 2 and 3 rows (a 1-row remainder joins the last)
-            pytest.param(7, ["0-7 here, none in 0 workers", "0-4 here, 4-7 in 1 worker",
-                             "0-2 here, 2-4, 4-7 in 2 workers"], id="three-blocks"),
-            # blocks of 2 and 3 rows: one of three processes owns no row
+            # blocks of 2, 2 and 3 rows (a 1-row remainder joins the last);
+            # the command's share, 7 * 2 / 5 = 2.8 rows with two processes and
+            # 7 / 7 = 1 with three, goes to the nearest edge, the smaller of
+            # two as near
+            pytest.param(7, ["0-7 here, none in 0 workers", "0-2 here, 2-7 in 1 worker",
+                             "0-0 here, 0-4, 4-7 in 2 workers"], id="three-blocks"),
+            # blocks of 2 and 3 rows; the command's share, 2 and 5 / 7 rows
             pytest.param(5, ["0-5 here, none in 0 workers", "0-2 here, 2-5 in 1 worker",
-                             "0-2 here, 2-5, 5-5 in 2 workers"], id="two-blocks"),
+                             "0-0 here, 0-2, 2-5 in 2 workers"], id="two-blocks"),
         ],
     )
     def test_feature_weight_shards_change_no_bit(self, monkeypatch, caplog, feature_dim, runs):
         # each process updates its run of feat.w's row blocks with moments of
         # those rows alone; blocks of 2 rows at the 48 inputs of CONFIG's
-        # dense layer
+        # dense layer. With three processes the command's process owns no
+        # row and updates none.
         monkeypatch.setattr(nn, "ADAM_BLOCK", 96)
         config = dataclasses.replace(self.CONFIG, feature_dim=feature_dim)
         records, pixels = make_pixel_records(10, np.random.default_rng(31), height=16, width=16)
@@ -392,6 +398,25 @@ class TestWorkers:
             results.append((history, {key: p.tobytes() for key, p in model.params.items()}))
         assert results[1] == results[0]
         assert results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "processes, plan",
+        [
+            (1, ["0-250"]),
+            # 250 * 2 / 5 = 100 rows, nearest the edge at 96
+            (2, ["0-96", "96-250"]),
+            # 250 / 7 = 35.7 rows, nearest the edge at 32
+            (3, ["0-32", "32-144", "144-250"]),
+            (4, ["0-0", "0-96", "96-176", "176-250"]),
+        ],
+    )
+    def test_feature_rows_balance_the_bytes_each_process_maps(self, processes, plan):
+        # 16 blocks of 16 rows at 16384 inputs, the last of 10; the command's
+        # process maps every row of feat.w and the moments of its own, a
+        # worker its rows and their moments: with two, 250 + 2 * 96 = 442
+        # rows against 3 * 154 = 462
+        runs = cnn._feature_row_runs((250, 16384), processes)
+        assert [f"{rows.start}-{rows.stop}" for rows in runs] == plan
 
     def test_extraction_split_changes_no_bit(self):
         features = self.extract()
@@ -499,6 +524,44 @@ class TestCnnSerialization:
         a = frame_predict(model.params, cnn_forward(model, image))
         b = frame_predict(loaded.params, cnn_forward(loaded, image))
         assert np.array_equal(a, b)
+
+    def test_tensors_are_written_and_read_without_a_copy(self, tmp_path):
+        # A 4 MB tensor is written from its own buffer and read straight
+        # into its array, and the finite check counts over slices: a bytes
+        # copy, a tensor-sized mask or a second array would cross a bound.
+        path = str(tmp_path / "t.bin")
+        tensor = np.random.default_rng(12).normal(size=(512, 1024))
+        tracemalloc.start()
+        try:
+            save_tensors(path, {"w": tensor})
+            saving = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded, _ = load_tensors(path)
+            loading = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saving < 0.25 * tensor.nbytes, saving
+        assert loading < 1.25 * tensor.nbytes, loading
+        assert loaded["w"].tobytes() == tensor.tobytes()
+
+    def test_zero_size_tensors_round_trip(self, tmp_path):
+        path = str(tmp_path / "t.bin")
+        tensors = {"a": np.empty((0,)), "b": np.arange(3.0), "c": np.empty((2, 0, 3)), "d": np.ones(())}
+        save_tensors(path, tensors)
+        loaded, _ = load_tensors(path)
+        assert {k: (v.shape, v.tobytes()) for k, v in loaded.items()} == {
+            k: (v.shape, v.tobytes()) for k, v in tensors.items()
+        }
+
+    def test_short_read_is_a_truncated_tensor(self, tmp_path, monkeypatch):
+        # the file loses its last tensor's last value after its size is read
+        path = str(tmp_path / "t.bin")
+        save_tensors(path, {"a": np.arange(4.0), "b": np.arange(6.0)})
+        size = os.path.getsize(path)
+        os.truncate(path, size - 8)
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((0,) * 6 + (size,) + (0,) * 3))
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: truncated tensor 'b'$"):
+            load_tensors(path)
 
     def _resave(self, tmp_path, edit):
         """Save a SMALL model, let edit(tensors, meta) alter what was written,
