@@ -18,9 +18,9 @@ their work over processes instead, one per usable CPU (see `fork`).
 A caller that loaded numpy before calling `main` keeps its BLAS pool, and
 its commands run in one process.
 
-Exit codes: 0 success, 2 usage or config error, 3 missing input file,
-4 input file violates its schema, 5 validation or dimension error (out of
-memory included), 1 unexpected failure, 143 ended by SIGTERM.
+Exit codes: 0 success, 2 usage or config error, 3 missing file or a path no
+file can take, 4 input file violates its schema, 5 validation or dimension
+error (out of memory included), 1 unexpected failure, 143 ended by SIGTERM.
 """
 
 from __future__ import annotations
@@ -91,9 +91,21 @@ def cmd_synth(args, config: PipelineConfig) -> int:
     return 0
 
 
+def _check_out_paths(*paths: str | None) -> None:
+    """Fail before any work as writing each path would: a directory, or under none."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:  # the trailing "/" makes a regular file fail as not a directory
+            os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
 def cmd_train_cnn(args, config: PipelineConfig) -> int:
     from . import cnn as cnn_mod
 
+    _check_out_paths(args.model_out, args.loss_out)
     arch = cnn_mod.CnnConfig(feature_dim=config.feature_dim)
     records = data.load_labels(args.labels)
     if not records:
@@ -138,6 +150,7 @@ def cmd_extract_features(args, config: PipelineConfig) -> int:
 def cmd_train_lstm(args, config: PipelineConfig) -> int:
     from . import lstm
 
+    _check_out_paths(args.model_out, args.loss_out)
     records = data.load_labels(args.labels)
     features = data.attach_features(records, args.features, config.feature_dim, workers=args.workers)
     starts = data.build_sequences(records, config.window, config.stride)
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="safetymap",
         description="Road safety feature mapping pipeline.",
         epilog=(
-            "exit codes: 0 success, 2 usage/config error, 3 missing file, "
+            "exit codes: 0 success, 2 usage/config error, 3 missing file or bad path, "
             "4 schema error, 5 validation error, 1 unexpected"
         ),
     )
@@ -388,8 +401,9 @@ def _run(args) -> int:
         config = load_config(args.config, {"seed": args.seed})
         _log_run(args.command, config)
         return args.func(args, config)
-    except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        what = "missing file" if isinstance(exc, FileNotFoundError) else exc.strerror.lower()
+        print(f"error: {what}: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except data.SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -256,12 +255,6 @@ def _train(
     return history
 
 
-def _shared(shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 array of shape in shared anonymous memory, which forked
-    workers write and read without a copy."""
-    return np.ndarray(shape, buffer=mmap.mmap(-1, max(1, 8 * math.prod(shape))))
-
-
 def _feature_row_runs(shape: tuple[int, int], processes: int) -> list[slice]:
     """Each process's contiguous run of feat.w's row blocks (those of
     nn.adam_step), sized so that no process maps many more bytes than
@@ -303,11 +296,11 @@ def cnn_train(
     # the private feat.w is freed before the fork, which would map its pages
     # into every worker
     shape = model.params["feat.w"].shape
-    feat_w = _shared(shape)
+    feat_w = fork.shared(shape)
     feat_w[...] = model.params["feat.w"]
     model.params["feat.w"] = feat_w
     batch_rows = min(batch_size, len(records))
-    buffers = _shared((2, batch_rows, model.config.flat_dim()))
+    buffers = fork.shared((2, batch_rows, model.config.flat_dim()))
     flat, grad_flat = buffers
     stages: list = []
     mine = slice(0, 0)  # in a worker: its slice's rows in the buffers

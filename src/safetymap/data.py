@@ -22,7 +22,6 @@ import csv
 import json
 import logging
 import math
-import mmap
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
@@ -270,8 +269,6 @@ def attach_features(
     and the error are those of one process. Fork only while this process
     runs no other thread (see `fork`).
     """
-    import numpy as np
-
     from . import fork
 
     rows = {r.image_id: i for i, r in enumerate(records)}
@@ -319,9 +316,7 @@ def attach_features(
     # array; if it fails, the merge below reports it as the whole parse would.
     results = [parse((0, size), first=True)] if os.path.isfile(path) else []
     if not (results and results[0][2]):
-        # anonymous mmap memory stays shared with forked children
-        shared = mmap.mmap(-1, max(1, len(records) * expected_dim * 8))
-        features = np.ndarray((len(records), expected_dim), buffer=shared)
+        features = fork.shared((len(records), expected_dim))
         results = fork.split(parse, ranges)
     first_line, offset = {}, 0  # offset: the lines of the ranges before this one
     for pairs, count, error in results:

@@ -8,12 +8,17 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import mmap
 import os
 import pickle
+import select
 import signal
 import sys
 import warnings
-from typing import Any, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PR_SET_PDEATHSIG = 1  # prctl option, from <linux/prctl.h>
 
@@ -45,6 +50,11 @@ class Worker:
     def send(self, message: Any) -> None:
         pickle.dump(message, self._down)
         self._down.flush()
+
+    def ready(self) -> bool:
+        """Whether an answer waits, without blocking: exact while at most
+        one message is unanswered, so that no answer is left half read."""
+        return bool(select.select([self._up], [], [], 0)[0])
 
     def receive(self) -> Any:
         """The answer to the oldest message not yet answered: re-emits its
@@ -108,6 +118,15 @@ def split(fn: Callable[[Any], Any], parts: Sequence) -> list:
         for worker, part in zip(started, parts[1:]):
             worker.send(part)
         return [fn(parts[0])] + [worker.receive() for worker in started]
+
+
+def shared(shape: tuple[int, ...], dtype: Any = float) -> np.ndarray:
+    """A zeroed array in shared anonymous memory, which workers forked after
+    it is made write and read without a copy."""
+    import numpy as np  # here: importing this module loads no numpy
+
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, max(1, size)))
 
 
 def plan(parts: Sequence[str]) -> str:

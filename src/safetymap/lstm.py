@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -296,33 +296,46 @@ def _fit(
     *,
     lr: float,
     epochs: int,
-) -> np.ndarray:
-    """Adam on packed params, each step taking one window per group.
+    state: nn.AdamState | None = None,
+    history: np.ndarray | None = None,
+    orders: np.ndarray | None = None,
+    stop: Callable[[], bool] | None = None,
+) -> int:
+    """Adam on packed params, each step taking one window per group; returns
+    the step it stopped at, epochs * len(starts) when done.
 
     The training windows are windows[starts]; group k trains on targets[k]
     and draws its shuffle order and dropout masks from rngs[k], in the order
-    that training it alone would. Returns each epoch's per-group mean
-    losses, (epochs, G).
+    that training it alone would; history (epochs, G) receives each epoch's
+    per-group mean losses. Resumable at each step boundary, where stop() is
+    asked: state.t counts the steps taken, history holds their loss sums and
+    orders (len(starts), G) this epoch's windows. Sliced on the group axis,
+    these, params and rngs resume those groups as the whole would.
     """
     groups = np.arange(len(rngs))
     n = len(starts)
     batch = np.empty((len(rngs), 1) + windows.shape[1:])  # one window per group
     mask_shape = (1, windows.shape[1], params["wp"].shape[2])
-    state = nn.adam_init(params, lr)
-    history = np.zeros((epochs, len(rngs)))
-    for total in history:
-        orders = starts[np.stack([rng.permutation(n) for rng in rngs], axis=1)]
-        for idx in orders:
-            masks = None
-            if dropout_rate > 0.0:
-                masks = np.stack([nn.dropout_mask(rng, mask_shape, dropout_rate) for rng in rngs])
-            # fancy indexing gathers just these windows; np.take would copy the whole view
-            batch[:, 0] = windows[idx]
-            losses, grads = packed_loss_and_grads(params, batch, targets[groups, idx, None], masks)
-            total += losses
-            nn.adam_step(params, grads, state)
-        total /= n
-    return history
+    state = nn.adam_init(params, lr) if state is None else state
+    history = np.zeros((epochs, len(rngs))) if history is None else history
+    orders = np.empty((n, len(rngs)), starts.dtype) if orders is None else orders
+    for step in range(state.t, epochs * n):
+        if stop is not None and stop():
+            return step
+        epoch, i = divmod(step, n)
+        if i == 0:
+            orders[...] = starts[np.stack([rng.permutation(n) for rng in rngs], axis=1)]
+        masks = None
+        if dropout_rate > 0.0:
+            masks = np.stack([nn.dropout_mask(rng, mask_shape, dropout_rate) for rng in rngs])
+        # fancy indexing gathers just these windows; np.take would copy the whole view
+        batch[:, 0] = windows[orders[i]]
+        losses, grads = packed_loss_and_grads(params, batch, targets[groups, orders[i], None], masks)
+        history[epoch] += losses
+        nn.adam_step(params, grads, state)
+        if i == n - 1:
+            history[epoch] /= n
+    return epochs * n
 
 
 def bptt_train(
@@ -349,40 +362,56 @@ def bptt_train(
     would. The history averages the groups' losses.
 
     `workers` is at least 1. With more, the groups are split into
-    min(G, workers) contiguous parts, trained at once: part 0 in this
-    process, each other part in one forked child (see `fork.split`). Each
-    group still ends where training it alone would, so the split changes no
-    bit. Shared mode has one group and never forks. Call with `workers` > 1
-    only while this process runs no other thread (see `fork`).
+    min(G, workers) contiguous parts, trained at once in memory all share:
+    part 0 here, each other part in a forked worker. A worker that is done
+    while this process steps 2+ groups is handed the last of them at the
+    next step boundary. Each group still ends where training it alone
+    would, so no bit changes. Shared mode has one group and never forks.
+    Call with `workers` > 1 only while this process runs no other thread.
     """
     params = model.params
     groups = len(params["wp"])
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence([seed, k]))
-        for k in range(groups)
-    ]
+    rngs = [np.random.default_rng(np.random.SeedSequence([seed, k])) for k in range(groups)]
     model.window = window
     windows, targets = _windows(model.mode, records, features, window)
     split = [p.tolist() for p in np.array_split(np.arange(groups), min(groups, workers))]
     parts = [slice(p[0], p[-1] + 1) for p in split]
     if groups > 1:
         log.info("%s model: groups %s", model.mode, fork.plan([str(p) for p in split]))
+    for key, value in params.items() if len(parts) > 1 else ():  # each process trains in place
+        params[key] = fork.shared(value.shape)
+        params[key][...] = value
+    moments = [{key: fork.shared(value.shape) for key, value in params.items()} for _ in "mv"]
+    history, orders = fork.shared((epochs, groups)), fork.shared((len(starts), groups), int)
+    steps = epochs * len(starts)
 
-    def fit(part: slice) -> tuple[nn.Params, np.ndarray]:
-        # a slice of the leading axis is a contiguous view, trained in place
-        own = {key: value[part] for key, value in params.items()}
-        history = _fit(
-            own, windows, targets[part], starts, rngs[part], model.dropout_rate,
-            lr=lr, epochs=epochs,
+    def fit(part: slice, step: int, own_rngs: list, stop: Callable | None = None) -> int:
+        # slices of the leading axis are contiguous views, trained in place
+        own, m, v = ({key: value[part] for key, value in d.items()} for d in (params, *moments))
+        return _fit(
+            own, windows, targets[part], starts, own_rngs, model.dropout_rate, lr=lr,
+            epochs=epochs, state=nn.AdamState(m, v, lr, step), history=history[:, part],
+            orders=orders[:, part], stop=stop,
         )
-        return own, history
 
-    fitted = fork.split(fit, parts)
-    for part, (own, _) in zip(parts[1:], fitted[1:]):  # part 0 trained in place
-        for key, value in own.items():
-            params[key][part] = value
-    # each epoch's per-group losses, in group order
-    history = np.concatenate([h for _, h in fitted], axis=1)
+    with fork.workers(lambda message: fit(*message), len(parts) - 1) as pool:
+        for worker, part in zip(pool, parts[1:]):
+            worker.send((part, 0, rngs[part]))
+        part, step, idle = parts[0], 0, None
+
+        def handoff() -> bool:  # whether a worker is idle while this process steps 2+ groups
+            nonlocal idle
+            idle = part.stop - part.start > 1 and next((w for w in pool if w.ready()), None)
+            return bool(idle)
+
+        while (step := fit(part, step, rngs[part], handoff if pool else None)) < steps:
+            idle.receive()
+            part = slice(part.start, part.stop - 1)
+            log.info("%s model: group %d moved to 1 worker at step %d of %d",
+                     model.mode, part.stop, step, steps)
+            idle.send((slice(part.stop, part.stop + 1), step, rngs[part.stop : part.stop + 1]))
+        for worker in pool:
+            worker.receive()
     return [float(np.mean(row)) for row in history]
 
 

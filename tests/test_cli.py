@@ -842,6 +842,42 @@ class TestSynthPipeline:
         }[min(WORKERS, 3)]
         assert f"INFO safetymap.lstm: separate model: {split}\n" in run.stderr
 
+    def test_separate_training_bytes_at_any_cpu_count(self, tmp_path):
+        # at two CPUs a worker done with group 2 takes group 1 mid-training, at
+        # a step that the host's timing sets (at hidden 64 two packed groups
+        # step about 1.5x as long as one); a last run sets that step
+        cfg = tmp_path / "corridor.cfg"
+        cfg.write_text(
+            TINY_CONFIG.replace("n_points = 150", "n_points = 120").replace("hidden = 8", "hidden = 64")
+        )
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        base = ["--config", str(cfg)]
+        assert run_cli(*base, "synth", "--out", str(labels), "--features-out", str(features)) == 0
+
+        def argv(name):
+            return [
+                *base, "-v", "train-lstm", "--labels", str(labels), "--features", str(features),
+                "--mode", "separate", "--model-out", str(tmp_path / f"{name}.bin"),
+                "--loss-out", str(tmp_path / f"{name}.csv"),
+            ]
+
+        def outputs(name):  # the model and the loss table
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("bin", "csv")]
+
+        for cpus in (1, 2, 3):
+            run = run_cli_process(*argv(cpus), cpus=cpus)
+            assert run.code == 0, run.stderr
+            assert not run.children_left
+            assert ("moved to 1 worker" in run.stderr) <= (cpus == 2), run.stderr
+        handoff = subprocess.run(
+            [sys.executable, "-c", idle_from(101) + _REPORTING_FORK_PROCESS, *argv("handoff")],
+            env=process_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert handoff.returncode == 0, handoff.stderr
+        assert "separate model: groups [0, 1] here, [2] in 1 worker\n" in handoff.stderr
+        assert "separate model: group 1 moved to 1 worker at step 101 of 202\n" in handoff.stderr
+        assert all(outputs(name) == outputs(1) for name in (2, 3, "handoff"))
+
     def test_per_gate_layout_rejected(self, tmp_path, tiny_config, capsys):
         # the container layout before the packed one: one W/U/b tensor per
         # gate and the head, per group, named shared/W_f ... shared/out.b
@@ -989,6 +1025,16 @@ class TestSynthPipeline:
         assert code == 2
 
 
+def idle_from(step: int) -> str:
+    """Lines to put before a process script: each worker is reported idle at
+    every step boundary of bptt_train from the given step on, so the handoff
+    comes at that step, after the worker's answer if need be."""
+    return (
+        "import itertools\nfrom safetymap.fork import Worker\ncalls = itertools.count()\n"
+        f"Worker.ready = lambda worker: next(calls) >= {step}\n"
+    )
+
+
 # Runs cli.main(argv) with a command's work split over two processes,
 # printing each forked worker's pid as it starts.
 _REPORTING_FORK_PROCESS = """
@@ -1019,7 +1065,7 @@ def running(pid: int) -> bool:
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="a worker dies with its parent through prctl"
 )
-@pytest.mark.parametrize("command", ["train-lstm", "train-cnn", "predict"])
+@pytest.mark.parametrize("command", ["train-lstm", "train-cnn", "predict", "train-lstm-handoff"])
 @pytest.mark.parametrize(
     "signum, code", [(signal.SIGTERM, 128 + signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL)]
 )
@@ -1028,9 +1074,14 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
     # SIGKILL the kernel kills the workers with their parent
     out = tmp_path / "out"
     forks = 2  # train-lstm and predict fork to read their features, then to run
+    script, handoff = _REPORTING_FORK_PROCESS, command == "train-lstm-handoff"
+    if handoff:  # killed once the worker, done with group 2, has taken group 1
+        command, script = "train-lstm", idle_from(0) + script
     if command == "train-lstm":  # separate mode, whose class stacks split
         cfg = tmp_path / "long.cfg"
-        cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", "lstm_epochs = 100000"))
+        # with the handoff at step 0, each process trains one group for about 1 s after it
+        epochs = 15 if handoff else 100000
+        cfg.write_text(TINY_CONFIG.replace("lstm_epochs = 2", f"lstm_epochs = {epochs}"))
         labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
         assert run_cli(
             "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
@@ -1062,7 +1113,7 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
     stderr = tmp_path / "stderr"
     with open(stderr, "w") as err:  # a file, not a pipe a surviving worker would hold open
         proc = subprocess.Popen(
-            [sys.executable, "-c", _REPORTING_FORK_PROCESS, "--config", str(cfg), command,
+            [sys.executable, "-c", script, *["-v"] * handoff, "--config", str(cfg), command,
              "--labels", str(labels), *inputs],
             env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
         )
@@ -1071,6 +1122,9 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
         for _ in range(forks):  # the last one works until the signal
             workers.append(int(proc.stdout.readline()))
         time.sleep(0.3)  # both processes are at work
+        while handoff and "moved to 1 worker" not in stderr.read_text():
+            assert proc.poll() is None, stderr.read_text()
+            time.sleep(0.02)
         proc.send_signal(signum)
         assert proc.wait(timeout=60) == code, stderr.read_text()
         deadline = time.monotonic() + 10
@@ -1291,6 +1345,68 @@ class TestCommandModules:
             assert run.code == code, (argv, run.stderr)
             assert run.stderr.startswith("error: ")
             assert "numpy" not in run.modules
+
+
+class TestPathErrors:
+    """A directory given as a file, or a path under a regular file, exits 3
+    naming the path. train-lstm and train-cnn check where they will write
+    before they read any input, so they neither read nor train."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, tiny_config):
+        """Each command's argv with a directory or a path under a file put in
+        for one of its paths, keyed by command and case."""
+        labels, features = tmp_path / "labels.csv", tmp_path / "features.jsonl"
+        assert run_cli("--config", tiny_config, "synth", "--out", str(labels),
+                       "--features-out", str(features)) == 0
+        records = load_labels(str(labels))
+        truth = np.array([r.labels for r in records])
+        predictions = tmp_path / "predictions.csv"
+        write_predictions(str(predictions), records, truth.astype(float), truth)
+        (tmp_path / "pixels").mkdir()
+        pixel_labels, manifest, _ = write_pixel_inputs(tmp_path / "pixels")
+        directory, under = str(tmp_path), str(labels / "out")
+
+        def train_lstm(labels=labels, out=tmp_path / "model.bin"):
+            return ["train-lstm", "--labels", str(labels), "--features", str(features),
+                    "--mode", "separate", "--model-out", str(out)]
+
+        def train_cnn(labels=pixel_labels, out=tmp_path / "cnn.bin"):
+            return ["train-cnn", "--labels", str(labels), "--manifest", str(manifest),
+                    "--model-out", str(out)]
+
+        def evaluate(predictions=predictions, out=tmp_path / "metrics.json"):
+            return ["evaluate", "--predictions", str(predictions), "--truth", str(labels),
+                    "--out", str(out)]
+
+        return {
+            ("train-lstm", "input-dir"): (train_lstm(labels=directory), "is a directory", directory),
+            ("train-lstm", "output-under-file"): (train_lstm(out=under), "not a directory", under),
+            ("train-lstm", "output-dir"): (train_lstm(out=directory), "is a directory", directory),
+            ("train-cnn", "input-dir"): (train_cnn(labels=directory), "is a directory", directory),
+            ("train-cnn", "output-under-file"): (train_cnn(out=under), "not a directory", under),
+            ("evaluate", "input-dir"): (evaluate(predictions=directory), "is a directory", directory),
+            ("evaluate", "output-under-file"): (evaluate(out=under), "not a directory", under),
+        }
+
+    @pytest.mark.parametrize(
+        "command, case",
+        [(c, k) for c in ("train-lstm", "train-cnn", "evaluate") for k in ("input-dir", "output-under-file")]
+        + [("train-lstm", "output-dir")],
+    )
+    def test_exit_3_naming_the_path(self, monkeypatch, capsys, tiny_config, argv, command, case):
+        from safetymap import cnn, data
+
+        def trained(*args, **kw):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(lstm, "bptt_train", trained)
+        monkeypatch.setattr(cnn, "cnn_train", trained)
+        if case != "input-dir" and command != "evaluate":  # checked before any input is read
+            monkeypatch.setattr(data, "load_labels", trained)
+        args, reason, path = argv[command, case]
+        assert run_cli("--config", tiny_config, *args) == EXIT_MISSING_FILE
+        assert capsys.readouterr().err == f"error: {reason}: {path}\n"
 
 
 class TestConfigValues:

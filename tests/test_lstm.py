@@ -4,7 +4,9 @@ corridor prediction."""
 from __future__ import annotations
 
 import copy
+import itertools
 import json
+import logging
 import math
 import os
 import tracemalloc
@@ -384,7 +386,10 @@ class TestBpttTrain:
 
 class TestWorkers:
     """bptt_train's `workers`: contiguous parts of the groups, part 0 trained
-    here and each other part in a forked child."""
+    here and each other part in a forked child, and the handoff of this
+    process's last group to a worker that is done."""
+
+    STEPS = 24  # 12 windows, 2 epochs
 
     def train(self, mode="separate", **kw):
         records, features, starts = corridor_sequences(150, seed=21, window=20, stride=5)
@@ -423,6 +428,63 @@ class TestWorkers:
         monkeypatch.setattr(lstm, "_fit", failing_fit)
         with pytest.raises(ValueError, match=f"^fit failed in the {where}$"):
             self.train(workers=2)
+        assert_no_child_left()
+
+    @staticmethod
+    def idle_at(monkeypatch, step):
+        """Report the worker idle at the given step's boundary alone: at
+        workers=2 this process asks once a step while it steps groups 0 and 1."""
+        calls = itertools.count()
+        monkeypatch.setattr(fork.Worker, "ready", lambda worker: next(calls) == step)
+
+    @pytest.mark.parametrize(
+        "step", [0, 5, 11, 12, 23],
+        ids=["first-step", "mid-epoch", "last-of-epoch-1", "epoch-boundary", "last-step"],
+    )
+    def test_handoff_changes_no_bit(self, monkeypatch, caplog, step):
+        # a worker that has not answered yet is waited for, so any step works
+        model, history = self.train(workers=1)
+        self.idle_at(monkeypatch, step)
+        with caplog.at_level(logging.INFO, logger="safetymap.lstm"):
+            moved, moved_history = self.train(workers=2)
+        assert_no_child_left()
+        moved_line = f"separate model: group 1 moved to 1 worker at step {step} of {self.STEPS}"
+        assert moved_line in caplog.messages
+        assert moved_history == history
+        for key, value in model.params.items():
+            assert np.array_equal(moved.params[key], value), key
+
+    @pytest.mark.parametrize(
+        "mode, workers, checks",
+        [("separate", 2, STEPS), ("separate", 1, 0), ("separate", 3, 0), ("shared", 2, 0)],
+    )
+    def test_idle_check_once_a_step_while_two_groups_are_here(
+        self, monkeypatch, mode, workers, checks
+    ):
+        calls = itertools.count()
+        monkeypatch.setattr(fork.Worker, "ready", lambda worker: next(calls) < 0)
+        self.train(mode, workers=workers)
+        assert next(calls) == checks
+
+    @pytest.mark.parametrize("failure", ["exception", "warning"])
+    def test_resumed_group_failure_reaches_caller(self, monkeypatch, failure):
+        parent, fit = os.getpid(), lstm._fit
+
+        def resumed_fit(*args, state=None, **kw):
+            if os.getpid() != parent and state.t > 0:  # the group handed over
+                if failure == "exception":
+                    raise ValueError("resumed fit failed")
+                warnings.warn("from a resumed group", RuntimeWarning)
+            return fit(*args, state=state, **kw)
+
+        monkeypatch.setattr(lstm, "_fit", resumed_fit)
+        self.idle_at(monkeypatch, 7)
+        if failure == "exception":
+            with pytest.raises(ValueError, match="^resumed fit failed$"):
+                self.train(workers=2)
+        else:
+            with pytest.warns(RuntimeWarning, match="^from a resumed group$"):
+                self.train(workers=2)
         assert_no_child_left()
 
     def test_child_warning_reaches_caller(self, monkeypatch):
