@@ -13,8 +13,8 @@ export-map) start without loading numpy.
 loads numpy, so every command writes the same bytes whatever thread count
 the environment asks for. A BLAS split of some GEMMs changes their last
 bits with the thread count, and a second BLAS thread gains nothing on this
-program's shapes. train-lstm, predict, train-cnn and extract-features split
-their work over processes instead, one per usable CPU (see `fork`).
+program's shapes. synth, train-lstm, predict, train-cnn and extract-features
+split their work over processes instead, one per usable CPU (see `fork`).
 A caller that loaded numpy before calling `main` keeps its BLAS pool, and
 its commands run in one process.
 
@@ -62,6 +62,7 @@ def _log_run(command: str, config: PipelineConfig) -> None:
 
 
 def cmd_sample(args, config: PipelineConfig) -> int:
+    _check_out_paths(args.out)
     edges = geo.load_road_network(args.network)
     points = geo.sample_points(edges, config.interval_m)
     data.write_samples(args.out, points)
@@ -70,6 +71,7 @@ def cmd_sample(args, config: PipelineConfig) -> int:
 
 
 def cmd_url_gen(args, config: PipelineConfig) -> int:
+    _check_out_paths(args.out)
     if not args.key:
         raise ValueError("API key must be non-empty")
     if args.size <= 0:
@@ -84,9 +86,10 @@ def cmd_url_gen(args, config: PipelineConfig) -> int:
 
 
 def cmd_synth(args, config: PipelineConfig) -> int:
+    _check_out_paths(args.out, args.features_out)
     records, features = data.synth_corridor(config, stage_seed(config.seed, "synth"))
     data.write_labels(args.out, records)
-    data.write_features(args.features_out, records, features)
+    data.write_features(args.features_out, records, features, workers=args.workers)
     log.info("wrote %d synthetic records to %s / %s", len(records), args.out, args.features_out)
     return 0
 
@@ -136,13 +139,14 @@ def cmd_train_cnn(args, config: PipelineConfig) -> int:
 def cmd_extract_features(args, config: PipelineConfig) -> int:
     from . import cnn as cnn_mod
 
+    _check_out_paths(args.out)
     model = cnn_mod.cnn_load(args.model)
     records = data.load_labels(args.labels)
     pixels = data.load_pixels(records, args.manifest, extent=model.config.input_shape[1:])
     features = cnn_mod.extract_features(
         model, records, pixels, config.batch_size, workers=args.workers
     )
-    data.write_features(args.out, records, features)
+    data.write_features(args.out, records, features, workers=args.workers)
     log.info("wrote %d feature vectors to %s", len(records), args.out)
     return 0
 
@@ -191,6 +195,7 @@ def cmd_train_lstm(args, config: PipelineConfig) -> int:
 def cmd_predict(args, config: PipelineConfig) -> int:
     from .modelio import container_kind
 
+    _check_out_paths(args.out)
     # the model is read and checked first: parsing the features takes longer.
     # A CNN's class head labels each image alone: the frame baseline.
     frames = container_kind(args.model) == "cnn"
@@ -245,6 +250,7 @@ def _align_to_truth(
 def cmd_evaluate(args, config: PipelineConfig) -> int:
     from . import metrics
 
+    _check_out_paths(args.out)
     rows = data.read_predictions(args.predictions)
     truth_records = data.load_labels(args.truth)
     _align_to_truth(rows, truth_records, "prediction")
@@ -273,6 +279,7 @@ def cmd_evaluate(args, config: PipelineConfig) -> int:
 
 
 def cmd_export_map(args, config: PipelineConfig) -> int:
+    _check_out_paths(args.out)
     rows = data.read_predictions(args.predictions)
     doc = geo.export_prediction_geojson(rows)
     with open(args.out, "w", encoding="utf-8") as fh:

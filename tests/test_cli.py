@@ -32,6 +32,7 @@ from safetymap.cli import EXIT_MISSING_FILE, EXIT_SCHEMA, EXIT_VALIDATION, build
 from safetymap.cnn import CnnConfig, cnn_load, cnn_save, frame_predict, init_cnn
 from safetymap.config import PipelineConfig, load_config, parse_config_file, stage_seed
 from safetymap.data import (
+    FEATURE_BLOCK,
     PREDICTION_COLUMNS,
     ImageRecord,
     attach_features,
@@ -977,6 +978,29 @@ class TestSynthPipeline:
             str(features), "--model", str(model), "--out", str(tmp_path / "p.csv"),
         ) == 0
 
+    def test_verbose_synth_logs_the_writer_split(self, tmp_path, tiny_config):
+        rows = FEATURE_BLOCK // 250  # per block at feature_dim 250
+        wide = tmp_path / "wide.cfg"  # three blocks, the last of 50 rows
+        wide.write_text(TINY_CONFIG.replace("n_points = 150", f"n_points = {2 * rows + 50}")
+                        .replace("feature_dim = 8", "feature_dim = 250"))
+        written = []
+        for cfg, cpus, split in (
+            (wide, 1, f"blocks of {rows} rows: 3 here, none in 0 workers"),
+            (wide, 2, f"blocks of {rows} rows: 2 here, 1 in 1 worker"),
+            (wide, 3, f"blocks of {rows} rows: 1 here, 1, 1 in 2 workers"),
+            # 150 x 8 values, one block: one process whatever the CPUs
+            (tiny_config, 2, f"blocks of {FEATURE_BLOCK // 8} rows: 1 here, none in 0 workers"),
+        ):
+            features = tmp_path / f"features-{cpus}.jsonl"
+            run = run_cli_process(
+                "--config", str(cfg), "-v", "synth", "--out", str(tmp_path / "labels.csv"),
+                "--features-out", str(features), cpus=cpus,
+            )
+            assert run.code == 0, run.stderr
+            assert f"INFO safetymap.data: {features}: {split}\n" in run.stderr
+            written.append(features.read_bytes())
+        assert written[0] == written[1] == written[2]
+
     def test_verbose_predict_logs_both_splits(self, tmp_path, tiny_config):
         labels, features, *_ = self._run_pipeline(tmp_path, tiny_config, mode="separate")
         model = tmp_path / "model.bin"
@@ -1065,7 +1089,7 @@ def running(pid: int) -> bool:
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="a worker dies with its parent through prctl"
 )
-@pytest.mark.parametrize("command", ["train-lstm", "train-cnn", "predict", "train-lstm-handoff"])
+@pytest.mark.parametrize("command", ["train-lstm", "train-cnn", "predict", "train-lstm-handoff", "synth"])
 @pytest.mark.parametrize(
     "signum, code", [(signal.SIGTERM, 128 + signal.SIGTERM), (signal.SIGKILL, -signal.SIGKILL)]
 )
@@ -1086,7 +1110,8 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
         assert run_cli(
             "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
         ) == 0
-        inputs = ["--features", str(features), "--mode", "separate", "--model-out", str(out)]
+        inputs = ["--labels", str(labels), "--features", str(features), "--mode", "separate",
+                  "--model-out", str(out)]
     elif command == "predict":  # separate mode on 40 000 images, about 1 s a process
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY_CONFIG)
@@ -1103,18 +1128,24 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
         assert run_cli(
             "--config", str(cfg), "synth", "--out", str(labels), "--features-out", str(features)
         ) == 0
-        inputs = ["--features", str(features), "--model", str(model), "--out", str(out)]
+        inputs = ["--labels", str(labels), "--features", str(features), "--model", str(model),
+                  "--out", str(out)]
+    elif command == "synth":  # 3 M values, whose writing takes 1-2 s in two processes
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY_CONFIG.replace("n_points = 150", "n_points = 12000").replace(
+            "feature_dim = 8", "feature_dim = 250"))
+        inputs = ["--out", str(tmp_path / "labels.csv"), "--features-out", str(out)]
+        forks = 1
     else:
         labels, manifest, cfg = write_pixel_inputs(
             tmp_path, config="feature_dim = 8\ncnn_epochs = 100000\nbatch_size = 4\n"
         )
-        inputs = ["--manifest", str(manifest), "--model-out", str(out)]
+        inputs = ["--labels", str(labels), "--manifest", str(manifest), "--model-out", str(out)]
         forks = 1
     stderr = tmp_path / "stderr"
     with open(stderr, "w") as err:  # a file, not a pipe a surviving worker would hold open
         proc = subprocess.Popen(
-            [sys.executable, "-c", script, *["-v"] * handoff, "--config", str(cfg), command,
-             "--labels", str(labels), *inputs],
+            [sys.executable, "-c", script, *["-v"] * handoff, "--config", str(cfg), command, *inputs],
             env=process_env(), stdout=subprocess.PIPE, stderr=err, text=True,
         )
     workers = []
@@ -1131,7 +1162,10 @@ def test_killed_training_leaves_no_worker(tmp_path, command, signum, code):
         while any(map(running, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(running, workers))
-        assert not out.exists()
+        if command == "synth":  # cut short, as a write is not atomic
+            assert len(out.read_bytes().splitlines()) < 12000
+        else:
+            assert not out.exists()
     finally:
         for worker in filter(running, workers):
             os.kill(worker, signal.SIGKILL)
@@ -1349,8 +1383,14 @@ class TestCommandModules:
 
 class TestPathErrors:
     """A directory given as a file, or a path under a regular file, exits 3
-    naming the path. train-lstm and train-cnn check where they will write
-    before they read any input, so they neither read nor train."""
+    naming the path. Every command checks where it will write before its
+    work, and train-lstm and train-cnn before they read any input, so a bad
+    output path neither reads, trains, infers nor samples."""
+
+    # the commands beside train-lstm and train-cnn, each with an output-dir
+    # and an output-under-file case
+    OUTPUT_CHECKED = ("synth", "sample", "url-gen", "predict", "evaluate", "extract-features",
+                      "export-map")
 
     @pytest.fixture
     def argv(self, tmp_path, tiny_config):
@@ -1365,6 +1405,10 @@ class TestPathErrors:
         write_predictions(str(predictions), records, truth.astype(float), truth)
         (tmp_path / "pixels").mkdir()
         pixel_labels, manifest, _ = write_pixel_inputs(tmp_path / "pixels")
+        cnn_model = tmp_path / "cnn.bin"  # of the tiny config's feature_dim, for 8 x 8 images
+        write_cnn_container(cnn_model, (3, 8, 8), (4, 4), 3, 8)
+        network, samples = write_network(tmp_path), tmp_path / "samples.csv"
+        assert run_cli("sample", "--network", network, "--out", str(samples)) == 0
         directory, under = str(tmp_path), str(labels / "out")
 
         def train_lstm(labels=labels, out=tmp_path / "model.bin"):
@@ -1379,6 +1423,18 @@ class TestPathErrors:
             return ["evaluate", "--predictions", str(predictions), "--truth", str(labels),
                     "--out", str(out)]
 
+        writes = {  # each output-checked command's argv writing out
+            "synth": lambda out: ["synth", "--out", str(tmp_path / "l.csv"), "--features-out", out],
+            "sample": lambda out: ["sample", "--network", network, "--out", out],
+            "url-gen": lambda out: ["url-gen", "--samples", str(samples), "--key", "K", "--out", out],
+            "predict": lambda out: ["predict", "--labels", str(labels), "--features", str(features),
+                                    "--model", str(cnn_model), "--out", out],
+            "evaluate": lambda out: evaluate(out=out),
+            "extract-features": lambda out: ["extract-features", "--labels", str(pixel_labels),
+                                             "--manifest", str(manifest), "--model", str(cnn_model),
+                                             "--out", out],
+            "export-map": lambda out: ["export-map", "--predictions", str(predictions), "--out", out],
+        }
         return {
             ("train-lstm", "input-dir"): (train_lstm(labels=directory), "is a directory", directory),
             ("train-lstm", "output-under-file"): (train_lstm(out=under), "not a directory", under),
@@ -1386,24 +1442,37 @@ class TestPathErrors:
             ("train-cnn", "input-dir"): (train_cnn(labels=directory), "is a directory", directory),
             ("train-cnn", "output-under-file"): (train_cnn(out=under), "not a directory", under),
             ("evaluate", "input-dir"): (evaluate(predictions=directory), "is a directory", directory),
-            ("evaluate", "output-under-file"): (evaluate(out=under), "not a directory", under),
+            ("synth", "label-output-dir"): (
+                ["synth", "--out", directory, "--features-out", str(tmp_path / "f.jsonl")],
+                "is a directory", directory,
+            ),
+            **{(command, "output-dir"): (write(directory), "is a directory", directory)
+               for command, write in writes.items()},
+            **{(command, "output-under-file"): (write(under), "not a directory", under)
+               for command, write in writes.items()},
         }
 
     @pytest.mark.parametrize(
         "command, case",
         [(c, k) for c in ("train-lstm", "train-cnn", "evaluate") for k in ("input-dir", "output-under-file")]
-        + [("train-lstm", "output-dir")],
+        + [("train-lstm", "output-dir"), ("synth", "label-output-dir")]
+        + [(c, k) for c in OUTPUT_CHECKED for k in ("output-dir", "output-under-file")
+           if (c, k) != ("evaluate", "output-under-file")],
     )
     def test_exit_3_naming_the_path(self, monkeypatch, capsys, tiny_config, argv, command, case):
-        from safetymap import cnn, data
+        from safetymap import cnn, data, geo
 
-        def trained(*args, **kw):
-            raise AssertionError("trained")
+        def worked(*args, **kw):
+            raise AssertionError("worked")
 
-        monkeypatch.setattr(lstm, "bptt_train", trained)
-        monkeypatch.setattr(cnn, "cnn_train", trained)
-        if case != "input-dir" and command != "evaluate":  # checked before any input is read
-            monkeypatch.setattr(data, "load_labels", trained)
+        monkeypatch.setattr(lstm, "bptt_train", worked)
+        monkeypatch.setattr(cnn, "cnn_train", worked)
+        if case != "input-dir":  # checked before any input is read or any work done
+            for module, name in ((data, "load_labels"), (data, "synth_corridor"),
+                                 (geo, "sample_points"), (data, "read_samples"),
+                                 (data, "attach_features"), (cnn, "extract_features"),
+                                 (data, "read_predictions")):
+                monkeypatch.setattr(module, name, worked)
         args, reason, path = argv[command, case]
         assert run_cli("--config", tiny_config, *args) == EXIT_MISSING_FILE
         assert capsys.readouterr().err == f"error: {reason}: {path}\n"

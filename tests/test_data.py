@@ -5,13 +5,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import assert_no_child_left, enumerate_windows, write_ppm
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safetymap import data
 from safetymap.config import PipelineConfig
 from safetymap.data import (
     LABEL_COLUMNS,
@@ -275,15 +277,22 @@ class TestAttachFeatures:
             write_features(str(tmp_path / "features.jsonl"), records, np.zeros((2, 4)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_write_features_refuses_non_finite_before_opening(self, tmp_path, bad):
+    def test_write_features_refuses_non_finite_before_opening(self, tmp_path, monkeypatch, bad):
         records = [make_record("e1", i) for i in range(3)]
         features = np.zeros((3, 4))
         features[1:, 2] = bad
         path = tmp_path / "features.jsonl"
-        with pytest.raises(ValueError) as info:
-            write_features(str(path), records, features)
-        assert str(info.value) == f"{path}: features of image e1-1 are not finite"
-        assert not path.exists()
+
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(data, "FEATURE_BLOCK", 4)  # a block a row: three blocks
+        monkeypatch.setattr(os, "fork", no_fork)
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as info:
+                write_features(str(path), records, features, workers=workers)
+            assert str(info.value) == f"{path}: features of image e1-1 are not finite"
+            assert not path.exists()
 
     def test_write_predictions_refuses_nan_before_opening(self, tmp_path):
         # an overflowing class head's logit can be inf - inf
@@ -302,6 +311,37 @@ class TestAttachFeatures:
         path = tmp_path / "features.jsonl"
         write_features(str(path), records, features)
         assert np.array_equal(attach_features(records, str(path), 8), features)
+
+
+class TestWriteFeaturesWorkers:
+    """write_features formats blocks of rows in several processes and
+    writes the bytes of one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        rows=st.integers(1, 4),
+        n=st.one_of(st.sampled_from(["one block", "one block and a row"]), st.integers(0, 30)),
+        workers=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bytes_at_any_worker_count(self, tmp_path_factory, d, rows, n, workers, seed):
+        n = {"one block": rows, "one block and a row": rows + 1}.get(n, n)
+        rng = np.random.default_rng(seed)
+        # finite values over most of float64's range, each written in its shortest repr
+        features = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        records = [make_record("e1", i) for i in range(n)]
+        work = tmp_path_factory.mktemp("features")
+        # blocks of `rows` rows: FEATURE_BLOCK is rows * d values, or up to a row short of one more
+        with mock.patch.object(data, "FEATURE_BLOCK", rows * d + seed % d):
+            for count in (1, workers):
+                write_features(str(work / f"{count}.jsonl"), records, features, workers=count)
+        assert_no_child_left()
+        blob = (work / "1.jsonl").read_bytes()
+        assert (work / f"{workers}.jsonl").read_bytes() == blob
+        assert blob.count(b"\n") == n
+        out = attach_features(records, str(work / "1.jsonl"), d, workers=2)
+        assert out.tobytes() == features.tobytes()
 
 
 def cut(blob: bytes) -> int:
